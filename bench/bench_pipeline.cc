@@ -43,7 +43,7 @@ bool SameEncodings(const std::vector<EncodedRecord>& x,
 bool SameTables(const RecordLevelBlocker& x, const RecordLevelBlocker& y) {
   if (x.L() != y.L()) return false;
   for (size_t l = 0; l < x.L(); ++l) {
-    if (x.tables()[l].buckets() != y.tables()[l].buckets()) return false;
+    if (x.tables()[l] != y.tables()[l]) return false;
   }
   return true;
 }

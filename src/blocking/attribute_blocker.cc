@@ -221,11 +221,11 @@ void AttributeLevelBlocker::Insert(const EncodedRecord& record) {
       }
     }
   }
-  indexed_.emplace(record.id, record.bits);
+  if (!single_structure()) indexed_.emplace(record.id, record.bits);
 }
 
 void AttributeLevelBlocker::Index(const std::vector<EncodedRecord>& records) {
-  indexed_.reserve(indexed_.size() + records.size());
+  if (!single_structure()) indexed_.reserve(indexed_.size() + records.size());
   for (const EncodedRecord& record : records) Insert(record);
 }
 
@@ -234,12 +234,17 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
   telemetry::Registry& reg = telemetry::Registry::Global();
   telemetry::ScopedTimer timer(
       reg.GetHistogram("index_build_batch_latency_us"));
-  if (pool == nullptr || pool->num_threads() <= 1 || records.size() <= 1) {
-    indexed_.reserve(indexed_.size() + records.size());
-    for (const EncodedRecord& record : records) Insert(record);
-    reg.GetCounter("index_build_records_total")->Add(records.size());
-    return;
-  }
+  const bool serial =
+      pool == nullptr || pool->num_threads() <= 1 || records.size() <= 1;
+  const auto parallel_for =
+      [&](size_t total, size_t chunk,
+          const std::function<void(size_t, size_t, size_t)>& fn) {
+        if (serial) {
+          fn(0, 0, total);
+        } else {
+          pool->ParallelFor(total, chunk, fn);
+        }
+      };
 
   // Flatten the per-structure tables into one global enumeration so
   // phase 2 can shard them uniformly.  Global table t of structure s is
@@ -259,47 +264,52 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
   }
   const size_t total_tables = table_refs.size();
 
-  // Phase 1: the key matrix keys[i * total_tables + global_table],
-  // sharded over records.
-  std::vector<uint64_t> keys(records.size() * total_tables);
-  std::vector<RecordId> ids(records.size());
-  pool->ParallelFor(
-      records.size(), min_chunk, [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          ids[i] = records[i].id;
-          uint64_t* row = keys.data() + i * total_tables;
-          for (size_t s = 0; s < structures_.size(); ++s) {
-            const Structure& st = structures_[s];
-            uint64_t* cell = row + structure_base[s];
-            if (st.kind == Structure::Kind::kAnd) {
-              for (size_t l = 0; l < st.L; ++l) {
-                cell[l] = CompoundKey(st, records[i].bits, l);
-              }
-            } else {
-              for (size_t p = 0; p < st.predicates.size(); ++p) {
-                for (size_t l = 0; l < st.L; ++l) {
-                  cell[p * st.L + l] = st.families[p].Key(records[i].bits, l);
-                }
-              }
+  // Phase 1: the key matrix, one contiguous column per table
+  // (keys[global_table * n + i]), sharded over records.  Consecutive
+  // records fill consecutive words of every column, and phase 2 reads
+  // each column sequentially.
+  const size_t n = records.size();
+  std::vector<uint64_t> keys(n * total_tables);
+  std::vector<RecordId> ids(n);
+  parallel_for(n, min_chunk, [&](size_t, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      ids[i] = records[i].id;
+      for (size_t s = 0; s < structures_.size(); ++s) {
+        const Structure& st = structures_[s];
+        uint64_t* cell = keys.data() + structure_base[s] * n + i;
+        if (st.kind == Structure::Kind::kAnd) {
+          for (size_t l = 0; l < st.L; ++l) {
+            cell[l * n] = CompoundKey(st, records[i].bits, l);
+          }
+        } else {
+          for (size_t p = 0; p < st.predicates.size(); ++p) {
+            for (size_t l = 0; l < st.L; ++l) {
+              cell[(p * st.L + l) * n] = st.families[p].Key(records[i].bits, l);
             }
           }
         }
-      });
-
-  // Phase 2: per-table merge in record order.
-  pool->ParallelFor(total_tables, [&](size_t, size_t begin, size_t end) {
-    for (size_t t = begin; t < end; ++t) {
-      const TableRef& ref = table_refs[t];
-      structures_[ref.structure].tables[ref.local].BulkInsert(
-          keys.data() + t, total_tables, ids);
+      }
     }
   });
 
-  // The retained vector map is filled serially (unordered_map is not
-  // concurrent); identical contents either way since ids are the keys.
-  indexed_.reserve(indexed_.size() + records.size());
-  for (const EncodedRecord& record : records) {
-    indexed_.emplace(record.id, record.bits);
+  // Phase 2: per-table merge in record order.
+  parallel_for(total_tables, 0, [&](size_t, size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      const TableRef& ref = table_refs[t];
+      structures_[ref.structure].tables[ref.local].BulkInsert(
+          {keys.data() + t * n, n}, ids);
+    }
+  });
+
+  // The retained vector map serves only the membership check of
+  // multi-structure rules; it is filled serially (unordered_map is not
+  // concurrent), with identical contents either way since ids are the
+  // keys.
+  if (!single_structure()) {
+    indexed_.reserve(indexed_.size() + records.size());
+    for (const EncodedRecord& record : records) {
+      indexed_.emplace(record.id, record.bits);
+    }
   }
   reg.GetCounter("index_build_records_total")->Add(records.size());
 }
@@ -345,48 +355,57 @@ bool AttributeLevelBlocker::FormulatedByRule(const BitVector& a,
   return EvaluateExpr(expr_, a, b);
 }
 
-void AttributeLevelBlocker::ForEachCandidate(
-    const BitVector& probe, const std::function<void(RecordId)>& cb) const {
-  // When the rule lowered to a single structure, every generated candidate
-  // is formulated by construction — skip the membership re-check.
-  const bool trivial_membership = expr_.kind == Expr::Kind::kStructure;
-
-  std::unordered_set<RecordId> seen;
+void AttributeLevelBlocker::ForEachProbedBucket(
+    const BitVector& probe,
+    FunctionRef<void(std::span<const RecordId>)> cb) const {
   for (size_t si : generating_) {
     const Structure& s = structures_[si];
     for (size_t l = 0; l < s.L; ++l) {
       if (s.kind == Structure::Kind::kAnd) {
-        for (RecordId id : s.tables[l].Get(CompoundKey(s, probe, l))) {
-          if (!seen.insert(id).second) continue;
-          if (trivial_membership) {
-            cb(id);
-            continue;
-          }
-          const auto it = indexed_.find(id);
-          if (it != indexed_.end() &&
-              FormulatedByRule(it->second, probe)) {
-            cb(id);
-          }
-        }
+        const std::span<const RecordId> bucket =
+            s.tables[l].Get(CompoundKey(s, probe, l));
+        if (!bucket.empty()) cb(bucket);
       } else {
         for (size_t i = 0; i < s.predicates.size(); ++i) {
-          const uint64_t key = s.families[i].Key(probe, l);
-          for (RecordId id : s.tables[i * s.L + l].Get(key)) {
-            if (!seen.insert(id).second) continue;
-            if (trivial_membership) {
-              cb(id);
-              continue;
-            }
-            const auto it = indexed_.find(id);
-            if (it != indexed_.end() &&
-                FormulatedByRule(it->second, probe)) {
-              cb(id);
-            }
-          }
+          const std::span<const RecordId> bucket =
+              s.tables[i * s.L + l].Get(s.families[i].Key(probe, l));
+          if (!bucket.empty()) cb(bucket);
         }
       }
     }
   }
+}
+
+void AttributeLevelBlocker::ForEachCandidate(
+    const BitVector& probe, const std::function<void(RecordId)>& cb) const {
+  // A single structure formulates every pair it generates: emit the raw
+  // occurrences and leave de-duplication to the caller.
+  if (single_structure()) {
+    ForEachProbedBucket(probe, [&](std::span<const RecordId> bucket) {
+      for (RecordId id : bucket) cb(id);
+    });
+    return;
+  }
+  std::unordered_set<RecordId> seen;
+  ForEachProbedBucket(probe, [&](std::span<const RecordId> bucket) {
+    for (RecordId id : bucket) {
+      if (!seen.insert(id).second) continue;
+      const auto it = indexed_.find(id);
+      if (it != indexed_.end() && FormulatedByRule(it->second, probe)) {
+        cb(id);
+      }
+    }
+  });
+}
+
+void AttributeLevelBlocker::ForEachCandidateSpan(
+    const BitVector& probe,
+    FunctionRef<void(std::span<const RecordId>)> cb) const {
+  if (single_structure()) {
+    ForEachProbedBucket(probe, cb);
+    return;
+  }
+  CandidateSource::ForEachCandidateSpan(probe, cb);
 }
 
 size_t AttributeLevelBlocker::TotalTables() const {

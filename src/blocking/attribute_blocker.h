@@ -59,15 +59,17 @@ class AttributeLevelBlocker : public CandidateSource {
       const Rule& rule, const RecordLayout& layout,
       const AttributeBlockerOptions& options, Rng& rng);
 
-  /// Inserts data set A's records into every structure's tables and
-  /// retains their vectors for rule-membership evaluation.
+  /// Inserts data set A's records into every structure's tables and,
+  /// for multi-structure rules, retains their vectors for
+  /// rule-membership evaluation.
   void Index(const std::vector<EncodedRecord>& records);
 
   /// Bulk Index with the two-phase parallel build (see
   /// RecordLevelBlocker::BulkInsert): phase 1 computes every structure's
-  /// keys into a per-record matrix over `pool`; phase 2 merges each of
-  /// the TotalTables() tables in record order.  Tables and the retained
-  /// vector map are identical to Index() at any thread count.
+  /// keys into a key matrix, one column per table, over `pool`; phase 2
+  /// merges each of the TotalTables() tables in record order (inline
+  /// when `pool` is null or has one worker).  Tables and the retained
+  /// vector map are identical in content to Index() at any thread count.
   void BulkInsert(std::span<const EncodedRecord> records,
                   ThreadPool* pool = nullptr, size_t min_chunk = 0);
 
@@ -77,9 +79,20 @@ class AttributeLevelBlocker : public CandidateSource {
   /// Candidates of `probe`: Ids colliding with it in the generating
   /// structures and whose pair passes the structure-membership expression
   /// (pairs ruled out by a NOT or a missing conjunct are never emitted).
+  /// When the rule lowers to a single structure (e.g. C1, or any flat
+  /// AND/OR of predicates) every collision is formulated, so the raw
+  /// occurrences are emitted, repeats across groups included, in group
+  /// order.  Otherwise each Id is emitted at most once.
   void ForEachCandidate(
       const BitVector& probe,
       const std::function<void(RecordId)>& cb) const override;
+
+  /// Single-structure rules: each probed bucket as one span over the
+  /// table's own storage (the matcher's stamps de-duplicate).  Other
+  /// rules: the filtered ForEachCandidate through single-Id spans.
+  void ForEachCandidateSpan(
+      const BitVector& probe,
+      FunctionRef<void(std::span<const RecordId>)> cb) const override;
 
   /// True iff the pair (a, b) is formulated according to the rule's
   /// blocking structures (Section 5.4 compound-rule semantics).
@@ -139,12 +152,25 @@ class AttributeLevelBlocker : public CandidateSource {
   bool EvaluateExpr(const Expr& expr, const BitVector& a,
                     const BitVector& b) const;
 
+  /// True when the rule lowered to one structure: every generated pair
+  /// is formulated, so no membership check (and no indexed_) is needed.
+  bool single_structure() const {
+    return expr_.kind == Expr::Kind::kStructure;
+  }
+
+  /// Calls `cb` with every non-empty bucket `probe` maps to in the
+  /// generating structures, in group order.
+  void ForEachProbedBucket(
+      const BitVector& probe,
+      FunctionRef<void(std::span<const RecordId>)> cb) const;
+
   Rule rule_;
   std::vector<Structure> structures_;
   Expr expr_;
   /// Structures probed for candidate generation.
   std::vector<size_t> generating_;
-  /// A-side vectors retained for membership evaluation.
+  /// A-side vectors retained for membership evaluation; left empty for
+  /// single-structure rules.
   std::unordered_map<RecordId, BitVector> indexed_;
 };
 

@@ -57,32 +57,39 @@ void RecordLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
   telemetry::ScopedTimer timer(
       reg.GetHistogram("index_build_batch_latency_us"));
   const size_t L = tables_.size();
-  if (pool == nullptr || pool->num_threads() <= 1 || records.size() <= 1) {
-    for (const EncodedRecord& record : records) Insert(record);
-  } else {
-    // Phase 1: the key matrix keys[i * L + l], sharded over records.
-    // Every slot is written by exactly one chunk, so the matrix is
-    // independent of the chunking.
-    std::vector<uint64_t> keys(records.size() * L);
-    std::vector<RecordId> ids(records.size());
-    pool->ParallelFor(records.size(), min_chunk,
-                      [&](size_t, size_t begin, size_t end) {
-                        for (size_t i = begin; i < end; ++i) {
-                          ids[i] = records[i].id;
-                          for (size_t l = 0; l < L; ++l) {
-                            keys[i * L + l] = family_.Key(records[i].bits, l);
-                          }
-                        }
-                      });
-    // Phase 2: per-table merge in record order — each table is owned by
-    // one chunk, and the column walk reproduces the serial insertion
-    // sequence exactly.
-    pool->ParallelFor(L, [&](size_t, size_t begin, size_t end) {
-      for (size_t l = begin; l < end; ++l) {
-        tables_[l].BulkInsert(keys.data() + l, L, ids);
+  const bool serial =
+      pool == nullptr || pool->num_threads() <= 1 || records.size() <= 1;
+  const auto parallel_for =
+      [&](size_t total, size_t chunk,
+          const std::function<void(size_t, size_t, size_t)>& fn) {
+        if (serial) {
+          fn(0, 0, total);
+        } else {
+          pool->ParallelFor(total, chunk, fn);
+        }
+      };
+  // Phase 1: the key matrix, one contiguous column per table
+  // (keys[l * n + i]), sharded over records.  Every slot is written by
+  // exactly one chunk, so the matrix is independent of the chunking.
+  const size_t n = records.size();
+  std::vector<uint64_t> keys(n * L);
+  std::vector<RecordId> ids(n);
+  parallel_for(n, min_chunk, [&](size_t, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      ids[i] = records[i].id;
+      for (size_t l = 0; l < L; ++l) {
+        keys[l * n + i] = family_.Key(records[i].bits, l);
       }
-    });
-  }
+    }
+  });
+  // Phase 2: per-table merge in record order — each table is owned by
+  // one chunk, and the column walk reproduces the serial insertion
+  // sequence exactly.
+  parallel_for(L, 0, [&](size_t, size_t begin, size_t end) {
+    for (size_t l = begin; l < end; ++l) {
+      tables_[l].BulkInsert({keys.data() + l * n, n}, ids);
+    }
+  });
   reg.GetCounter("index_build_records_total")->Add(records.size());
 }
 

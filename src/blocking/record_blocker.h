@@ -80,9 +80,10 @@ class RecordLevelBlocker : public CandidateSource {
   /// chunking cannot reorder anything); phase 2 merges each table's key
   /// column in record order.  The resulting tables are identical to
   /// Index() at any thread count — same buckets, same per-bucket id
-  /// order, same counters.  Null `pool` (or a single worker) runs the
-  /// plain serial path; `min_chunk` only bounds phase-1 scheduling
-  /// overhead.
+  /// order, same counters.  Null `pool` (or a single worker) runs both
+  /// phases inline; `min_chunk` only bounds phase-1 scheduling overhead.
+  /// Into empty tables the merge sizes every bucket exactly
+  /// (BlockingTable::BulkInsert).
   void BulkInsert(std::span<const EncodedRecord> records,
                   ThreadPool* pool = nullptr, size_t min_chunk = 0);
 

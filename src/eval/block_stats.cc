@@ -23,7 +23,7 @@ namespace {
 
 void Accumulate(const BlockingTable& table, BucketStats* stats,
                 std::vector<size_t>* sizes) {
-  for (const auto& [key, bucket] : table.buckets()) {
+  table.ForEachBucket([&](uint64_t, std::span<const RecordId> bucket) {
     const size_t size = bucket.size();
     ++stats->num_buckets;
     stats->num_entries += size;
@@ -31,7 +31,7 @@ void Accumulate(const BlockingTable& table, BucketStats* stats,
     stats->expected_probe_candidates +=
         static_cast<double>(size) * static_cast<double>(size);
     sizes->push_back(size);
-  }
+  });
 }
 
 BucketStats Finalize(BucketStats stats, std::vector<size_t> sizes) {

@@ -113,17 +113,24 @@ Result<LinkageResult> HarraLinker::Link(const std::vector<Record>& a,
       ctx.pool()->ParallelFor(sets.size(), ctx.chunk_size_hint(), fill);
     }
   };
+  std::vector<uint64_t> table_keys;
+  std::vector<RecordId> table_ids;
   for (size_t l = 0; l < config_.L; ++l) {
     // Build this iteration's table over the records still alive: keys in
-    // parallel, inserts serial in index order (deterministic buckets).
+    // parallel, then one bulk merge in index order (deterministic
+    // buckets).
     phase.Restart();
     compute_keys(sets_a, alive_a, keys_a, l);
     compute_keys(sets_b, alive_b, keys_b, l);
-    BlockingTable table;
+    table_keys.clear();
+    table_ids.clear();
     for (size_t i = 0; i < a.size(); ++i) {
       if (!alive_a[i]) continue;
-      table.Insert(keys_a[i], static_cast<RecordId>(i));
+      table_keys.push_back(keys_a[i]);
+      table_ids.push_back(static_cast<RecordId>(i));
     }
+    BlockingTable table;
+    table.BulkInsert(table_keys, table_ids);
     index_seconds += phase.ElapsedSeconds();
 
     for (size_t j = 0; j < b.size(); ++j) {

@@ -131,21 +131,22 @@ Result<LinkageResult> SmEbLinker::Link(const std::vector<Record>& a,
   } else {
     // Two-phase build (DESIGN.md §10): keys into a per-slot matrix, then
     // one deterministic column merge per table.
-    std::vector<uint64_t> keys(a.size() * L);
-    std::vector<RecordId> ids(a.size());
-    ctx.pool()->ParallelFor(a.size(), ctx.chunk_size_hint(),
+    const size_t n = a.size();
+    std::vector<uint64_t> keys(n * L);
+    std::vector<RecordId> ids(n);
+    ctx.pool()->ParallelFor(n, ctx.chunk_size_hint(),
                             [&](size_t, size_t begin, size_t end) {
                               for (size_t i = begin; i < end; ++i) {
                                 ids[i] = static_cast<RecordId>(i);
                                 for (size_t l = 0; l < L; ++l) {
-                                  keys[i * L + l] =
+                                  keys[l * n + i] =
                                       family.value().Key(points_a[i], l);
                                 }
                               }
                             });
     ctx.pool()->ParallelFor(L, [&](size_t, size_t begin, size_t end) {
       for (size_t l = begin; l < end; ++l) {
-        tables[l].BulkInsert(keys.data() + l, L, ids);
+        tables[l].BulkInsert({keys.data() + l * n, n}, ids);
       }
     });
   }

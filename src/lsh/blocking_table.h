@@ -5,15 +5,26 @@
 // vectors themselves live with their owner.  The table also exposes bucket
 // statistics, which the evaluation uses to diagnose the "few overpopulated
 // buckets" failure mode of sparse q-gram vectors (Section 5.2).
+//
+// Layout (DESIGN.md §9): one open-addressing slot array of
+// {key, offset, size, capacity} over a single contiguous RecordId array.
+// A bucket is the range ids_[offset, offset + size).  BulkInsert into an
+// empty table counts every key first, then gives each bucket exactly its
+// size and fills it, so a bulk-built table is two flat allocations with
+// no slack in the id array.  Insert grows a full bucket by relocating it
+// to the end of the id array with doubled capacity (in place when it
+// already sits at the end).  Probing is one hash, a short linear scan and
+// a span over the id array; freeing the table frees two buffers.  Ids in
+// a bucket stay in insertion order on every path.
 
 #ifndef CBVLINK_LSH_BLOCKING_TABLE_H_
 #define CBVLINK_LSH_BLOCKING_TABLE_H_
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hashing.h"
 #include "src/common/record.h"
 
 namespace cbvlink {
@@ -24,43 +35,36 @@ class BlockingTable {
   BlockingTable() = default;
 
   /// Appends `id` to the bucket for `key`.
-  void Insert(uint64_t key, RecordId id) {
-    std::vector<RecordId>& bucket = buckets_[key];
-    bucket.push_back(id);
-    ++num_entries_;
-    if (bucket.size() > max_bucket_size_) max_bucket_size_ = bucket.size();
-  }
+  void Insert(uint64_t key, RecordId id);
 
   /// Bulk merge primitive for the two-phase parallel index build:
-  /// inserts ids[i] under keys[i * key_stride] for i in [0, ids.size()),
-  /// identical to that sequence of Insert() calls (same per-bucket id
-  /// order, same counters).  The strided layout lets callers that
-  /// compute an L-wide key matrix in parallel (keys[i * L + l]) merge
-  /// table l's column — base pointer keys + l, stride L — without
-  /// copying.
-  void BulkInsert(const uint64_t* keys, size_t key_stride,
-                  std::span<const RecordId> ids) {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      Insert(keys[i * key_stride], ids[i]);
+  /// inserts ids[i] under keys[i] for i in [0, ids.size()), with the same
+  /// contents as that sequence of Insert() calls (same per-bucket id
+  /// order, same counters).  `keys` holds at least ids.size() entries.
+  /// On an empty table it sizes every bucket exactly (count, then fill);
+  /// on a non-empty one it falls back to Insert().
+  void BulkInsert(std::span<const uint64_t> keys,
+                  std::span<const RecordId> ids);
+
+  /// The bucket for `key`; empty when no record hashed there.  The span
+  /// is valid until the next Insert/BulkInsert.
+  std::span<const RecordId> Get(uint64_t key) const {
+    if (slots_.empty()) return {};
+    for (size_t pos = HomeSlot(key);; pos = (pos + 1) & slot_mask_) {
+      const Slot& slot = slots_[pos];
+      if (slot.capacity == 0) return {};
+      if (slot.key == key) return {ids_.data() + slot.offset, slot.size};
     }
   }
 
-  /// The bucket for `key`; empty when no record hashed there.
-  std::span<const RecordId> Get(uint64_t key) const {
-    const auto it = buckets_.find(key);
-    if (it == buckets_.end()) return {};
-    return it->second;
-  }
-
   /// Number of non-empty buckets.
-  size_t NumBuckets() const { return buckets_.size(); }
+  size_t NumBuckets() const { return num_buckets_; }
 
-  /// Total stored Ids across buckets.  O(1): maintained incrementally by
-  /// Insert/Erase, so per-record diagnostics stay cheap on hot paths.
+  /// Total stored Ids across buckets.  O(1): maintained incrementally, so
+  /// per-record diagnostics stay cheap on hot paths.
   size_t NumEntries() const { return num_entries_; }
 
-  /// Size of the largest bucket (0 for an empty table).  O(1); Erase()
-  /// recomputes it since a removal can shrink the maximum.
+  /// Size of the largest bucket (0 for an empty table).  O(1).
   size_t MaxBucketSize() const { return max_bucket_size_; }
 
   /// Mean entries per non-empty bucket (0 for an empty table).  The
@@ -68,10 +72,9 @@ class BlockingTable {
   /// spread records near-uniformly, so a mean far below the max flags
   /// the Section 5.2 "few overpopulated buckets" skew.
   double MeanBucketSize() const {
-    return buckets_.empty()
-               ? 0
-               : static_cast<double>(num_entries_) /
-                     static_cast<double>(buckets_.size());
+    return num_buckets_ == 0 ? 0
+                             : static_cast<double>(num_entries_) /
+                                   static_cast<double>(num_buckets_);
   }
 
   /// Log2 bucket-occupancy histogram: slot i counts buckets whose size
@@ -81,24 +84,51 @@ class BlockingTable {
   /// telemetry layer.
   std::vector<uint64_t> OccupancyHistogram(size_t slots = 16) const;
 
-  /// Removes every bucket.
-  void Clear() {
-    buckets_.clear();
-    num_entries_ = 0;
-    max_bucket_size_ = 0;
+  /// Calls f(key, bucket) once per non-empty bucket, in slot order (not
+  /// key or insertion order).  Each bucket's Ids are in insertion order.
+  template <typename F>
+  void ForEachBucket(F&& f) const {
+    for (const Slot& slot : slots_) {
+      if (slot.capacity == 0) continue;
+      f(slot.key,
+        std::span<const RecordId>(ids_.data() + slot.offset, slot.size));
+    }
   }
 
-  /// Removes `id` from every bucket it appears in (linear scan; used by
-  /// HARRA's iterative early-pruning, which operates one table at a time).
-  void Erase(RecordId id);
-
-  /// Iteration over buckets (key, ids).
-  const std::unordered_map<uint64_t, std::vector<RecordId>>& buckets() const {
-    return buckets_;
-  }
+  /// Equal by content: the same keys, each with the same Ids in the same
+  /// order.  Slot placement and id-array slack do not matter.
+  friend bool operator==(const BlockingTable& x, const BlockingTable& y);
 
  private:
-  std::unordered_map<uint64_t, std::vector<RecordId>> buckets_;
+  /// A claimed slot has capacity > 0; its bucket is
+  /// ids_[offset, offset + size).  Sizes are 32-bit (a single bucket
+  /// above 2^32 - 1 Ids aborts); offsets are 64-bit.
+  struct Slot {
+    uint64_t key = 0;
+    uint64_t offset = 0;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
+  };
+
+  size_t HomeSlot(uint64_t key) const {
+    // Keys from bit-sampling families can be low-entropy in their low
+    // bits; mix before masking.
+    return static_cast<size_t>(Mix64(key)) & slot_mask_;
+  }
+
+  /// The slot holding `key`, claiming an empty one (capacity 0, key set)
+  /// when absent; the caller gives a claimed slot capacity > 0 before
+  /// the next call.  The slot array doubles only when a new key would
+  /// pass the load limit.
+  size_t FindOrClaimSlot(uint64_t key);
+
+  /// Rehashes every claimed slot into `num_slots` (a power of two).
+  void Rehash(size_t num_slots);
+
+  std::vector<Slot> slots_;
+  size_t slot_mask_ = 0;
+  std::vector<RecordId> ids_;
+  size_t num_buckets_ = 0;
   size_t num_entries_ = 0;
   size_t max_bucket_size_ = 0;
 };

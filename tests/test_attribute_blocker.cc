@@ -4,8 +4,10 @@
 
 #include <set>
 #include <span>
+#include <unordered_set>
 #include <vector>
 
+#include "src/blocking/matcher.h"
 #include "src/common/thread_pool.h"
 
 namespace cbvlink {
@@ -340,6 +342,87 @@ TEST(AttributeLevelBlockerBulkInsertTest, EmptyAndAppendInputs) {
   parallel.BulkInsert(span.subspan(25), &pool);
   for (const EncodedRecord& r : all) {
     ASSERT_EQ(Candidates(parallel, r.bits), Candidates(serial, r.bits));
+  }
+}
+
+// --- Bucket spans vs a de-duplicated candidate stream -----------------
+
+/// Exposes only a de-duplicated ForEachCandidate over `inner`: each Id
+/// once per probe, at its first occurrence.  The matcher sees it through
+/// the default single-Id span adapter.
+class DedupedCandidates : public CandidateSource {
+ public:
+  explicit DedupedCandidates(const CandidateSource& inner) : inner_(inner) {}
+
+  void ForEachCandidate(
+      const BitVector& probe,
+      const std::function<void(RecordId)>& cb) const override {
+    std::unordered_set<RecordId> seen;
+    inner_.ForEachCandidate(probe, [&](RecordId id) {
+      if (seen.insert(id).second) cb(id);
+    });
+  }
+
+ private:
+  const CandidateSource& inner_;
+};
+
+TEST(AttributeLevelBlockerSpanTest, C1SpansMatchDedupedCandidates) {
+  // Rule C1 (f1 <= 4 AND f2 <= 4 AND f3 <= 8) lowers to one structure.
+  const Rule rule =
+      Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4), Rule::Pred(2, 8)});
+  Rng rng(61);
+  AttributeLevelBlocker blocker =
+      AttributeLevelBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
+          .value();
+  ASSERT_EQ(blocker.num_structures(), 1u);
+
+  // Records scattered around a few centres, so buckets hold many Ids and
+  // a probe meets the same Id in several groups.
+  Rng data(62);
+  std::vector<BitVector> centres;
+  for (size_t c = 0; c < 6; ++c) {
+    centres.push_back(FlipInSegment(BaseVector(), 0, 120, 40, data));
+  }
+  const auto make_records = [&](RecordId first, size_t n) {
+    std::vector<EncodedRecord> records;
+    for (size_t i = 0; i < n; ++i) {
+      BitVector bits = centres[data.Below(centres.size())];
+      bits = FlipInSegment(std::move(bits), 0, 15, data.Below(3), data);
+      bits = FlipInSegment(std::move(bits), 15, 15, data.Below(3), data);
+      bits = FlipInSegment(std::move(bits), 30, 68, data.Below(6), data);
+      records.push_back(MakeRecord(first + i, std::move(bits)));
+    }
+    return records;
+  };
+  const std::vector<EncodedRecord> a = make_records(0, 300);
+  const std::vector<EncodedRecord> b = make_records(1000, 200);
+  blocker.Index(a);
+  VectorStore store;
+  store.AddAll(a);
+  const PairClassifier classifier = MakeRuleClassifier(rule, NcvrLayout());
+  const DedupedCandidates deduped(blocker);
+
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ThreadPool pool(threads);
+    MatchStats span_stats;
+    const std::vector<IdPair> span_pairs =
+        Matcher(&blocker, &store).MatchAll(b, classifier, &span_stats, &pool);
+    MatchStats dedup_stats;
+    const std::vector<IdPair> dedup_pairs =
+        Matcher(&deduped, &store).MatchAll(b, classifier, &dedup_stats, &pool);
+
+    EXPECT_FALSE(span_pairs.empty());
+    EXPECT_EQ(span_pairs, dedup_pairs);
+    EXPECT_EQ(span_stats.comparisons, dedup_stats.comparisons);
+    EXPECT_EQ(span_stats.matches, dedup_stats.matches);
+    // The spans carry the raw occurrences, repeats across groups
+    // included; the matcher's stamps skip exactly the repeats.
+    EXPECT_EQ(dedup_stats.candidate_occurrences, dedup_stats.comparisons);
+    EXPECT_GT(span_stats.candidate_occurrences, span_stats.comparisons);
+    EXPECT_EQ(span_stats.dedup_skipped,
+              span_stats.candidate_occurrences - span_stats.comparisons);
   }
 }
 

@@ -36,35 +36,6 @@ TEST(BlockingTableTest, DuplicateIdsAllowedInBucket) {
   EXPECT_EQ(table.Get(5).size(), 2u);
 }
 
-TEST(BlockingTableTest, ClearEmptiesEverything) {
-  BlockingTable table;
-  table.Insert(1, 1);
-  table.Insert(2, 2);
-  table.Clear();
-  EXPECT_EQ(table.NumBuckets(), 0u);
-  EXPECT_TRUE(table.Get(1).empty());
-}
-
-TEST(BlockingTableTest, EraseRemovesIdEverywhere) {
-  BlockingTable table;
-  table.Insert(1, 7);
-  table.Insert(1, 8);
-  table.Insert(2, 7);
-  table.Erase(7);
-  EXPECT_EQ(table.Get(1).size(), 1u);
-  EXPECT_EQ(table.Get(1)[0], 8u);
-  // Bucket 2 became empty and was dropped.
-  EXPECT_TRUE(table.Get(2).empty());
-  EXPECT_EQ(table.NumBuckets(), 1u);
-}
-
-TEST(BlockingTableTest, EraseUnknownIdIsNoOp) {
-  BlockingTable table;
-  table.Insert(1, 7);
-  table.Erase(99);
-  EXPECT_EQ(table.NumEntries(), 1u);
-}
-
 TEST(BlockingTableTest, MeanBucketSize) {
   BlockingTable table;
   EXPECT_DOUBLE_EQ(table.MeanBucketSize(), 0.0);
@@ -100,9 +71,46 @@ TEST(BlockingTableTest, BucketsIterable) {
   BlockingTable table;
   table.Insert(1, 10);
   table.Insert(2, 20);
+  table.Insert(2, 21);
   size_t total = 0;
-  for (const auto& [key, bucket] : table.buckets()) total += bucket.size();
-  EXPECT_EQ(total, 2u);
+  size_t buckets = 0;
+  table.ForEachBucket([&](uint64_t key, std::span<const RecordId> bucket) {
+    ++buckets;
+    total += bucket.size();
+    EXPECT_EQ(bucket[0], key * 10);
+  });
+  EXPECT_EQ(buckets, 2u);
+  EXPECT_EQ(total, 3u);
+}
+
+TEST(BlockingTableTest, EqualityIsByContent) {
+  BlockingTable x;
+  BlockingTable y;
+  EXPECT_TRUE(x == y);
+  x.Insert(1, 10);
+  x.Insert(2, 20);
+  y.Insert(2, 20);
+  EXPECT_FALSE(x == y);
+  y.Insert(1, 10);
+  EXPECT_TRUE(x == y);  // insertion order across keys does not matter
+  x.Insert(1, 11);
+  y.Insert(1, 12);
+  EXPECT_FALSE(x == y);  // same sizes, different ids
+  BlockingTable z;
+  z.Insert(1, 11);
+  z.Insert(1, 10);
+  z.Insert(2, 20);
+  BlockingTable w;
+  w.Insert(1, 10);
+  w.Insert(1, 11);
+  w.Insert(2, 20);
+  EXPECT_FALSE(z == w);  // per-bucket order matters
+  // Layout does not matter: exact-sized bulk buckets equal grown ones.
+  const uint64_t keys[] = {1, 1, 2};
+  const RecordId ids[] = {10, 11, 20};
+  BlockingTable bulk;
+  bulk.BulkInsert(keys, ids);
+  EXPECT_TRUE(bulk == w);
 }
 
 }  // namespace

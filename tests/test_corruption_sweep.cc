@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "src/common/failpoint.h"
 #include "src/common/random.h"
 #include "src/datagen/generators.h"
@@ -214,13 +216,25 @@ class KillDuringSaveTest : public ::testing::Test {
     for (size_t i = 0; i < 20; ++i) {
       ASSERT_TRUE(service_->Insert(gen.value().Generate(i, rng)).ok());
     }
-    path_ = testing::TempDir() + "/kill_during_save.cbvs";
+    // One path per test and process: ctest -j runs the tests of this
+    // fixture concurrently, and a shared path lets one test's saves and
+    // removals land in the other's snapshot.
+    path_ = testing::TempDir() + "/kill_during_save_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(getpid()) + ".cbvs";
+    RemoveFiles();
+  }
+
+  void TearDown() override {
+    Failpoints::DeactivateAll();
+    RemoveFiles();
+  }
+
+  void RemoveFiles() const {
     std::remove(path_.c_str());
     std::remove(AtomicTempPath(path_).c_str());
     std::remove(SnapshotBackupPath(path_).c_str());
   }
-
-  void TearDown() override { Failpoints::DeactivateAll(); }
 
   std::unique_ptr<LinkageService> service_;
   std::string path_;

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/bitvector.h"
+#include "src/common/hashing.h"
 #include "src/common/random.h"
 #include "src/eval/csv.h"
 #include "src/io/csv_reader.h"
@@ -104,40 +108,91 @@ TEST(BitVectorModelTest, AppendThenSliceIsIdentity) {
   }
 }
 
-TEST(BlockingTableModelTest, AgreesWithMultimap) {
-  Rng rng(45);
-  BlockingTable table;
-  std::map<uint64_t, std::vector<RecordId>> model;
-  for (int op = 0; op < 2000; ++op) {
-    const uint64_t key = rng.Below(50);
-    const RecordId id = rng.Below(200);
-    if (rng.NextBool(0.85)) {
-      table.Insert(key, id);
-      model[key].push_back(id);
-    } else {
-      table.Erase(id);
-      for (auto it = model.begin(); it != model.end();) {
-        auto& bucket = it->second;
-        bucket.erase(std::remove(bucket.begin(), bucket.end(), id),
-                     bucket.end());
-        it = bucket.empty() ? model.erase(it) : std::next(it);
-      }
-    }
+using BucketModel = std::map<uint64_t, std::vector<RecordId>>;
+
+/// Keys that share a home slot in every BlockingTable of up to 2^16 slots
+/// (a key's home slot is Mix64(key) masked to the slot count), so their
+/// buckets always chain by linear probing.
+std::vector<uint64_t> CollidingKeys(size_t n) {
+  std::vector<uint64_t> keys;
+  for (uint64_t key = 0; keys.size() < n; ++key) {
+    if ((Mix64(key) & 0xFFFF) == 0) keys.push_back(key);
   }
+  return keys;
+}
+
+void ExpectAgrees(const BlockingTable& table, const BucketModel& model) {
   EXPECT_EQ(table.NumBuckets(), model.size());
   size_t model_entries = 0;
   size_t model_max = 0;
+  std::vector<uint64_t> model_histogram(16, 0);
   for (const auto& [key, bucket] : model) {
     model_entries += bucket.size();
     model_max = std::max(model_max, bucket.size());
+    ++model_histogram[std::min<size_t>(15, std::bit_width(bucket.size()) - 1)];
     const auto actual = table.Get(key);
     ASSERT_EQ(actual.size(), bucket.size()) << "key " << key;
     for (size_t i = 0; i < bucket.size(); ++i) {
-      EXPECT_EQ(actual[i], bucket[i]);
+      EXPECT_EQ(actual[i], bucket[i]) << "key " << key << " position " << i;
     }
   }
   EXPECT_EQ(table.NumEntries(), model_entries);
   EXPECT_EQ(table.MaxBucketSize(), model_max);
+  EXPECT_EQ(table.OccupancyHistogram(16), model_histogram);
+  // ForEachBucket visits each model bucket exactly once, with its ids.
+  BucketModel visited;
+  table.ForEachBucket([&](uint64_t key, std::span<const RecordId> bucket) {
+    EXPECT_TRUE(visited.emplace(key, std::vector<RecordId>(bucket.begin(),
+                                                           bucket.end()))
+                    .second)
+        << "key " << key << " visited twice";
+  });
+  EXPECT_EQ(visited, model);
+  EXPECT_TRUE(table.Get(UINT64_MAX).empty());
+}
+
+TEST(BlockingTableModelTest, AgreesWithMultimap) {
+  Rng rng(45);
+  const std::vector<uint64_t> colliding = CollidingKeys(24);
+  // Half the draws hit the colliding keys, the rest a range wide enough
+  // to force several slot-array doublings.
+  const auto draw_key = [&]() -> uint64_t {
+    return rng.NextBool(0.5) ? colliding[rng.Below(colliding.size())]
+                             : 1000 + rng.Below(300);
+  };
+  // BulkInsert of `n` random entries, mirrored into the model.
+  const auto bulk = [&](BlockingTable* table, BucketModel* model, size_t n) {
+    std::vector<uint64_t> keys(n);
+    std::vector<RecordId> ids(n);
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = draw_key();
+      ids[i] = rng.Below(1000);
+      (*model)[keys[i]].push_back(ids[i]);
+    }
+    table->BulkInsert(keys, ids);
+  };
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    BlockingTable table;
+    BucketModel model;
+    if (round % 2 == 0) {
+      // BulkInsert into an empty table (exact bucket sizing).
+      bulk(&table, &model, rng.Below(600));
+      ExpectAgrees(table, model);
+    }
+    for (int op = 0; op < 400; ++op) {
+      if (rng.NextBool(0.9)) {
+        const uint64_t key = draw_key();
+        const RecordId id = rng.Below(1000);
+        table.Insert(key, id);
+        model[key].push_back(id);
+      } else {
+        // BulkInsert into a (usually) non-empty table.
+        bulk(&table, &model, rng.Below(40));
+      }
+    }
+    ExpectAgrees(table, model);
+  }
 }
 
 TEST(CsvRoundTripTest, WriterOutputParsesBack) {

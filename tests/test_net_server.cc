@@ -460,9 +460,12 @@ TEST(NetServerTest, ReplicaFollowsPrimaryAndPromotes) {
   ASSERT_TRUE(WaitUntil([&]() {
     return replica.value()->service()->Contains(extra[24].id);
   })) << "last error: " << replica.value()->progress().last_error;
-  const ReplicaProgress progress = replica.value()->progress();
-  EXPECT_GE(progress.applied_records, 5u);
-  EXPECT_GE(progress.syncs, 1u);
+  // A record is visible before the follower publishes its progress, so
+  // the counters are awaited too.
+  EXPECT_TRUE(WaitUntil([&]() {
+    return replica.value()->progress().applied_records >= 5;
+  })) << "applied " << replica.value()->progress().applied_records;
+  EXPECT_GE(replica.value()->progress().syncs, 1u);
 
   // A snapshot save rotates the journal (epoch bump) under the
   // follower's cursor; it must re-sync and keep following.
@@ -473,7 +476,9 @@ TEST(NetServerTest, ReplicaFollowsPrimaryAndPromotes) {
   ASSERT_TRUE(WaitUntil([&]() {
     return replica.value()->service()->Contains(800);
   })) << "last error: " << replica.value()->progress().last_error;
-  EXPECT_GE(replica.value()->progress().syncs, 2u);
+  EXPECT_TRUE(WaitUntil([&]() {
+    return replica.value()->progress().syncs >= 2;
+  })) << "syncs " << replica.value()->progress().syncs;
 
   // Post-rotation the follower must tail via kFetchJournal reads of the
   // rotated fd — a fetch error would degrade it to snapshot re-syncs

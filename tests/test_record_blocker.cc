@@ -163,10 +163,9 @@ void ExpectSameTables(const RecordLevelBlocker& actual,
         << "table " << l << " at " << threads << " threads";
     EXPECT_EQ(a.MaxBucketSize(), e.MaxBucketSize())
         << "table " << l << " at " << threads << " threads";
-    // unordered_map equality compares bucket contents including the
-    // per-bucket id order Insert() would have produced.
-    EXPECT_EQ(a.buckets(), e.buckets())
-        << "table " << l << " at " << threads << " threads";
+    // Content equality compares every bucket including the per-bucket
+    // id order Insert() would have produced.
+    EXPECT_TRUE(a == e) << "table " << l << " at " << threads << " threads";
   }
 }
 
