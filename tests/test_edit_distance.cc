@@ -40,8 +40,10 @@ TEST(EditDistanceTest, Symmetric) {
             EditDistance("AXCYEF", "ABCDEF"));
 }
 
+// std::string parameters print by value, so the discovered test names are
+// the same on every build (a const char* prints as its address).
 class EditDistanceWithinTest
-    : public testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(EditDistanceWithinTest, AgreesWithFullDistanceAtEveryThreshold) {
   const auto [a, b] = GetParam();
@@ -54,14 +56,17 @@ TEST_P(EditDistanceWithinTest, AgreesWithFullDistanceAtEveryThreshold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Pairs, EditDistanceWithinTest,
-    testing::Values(std::make_tuple("", ""), std::make_tuple("", "ABCD"),
-                    std::make_tuple("JONES", "JONAS"),
-                    std::make_tuple("JONES", "JONS"),
-                    std::make_tuple("KITTEN", "SITTING"),
-                    std::make_tuple("INTENTION", "EXECUTION"),
-                    std::make_tuple("AAAA", "BBBB"),
-                    std::make_tuple("AB", "BA"),
-                    std::make_tuple("SHORT", "MUCHLONGERSTRING")));
+    testing::Values(std::tuple<std::string, std::string>("", ""),
+                    std::tuple<std::string, std::string>("", "ABCD"),
+                    std::tuple<std::string, std::string>("JONES", "JONAS"),
+                    std::tuple<std::string, std::string>("JONES", "JONS"),
+                    std::tuple<std::string, std::string>("KITTEN", "SITTING"),
+                    std::tuple<std::string, std::string>("INTENTION",
+                                                         "EXECUTION"),
+                    std::tuple<std::string, std::string>("AAAA", "BBBB"),
+                    std::tuple<std::string, std::string>("AB", "BA"),
+                    std::tuple<std::string, std::string>("SHORT",
+                                                         "MUCHLONGERSTRING")));
 
 TEST(EditDistanceWithinTest, ZeroThresholdIsEquality) {
   EXPECT_TRUE(EditDistanceWithin("SAME", "SAME", 0));
