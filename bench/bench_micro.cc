@@ -1,14 +1,16 @@
 // Microbenchmarks (google-benchmark) of the hot paths: Hamming distance
-// on compact vectors, c-vector encoding, edit distance, and LSH key
-// computation.  These are the per-pair / per-record costs behind the
+// on compact vectors, c-vector encoding of one attribute and of a whole
+// record, edit distance, and LSH key computation.  These are the per-pair / per-record costs behind the
 // figure-level results.
 
 #include <benchmark/benchmark.h>
 
 #include "src/common/bitvector.h"
 #include "src/common/random.h"
+#include "src/datagen/generators.h"
 #include "src/embedding/cvector.h"
 #include "src/embedding/bloom_filter.h"
+#include "src/embedding/record_encoder.h"
 #include "src/lsh/hamming_lsh.h"
 #include "src/metrics/edit_distance.h"
 #include "src/text/qgram.h"
@@ -57,6 +59,27 @@ void BM_CVectorEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CVectorEncode);
+
+// The record-level path that batch Link, the online linker and the
+// service all take: one 120-bit cBV per 4-field NCVR-shaped record.
+void BM_RecordEncode(benchmark::State& state) {
+  const NcvrGenerator gen = NcvrGenerator::Create().value();
+  Rng rng(5);
+  const CVectorRecordEncoder encoder =
+      CVectorRecordEncoder::Create(gen.schema(), {5.1, 5.0, 20.0, 7.2}, rng)
+          .value();
+  std::vector<Record> records;
+  for (RecordId id = 0; id < 1024; ++id) {
+    records.push_back(gen.Generate(id, rng));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encoder.Encode(records[next]));
+    next = (next + 1) % records.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RecordEncode);
 
 void BM_BloomEncode(benchmark::State& state) {
   Result<QGramExtractor> extractor =

@@ -21,12 +21,17 @@ namespace cbvlink {
 namespace {
 
 /// Encodes a record as concatenated full attribute-level q-gram vectors.
-BitVector FullRecordVector(const Record& record, const Schema& schema,
+BitVector FullRecordVector(const Record& record,
                            const std::vector<QGramVectorEncoder>& encoders) {
-  BitVector bits;
+  size_t total_bits = 0;
+  for (const QGramVectorEncoder& encoder : encoders) {
+    total_bits += encoder.vector_size();
+  }
+  BitVector bits(total_bits);
+  size_t offset = 0;
   for (size_t i = 0; i < encoders.size(); ++i) {
-    bits.Append(encoders[i].Encode(
-        Normalize(record.fields[i], *schema.attributes[i].alphabet)));
+    encoders[i].EncodeInto(record.fields[i], offset, &bits);
+    offset += encoders[i].vector_size();
   }
   return bits;
 }
@@ -92,13 +97,13 @@ void Run() {
     for (const Record& r : data.value().a) {
       enc_a.push_back(
           use_full
-              ? EncodedRecord{r.id, FullRecordVector(r, schema, full_encoders)}
+              ? EncodedRecord{r.id, FullRecordVector(r, full_encoders)}
               : compact.value().Encode(r).value());
     }
     for (const Record& r : data.value().b) {
       enc_b.push_back(
           use_full
-              ? EncodedRecord{r.id, FullRecordVector(r, schema, full_encoders)}
+              ? EncodedRecord{r.id, FullRecordVector(r, full_encoders)}
               : compact.value().Encode(r).value());
     }
 

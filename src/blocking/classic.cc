@@ -85,15 +85,7 @@ Result<std::vector<IdPair>> CanopyCandidates(const std::vector<Record>& a,
     PoolEntry entry;
     entry.id = r.id;
     entry.from_a = from_a;
-    std::vector<uint64_t> merged;
-    for (const std::string& field : r.fields) {
-      const std::vector<uint64_t> set = extractor.value().IndexSet(
-          Normalize(field, Alphabet::Alphanumeric()));
-      merged.insert(merged.end(), set.begin(), set.end());
-    }
-    std::sort(merged.begin(), merged.end());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    entry.gram_set = std::move(merged);
+    entry.gram_set = extractor.value().RecordIndexSet(r.fields);
     pool.push_back(std::move(entry));
   };
   for (const Record& r : a) add(r, true);

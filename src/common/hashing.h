@@ -76,13 +76,20 @@ class BloomHashFamily {
   size_t k() const { return k_; }
   size_t num_bits() const { return num_bits_; }
 
-  /// Appends the k positions for element `x` to `out`.
-  void Positions(uint64_t x, std::vector<size_t>* out) const {
+  /// Calls `fn(size_t position)` for each of the k positions of element
+  /// `x`, in order.
+  template <typename Fn>
+  void ForEachPosition(uint64_t x, Fn&& fn) const {
     const uint64_t h1 = Mix64(x ^ seed_);
     const uint64_t h2 = Mix64(x + 0x9e3779b97f4a7c15ULL + seed_) | 1;
     for (size_t i = 0; i < k_; ++i) {
-      out->push_back(static_cast<size_t>((h1 + i * h2) % num_bits_));
+      fn(static_cast<size_t>((h1 + i * h2) % num_bits_));
     }
+  }
+
+  /// Appends the k positions for element `x` to `out`.
+  void Positions(uint64_t x, std::vector<size_t>* out) const {
+    ForEachPosition(x, [out](size_t pos) { out->push_back(pos); });
   }
 
  private:

@@ -1,7 +1,5 @@
 #include "src/embedding/bloom_filter.h"
 
-#include <vector>
-
 namespace cbvlink {
 
 Result<BloomFilterEncoder> BloomFilterEncoder::Create(
@@ -17,16 +15,17 @@ Result<BloomFilterEncoder> BloomFilterEncoder::Create(
       BloomHashFamily(options.num_hashes, options.num_bits, options.seed));
 }
 
-BitVector BloomFilterEncoder::Encode(std::string_view normalized) const {
+BitVector BloomFilterEncoder::Encode(std::string_view value) const {
   BitVector bv(family_.num_bits());
-  std::vector<size_t> positions;
-  positions.reserve(family_.k());
-  for (uint64_t ind : extractor_.IndexSet(normalized)) {
-    positions.clear();
-    family_.Positions(ind, &positions);
-    for (size_t pos : positions) bv.Set(pos);
-  }
+  EncodeInto(value, 0, &bv);
   return bv;
+}
+
+void BloomFilterEncoder::EncodeInto(std::string_view value, size_t offset,
+                                    BitVector* out) const {
+  extractor_.ForEachIndex(value, [&](uint64_t ind) {
+    family_.ForEachPosition(ind, [&](size_t pos) { out->Set(offset + pos); });
+  });
 }
 
 }  // namespace cbvlink

@@ -8,6 +8,9 @@
 // standard substitute and preserves the statistical behaviour that drives
 // the experiments: distances depend on string length, and the dense bit
 // patterns give BfH its characteristic blocking profile.
+//
+// Like the c-vector encoder, it sets bits straight from the one-pass
+// QGramExtractor::ForEachIndex; repeated q-grams set the same bits again.
 
 #ifndef CBVLINK_EMBEDDING_BLOOM_FILTER_H_
 #define CBVLINK_EMBEDDING_BLOOM_FILTER_H_
@@ -33,7 +36,7 @@ struct BloomFilterOptions {
   uint64_t seed = 0x62664861736833ULL;  // "BfHash3"
 };
 
-/// Encodes normalized strings as fixed-size Bloom filters.
+/// Encodes attribute values as fixed-size Bloom filters.
 class BloomFilterEncoder {
  public:
   /// Creates an encoder.  Returns InvalidArgument for zero sizes.
@@ -43,8 +46,12 @@ class BloomFilterEncoder {
   size_t vector_size() const { return family_.num_bits(); }
   size_t num_hashes() const { return family_.k(); }
 
-  /// Encodes one normalized attribute value.
-  BitVector Encode(std::string_view normalized) const;
+  /// Encodes one attribute value, normalized on the fly.
+  BitVector Encode(std::string_view value) const;
+
+  /// Encode() into bits [offset, offset + vector_size()) of `out`, which
+  /// must be that large and have those bits clear.
+  void EncodeInto(std::string_view value, size_t offset, BitVector* out) const;
 
   const QGramExtractor& extractor() const { return extractor_; }
 

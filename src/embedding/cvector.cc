@@ -18,12 +18,17 @@ Result<CVectorEncoder> CVectorEncoder::CreateWithSize(QGramExtractor extractor,
   return CVectorEncoder(std::move(extractor), PairwiseHash::Random(rng, m));
 }
 
-BitVector CVectorEncoder::Encode(std::string_view normalized) const {
+BitVector CVectorEncoder::Encode(std::string_view value) const {
   BitVector bv(vector_size());
-  for (uint64_t ind : extractor_.IndexSet(normalized)) {
-    bv.Set(static_cast<size_t>(hash_(ind)));
-  }
+  EncodeInto(value, 0, &bv);
   return bv;
+}
+
+void CVectorEncoder::EncodeInto(std::string_view value, size_t offset,
+                                BitVector* out) const {
+  extractor_.ForEachIndex(value, [&](uint64_t ind) {
+    out->Set(offset + static_cast<size_t>(hash_(ind)));
+  });
 }
 
 }  // namespace cbvlink

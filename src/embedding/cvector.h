@@ -6,6 +6,10 @@
 // collision count below rho with confidence 1 - r.  All values of one
 // attribute share the same g so that their Hamming distances in the
 // compact space track the distances between full q-gram vectors.
+//
+// Encoding is one pass (QGramExtractor::ForEachIndex) that feeds each
+// q-gram index through g and sets the bit.  U_s is a set, but setting a
+// bit is idempotent, so repeated q-grams need no sort or de-duplication.
 
 #ifndef CBVLINK_EMBEDDING_CVECTOR_H_
 #define CBVLINK_EMBEDDING_CVECTOR_H_
@@ -37,9 +41,15 @@ class CVectorEncoder {
   /// The c-vector size m (m_opt when derived from Theorem 1).
   size_t vector_size() const { return static_cast<size_t>(hash_.range()); }
 
-  /// Encodes one normalized attribute value: bit g(x) set for each
-  /// x in U_s.
-  BitVector Encode(std::string_view normalized) const;
+  /// Encodes one attribute value: bit g(x) set for each x in U_s.  The
+  /// value is normalized on the fly, so a raw value and its Normalize()d
+  /// form encode identically.
+  BitVector Encode(std::string_view value) const;
+
+  /// Encode() into bits [offset, offset + vector_size()) of `out`, which
+  /// must be that large and have those bits clear.  Record encoders call
+  /// this at each attribute's RecordLayout offset.
+  void EncodeInto(std::string_view value, size_t offset, BitVector* out) const;
 
   const QGramExtractor& extractor() const { return extractor_; }
   const PairwiseHash& hash() const { return hash_; }

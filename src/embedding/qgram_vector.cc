@@ -18,12 +18,16 @@ Result<QGramVectorEncoder> QGramVectorEncoder::Create(
                             static_cast<size_t>(space));
 }
 
-BitVector QGramVectorEncoder::Encode(std::string_view normalized) const {
+BitVector QGramVectorEncoder::Encode(std::string_view value) const {
   BitVector bv(vector_size_);
-  for (uint64_t ind : extractor_.IndexSet(normalized)) {
-    bv.Set(static_cast<size_t>(ind));
-  }
+  EncodeInto(value, 0, &bv);
   return bv;
+}
+
+void QGramVectorEncoder::EncodeInto(std::string_view value, size_t offset,
+                                    BitVector* out) const {
+  extractor_.ForEachIndex(
+      value, [&](uint64_t ind) { out->Set(offset + static_cast<size_t>(ind)); });
 }
 
 }  // namespace cbvlink

@@ -17,7 +17,7 @@
 
 namespace cbvlink {
 
-/// Encodes normalized strings as full q-gram vectors of |S|^q bits.
+/// Encodes attribute values as full q-gram vectors of |S|^q bits.
 class QGramVectorEncoder {
  public:
   /// Creates an encoder over the extractor's alphabet and q.  Returns
@@ -29,8 +29,12 @@ class QGramVectorEncoder {
   /// The vector size m = |S|^q.
   size_t vector_size() const { return vector_size_; }
 
-  /// Encodes one normalized attribute value.
-  BitVector Encode(std::string_view normalized) const;
+  /// Encodes one attribute value, normalized on the fly.
+  BitVector Encode(std::string_view value) const;
+
+  /// Encode() into bits [offset, offset + vector_size()) of `out`, which
+  /// must be that large and have those bits clear.
+  void EncodeInto(std::string_view value, size_t offset, BitVector* out) const;
 
   const QGramExtractor& extractor() const { return extractor_; }
 

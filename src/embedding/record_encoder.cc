@@ -53,6 +53,26 @@ Result<std::vector<EncodedRecord>> EncodeAllImpl(
   return out;
 }
 
+/// Shared single-record Encode(): allocates the record vector once and lets
+/// each attribute encoder set its bits at the attribute's layout offset.
+template <typename AttributeEncoder>
+Result<EncodedRecord> EncodeRecordImpl(
+    const std::vector<AttributeEncoder>& encoders, const RecordLayout& layout,
+    const Record& record) {
+  if (record.fields.size() != encoders.size()) {
+    return Status::InvalidArgument(
+        StrFormat("record %llu has %zu fields, schema expects %zu",
+                  static_cast<unsigned long long>(record.id),
+                  record.fields.size(), encoders.size()));
+  }
+  EncodedRecord out{record.id, BitVector(layout.total_bits())};
+  for (size_t i = 0; i < encoders.size(); ++i) {
+    encoders[i].EncodeInto(record.fields[i], layout.segment(i).offset,
+                           &out.bits);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<double> EstimateExpectedQGrams(const Schema& schema,
@@ -113,19 +133,7 @@ Result<CVectorRecordEncoder> CVectorRecordEncoder::Create(
 
 Result<EncodedRecord> CVectorRecordEncoder::Encode(
     const Record& record) const {
-  if (record.fields.size() != schema_.num_attributes()) {
-    return Status::InvalidArgument(
-        StrFormat("record %llu has %zu fields, schema expects %zu",
-                  static_cast<unsigned long long>(record.id),
-                  record.fields.size(), schema_.num_attributes()));
-  }
-  EncodedRecord out;
-  out.id = record.id;
-  out.bits = BitVector();  // grown by Append below
-  for (size_t i = 0; i < encoders_.size(); ++i) {
-    out.bits.Append(EncodeAttribute(i, record.fields[i]));
-  }
-  return out;
+  return EncodeRecordImpl(encoders_, layout_, record);
 }
 
 Result<std::vector<EncodedRecord>> CVectorRecordEncoder::EncodeAll(
@@ -136,8 +144,7 @@ Result<std::vector<EncodedRecord>> CVectorRecordEncoder::EncodeAll(
 
 BitVector CVectorRecordEncoder::EncodeAttribute(
     size_t attr, std::string_view raw_value) const {
-  const AttributeSpec& spec = schema_.attributes[attr];
-  return encoders_[attr].Encode(Normalize(raw_value, *spec.alphabet));
+  return encoders_[attr].Encode(raw_value);
 }
 
 Result<BloomRecordEncoder> BloomRecordEncoder::Create(
@@ -168,20 +175,7 @@ Result<std::vector<EncodedRecord>> BloomRecordEncoder::EncodeAll(
 }
 
 Result<EncodedRecord> BloomRecordEncoder::Encode(const Record& record) const {
-  if (record.fields.size() != schema_.num_attributes()) {
-    return Status::InvalidArgument(
-        StrFormat("record %llu has %zu fields, schema expects %zu",
-                  static_cast<unsigned long long>(record.id),
-                  record.fields.size(), schema_.num_attributes()));
-  }
-  EncodedRecord out;
-  out.id = record.id;
-  for (size_t i = 0; i < encoders_.size(); ++i) {
-    const AttributeSpec& spec = schema_.attributes[i];
-    out.bits.Append(
-        encoders_[i].Encode(Normalize(record.fields[i], *spec.alphabet)));
-  }
-  return out;
+  return EncodeRecordImpl(encoders_, layout_, record);
 }
 
 }  // namespace cbvlink

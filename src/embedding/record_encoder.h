@@ -5,6 +5,13 @@
 // the RecordLayout remembers where each attribute's bits live so the
 // blocking layer can sample attribute-specific positions and the matcher
 // can evaluate attribute-level distances in place.
+//
+// Encode() allocates the record vector once, at total_bits(), and each
+// attribute encoder sets its bits straight into its segment from the raw
+// field (see QGramExtractor::ForEachIndex); no per-attribute vector or
+// normalized copy of the field is built.  The segments are not word
+// aligned (15/15/68/22 bits for NCVR), which is why the bits are set in
+// place rather than copied.
 
 #ifndef CBVLINK_EMBEDDING_RECORD_ENCODER_H_
 #define CBVLINK_EMBEDDING_RECORD_ENCODER_H_
@@ -109,7 +116,9 @@ class CVectorRecordEncoder {
                                                ThreadPool* pool = nullptr,
                                                size_t min_chunk = 0) const;
 
-  /// Encodes a single attribute value (raw, pre-normalization).
+  /// Encodes a single attribute value (raw, pre-normalization) on its
+  /// own; equals bits [offset, offset + size) of the record vector, where
+  /// offset and size come from layout().segment(attr).
   BitVector EncodeAttribute(size_t attr, std::string_view raw_value) const;
 
   /// Hamming distance between two encoded records restricted to attribute
@@ -122,6 +131,10 @@ class CVectorRecordEncoder {
 
   const Schema& schema() const { return schema_; }
   const RecordLayout& layout() const { return layout_; }
+  /// The c-vector encoder of attribute `attr` (its g and m).
+  const CVectorEncoder& attribute_encoder(size_t attr) const {
+    return encoders_[attr];
+  }
 
   /// The total record-vector size (the paper's m-bar_opt; 120 bits for the
   /// NCVR schema of Table 3).
@@ -166,6 +179,9 @@ class BloomRecordEncoder {
   const Schema& schema() const { return schema_; }
   const RecordLayout& layout() const { return layout_; }
   size_t total_bits() const { return layout_.total_bits(); }
+  const BloomFilterEncoder& attribute_encoder(size_t attr) const {
+    return encoders_[attr];
+  }
 
  private:
   BloomRecordEncoder(Schema schema, std::vector<BloomFilterEncoder> encoders,

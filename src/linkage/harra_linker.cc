@@ -7,29 +7,8 @@
 #include "src/lsh/blocking_table.h"
 #include "src/lsh/minhash_lsh.h"
 #include "src/metrics/jaccard.h"
-#include "src/text/normalize.h"
 
 namespace cbvlink {
-
-namespace {
-
-/// The record-level bigram index set: the union of every field's bigrams
-/// in one shared space — HARRA's single-vector representation.
-std::vector<uint64_t> RecordIndexSet(const Record& record,
-                                     const QGramExtractor& extractor,
-                                     const Alphabet& alphabet) {
-  std::vector<uint64_t> merged;
-  for (const std::string& field : record.fields) {
-    const std::vector<uint64_t> indexes =
-        extractor.IndexSet(Normalize(field, alphabet));
-    merged.insert(merged.end(), indexes.begin(), indexes.end());
-  }
-  std::sort(merged.begin(), merged.end());
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  return merged;
-}
-
-}  // namespace
 
 Result<HarraLinker> HarraLinker::Create(HarraConfig config) {
   if (config.K == 0 || config.L == 0) {
@@ -55,6 +34,8 @@ Result<LinkageResult> HarraLinker::Link(const std::vector<Record>& a,
   if (!extractor.ok()) return extractor.status();
 
   // --- Embedding: one merged bigram set per record -----------------------
+  // The union of every field's bigrams in one shared space is HARRA's
+  // single-vector representation.
   // Each slot is written exactly once, so the sharded fill is identical to
   // the serial loop at any thread count.
   std::vector<std::vector<uint64_t>> sets_a(a.size());
@@ -63,8 +44,7 @@ Result<LinkageResult> HarraLinker::Link(const std::vector<Record>& a,
                              std::vector<std::vector<uint64_t>>& sets) {
     const auto fill = [&](size_t, size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
-        sets[i] =
-            RecordIndexSet(records[i], extractor.value(), *config_.alphabet);
+        sets[i] = extractor.value().RecordIndexSet(records[i].fields);
       }
     };
     if (ctx.pool() == nullptr) {

@@ -3,13 +3,46 @@
 #include <algorithm>
 
 #include "src/common/str.h"
+#include "src/text/normalize.h"
 
 namespace cbvlink {
+
+namespace {
+
+void SortUnique(std::vector<uint64_t>* indexes) {
+  std::sort(indexes->begin(), indexes->end());
+  indexes->erase(std::unique(indexes->begin(), indexes->end()),
+                 indexes->end());
+}
+
+}  // namespace
+
+QGramExtractor::QGramExtractor(const Alphabet& alphabet, QGramOptions options,
+                               uint64_t index_space)
+    : alphabet_(&alphabet),
+      options_(options),
+      index_space_(index_space),
+      lead_weight_(index_space / alphabet.size()) {
+  // Normalize() maps each byte on its own, so its rules tabulate per byte.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const std::string normalized = Normalize(std::string_view(&c, 1), alphabet);
+    digit_[b] = static_cast<int16_t>(
+        normalized.empty() ? -1 : alphabet.Order(normalized[0]));
+  }
+}
 
 Result<QGramExtractor> QGramExtractor::Create(const Alphabet& alphabet,
                                               QGramOptions options) {
   if (options.q == 0) {
     return Status::InvalidArgument("q must be positive");
+  }
+  if (options.q > kMaxQ) {
+    return Status::InvalidArgument(
+        StrFormat("q=%zu exceeds the maximum of %zu", options.q, kMaxQ));
+  }
+  if (alphabet.size() == 0) {
+    return Status::InvalidArgument("alphabet is empty");
   }
   if (options.pad && !alphabet.Contains(kPadChar)) {
     return Status::InvalidArgument(
@@ -27,21 +60,12 @@ Result<QGramExtractor> QGramExtractor::Create(const Alphabet& alphabet,
   return QGramExtractor(alphabet, options, space);
 }
 
-std::string QGramExtractor::Padded(std::string_view normalized) const {
-  if (!options_.pad) return std::string(normalized);
-  std::string padded;
-  padded.reserve(normalized.size() + 2);
-  padded.push_back(kPadChar);
-  padded.append(normalized);
-  padded.push_back(kPadChar);
-  return padded;
-}
-
 std::vector<std::string> QGramExtractor::Grams(
     std::string_view normalized) const {
   std::vector<std::string> grams;
   if (normalized.empty()) return grams;
-  const std::string padded = Padded(normalized);
+  std::string padded(normalized);
+  if (options_.pad) padded = kPadChar + padded + kPadChar;
   if (padded.size() < options_.q) return grams;
   grams.reserve(padded.size() - options_.q + 1);
   for (size_t i = 0; i + options_.q <= padded.size(); ++i) {
@@ -71,27 +95,19 @@ Result<uint64_t> QGramExtractor::GramIndex(std::string_view gram) const {
 std::vector<uint64_t> QGramExtractor::IndexSet(
     std::string_view normalized) const {
   std::vector<uint64_t> indexes;
-  if (normalized.empty()) return indexes;
-  const std::string padded = Padded(normalized);
-  if (padded.size() < options_.q) return indexes;
-  indexes.reserve(padded.size() - options_.q + 1);
-  for (size_t i = 0; i + options_.q <= padded.size(); ++i) {
-    // Characters are guaranteed in-alphabet after Normalize(); compute the
-    // base-|S| index inline to avoid per-gram allocation.
-    uint64_t ind = 0;
-    bool valid = true;
-    for (size_t j = 0; j < options_.q; ++j) {
-      const int order = alphabet_->Order(padded[i + j]);
-      if (order < 0) {
-        valid = false;
-        break;
-      }
-      ind = ind * alphabet_->size() + static_cast<uint64_t>(order);
-    }
-    if (valid) indexes.push_back(ind);
+  indexes.reserve(CountGrams(normalized));
+  ForEachIndex(normalized, [&](uint64_t ind) { indexes.push_back(ind); });
+  SortUnique(&indexes);
+  return indexes;
+}
+
+std::vector<uint64_t> QGramExtractor::RecordIndexSet(
+    std::span<const std::string> values) const {
+  std::vector<uint64_t> indexes;
+  for (const std::string& value : values) {
+    ForEachIndex(value, [&](uint64_t ind) { indexes.push_back(ind); });
   }
-  std::sort(indexes.begin(), indexes.end());
-  indexes.erase(std::unique(indexes.begin(), indexes.end()), indexes.end());
+  SortUnique(&indexes);
   return indexes;
 }
 

@@ -8,11 +8,19 @@
 //
 // The set of indexes U_s of a string s tells which positions of a q-gram
 // vector are set, and is the input to every embedding in the library.
+//
+// Every embedding reads those indexes through ForEachIndex(), one pass over
+// the raw attribute value that normalizes, pads and indexes on the fly
+// without building any string or vector.  Grams() and GramIndex() spell the
+// same steps out one at a time; they are the readable reference the pass is
+// tested against.
 
 #ifndef CBVLINK_TEXT_QGRAM_H_
 #define CBVLINK_TEXT_QGRAM_H_
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,11 +42,28 @@ struct QGramOptions {
 /// Extracts q-grams from normalized strings and maps them to indexes.
 class QGramExtractor {
  public:
+  /// The largest supported q.  Bounds the rolling window of ForEachIndex()
+  /// and, for a one-symbol alphabet (whose |S|^q never overflows), the
+  /// work Create() does on an untrusted q.
+  static constexpr size_t kMaxQ = 64;
+
   /// Creates an extractor.  If `options.pad` is set, `alphabet` must
-  /// contain kPadChar.  Returns InvalidArgument for q == 0 or a missing
-  /// padding symbol.
+  /// contain kPadChar.  Returns InvalidArgument for q == 0, q > kMaxQ, an
+  /// empty alphabet or a missing padding symbol, and OutOfRange when |S|^q
+  /// does not fit in 64 bits.
   static Result<QGramExtractor> Create(const Alphabet& alphabet,
                                        QGramOptions options);
+
+  /// The single encoding pass.  Walks `value` once and calls
+  /// `emit(uint64_t index)` with the Algorithm 1 index of every q-gram
+  /// occurrence, in order, repeats included.  Normalize()'s rules are
+  /// applied on the fly (ASCII lower case is upper-cased; kPadChar and
+  /// symbols outside the alphabet are dropped), and with pad() a padding
+  /// symbol is added at both ends of a non-empty result.  So for every
+  /// `value` the emitted sequence equals GramIndex() over
+  /// Grams(Normalize(value, alphabet())).  Allocates nothing.
+  template <typename Emit>
+  void ForEachIndex(std::string_view value, Emit&& emit) const;
 
   /// The q-grams of `normalized`, in order of occurrence (may repeat).
   /// A string shorter than q without padding yields no q-grams.
@@ -53,6 +78,13 @@ class QGramExtractor {
   /// `normalized`.
   std::vector<uint64_t> IndexSet(std::string_view normalized) const;
 
+  /// The union of the index sets of `values` in one shared index space,
+  /// sorted and de-duplicated — the record-level set HARRA and canopy
+  /// blocking compare by Jaccard distance.  Values may be raw: each is
+  /// normalized on the fly, as by ForEachIndex().
+  std::vector<uint64_t> RecordIndexSet(
+      std::span<const std::string> values) const;
+
   /// Number of q-grams of `normalized` counted with multiplicity — the
   /// quantity averaged into b^(f_i) in Table 3.
   size_t CountGrams(std::string_view normalized) const;
@@ -66,16 +98,54 @@ class QGramExtractor {
 
  private:
   QGramExtractor(const Alphabet& alphabet, QGramOptions options,
-                 uint64_t index_space)
-      : alphabet_(&alphabet), options_(options), index_space_(index_space) {}
-
-  /// The padded working copy of `normalized`.
-  std::string Padded(std::string_view normalized) const;
+                 uint64_t index_space);
 
   const Alphabet* alphabet_;
   QGramOptions options_;
   uint64_t index_space_;
+  /// |S|^(q-1): the weight of the digit leaving the rolling window.
+  uint64_t lead_weight_;
+  /// Digit of each raw byte after Normalize()'s rules, or -1 when
+  /// normalization drops the byte.
+  std::array<int16_t, 256> digit_;
 };
+
+template <typename Emit>
+void QGramExtractor::ForEachIndex(std::string_view value, Emit&& emit) const {
+  const size_t q = options_.q;
+  const uint64_t base = alphabet_->size();
+  // The last q digits, as a ring whose next slot holds the oldest one.
+  // Subtracting that digit's weight before shifting keeps `ind` below
+  // |S|^q, which Create() proved fits in 64 bits.
+  std::array<uint8_t, kMaxQ> window{};
+  size_t slot = 0;
+  size_t filled = 0;
+  uint64_t ind = 0;
+  const auto push = [&](uint8_t digit) {
+    if (filled == q) {
+      ind = (ind - lead_weight_ * window[slot]) * base + digit;
+    } else {
+      ind = ind * base + digit;
+      ++filled;
+    }
+    window[slot] = digit;
+    if (++slot == q) slot = 0;
+    if (filled == q) emit(ind);
+  };
+  bool started = false;
+  for (const char c : value) {
+    const int16_t digit = digit_[static_cast<unsigned char>(c)];
+    if (digit < 0) continue;
+    if (!started) {
+      started = true;
+      if (options_.pad) push(static_cast<uint8_t>(alphabet_->Order(kPadChar)));
+    }
+    push(static_cast<uint8_t>(digit));
+  }
+  if (started && options_.pad) {
+    push(static_cast<uint8_t>(alphabet_->Order(kPadChar)));
+  }
+}
 
 }  // namespace cbvlink
 

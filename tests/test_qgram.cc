@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+
+#include "src/text/normalize.h"
+#include "tests/qgram_reference.h"
 
 namespace cbvlink {
 namespace {
@@ -125,6 +129,103 @@ TEST(QGramExtractorTest, SubstituteChangesAtMost2qGrams) {
                                 std::back_inserter(sym_diff));
   EXPECT_LE(sym_diff.size(), 4u);
   EXPECT_EQ(sym_diff.size(), 4u);  // 'NE','ES' vs 'NA','AS'
+}
+
+TEST(QGramExtractorTest, CreateRejectsEmptyAlphabet) {
+  const Alphabet empty("");
+  Result<QGramExtractor> r =
+      QGramExtractor::Create(empty, {.q = 2, .pad = false});
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(QGramExtractorTest, CreateRejectsHugeQFast) {
+  // |S|^q never overflows over one symbol, so q itself must be bounded:
+  // a q of 2^40 must not cost 2^40 steps.
+  const Alphabet pad_only("_");
+  const auto start = std::chrono::steady_clock::now();
+  Result<QGramExtractor> r = QGramExtractor::Create(
+      pad_only, {.q = size_t{1} << 40, .pad = true});
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_FALSE(QGramExtractor::Create(pad_only,
+                                      {.q = QGramExtractor::kMaxQ + 1,
+                                       .pad = false})
+                   .ok());
+  Result<QGramExtractor> widest = QGramExtractor::Create(
+      pad_only, {.q = QGramExtractor::kMaxQ, .pad = false});
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest.value().IndexSpaceSize(), 1u);
+}
+
+TEST(QGramExtractorTest, WidestQOverSingleSymbolEmitsZeros) {
+  const Alphabet a_only("A");
+  const QGramExtractor e =
+      MakeExtractor(a_only, QGramExtractor::kMaxQ, /*pad=*/false);
+  size_t count = 0;
+  const std::string value(QGramExtractor::kMaxQ + 3, 'a');
+  e.ForEachIndex(value, [&](uint64_t ind) {
+    EXPECT_EQ(ind, 0u);
+    ++count;
+  });
+  EXPECT_EQ(count, 4u);
+}
+
+std::vector<uint64_t> OnePassIndexes(const QGramExtractor& e,
+                                     std::string_view raw) {
+  std::vector<uint64_t> out;
+  e.ForEachIndex(raw, [&](uint64_t ind) { out.push_back(ind); });
+  return out;
+}
+
+TEST(QGramExtractorTest, ForEachIndexEqualsNormalizeGramsGramIndex) {
+  Rng rng(20160315);
+  const Alphabet* alphabets[] = {&Alphabet::Uppercase(),
+                                 &Alphabet::UppercasePadded(),
+                                 &Alphabet::Alphanumeric()};
+  for (const Alphabet* alphabet : alphabets) {
+    for (const bool pad : {false, true}) {
+      if (pad && !alphabet->Contains(kPadChar)) continue;
+      for (const size_t q : {1u, 2u, 3u}) {
+        SCOPED_TRACE(testing::Message() << "alphabet=" << alphabet->symbols()
+                                        << " q=" << q << " pad=" << pad);
+        const QGramExtractor e = MakeExtractor(*alphabet, q, pad);
+        for (int i = 0; i < 500; ++i) {
+          const std::string raw = RandomField(rng);
+          const std::vector<uint64_t> reference = ReferenceIndexes(e, raw);
+          ASSERT_EQ(OnePassIndexes(e, raw), reference) << "raw=" << raw;
+          // On a normalized value the one pass is the identity on the
+          // documented IndexSet contract.
+          std::vector<uint64_t> set = reference;
+          std::sort(set.begin(), set.end());
+          set.erase(std::unique(set.begin(), set.end()), set.end());
+          ASSERT_EQ(e.IndexSet(Normalize(raw, *alphabet)), set)
+              << "raw=" << raw;
+        }
+      }
+    }
+  }
+}
+
+TEST(QGramExtractorTest, RecordIndexSetIsUnionOfFieldSets) {
+  Rng rng(42);
+  const QGramExtractor e = MakeExtractor(Alphabet::Alphanumeric(), 2, false);
+  for (int i = 0; i < 200; ++i) {
+    std::vector<std::string> fields;
+    for (int f = 0; f < 4; ++f) fields.push_back(RandomField(rng));
+    std::vector<uint64_t> merged;
+    for (const std::string& field : fields) {
+      const std::vector<uint64_t> set =
+          e.IndexSet(Normalize(field, Alphabet::Alphanumeric()));
+      merged.insert(merged.end(), set.begin(), set.end());
+    }
+    std::sort(merged.begin(), merged.end());
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    ASSERT_EQ(e.RecordIndexSet(fields), merged);
+  }
+  EXPECT_TRUE(e.RecordIndexSet(std::vector<std::string>{}).empty());
 }
 
 }  // namespace

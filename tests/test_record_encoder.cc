@@ -6,7 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/hashing.h"
 #include "src/common/thread_pool.h"
+#include "src/embedding/qgram_vector.h"
+#include "tests/qgram_reference.h"
 
 namespace cbvlink {
 namespace {
@@ -277,6 +280,164 @@ TEST(EncodeAllParallelTest, ParallelErrorMatchesSerialError) {
     ASSERT_FALSE(parallel.ok());
     EXPECT_EQ(parallel.status().ToString(), serial.status().ToString())
         << threads << " threads";
+  }
+}
+
+// --- Differential: the one-pass encoders against a step-by-step reference
+// built from Normalize, Grams, GramIndex, g and the Bloom positions.
+
+BitVector ReferenceCVector(const CVectorEncoder& encoder,
+                           std::string_view raw) {
+  BitVector bv(encoder.vector_size());
+  for (uint64_t ind : ReferenceIndexes(encoder.extractor(), raw)) {
+    bv.Set(static_cast<size_t>(encoder.hash()(ind)));
+  }
+  return bv;
+}
+
+BitVector ReferenceBloom(const BloomFilterEncoder& encoder,
+                         const BloomFilterOptions& options,
+                         std::string_view raw) {
+  const BloomHashFamily family(options.num_hashes, options.num_bits,
+                               options.seed);
+  BitVector bv(options.num_bits);
+  std::vector<size_t> positions;
+  for (uint64_t ind : ReferenceIndexes(encoder.extractor(), raw)) {
+    positions.clear();
+    family.Positions(ind, &positions);
+    for (size_t pos : positions) bv.Set(pos);
+  }
+  return bv;
+}
+
+BitVector ReferenceQGramVector(const QGramExtractor& e, std::string_view raw) {
+  BitVector bv(static_cast<size_t>(e.IndexSpaceSize()));
+  for (uint64_t ind : ReferenceIndexes(e, raw)) bv.Set(static_cast<size_t>(ind));
+  return bv;
+}
+
+struct EncodingConfig {
+  size_t q;
+  bool pad;
+};
+
+constexpr EncodingConfig kEncodingConfigs[] = {
+    {1, false}, {2, false}, {3, false}, {1, true}, {2, true}, {3, true}};
+
+/// Four attributes over the paper's three alphabets; Uppercase only when
+/// unpadded, since padding needs the '_' symbol.
+Schema DifferentialSchema(EncodingConfig config) {
+  const QGramOptions options{.q = config.q, .pad = config.pad};
+  const Alphabet* names =
+      config.pad ? &Alphabet::UppercasePadded() : &Alphabet::Uppercase();
+  Schema schema;
+  schema.attributes = {{"FirstName", names, options},
+                       {"LastName", &Alphabet::UppercasePadded(), options},
+                       {"Address", &Alphabet::Alphanumeric(), options},
+                       {"Town", names, options}};
+  return schema;
+}
+
+std::vector<Record> RandomRecords(size_t n, size_t num_fields, Rng& rng) {
+  std::vector<Record> records(n);
+  for (size_t i = 0; i < n; ++i) {
+    records[i].id = i;
+    for (size_t f = 0; f < num_fields; ++f) {
+      records[i].fields.push_back(RandomField(rng));
+    }
+  }
+  return records;
+}
+
+TEST(EncoderDifferentialTest, AttributeEncodersMatchReference) {
+  Rng rng(714);
+  const BloomFilterOptions bloom_options{.num_bits = 97, .num_hashes = 5};
+  for (const EncodingConfig config : kEncodingConfigs) {
+    for (const AttributeSpec& spec : DifferentialSchema(config).attributes) {
+      SCOPED_TRACE(testing::Message()
+                   << "alphabet=" << spec.alphabet->symbols()
+                   << " q=" << config.q << " pad=" << config.pad);
+      Result<QGramExtractor> extractor =
+          QGramExtractor::Create(*spec.alphabet, spec.qgram);
+      ASSERT_TRUE(extractor.ok());
+      Result<CVectorEncoder> cvector =
+          CVectorEncoder::CreateWithSize(extractor.value(), 41, rng);
+      Result<BloomFilterEncoder> bloom =
+          BloomFilterEncoder::Create(extractor.value(), bloom_options);
+      Result<QGramVectorEncoder> full =
+          QGramVectorEncoder::Create(extractor.value());
+      ASSERT_TRUE(cvector.ok() && bloom.ok() && full.ok());
+      for (int i = 0; i < 300; ++i) {
+        const std::string raw = RandomField(rng);
+        ASSERT_EQ(cvector.value().Encode(raw),
+                  ReferenceCVector(cvector.value(), raw))
+            << "raw=" << raw;
+        ASSERT_EQ(bloom.value().Encode(raw),
+                  ReferenceBloom(bloom.value(), bloom_options, raw))
+            << "raw=" << raw;
+        ASSERT_EQ(full.value().Encode(raw),
+                  ReferenceQGramVector(extractor.value(), raw))
+            << "raw=" << raw;
+      }
+    }
+  }
+}
+
+/// The record vector as the concatenation of per-attribute references.
+template <typename RecordEncoder, typename Reference>
+void ExpectRecordsMatchReference(const RecordEncoder& encoder,
+                                 const std::vector<Record>& records,
+                                 const Reference& reference) {
+  Result<std::vector<EncodedRecord>> serial = encoder.EncodeAll(records);
+  ThreadPool pool(4);
+  Result<std::vector<EncodedRecord>> parallel =
+      encoder.EncodeAll(records, &pool);
+  ASSERT_TRUE(serial.ok() && parallel.ok());
+  for (size_t r = 0; r < records.size(); ++r) {
+    BitVector expected;
+    for (size_t attr = 0; attr < records[r].fields.size(); ++attr) {
+      expected.Append(reference(encoder.attribute_encoder(attr),
+                                records[r].fields[attr]));
+    }
+    ASSERT_EQ(expected.size(), encoder.total_bits());
+    ASSERT_EQ(serial.value()[r].bits, expected) << "record " << r << " serial";
+    ASSERT_EQ(parallel.value()[r].bits, expected)
+        << "record " << r << " at 4 threads";
+    ASSERT_EQ(encoder.Encode(records[r]).value().bits, expected)
+        << "record " << r;
+  }
+}
+
+TEST(EncoderDifferentialTest, CVectorRecordsMatchReference) {
+  Rng rng(715);
+  for (const EncodingConfig config : kEncodingConfigs) {
+    SCOPED_TRACE(testing::Message() << "q=" << config.q << " pad=" << config.pad);
+    Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
+        DifferentialSchema(config), {5.1, 5.0, 20.0, 7.2}, rng);
+    ASSERT_TRUE(encoder.ok());
+    const std::vector<Record> records = RandomRecords(400, 4, rng);
+    ExpectRecordsMatchReference(encoder.value(), records, ReferenceCVector);
+    for (size_t attr = 0; attr < 4; ++attr) {
+      ASSERT_EQ(encoder.value().EncodeAttribute(attr, records[0].fields[attr]),
+                ReferenceCVector(encoder.value().attribute_encoder(attr),
+                                 records[0].fields[attr]));
+    }
+  }
+}
+
+TEST(EncoderDifferentialTest, BloomRecordsMatchReference) {
+  Rng rng(716);
+  const BloomFilterOptions options{.num_bits = 130, .num_hashes = 7};
+  for (const EncodingConfig config : kEncodingConfigs) {
+    SCOPED_TRACE(testing::Message() << "q=" << config.q << " pad=" << config.pad);
+    Result<BloomRecordEncoder> encoder =
+        BloomRecordEncoder::Create(DifferentialSchema(config), options);
+    ASSERT_TRUE(encoder.ok());
+    ExpectRecordsMatchReference(
+        encoder.value(), RandomRecords(200, 4, rng),
+        [&](const BloomFilterEncoder& attr, std::string_view raw) {
+          return ReferenceBloom(attr, options, raw);
+        });
   }
 }
 

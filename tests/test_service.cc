@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -434,6 +435,23 @@ TEST_F(RestoreValidationTest, RecordWidthMismatchRejected) {
     r.bits = BitVector(8);
   }
   ExpectRejected("record width != encoder width");
+}
+
+TEST_F(RestoreValidationTest, HugeQOverOneSymbolAlphabetRejectedFast) {
+  // |S|^q never overflows over a single symbol; an unbounded q from the
+  // snapshot bytes must be refused up front, not looped over.
+  snapshot_.attributes[0].alphabet_symbols.assign(1, kPadChar);
+  snapshot_.attributes[0].qgram_q = uint64_t{1} << 40;
+  snapshot_.attributes[0].qgram_pad = true;
+  const auto start = std::chrono::steady_clock::now();
+  ExpectRejected("q = 2^40 over a one-symbol alphabet");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+}
+
+TEST_F(RestoreValidationTest, EmptyAlphabetRejected) {
+  snapshot_.attributes[1].alphabet_symbols.clear();
+  snapshot_.attributes[1].qgram_pad = false;
+  ExpectRejected("empty alphabet");
 }
 
 TEST(ServiceFailpointTest, InjectedFaultsSurfaceAsStatus) {
