@@ -132,13 +132,18 @@ BitVector VectorStore::VectorAt(uint32_t dense) const {
 
 namespace {
 
-/// True when the rule is a bare predicate or an AND of predicates — the
-/// shape the conjunction fast path handles.
-bool IsConjunctionOfPredicates(const Rule& rule) {
-  if (rule.kind() == Rule::Kind::kPredicate) return true;
+/// Appends the predicates of `rule` to `out` when it is a bare predicate
+/// or an AND (nested ANDs included) of predicates — the shapes the
+/// masked-conjunction kernel evaluates.  False, with `out` partially
+/// filled, when an OR or NOT appears.
+bool CollectConjunction(const Rule& rule, std::vector<Predicate>* out) {
+  if (rule.kind() == Rule::Kind::kPredicate) {
+    out->push_back(rule.predicate());
+    return true;
+  }
   if (rule.kind() != Rule::Kind::kAnd) return false;
   for (const Rule& child : rule.children()) {
-    if (child.kind() != Rule::Kind::kPredicate) return false;
+    if (!CollectConjunction(child, out)) return false;
   }
   return true;
 }
@@ -147,20 +152,13 @@ bool IsConjunctionOfPredicates(const Rule& rule) {
 
 PairClassifier MakeRuleClassifier(Rule rule, const RecordLayout& layout) {
   PairClassifier classifier;
-  if (IsConjunctionOfPredicates(rule)) {
+  std::vector<Predicate> conjunction;
+  if (CollectConjunction(rule, &conjunction)) {
     classifier.kind_ = PairClassifier::Kind::kConjunction;
-    const auto add_pred = [&](const Predicate& pred) {
+    for (const Predicate& pred : conjunction) {
       const RecordLayout::Segment& seg = layout.segment(pred.attribute);
-      PairClassifier::Node node;
-      node.offset = static_cast<uint32_t>(seg.offset);
-      node.length = static_cast<uint32_t>(seg.size);
-      node.theta = static_cast<uint32_t>(pred.threshold);
-      classifier.nodes_.push_back(node);
-    };
-    if (rule.kind() == Rule::Kind::kPredicate) {
-      add_pred(rule.predicate());
-    } else {
-      for (const Rule& child : rule.children()) add_pred(child.predicate());
+      classifier.predicates_.push_back(
+          MaskedPredicate::ForRange(seg.offset, seg.size, pred.threshold));
     }
     return classifier;
   }
@@ -198,6 +196,37 @@ PairClassifier MakeRecordThresholdClassifier(size_t theta) {
   classifier.kind_ = PairClassifier::Kind::kThreshold;
   classifier.theta_ = theta;
   return classifier;
+}
+
+void PairClassifier::ClassifyBatch(const uint64_t* probe,
+                                   const uint64_t* rows, size_t stride,
+                                   const uint32_t* dense, size_t n,
+                                   uint8_t* out) const {
+  const KernelSet& kernels = ActiveKernels();
+  switch (kind_) {
+    case Kind::kThreshold: {
+      const MaskedPredicate whole =
+          MaskedPredicate::ForRange(0, stride * 64, theta_);
+      kernels.batch_conjunction(probe, rows, stride, dense, n, &whole, 1,
+                                out);
+      return;
+    }
+    case Kind::kConjunction:
+      kernels.batch_conjunction(probe, rows, stride, dense, n,
+                                predicates_.data(), predicates_.size(), out);
+      return;
+    case Kind::kRule:
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t* row =
+            rows +
+            static_cast<size_t>(dense != nullptr ? dense[i] : i) * stride;
+        out[i] = EvalNode(0, probe, row) ? 1 : 0;
+      }
+      return;
+    case Kind::kEmpty:
+      std::fill(out, out + n, uint8_t{0});
+      return;
+  }
 }
 
 bool PairClassifier::EvalNode(uint32_t index, const uint64_t* a,
@@ -238,54 +267,11 @@ void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
   // local and copy out once so the hot loop never branches on stats.
   MatchStats local;
   MatchStats* const s = stats != nullptr ? stats : &local;
-  const uint64_t* const b_words = b.bits.words().data();
-  const size_t num_words = store_a_->words_per_record();
-  if (classifier.IsWholeRecordThreshold()) {
-    // Batched path (DESIGN.md §14): stage every first-seen candidate
-    // while walking the bucket spans, then hand the probe's whole fresh
-    // set to the batch kernel in one call — candidates sit at a fixed
-    // stride in the arena, so the SIMD kernels stream them via the dense
-    // index list.  Verdicts come back in staging order, which is the
-    // arrival order the per-pair loop used, so pairs and stats are
-    // byte-identical to the scalar engine.
-    std::vector<uint32_t>& fresh_dense = scratch->fresh_dense_;
-    std::vector<RecordId>& fresh_ids = scratch->fresh_ids_;
-    source_->ForEachCandidateSpan(
-        b.bits, [&](std::span<const RecordId> bucket) {
-          s->candidate_occurrences += bucket.size();
-          for (const RecordId a_id : bucket) {
-            const uint32_t dense = store_a_->DenseIndex(a_id);
-            if (dense == VectorStore::kNotFound) {
-              if (!scratch->unknown_.insert(a_id).second) ++s->dedup_skipped;
-              continue;
-            }
-            if (stamps[dense] == epoch) {
-              ++s->dedup_skipped;
-              continue;
-            }
-            stamps[dense] = epoch;
-            // Tombstoned slot: stamped (so repeats dedupe for free) but
-            // never compared — a deleted record matches nothing.
-            if (store_a_->IsDead(dense)) continue;
-            fresh_dense.push_back(dense);
-            fresh_ids.push_back(a_id);
-          }
-        });
-    const size_t n = fresh_dense.size();
-    s->comparisons += n;
-    if (n == 0) return;
-    if (scratch->verdicts_.size() < n) scratch->verdicts_.resize(n);
-    KernelBatchLeq(ActiveKernels(), b_words, store_a_->arena().data(),
-                   num_words, fresh_dense.data(), n, num_words,
-                   classifier.threshold(), scratch->verdicts_.data());
-    for (size_t i = 0; i < n; ++i) {
-      if (scratch->verdicts_[i] != 0) {
-        ++s->matches;
-        out->push_back(IdPair{fresh_ids[i], b.id});
-      }
-    }
-    return;
-  }
+  // Stage every first-seen live candidate while walking the bucket
+  // spans, then classify the probe's whole fresh set in one call:
+  // candidates sit at a fixed stride in the arena, so the kernel streams
+  // them through the dense index list.
+  std::vector<uint32_t>& fresh_dense = scratch->fresh_dense_;
   source_->ForEachCandidateSpan(
       b.bits, [&](std::span<const RecordId> bucket) {
         s->candidate_occurrences += bucket.size();
@@ -302,15 +288,25 @@ void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
             continue;
           }
           stamps[dense] = epoch;
-          if (store_a_->IsDead(dense)) continue;  // tombstoned: skip
-          ++s->comparisons;
-          if (classifier.ClassifyWords(store_a_->WordsAt(dense), b_words,
-                                       num_words)) {
-            ++s->matches;
-            out->push_back(IdPair{a_id, b.id});
-          }
+          // Tombstoned slot: stamped (so repeats dedupe for free) but
+          // never compared — a deleted record matches nothing.
+          if (store_a_->IsDead(dense)) continue;
+          fresh_dense.push_back(dense);
         }
       });
+  const size_t n = fresh_dense.size();
+  s->comparisons += n;
+  if (n == 0) return;
+  if (scratch->verdicts_.size() < n) scratch->verdicts_.resize(n);
+  classifier.ClassifyBatch(b.bits.words().data(), store_a_->arena().data(),
+                           store_a_->words_per_record(), fresh_dense.data(),
+                           n, scratch->verdicts_.data());
+  for (size_t i = 0; i < n; ++i) {
+    if (scratch->verdicts_[i] != 0) {
+      ++s->matches;
+      out->push_back(IdPair{store_a_->IdAt(fresh_dense[i]), b.id});
+    }
+  }
 }
 
 std::vector<IdPair> Matcher::MatchAll(

@@ -3,9 +3,10 @@
 //
 // For each record of data set B the matcher walks the buckets the
 // blocking mechanism maps it to, skips A-Ids already seen for this B
-// record (the paper's unique collection C), applies the classification
-// rule to each fresh pair, and reports matches plus the counters behind
-// the PC / PQ / RR measures.
+// record (the paper's unique collection C), stages each fresh candidate,
+// classifies the whole staged set with one PairClassifier::ClassifyBatch
+// call, and reports matches plus the counters behind the PC / PQ / RR
+// measures.
 //
 // Engine design (DESIGN.md §9):
 //  * VectorStore is a flat arena: every word-packed vector lives in one
@@ -19,6 +20,11 @@
 //  * Candidates arrive as bucket spans (CandidateSource::
 //    ForEachCandidateSpan), so the engine pays one indirect call per
 //    blocking group instead of one std::function invocation per Id.
+//  * Classification is batched per probe (DESIGN.md §14): the rule is
+//    compiled to a list of masked attribute-segment thresholds, and one
+//    SIMD kernel call applies it to every staged candidate row in the
+//    arena.  Verdicts come back in staging order, which is bucket
+//    arrival order, so the emit order is that of a per-pair loop.
 //  * MatchAll shards the B records over a ThreadPool with per-thread
 //    stats and match buffers, merged in shard order — the output is
 //    byte-identical to the serial engine at any thread count.
@@ -176,73 +182,35 @@ class VectorStore {
   size_t dead_count_ = 0;
 };
 
-/// Decides whether an (A, B) vector pair is a match.  A small value type
-/// (not a std::function): the rule tree is compiled once into a flat node
-/// program evaluated directly on raw words, so the per-candidate cost is
-/// a handful of popcounts with no type-erased indirection.
+/// Decides whether (A, B) vector pairs are matches.  A small value type
+/// (not a std::function): the rule is compiled once, and ClassifyBatch
+/// is the one entry point every match path calls with a probe's whole
+/// candidate set.  An AND of thresholds (the paper's PL rule, rule C1, a
+/// whole-record threshold) compiles to a MaskedPredicate list that goes
+/// to the active set's masked-conjunction kernel in one call; a rule with
+/// OR or NOT is flattened into a node program evaluated per row.
 class PairClassifier {
  public:
   /// An empty classifier classifies nothing (returns false); assign from
   /// MakeRuleClassifier / MakeRecordThresholdClassifier before use.
   PairClassifier() = default;
 
-  /// Classifies a pair of equally sized vectors.
+  /// Classifies one pair of equally sized vectors (a one-row batch).
   bool operator()(const BitVector& a, const BitVector& b) const {
-    return ClassifyWords(a.words().data(), b.words().data(),
-                         b.words().size());
+    uint8_t verdict = 0;
+    ClassifyBatch(b.words().data(), a.words().data(), a.words().size(),
+                  /*dense=*/nullptr, 1, &verdict);
+    return verdict != 0;
   }
 
-  /// Hot-path entry: classifies two word-packed vectors of `num_words`
-  /// words each (zero-padded past the logical width).  `num_words` is
-  /// only consulted by whole-record threshold classifiers; rule
-  /// classifiers read the ranges their segments name.
-  bool ClassifyWords(const uint64_t* a, const uint64_t* b,
-                     size_t num_words) const {
-    const KernelSet& kernels = ActiveKernels();
-    switch (kind_) {
-      case Kind::kThreshold:
-        return kernels.distance(a, b, num_words) <= theta_;
-      case Kind::kConjunction:
-        // AND-of-predicates (the paper's PL shape): a flat short-circuit
-        // loop, no tree walk.
-        for (const Node& node : nodes_) {
-          if (kernels.range_distance(a, b, node.offset, node.length) >
-              node.theta) {
-            return false;
-          }
-        }
-        return true;
-      case Kind::kRule:
-        return EvalNode(0, a, b);
-      case Kind::kEmpty:
-        return false;
-    }
-    return false;
-  }
-
-  /// True for whole-record threshold classifiers — the shape the batch
-  /// kernels accelerate (one distance, one theta, no segment structure).
-  bool IsWholeRecordThreshold() const { return kind_ == Kind::kThreshold; }
-
-  /// The record-level theta (meaningful only when IsWholeRecordThreshold).
-  size_t threshold() const { return theta_; }
-
-  /// Like IsWholeRecordThreshold, but also recognises a compiled rule
-  /// whose single predicate spans the whole `total_bits` record — the
-  /// shape a one-attribute schema produces.  On success stores the theta
-  /// and returns true; `theta` is untouched otherwise.
-  bool AsWholeRecordThreshold(size_t total_bits, size_t* theta) const {
-    if (kind_ == Kind::kThreshold) {
-      *theta = theta_;
-      return true;
-    }
-    if (kind_ == Kind::kConjunction && nodes_.size() == 1 &&
-        nodes_[0].offset == 0 && nodes_[0].length == total_bits) {
-      *theta = nodes_[0].theta;
-      return true;
-    }
-    return false;
-  }
+  /// For each i in [0, n) classifies (probe, row_i), with
+  ///   row_i = rows + (dense ? dense[i] : i) * stride,
+  /// writing out[i] = 1 for a match and 0 otherwise.  The probe and every
+  /// row are `stride` words (the record width, zero-padded past the
+  /// logical bits).  `dense == nullptr` means the rows are consecutive.
+  void ClassifyBatch(const uint64_t* probe, const uint64_t* rows,
+                     size_t stride, const uint32_t* dense, size_t n,
+                     uint8_t* out) const;
 
  private:
   friend PairClassifier MakeRuleClassifier(Rule rule,
@@ -251,8 +219,8 @@ class PairClassifier {
 
   enum class Kind : uint8_t { kEmpty, kThreshold, kConjunction, kRule };
 
-  /// One node of the compiled rule: the tree flattened breadth-first so
-  /// each node's children are contiguous at [first_child,
+  /// One node of a compiled OR/NOT rule: the tree flattened breadth-first
+  /// so each node's children are contiguous at [first_child,
   /// first_child + num_children).
   struct Node {
     Rule::Kind kind = Rule::Kind::kPredicate;
@@ -267,7 +235,12 @@ class PairClassifier {
   bool EvalNode(uint32_t index, const uint64_t* a, const uint64_t* b) const;
 
   Kind kind_ = Kind::kEmpty;
+  /// kThreshold: the whole-record theta (the record width is only known
+  /// per call, so its one predicate is built there).
   size_t theta_ = 0;
+  /// kConjunction: one predicate per attribute threshold.
+  std::vector<MaskedPredicate> predicates_;
+  /// kRule: the flattened tree.
   std::vector<Node> nodes_;
 };
 
@@ -304,7 +277,6 @@ class Matcher {
       }
       if (!unknown_.empty()) unknown_.clear();
       fresh_dense_.clear();
-      fresh_ids_.clear();
     }
 
     /// stamps_[dense] == epoch_  <=>  dense already seen this probe.
@@ -314,11 +286,11 @@ class Matcher {
     /// unknown) — they have no dense index to stamp.  Empty in steady
     /// state, so it never allocates on the healthy path.
     std::unordered_set<RecordId> unknown_;
-    /// Batch-kernel staging: the probe's fresh (first-seen) candidates in
-    /// arrival order, and the per-candidate <=theta verdicts.  Capacity
-    /// persists across probes, so steady state never allocates.
+    /// Batch staging: the dense indices of the probe's fresh
+    /// (first-seen, live) candidates in arrival order, and their
+    /// verdicts.  Capacity persists across probes, so steady state never
+    /// allocates.
     std::vector<uint32_t> fresh_dense_;
-    std::vector<RecordId> fresh_ids_;
     std::vector<uint8_t> verdicts_;
   };
 

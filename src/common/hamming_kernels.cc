@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "src/common/bitvector.h"
+#include "src/common/hamming_kernels_internal.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
@@ -20,7 +21,7 @@ namespace {
 // ---------------------------------------------------------------------
 // Scalar reference kernels.  `distance` and `range_distance` delegate to
 // the inline bitvector.h implementations so there is exactly one scalar
-// truth; the batch kernels add the per-row early exit.
+// truth; the batch kernel is the shared row-at-a-time conjunction loop.
 
 size_t ScalarDistance(const uint64_t* a, const uint64_t* b,
                       size_t num_words) {
@@ -32,39 +33,9 @@ size_t ScalarRangeDistance(const uint64_t* a, const uint64_t* b,
   return HammingDistanceRangeWords(a, b, offset, length);
 }
 
-void ScalarBatchLeq(const uint64_t* probe, const uint64_t* rows,
-                    size_t stride, const uint32_t* dense, size_t n,
-                    size_t num_words, size_t theta, uint8_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t* row =
-        rows + static_cast<size_t>(dense != nullptr ? dense[i] : i) * stride;
-    size_t dist = 0;
-    for (size_t w = 0; w < num_words; ++w) {
-      dist += static_cast<size_t>(std::popcount(probe[w] ^ row[w]));
-      if (dist > theta) break;  // verdict settled; abandon the row
-    }
-    out[i] = dist <= theta ? 1 : 0;
-  }
-}
-
-void ScalarBatchLeq2(const uint64_t* probe, const uint64_t* rows,
-                     size_t stride, const uint32_t* dense, size_t n,
-                     size_t theta, uint8_t* out) {
-  const uint64_t p0 = probe[0];
-  const uint64_t p1 = probe[1];
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t* row =
-        rows + static_cast<size_t>(dense != nullptr ? dense[i] : i) * stride;
-    const size_t dist =
-        static_cast<size_t>(std::popcount(p0 ^ row[0])) +
-        static_cast<size_t>(std::popcount(p1 ^ row[1]));
-    out[i] = dist <= theta ? 1 : 0;
-  }
-}
-
 constexpr KernelSet kScalarKernels = {
     "scalar", ScalarDistance, ScalarRangeDistance,
-    ScalarBatchLeq, ScalarBatchLeq2,
+    ConjunctionPerRow<ScalarDistance>,
 };
 
 // ---------------------------------------------------------------------
@@ -118,6 +89,23 @@ const CpuFeatures& CachedCpuFeatures() {
 std::atomic<const KernelSet*> g_forced_kernels{nullptr};
 
 }  // namespace
+
+MaskedPredicate MaskedPredicate::ForRange(size_t offset, size_t length,
+                                          size_t theta) {
+  MaskedPredicate pred;
+  pred.theta = theta;
+  if (length == 0) return pred;
+  const size_t last_bit = offset + length - 1;
+  pred.first_word = static_cast<uint32_t>(offset >> 6);
+  pred.num_words = static_cast<uint32_t>((last_bit >> 6) - (offset >> 6) + 1);
+  pred.head_mask = ~uint64_t{0} << (offset & 63);
+  pred.tail_mask = ~uint64_t{0} >> (63 - (last_bit & 63));
+  if (pred.num_words == 1) {
+    pred.head_mask &= pred.tail_mask;
+    pred.tail_mask = pred.head_mask;
+  }
+  return pred;
+}
 
 const KernelSet& ScalarKernels() { return kScalarKernels; }
 
@@ -177,7 +165,7 @@ const KernelSet& ResolveKernels(const char* env, bool has_avx2,
 const KernelSet& ActiveKernels() {
   const KernelSet* forced = g_forced_kernels.load(std::memory_order_acquire);
   if (forced != nullptr) return *forced;
-  static const KernelSet& resolved = [] {
+  static const KernelSet& resolved = []() -> const KernelSet& {
     const char* notice = nullptr;
     const KernelSet& set =
         ResolveKernels(std::getenv("CBVLINK_KERNEL"), CpuSupportsAvx2(),

@@ -16,9 +16,9 @@
 //  * Distances are exact integers — every implementation returns results
 //    byte-identical to the scalar reference on any input; the equivalence
 //    suite in tests/test_hamming_kernels.cc is the gate.
-//  * Batch kernels expose only the `distance <= theta` verdict, so they
-//    may abandon a candidate early once its partial distance exceeds
-//    theta (early-exit); the verdict is still exact.
+//  * The batch kernel exposes only the per-row verdict of a conjunction
+//    of `distance <= theta` predicates, so it may abandon a candidate
+//    once one predicate fails (early-exit); the verdict is still exact.
 //
 // Selection: ActiveKernels() resolves once, preferring AVX-512 (F+BW+DQ+
 // VL+VPOPCNTDQ) over AVX2 over scalar, each gated on both compile-time
@@ -36,6 +36,28 @@
 
 namespace cbvlink {
 
+/// One predicate of a masked conjunction: the Hamming distance over one
+/// bit segment must be at most `theta`.  The segment is pre-cut into the
+/// words it spans plus head and tail masks, so a kernel reads only those
+/// words and never re-derives bit offsets per row.
+struct MaskedPredicate {
+  /// The span [first_word, first_word + num_words); num_words == 0 is an
+  /// empty segment (distance 0, so the predicate always holds).
+  uint32_t first_word = 0;
+  uint32_t num_words = 0;
+  /// ANDed into the span's first and last word respectively.  For a
+  /// one-word span both hold the combined mask, so a kernel may apply
+  /// either one.
+  uint64_t head_mask = 0;
+  uint64_t tail_mask = 0;
+  uint64_t theta = 0;
+
+  /// The predicate "distance over bits [offset, offset + length) <=
+  /// theta".
+  static MaskedPredicate ForRange(size_t offset, size_t length,
+                                  size_t theta);
+};
+
 /// One dispatchable family of Hamming kernels.  All function pointers are
 /// always non-null.
 struct KernelSet {
@@ -51,23 +73,20 @@ struct KernelSet {
   size_t (*range_distance)(const uint64_t* a, const uint64_t* b,
                            size_t offset, size_t length);
 
-  /// 1xN batch threshold kernel: for each i in [0, n),
+  /// 1xN masked-conjunction kernel, the batch classifier behind every
+  /// AND-of-thresholds rule: for each i in [0, n),
   ///   row_i = rows + (dense ? dense[i] : i) * stride
-  ///   out[i] = (distance(probe, row_i, num_words) <= theta) ? 1 : 0.
+  ///   out[i] = 1 iff every predicate in preds[0, num_preds) holds for
+  ///            (probe, row_i), else 0.
   /// `dense == nullptr` means rows are consecutive (a gathered scratch
   /// buffer); otherwise `dense` holds arena row indices (the matcher's
-  /// deduplicated bucket candidates).  May early-exit per row at theta.
-  void (*batch_leq)(const uint64_t* probe, const uint64_t* rows,
-                    size_t stride, const uint32_t* dense, size_t n,
-                    size_t num_words, size_t theta, uint8_t* out);
-
-  /// Specialized batch kernel for 2-word records — the paper's 120-bit
-  /// cBV shape (Table 3), where the whole record is one XOR+popcount
-  /// pair and the win comes from evaluating several candidates per
-  /// vector register.  Same contract as batch_leq with num_words == 2.
-  void (*batch_leq2)(const uint64_t* probe, const uint64_t* rows,
-                     size_t stride, const uint32_t* dense, size_t n,
-                     size_t theta, uint8_t* out);
+  /// deduplicated bucket candidates).  Every span must lie within
+  /// `stride` words.  An empty list holds for every row.  May abandon a
+  /// row once one predicate fails; the verdict is still exact.
+  void (*batch_conjunction)(const uint64_t* probe, const uint64_t* rows,
+                            size_t stride, const uint32_t* dense, size_t n,
+                            const MaskedPredicate* preds, size_t num_preds,
+                            uint8_t* out);
 };
 
 /// The portable reference implementation; always available.
@@ -101,19 +120,6 @@ const KernelSet& ActiveKernels();
 /// restores automatic resolution).  Process-wide, not thread-safe against
 /// concurrent matching — flip it only between runs.
 void ForceKernelsForTest(const KernelSet* kernels);
-
-/// Convenience dispatcher: routes 2-word records to the specialized cBV
-/// kernel, everything else to the general batch kernel.
-inline void KernelBatchLeq(const KernelSet& kernels, const uint64_t* probe,
-                           const uint64_t* rows, size_t stride,
-                           const uint32_t* dense, size_t n, size_t num_words,
-                           size_t theta, uint8_t* out) {
-  if (num_words == 2) {
-    kernels.batch_leq2(probe, rows, stride, dense, n, theta, out);
-  } else {
-    kernels.batch_leq(probe, rows, stride, dense, n, num_words, theta, out);
-  }
-}
 
 }  // namespace cbvlink
 

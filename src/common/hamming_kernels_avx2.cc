@@ -7,8 +7,9 @@
 // Shape of the win: the LUT pipeline costs ~8 ops per 256 bits, so it
 // pays off on wide records (Bloom-filter configurations, 500+ bits).
 // For the 2-word cBV shape the scalar popcnt pair is already near
-// optimal; batch_leq2 therefore keeps scalar popcnt but unrolls 4 rows
-// for instruction-level parallelism instead of forcing ymm traffic.
+// optimal; the 2-word conjunction therefore keeps scalar popcnt, XORs
+// each row once and evaluates every predicate branch-free instead of
+// forcing ymm traffic.
 
 #include "src/common/hamming_kernels.h"
 
@@ -16,8 +17,9 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <bit>
+
+#include "src/common/hamming_kernels_internal.h"
 
 namespace cbvlink {
 namespace {
@@ -61,96 +63,53 @@ size_t Avx2Distance(const uint64_t* a, const uint64_t* b, size_t num_words) {
 
 size_t Avx2RangeDistance(const uint64_t* a, const uint64_t* b, size_t offset,
                          size_t length) {
-  if (length == 0) return 0;
-  const size_t first_word = offset >> 6;
-  const size_t last_bit = offset + length - 1;
-  const size_t last_word = last_bit >> 6;
-  const size_t lead = offset & 63;
-  const size_t trail = last_bit & 63;
-  if (first_word == last_word) {
-    uint64_t x = (a[first_word] ^ b[first_word]) & (~uint64_t{0} << lead);
-    if (trail != 63) x &= (uint64_t{1} << (trail + 1)) - 1;
-    return static_cast<size_t>(std::popcount(x));
-  }
-  size_t dist = static_cast<size_t>(
-      std::popcount((a[first_word] ^ b[first_word]) & (~uint64_t{0} << lead)));
-  uint64_t tail = a[last_word] ^ b[last_word];
-  if (trail != 63) tail &= (uint64_t{1} << (trail + 1)) - 1;
-  dist += static_cast<size_t>(std::popcount(tail));
-  if (last_word > first_word + 1) {
-    dist += Avx2Distance(a + first_word + 1, b + first_word + 1,
-                         last_word - first_word - 1);
-  }
-  return dist;
+  return SpanDistance<Avx2Distance>(
+      a, b, MaskedPredicate::ForRange(offset, length, 0));
 }
 
-void Avx2BatchLeq(const uint64_t* probe, const uint64_t* rows, size_t stride,
-                  const uint32_t* dense, size_t n, size_t num_words,
-                  size_t theta, uint8_t* out) {
+/// 2-word rows (the paper's 120-bit cBV): XOR each row once, then every
+/// predicate is two masked popcnts and a compare, with no branch per
+/// predicate.
+void Avx2Conjunction2(const uint64_t* probe, const uint64_t* rows,
+                      const uint32_t* dense, size_t n,
+                      const MaskedPredicate* preds, size_t num_preds,
+                      uint8_t* out) {
+  uint64_t mask0[kMaxPackedPredicates];
+  uint64_t mask1[kMaxPackedPredicates];
+  for (size_t p = 0; p < num_preds; ++p) {
+    mask0[p] = WordMask(preds[p], 0);
+    mask1[p] = WordMask(preds[p], 1);
+  }
   for (size_t i = 0; i < n; ++i) {
     const uint64_t* row =
-        rows + static_cast<size_t>(dense != nullptr ? dense[i] : i) * stride;
-    size_t dist = 0;
-    size_t w = 0;
-    // Early-exit checkpoint every 16 words (1024 bits): one horizontal
-    // sum per checkpoint, cheap next to the popcounts it can skip.
-    while (w + 4 <= num_words && dist <= theta) {
-      const size_t block_words =
-          std::min<size_t>(((num_words - w) / 4) * 4, 16);
-      __m256i acc = _mm256_setzero_si256();
-      for (const size_t end = w + block_words; w < end; w += 4) {
-        const __m256i x = _mm256_xor_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(probe + w)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + w)));
-        acc = _mm256_add_epi64(acc, Popcnt256(x));
-      }
-      dist += HorizontalSum(acc);
+        rows + static_cast<size_t>(dense != nullptr ? dense[i] : i) * 2;
+    const uint64_t x0 = probe[0] ^ row[0];
+    const uint64_t x1 = probe[1] ^ row[1];
+    bool verdict = true;
+    for (size_t p = 0; p < num_preds; ++p) {
+      const uint64_t dist =
+          static_cast<uint64_t>(std::popcount(x0 & mask0[p])) +
+          static_cast<uint64_t>(std::popcount(x1 & mask1[p]));
+      verdict &= dist <= preds[p].theta;
     }
-    for (; w < num_words && dist <= theta; ++w) {
-      dist += static_cast<size_t>(std::popcount(probe[w] ^ row[w]));
-    }
-    out[i] = dist <= theta ? 1 : 0;
+    out[i] = verdict ? 1 : 0;
   }
 }
 
-void Avx2BatchLeq2(const uint64_t* probe, const uint64_t* rows, size_t stride,
-                   const uint32_t* dense, size_t n, size_t theta,
-                   uint8_t* out) {
-  const uint64_t p0 = probe[0];
-  const uint64_t p1 = probe[1];
-  const auto row_at = [&](size_t i) {
-    return rows + static_cast<size_t>(dense != nullptr ? dense[i] : i) * stride;
-  };
-  size_t i = 0;
-  // 4-way unroll: four independent popcnt chains per iteration.
-  for (; i + 4 <= n; i += 4) {
-    const uint64_t* r0 = row_at(i);
-    const uint64_t* r1 = row_at(i + 1);
-    const uint64_t* r2 = row_at(i + 2);
-    const uint64_t* r3 = row_at(i + 3);
-    const size_t d0 = static_cast<size_t>(std::popcount(p0 ^ r0[0])) +
-                      static_cast<size_t>(std::popcount(p1 ^ r0[1]));
-    const size_t d1 = static_cast<size_t>(std::popcount(p0 ^ r1[0])) +
-                      static_cast<size_t>(std::popcount(p1 ^ r1[1]));
-    const size_t d2 = static_cast<size_t>(std::popcount(p0 ^ r2[0])) +
-                      static_cast<size_t>(std::popcount(p1 ^ r2[1]));
-    const size_t d3 = static_cast<size_t>(std::popcount(p0 ^ r3[0])) +
-                      static_cast<size_t>(std::popcount(p1 ^ r3[1]));
-    out[i] = d0 <= theta ? 1 : 0;
-    out[i + 1] = d1 <= theta ? 1 : 0;
-    out[i + 2] = d2 <= theta ? 1 : 0;
-    out[i + 3] = d3 <= theta ? 1 : 0;
-  }
-  for (; i < n; ++i) {
-    const uint64_t* row = row_at(i);
-    const size_t dist = static_cast<size_t>(std::popcount(p0 ^ row[0])) +
-                        static_cast<size_t>(std::popcount(p1 ^ row[1]));
-    out[i] = dist <= theta ? 1 : 0;
+void Avx2BatchConjunction(const uint64_t* probe, const uint64_t* rows,
+                          size_t stride, const uint32_t* dense, size_t n,
+                          const MaskedPredicate* preds, size_t num_preds,
+                          uint8_t* out) {
+  if (stride == 2 && num_preds <= kMaxPackedPredicates) {
+    Avx2Conjunction2(probe, rows, dense, n, preds, num_preds, out);
+  } else {
+    ConjunctionPerRow<Avx2Distance>(probe, rows, stride, dense, n, preds,
+                                    num_preds, out);
   }
 }
 
 constexpr KernelSet kAvx2Kernels = {
-    "avx2", Avx2Distance, Avx2RangeDistance, Avx2BatchLeq, Avx2BatchLeq2,
+    "avx2", Avx2Distance, Avx2RangeDistance, Avx2BatchConjunction,
 };
 
 }  // namespace

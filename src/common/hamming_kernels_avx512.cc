@@ -5,9 +5,10 @@
 //
 // The 2-word cBV specialization (Table 3's 120-bit record) evaluates
 // four candidates per zmm register: each candidate's two words occupy one
-// 128-bit lane, one VPOPCNTQ covers all four, and a pairwise lane add +
-// compare-mask yields four verdicts per ~10 instructions — the batch
-// shape Algorithm 2's candidate loop feeds.
+// 128-bit lane, and per predicate one masked VPOPCNTQ covers all four, a
+// pairwise lane add + compare-mask yields four verdicts — the batch shape
+// Algorithm 2's candidate loop feeds, for the paper's PL rule as much as
+// for a whole-record threshold.
 
 #include "src/common/hamming_kernels.h"
 
@@ -15,8 +16,9 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <bit>
+
+#include "src/common/hamming_kernels_internal.h"
 
 namespace cbvlink {
 namespace {
@@ -44,108 +46,77 @@ size_t Avx512Distance(const uint64_t* a, const uint64_t* b,
 
 size_t Avx512RangeDistance(const uint64_t* a, const uint64_t* b,
                            size_t offset, size_t length) {
-  if (length == 0) return 0;
-  const size_t first_word = offset >> 6;
-  const size_t last_bit = offset + length - 1;
-  const size_t last_word = last_bit >> 6;
-  const size_t lead = offset & 63;
-  const size_t trail = last_bit & 63;
-  if (first_word == last_word) {
-    uint64_t x = (a[first_word] ^ b[first_word]) & (~uint64_t{0} << lead);
-    if (trail != 63) x &= (uint64_t{1} << (trail + 1)) - 1;
-    return static_cast<size_t>(std::popcount(x));
-  }
-  size_t dist = static_cast<size_t>(
-      std::popcount((a[first_word] ^ b[first_word]) & (~uint64_t{0} << lead)));
-  uint64_t tail = a[last_word] ^ b[last_word];
-  if (trail != 63) tail &= (uint64_t{1} << (trail + 1)) - 1;
-  dist += static_cast<size_t>(std::popcount(tail));
-  if (last_word > first_word + 1) {
-    dist += Avx512Distance(a + first_word + 1, b + first_word + 1,
-                           last_word - first_word - 1);
-  }
-  return dist;
+  return SpanDistance<Avx512Distance>(
+      a, b, MaskedPredicate::ForRange(offset, length, 0));
 }
 
-void Avx512BatchLeq(const uint64_t* probe, const uint64_t* rows,
-                    size_t stride, const uint32_t* dense, size_t n,
-                    size_t num_words, size_t theta, uint8_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t* row =
-        rows + static_cast<size_t>(dense != nullptr ? dense[i] : i) * stride;
-    size_t dist = 0;
-    size_t w = 0;
-    // Early-exit checkpoint every 32 words (2048 bits): one lane
-    // reduction per checkpoint.
-    while (w + 8 <= num_words && dist <= theta) {
-      const size_t block_words =
-          std::min<size_t>(((num_words - w) / 8) * 8, 32);
-      __m512i acc = _mm512_setzero_si512();
-      for (const size_t end = w + block_words; w < end; w += 8) {
-        const __m512i x = _mm512_xor_si512(_mm512_loadu_si512(probe + w),
-                                           _mm512_loadu_si512(row + w));
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
-      }
-      dist += static_cast<size_t>(_mm512_reduce_add_epi64(acc));
-    }
-    if (w < num_words && dist <= theta) {
-      const __mmask8 mask =
-          static_cast<__mmask8>((1u << (num_words - w)) - 1u);
-      const __m512i x =
-          _mm512_xor_si512(_mm512_maskz_loadu_epi64(mask, probe + w),
-                           _mm512_maskz_loadu_epi64(mask, row + w));
-      dist += static_cast<size_t>(
-          _mm512_reduce_add_epi64(_mm512_popcnt_epi64(x)));
-    }
-    out[i] = dist <= theta ? 1 : 0;
+/// 2-word rows (the paper's 120-bit cBV): four candidates per zmm, one
+/// per 128-bit lane.  Per predicate: AND with the predicate's two word
+/// masks, VPOPCNTQ, a lane-pair add, and a compare that ANDs its verdict
+/// into the running mask.
+void Avx512Conjunction2(const uint64_t* probe, const uint64_t* rows,
+                        const uint32_t* dense, size_t n,
+                        const MaskedPredicate* preds, size_t num_preds,
+                        uint8_t* out) {
+  __m512i masks[kMaxPackedPredicates];
+  __m512i thetas[kMaxPackedPredicates];
+  for (size_t p = 0; p < num_preds; ++p) {
+    masks[p] = _mm512_broadcast_i32x4(
+        _mm_set_epi64x(static_cast<long long>(WordMask(preds[p], 1)),
+                       static_cast<long long>(WordMask(preds[p], 0))));
+    thetas[p] = _mm512_set1_epi64(static_cast<long long>(preds[p].theta));
   }
-}
-
-void Avx512BatchLeq2(const uint64_t* probe, const uint64_t* rows,
-                     size_t stride, const uint32_t* dense, size_t n,
-                     size_t theta, uint8_t* out) {
   // Probe replicated into all four 128-bit lanes.
   const __m512i probe4 = _mm512_broadcast_i32x4(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(probe)));
-  const __m512i theta8 = _mm512_set1_epi64(static_cast<long long>(theta));
   const auto row_at = [&](size_t i) {
-    return rows + static_cast<size_t>(dense != nullptr ? dense[i] : i) * stride;
+    return rows + static_cast<size_t>(dense != nullptr ? dense[i] : i) * 2;
   };
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i r0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row_at(i)));
-    const __m128i r1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row_at(i + 1)));
-    const __m128i r2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row_at(i + 2)));
-    const __m128i r3 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row_at(i + 3)));
-    const __m256i lo = _mm256_set_m128i(r1, r0);
-    const __m256i hi = _mm256_set_m128i(r3, r2);
-    const __m512i v =
-        _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1);
-    const __m512i c = _mm512_popcnt_epi64(_mm512_xor_si512(v, probe4));
-    // Pairwise add within each 128-bit lane: qword lanes 0,2,4,6 then
-    // hold each candidate's full distance.
-    const __m512i sums = _mm512_add_epi64(c, _mm512_unpackhi_epi64(c, c));
-    const __mmask8 leq = _mm512_cmple_epu64_mask(sums, theta8);
-    out[i] = leq & 1;
-    out[i + 1] = (leq >> 2) & 1;
-    out[i + 2] = (leq >> 4) & 1;
-    out[i + 3] = (leq >> 6) & 1;
+  for (size_t i = 0; i < n; i += 4) {
+    const size_t count = n - i < 4 ? n - i : 4;
+    // Candidate j of this block in lane j; lanes past `count` stay zero
+    // and their verdicts are dropped.
+    __m512i v;
+    if (dense == nullptr) {
+      v = _mm512_maskz_loadu_epi64(
+          static_cast<__mmask8>((1u << (2 * count)) - 1u), row_at(i));
+    } else {
+      v = _mm512_setzero_si512();
+      for (size_t j = 0; j < count; ++j) {
+        const __m128i r =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(row_at(i + j)));
+        v = _mm512_mask_broadcast_i32x4(
+            v, static_cast<__mmask16>(0xfu << (4 * j)), r);
+      }
+    }
+    const __m512i x = _mm512_xor_si512(v, probe4);
+    // Qword lanes 0, 2, 4, 6 carry the four candidates' verdicts.
+    __mmask8 holds = 0x55;
+    for (size_t p = 0; p < num_preds; ++p) {
+      const __m512i c = _mm512_popcnt_epi64(_mm512_and_si512(x, masks[p]));
+      const __m512i sums = _mm512_add_epi64(c, _mm512_unpackhi_epi64(c, c));
+      holds = _mm512_mask_cmple_epu64_mask(holds, sums, thetas[p]);
+    }
+    for (size_t j = 0; j < count; ++j) {
+      out[i + j] = static_cast<uint8_t>((holds >> (2 * j)) & 1);
+    }
   }
-  for (; i < n; ++i) {
-    const uint64_t* row = row_at(i);
-    const size_t dist = static_cast<size_t>(std::popcount(probe[0] ^ row[0])) +
-                        static_cast<size_t>(std::popcount(probe[1] ^ row[1]));
-    out[i] = dist <= theta ? 1 : 0;
+}
+
+void Avx512BatchConjunction(const uint64_t* probe, const uint64_t* rows,
+                            size_t stride, const uint32_t* dense, size_t n,
+                            const MaskedPredicate* preds, size_t num_preds,
+                            uint8_t* out) {
+  if (stride == 2 && num_preds <= kMaxPackedPredicates) {
+    Avx512Conjunction2(probe, rows, dense, n, preds, num_preds, out);
+  } else {
+    ConjunctionPerRow<Avx512Distance>(probe, rows, stride, dense, n, preds,
+                                      num_preds, out);
   }
 }
 
 constexpr KernelSet kAvx512Kernels = {
-    "avx512", Avx512Distance, Avx512RangeDistance,
-    Avx512BatchLeq, Avx512BatchLeq2,
+    "avx512", Avx512Distance, Avx512RangeDistance, Avx512BatchConjunction,
 };
 
 }  // namespace

@@ -655,46 +655,32 @@ void LinkageService::MatchEncoded(const EncodedRecord& b,
   telemetry::TraceSpan compare_span("compare");
   uint64_t compared = 0;
   uint64_t matched = 0;
-  size_t theta = 0;
-  if (classifier_.AsWholeRecordThreshold(encoder_->total_bits(), &theta)) {
-    // Batched path (DESIGN.md §14): gather the candidates' words into a
-    // flat buffer (one CopyWords per id under its shard lock), then run
-    // the active batch kernel over the contiguous rows.  Same compared /
-    // matched counts and the same id-sorted emit order as the per-pair
-    // loop below.
-    const size_t num_words = b.bits.words().size();
-    std::vector<uint64_t> gathered(candidates.size() * num_words);
-    std::vector<RecordId> present;
-    present.reserve(candidates.size());
-    for (RecordId id : candidates) {
-      if (!store_.CopyWords(id, num_words,
-                            gathered.data() + present.size() * num_words)) {
-        continue;  // indexed but not yet stored
-      }
-      present.push_back(id);
+  // Batched classify (DESIGN.md §14): gather the candidates' words into
+  // a flat buffer (one CopyWords per id under its shard lock), then
+  // classify the contiguous rows with one ClassifyBatch call.  Verdicts
+  // come back in gather order, so pairs are emitted in id order.
+  const size_t num_words = b.bits.words().size();
+  std::vector<uint64_t> gathered(candidates.size() * num_words);
+  std::vector<RecordId> present;
+  present.reserve(candidates.size());
+  for (RecordId id : candidates) {
+    if (!store_.CopyWords(id, num_words,
+                          gathered.data() + present.size() * num_words)) {
+      continue;  // indexed but not yet stored
     }
-    const size_t n = present.size();
-    compared += n;
-    if (n != 0) {
-      std::vector<uint8_t> verdicts(n);
-      KernelBatchLeq(ActiveKernels(), b.bits.words().data(), gathered.data(),
-                     num_words, /*dense=*/nullptr, n, num_words, theta,
-                     verdicts.data());
-      for (size_t i = 0; i < n; ++i) {
-        if (verdicts[i] != 0) {
-          ++matched;
-          out->push_back(IdPair{present[i], b.id});
-        }
-      }
-    }
-  } else {
-    BitVector scratch;
-    for (RecordId id : candidates) {
-      if (!store_.Find(id, &scratch)) continue;  // indexed but not yet stored
-      ++compared;
-      if (classifier_(scratch, b.bits)) {
+    present.push_back(id);
+  }
+  const size_t n = present.size();
+  compared += n;
+  if (n != 0) {
+    std::vector<uint8_t> verdicts(n);
+    classifier_.ClassifyBatch(b.bits.words().data(), gathered.data(),
+                              num_words, /*dense=*/nullptr, n,
+                              verdicts.data());
+    for (size_t i = 0; i < n; ++i) {
+      if (verdicts[i] != 0) {
         ++matched;
-        out->push_back(IdPair{id, b.id});
+        out->push_back(IdPair{present[i], b.id});
       }
     }
   }

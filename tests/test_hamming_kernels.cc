@@ -4,18 +4,24 @@
 // other — on any input, including word-boundary edge cases, multi-word
 // ranges, and the paper's 120-bit two-word cBV shape (Table 3).  SIMD
 // sets the host CPU cannot execute are skipped with a notice instead of
-// faulting.
+// faulting.  The masked-conjunction batch kernel is checked the same way,
+// and the matcher built on it against an independent per-pair engine.
 
 #include "src/common/hamming_kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/blocking/matcher.h"
 #include "src/common/bitvector.h"
+#include "src/embedding/record_encoder.h"
 #include "src/common/random.h"
 #include "src/common/thread_pool.h"
 
@@ -167,74 +173,181 @@ std::vector<uint64_t> RandomArena(size_t n, size_t num_bits, Rng& rng) {
   return arena;
 }
 
-TEST(HammingKernelsTest, BatchLeqMatchesOracleGatheredAndContiguous) {
-  Rng rng(4);
-  for (const size_t bits : {64u, 120u, 120u, 500u, 831u}) {
+/// One predicate as the tests state it: distance over [offset,
+/// offset + length) must be at most theta.
+struct RangePredicate {
+  size_t offset = 0;
+  size_t length = 0;
+  size_t theta = 0;
+};
+
+/// Naive oracle for the masked-conjunction kernel: every predicate's
+/// bit-by-bit distance against its theta.
+uint8_t OracleConjunction(const std::vector<uint64_t>& probe,
+                          const uint64_t* row, size_t stride,
+                          const std::vector<RangePredicate>& preds) {
+  const std::vector<uint64_t> r(row, row + stride);
+  for (const RangePredicate& p : preds) {
+    if (OracleRangeDistance(probe, r, p.offset, p.length) > p.theta) return 0;
+  }
+  return 1;
+}
+
+std::vector<MaskedPredicate> Compile(const std::vector<RangePredicate>& in) {
+  std::vector<MaskedPredicate> out;
+  for (const RangePredicate& p : in) {
+    out.push_back(MaskedPredicate::ForRange(p.offset, p.length, p.theta));
+  }
+  return out;
+}
+
+/// Runs `preds` through every runnable set over both row modes — rows
+/// named by a dense index list into `arena`, and the first `n` arena rows
+/// copied into a buffer of exactly n rows (`dense == nullptr`) — and
+/// compares each verdict with the oracle.  Also checks that nothing is
+/// written past out[n - 1].
+void ExpectConjunctionMatchesOracle(const std::vector<uint64_t>& arena,
+                                    size_t stride,
+                                    const std::vector<uint32_t>& dense,
+                                    const std::vector<uint64_t>& probe,
+                                    const std::vector<RangePredicate>& preds,
+                                    const std::string& what) {
+  const size_t n = dense.size();
+  const std::vector<MaskedPredicate> compiled = Compile(preds);
+  const std::vector<uint64_t> contiguous(arena.begin(),
+                                         arena.begin() + n * stride);
+  std::vector<uint8_t> expected_dense(n + 4, 0xee);
+  std::vector<uint8_t> expected_seq(n + 4, 0xee);
+  for (size_t i = 0; i < n; ++i) {
+    expected_dense[i] = OracleConjunction(
+        probe, arena.data() + dense[i] * stride, stride, preds);
+    expected_seq[i] =
+        OracleConjunction(probe, contiguous.data() + i * stride, stride, preds);
+  }
+  for (const KernelSet* kernels : RunnableKernelSets()) {
+    std::vector<uint8_t> out(n + 4, 0xee);
+    kernels->batch_conjunction(probe.data(), arena.data(), stride,
+                               dense.data(), n, compiled.data(),
+                               compiled.size(), out.data());
+    EXPECT_EQ(out, expected_dense) << kernels->name << " dense rows, " << what;
+    std::fill(out.begin(), out.end(), 0xee);
+    kernels->batch_conjunction(probe.data(), contiguous.data(), stride,
+                               nullptr, n, compiled.data(), compiled.size(),
+                               out.data());
+    EXPECT_EQ(out, expected_seq)
+        << kernels->name << " contiguous rows, " << what;
+  }
+}
+
+/// `probe` with each bit flipped with probability 1/`one_in` — rows near
+/// the probe, so predicates both hold and fail.
+std::vector<uint64_t> Perturbed(const std::vector<uint64_t>& probe,
+                                size_t num_bits, size_t one_in, Rng& rng) {
+  std::vector<uint64_t> row = probe;
+  for (size_t i = 0; i < num_bits; ++i) {
+    if (rng.Below(one_in) == 0) row[i >> 6] ^= uint64_t{1} << (i & 63);
+  }
+  return row;
+}
+
+TEST(HammingKernelsTest, BatchConjunctionMatchesOracle) {
+  // Every tail mod 4 (n = 0..9), both row modes, widths around word
+  // boundaries up to a 4x500-bit Bloom record, and 1 to 12 predicates
+  // (past the packed kernels' register budget) with empty segments,
+  // theta = 0 and theta >= segment length.
+  Rng rng(6);
+  for (const size_t bits : {64u, 120u, 129u, 2000u}) {
     const size_t stride = (bits + 63) / 64;
-    constexpr size_t kRows = 153;  // not a multiple of the unroll widths
-    const std::vector<uint64_t> arena = RandomArena(kRows, bits, rng);
     const std::vector<uint64_t> probe = RandomWords(bits, rng);
-    // A gathered (shuffled, duplicated) dense list plus the contiguous
-    // nullptr form.
-    std::vector<uint32_t> dense;
-    for (size_t i = 0; i < kRows; ++i) {
-      dense.push_back(static_cast<uint32_t>(rng.Below(kRows)));
+    constexpr size_t kArenaRows = 13;
+    std::vector<uint64_t> arena;
+    for (size_t i = 0; i < kArenaRows; ++i) {
+      const std::vector<uint64_t> row =
+          i % 3 == 0 ? RandomWords(bits, rng)
+                     : Perturbed(probe, bits, 8 + 8 * (i % 4), rng);
+      arena.insert(arena.end(), row.begin(), row.end());
     }
-    for (const size_t theta : {0ul, 3ul, bits / 4, bits / 2, bits}) {
-      std::vector<uint8_t> expected(kRows);
-      for (size_t i = 0; i < kRows; ++i) {
-        const size_t dist = OracleRangeDistance(
-            std::vector<uint64_t>(arena.begin() + dense[i] * stride,
-                                  arena.begin() + (dense[i] + 1) * stride),
-            probe, 0, bits);
-        expected[i] = dist <= theta ? 1 : 0;
-      }
-      for (const KernelSet* kernels : RunnableKernelSets()) {
-        std::vector<uint8_t> out(kRows, 0xee);
-        KernelBatchLeq(*kernels, probe.data(), arena.data(), stride,
-                       dense.data(), kRows, stride, theta, out.data());
-        EXPECT_EQ(out, expected) << kernels->name << " gathered, width "
-                                 << bits << " theta " << theta;
-        // Contiguous form: dense == nullptr means row i at i * stride.
-        std::vector<uint8_t> expected_seq(kRows);
-        for (size_t i = 0; i < kRows; ++i) {
-          const size_t dist = OracleRangeDistance(
-              std::vector<uint64_t>(arena.begin() + i * stride,
-                                    arena.begin() + (i + 1) * stride),
-              probe, 0, bits);
-          expected_seq[i] = dist <= theta ? 1 : 0;
+    for (size_t num_preds = 1; num_preds <= 12; ++num_preds) {
+      std::vector<RangePredicate> preds;
+      for (size_t p = 0; p < num_preds; ++p) {
+        RangePredicate pred;
+        pred.offset = rng.Below(bits);
+        pred.length = rng.Below(6) == 0 ? 0 : rng.Below(bits - pred.offset + 1);
+        switch (rng.Below(4)) {
+          case 0:
+            pred.theta = 0;
+            break;
+          case 1:
+            pred.theta = pred.length + rng.Below(3);  // always holds
+            break;
+          default:
+            pred.theta = pred.length / 8 + rng.Below(pred.length / 8 + 1);
         }
-        std::vector<uint8_t> out_seq(kRows, 0xee);
-        KernelBatchLeq(*kernels, probe.data(), arena.data(), stride, nullptr,
-                       kRows, stride, theta, out_seq.data());
-        EXPECT_EQ(out_seq, expected_seq)
-            << kernels->name << " contiguous, width " << bits << " theta "
-            << theta;
+        preds.push_back(pred);
+      }
+      for (size_t n = 0; n <= 9; ++n) {
+        std::vector<uint32_t> dense;
+        for (size_t i = 0; i < n; ++i) {
+          dense.push_back(static_cast<uint32_t>(rng.Below(kArenaRows)));
+        }
+        ExpectConjunctionMatchesOracle(
+            arena, stride, dense, probe, preds,
+            "width " + std::to_string(bits) + ", " +
+                std::to_string(num_preds) + " predicates, n=" +
+                std::to_string(n));
       }
     }
   }
 }
 
-TEST(HammingKernelsTest, BatchLeq2SmallCounts) {
-  // The 4-per-register cBV kernel must handle every tail shape: n in
-  // [0, 9] covers full blocks plus 1-3 leftover rows.
-  Rng rng(5);
+TEST(HammingKernelsTest, BatchConjunctionPaperLayouts) {
+  // The NCVR cBV layout at 120 bits (15/15/68/22): the 68-bit segment at
+  // offset 30 straddles the word boundary.  The PL rule (every attribute
+  // within 4), rule C1's three predicates, and an empty list.
+  Rng rng(7);
   constexpr size_t kBits = 120;
-  const std::vector<uint64_t> arena = RandomArena(9, kBits, rng);
   const std::vector<uint64_t> probe = RandomWords(kBits, rng);
-  for (const KernelSet* kernels : RunnableKernelSets()) {
-    for (size_t n = 0; n <= 9; ++n) {
-      std::vector<uint8_t> out(n > 0 ? n : 1, 0xee);
-      kernels->batch_leq2(probe.data(), arena.data(), 2, nullptr, n, 30,
-                          out.data());
-      for (size_t i = 0; i < n; ++i) {
-        const size_t dist = OracleRangeDistance(
-            std::vector<uint64_t>(arena.begin() + i * 2,
-                                  arena.begin() + (i + 1) * 2),
-            probe, 0, kBits);
-        EXPECT_EQ(out[i], dist <= 30 ? 1 : 0)
-            << kernels->name << " n=" << n << " row " << i;
-      }
+  std::vector<uint64_t> arena;
+  constexpr size_t kArenaRows = 40;
+  for (size_t i = 0; i < kArenaRows; ++i) {
+    const std::vector<uint64_t> row = Perturbed(probe, kBits, 24 + i, rng);
+    arena.insert(arena.end(), row.begin(), row.end());
+  }
+  std::vector<uint32_t> dense;
+  for (uint32_t i = 0; i < kArenaRows; ++i) dense.push_back(kArenaRows - 1 - i);
+  const std::vector<RangePredicate> pl = {
+      {0, 15, 4}, {15, 15, 4}, {30, 68, 4}, {98, 22, 4}};
+  const std::vector<RangePredicate> c1 = {{0, 15, 4}, {15, 15, 4}, {30, 68, 8}};
+  for (size_t n : {1u, 4u, 7u, 40u}) {
+    const std::vector<uint32_t> first(dense.begin(), dense.begin() + n);
+    ExpectConjunctionMatchesOracle(arena, 2, first, probe, pl,
+                                   "PL, n=" + std::to_string(n));
+    ExpectConjunctionMatchesOracle(arena, 2, first, probe, c1,
+                                   "C1, n=" + std::to_string(n));
+    ExpectConjunctionMatchesOracle(arena, 2, first, probe, {},
+                                   "empty list, n=" + std::to_string(n));
+  }
+}
+
+TEST(HammingKernelsTest, BatchConjunctionWholeRecordGatheredAndContiguous) {
+  // A whole-record threshold is the one-predicate list spanning every
+  // word; 153 rows is not a multiple of any unroll width.
+  Rng rng(4);
+  for (const size_t bits : {64u, 120u, 120u, 500u, 831u}) {
+    const size_t stride = (bits + 63) / 64;
+    constexpr size_t kRows = 153;
+    const std::vector<uint64_t> arena = RandomArena(kRows, bits, rng);
+    const std::vector<uint64_t> probe = RandomWords(bits, rng);
+    // A gathered (shuffled, duplicated) dense list.
+    std::vector<uint32_t> dense;
+    for (size_t i = 0; i < kRows; ++i) {
+      dense.push_back(static_cast<uint32_t>(rng.Below(kRows)));
+    }
+    for (const size_t theta : {0ul, 3ul, bits / 4, bits / 2, bits}) {
+      ExpectConjunctionMatchesOracle(
+          arena, stride, dense, probe, {{0, bits, theta}},
+          "width " + std::to_string(bits) + " theta " +
+              std::to_string(theta));
     }
   }
 }
@@ -348,6 +461,12 @@ class SpanSource : public CandidateSource {
   std::vector<std::vector<RecordId>> buckets_;
 };
 
+bool SameStats(const MatchStats& x, const MatchStats& y) {
+  return x.candidate_occurrences == y.candidate_occurrences &&
+         x.comparisons == y.comparisons && x.matches == y.matches &&
+         x.dedup_skipped == y.dedup_skipped;
+}
+
 std::vector<EncodedRecord> RandomRecords(size_t n, size_t bits,
                                          RecordId first_id, Rng& rng) {
   std::vector<EncodedRecord> out;
@@ -364,16 +483,89 @@ std::vector<EncodedRecord> RandomRecords(size_t n, size_t bits,
   return out;
 }
 
-void ExpectMatcherEquivalence(size_t bits, size_t theta) {
+/// Algorithm 2 with one classification per pair, written independently
+/// of the matcher: a std::unordered_set for C, `classify` per candidate.
+/// The per-pair engine the batched matcher must reproduce exactly.
+std::vector<IdPair> PerPairOracle(
+    const CandidateSource& source, const std::vector<EncodedRecord>& a,
+    const std::vector<EncodedRecord>& b,
+    const std::function<bool(const BitVector&, const BitVector&)>& classify,
+    MatchStats* stats) {
+  std::unordered_map<RecordId, const BitVector*> store;
+  for (const EncodedRecord& r : a) store.emplace(r.id, &r.bits);
+  std::vector<IdPair> out;
+  for (const EncodedRecord& probe : b) {
+    std::unordered_set<RecordId> seen;
+    source.ForEachCandidate(probe.bits, [&](RecordId id) {
+      ++stats->candidate_occurrences;
+      if (!seen.insert(id).second) {
+        ++stats->dedup_skipped;
+        return;
+      }
+      const auto it = store.find(id);
+      if (it == store.end()) return;
+      ++stats->comparisons;
+      if (classify(*it->second, probe.bits)) {
+        ++stats->matches;
+        out.push_back(IdPair{id, probe.id});
+      }
+    });
+  }
+  return out;
+}
+
+/// The per-pair rule semantics: Rule::Evaluate over BitVector range
+/// distances.
+std::function<bool(const BitVector&, const BitVector&)> RuleOracle(
+    const Rule& rule, const RecordLayout& layout) {
+  return [rule, layout](const BitVector& x, const BitVector& y) {
+    return rule.Evaluate([&](size_t attr) {
+      return x.HammingDistanceRange(y, layout.segment(attr).offset,
+                                    layout.segment(attr).size);
+    });
+  };
+}
+
+/// B records near A records: each is a copy of a random A record with
+/// each bit flipped with probability 1/`one_in`, so rules with tight
+/// thresholds still see matches.
+std::vector<EncodedRecord> NearRecords(const std::vector<EncodedRecord>& a,
+                                       size_t n, size_t one_in,
+                                       RecordId first_id, Rng& rng) {
+  std::vector<EncodedRecord> out;
+  for (size_t i = 0; i < n; ++i) {
+    EncodedRecord r = a[rng.Below(a.size())];
+    r.id = first_id + i;
+    for (size_t bit = 0; bit < r.bits.size(); ++bit) {
+      if (rng.Below(one_in) != 0) continue;
+      if (r.bits.Test(bit)) {
+        r.bits.Clear(bit);
+      } else {
+        r.bits.Set(bit);
+      }
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+/// The matcher under `classifier` must equal the per-pair oracle, and
+/// every runnable kernel set at 1, 2 and 8 threads must equal the scalar
+/// set: pairs in order and every MatchStats field.
+void ExpectMatcherEquivalence(
+    size_t bits, const PairClassifier& classifier,
+    const std::function<bool(const BitVector&, const BitVector&)>& oracle) {
   Rng rng(97);
   const size_t kNumA = 64;
   std::vector<EncodedRecord> a = RandomRecords(kNumA, bits, 0, rng);
-  std::vector<EncodedRecord> b = RandomRecords(211, bits, 1000, rng);
+  std::vector<EncodedRecord> b = RandomRecords(120, bits, 1000, rng);
+  const std::vector<EncodedRecord> near =
+      NearRecords(a, 91, 12, 2000, rng);
+  b.insert(b.end(), near.begin(), near.end());
   SpanSource source(kNumA, 19);
   VectorStore store;
   store.AddAll(a);
   Matcher matcher(&source, &store);
-  const PairClassifier classifier = MakeRecordThresholdClassifier(theta);
 
   MatchStats ref_stats;
   std::vector<IdPair> reference;
@@ -384,6 +576,9 @@ void ExpectMatcherEquivalence(size_t bits, size_t theta) {
   ASSERT_GT(ref_stats.matches, 0u) << "test needs a non-trivial workload";
   ASSERT_LT(ref_stats.matches, ref_stats.comparisons)
       << "test needs non-matches too";
+  MatchStats oracle_stats;
+  EXPECT_EQ(PerPairOracle(source, a, b, oracle, &oracle_stats), reference);
+  EXPECT_TRUE(SameStats(oracle_stats, ref_stats));
 
   for (const KernelSet* kernels : RunnableKernelSets()) {
     ScopedForcedKernels force(kernels);
@@ -395,30 +590,82 @@ void ExpectMatcherEquivalence(size_t bits, size_t theta) {
       EXPECT_EQ(pairs, reference)
           << kernels->name << " diverges at " << threads << " threads, "
           << bits << " bits";
-      EXPECT_EQ(stats.comparisons, ref_stats.comparisons) << kernels->name;
-      EXPECT_EQ(stats.matches, ref_stats.matches) << kernels->name;
-      EXPECT_EQ(stats.dedup_skipped, ref_stats.dedup_skipped)
-          << kernels->name;
+      EXPECT_TRUE(SameStats(stats, ref_stats))
+          << kernels->name << " stats diverge at " << threads << " threads";
     }
   }
 }
 
+/// Whole-record threshold classifier plus its per-pair oracle.
+void ExpectThresholdEquivalence(size_t bits, size_t theta) {
+  ExpectMatcherEquivalence(
+      bits, MakeRecordThresholdClassifier(theta),
+      [theta](const BitVector& x, const BitVector& y) {
+        return x.HammingDistance(y) <= theta;
+      });
+}
+
+void ExpectRuleEquivalence(const Rule& rule, const RecordLayout& layout) {
+  ExpectMatcherEquivalence(layout.total_bits(),
+                           MakeRuleClassifier(rule, layout),
+                           RuleOracle(rule, layout));
+}
+
+/// The NCVR cBV layout at 120 bits (Table 3): 15/15/68/22.
+RecordLayout NcvrLayout() {
+  RecordLayout layout;
+  for (const size_t size : {15u, 15u, 68u, 22u}) layout.Add(size);
+  return layout;
+}
+
 TEST(HammingKernelsMatcherTest, ByteIdentical120BitCbv) {
-  // The paper's Table 3 shape: 2-word records through batch_leq2.
-  ExpectMatcherEquivalence(120, 40);
+  // The paper's Table 3 shape: 2-word records through the packed kernel.
+  ExpectThresholdEquivalence(120, 40);
 }
 
 TEST(HammingKernelsMatcherTest, ByteIdenticalWideRecords) {
-  // Bloom-filter-width records through the general batch kernel.  With
+  // Bloom-filter-width records through the row-at-a-time kernel.  With
   // density-1/3 random records the pairwise distance concentrates near
   // 2 * (1/3) * (2/3) * 500 ~ 222, so theta 225 splits the workload into
   // real matches and real non-matches.
-  ExpectMatcherEquivalence(500, 225);
+  ExpectThresholdEquivalence(500, 225);
 }
 
 TEST(HammingKernelsMatcherTest, ByteIdenticalOddWidth) {
   // A width straddling word boundaries (3 words, 65 used bits in word 2).
-  ExpectMatcherEquivalence(129, 44);
+  ExpectThresholdEquivalence(129, 44);
+}
+
+TEST(HammingKernelsMatcherTest, ByteIdenticalPlRule) {
+  // The paper's PL rule: every attribute within 4.
+  ExpectRuleEquivalence(Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4),
+                                   Rule::Pred(2, 4), Rule::Pred(3, 4)}),
+                        NcvrLayout());
+}
+
+TEST(HammingKernelsMatcherTest, ByteIdenticalRuleC1) {
+  // Rule C1: f1 <= 4 AND f2 <= 4 AND f3 <= 8.
+  ExpectRuleEquivalence(
+      Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4), Rule::Pred(2, 8)}),
+      NcvrLayout());
+}
+
+TEST(HammingKernelsMatcherTest, ByteIdenticalBloomRule) {
+  // BfH's shape: four 500-bit Bloom filters (32 words), one predicate per
+  // filter, each reading only the words its segment spans.
+  RecordLayout layout;
+  for (int i = 0; i < 4; ++i) layout.Add(500);
+  ExpectRuleEquivalence(Rule::And({Rule::Pred(0, 200), Rule::Pred(1, 200),
+                                   Rule::Pred(2, 200), Rule::Pred(3, 200)}),
+                        layout);
+}
+
+TEST(HammingKernelsMatcherTest, ByteIdenticalOrNotRule) {
+  // OR and NOT take the per-row node program inside ClassifyBatch.
+  ExpectRuleEquivalence(
+      Rule::Or({Rule::And({Rule::Pred(0, 4), Rule::Pred(2, 8)}),
+                Rule::And({Rule::Pred(3, 3), Rule::Not(Rule::Pred(1, 2))})}),
+      NcvrLayout());
 }
 
 }  // namespace

@@ -10,7 +10,10 @@
 #include <vector>
 
 #include "src/common/failpoint.h"
+#include "src/common/hamming_kernels.h"
+#include "src/datagen/dataset.h"
 #include "src/datagen/generators.h"
+#include "src/linkage/cbv_hb_linker.h"
 #include "src/telemetry/metrics.h"
 
 namespace cbvlink {
@@ -211,6 +214,57 @@ TEST(ServiceTest, BatchMatchEqualsSerialMatch) {
   std::vector<IdPair> batch;
   ASSERT_TRUE(service.value()->MatchBatch(queries, &batch).ok());
   EXPECT_EQ(Sorted(std::move(batch)), Sorted(std::move(serial)));
+}
+
+TEST(ServiceTest, MatchEqualsBatchLinkUnderEveryKernelSet) {
+  // The service and the batch linker are separate match paths (gathered
+  // contiguous rows vs arena rows by dense index) over the same compiled
+  // rule.  With the PL rule, explicit expected q-gram counts and one seed
+  // they build the same encoder and blocking tables, so the served pairs
+  // must equal Link's, under every kernel set this host can run.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  LinkagePairOptions data_options;
+  data_options.num_records = 3000;
+  data_options.seed = 3;
+  Result<LinkagePair> data = BuildLinkagePair(
+      gen.value(), PerturbationScheme::Light(), data_options);
+  ASSERT_TRUE(data.ok());
+  const CbvHbConfig config = BaseConfig(gen.value().schema());
+
+  std::vector<const KernelSet*> sets = {&ScalarKernels()};
+  if (Avx2Kernels() != nullptr && CpuSupportsAvx2()) {
+    sets.push_back(Avx2Kernels());
+  }
+  if (Avx512Kernels() != nullptr && CpuSupportsAvx512Popcnt()) {
+    sets.push_back(Avx512Kernels());
+  }
+  struct ScopedForcedKernels {
+    explicit ScopedForcedKernels(const KernelSet* k) { ForceKernelsForTest(k); }
+    ~ScopedForcedKernels() { ForceKernelsForTest(nullptr); }
+  };
+  for (const KernelSet* kernels : sets) {
+    ScopedForcedKernels force(kernels);
+    Result<CbvHbLinker> linker = CbvHbLinker::Create(config);
+    ASSERT_TRUE(linker.ok());
+    Result<LinkageResult> linked =
+        linker.value().Link(data.value().a, data.value().b);
+    ASSERT_TRUE(linked.ok());
+
+    Result<std::unique_ptr<LinkageService>> service =
+        LinkageService::Create(config);
+    ASSERT_TRUE(service.ok());
+    ASSERT_TRUE(service.value()->InsertBatch(data.value().a).ok());
+    std::vector<IdPair> served;
+    for (const Record& query : data.value().b) {
+      ASSERT_TRUE(service.value()->Match(query, &served).ok());
+    }
+    ASSERT_GT(linked.value().matches.size(), data_options.num_records / 4)
+        << "test needs a non-trivial workload";
+    EXPECT_EQ(Sorted(std::move(served)),
+              Sorted(std::move(linked.value().matches)))
+        << kernels->name;
+  }
 }
 
 TEST(ServiceTest, ConcurrentMatchBatchCallsShareThePool) {
