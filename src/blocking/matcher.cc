@@ -260,31 +260,35 @@ void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
 void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
                        std::vector<IdPair>* out, MatchStats* stats,
                        Scratch* scratch) const {
+  // Counters are optional (some callers only want the pairs); fold into a
+  // local so the hot loop never branches on stats.
+  MatchStats local;
+  MatchStats* const s = stats != nullptr ? stats : &local;
+  Probe(b.bits, s, scratch);
+  Classify(b, classifier, out, s, scratch);
+}
+
+void Matcher::Probe(const BitVector& probe, MatchStats* stats,
+                    Scratch* scratch) const {
   scratch->Prepare(store_a_->size());
   uint32_t* const stamps = scratch->stamps_.data();
   const uint32_t epoch = scratch->epoch_;
-  // Counters are optional (some callers only want the pairs); fold into a
-  // local and copy out once so the hot loop never branches on stats.
-  MatchStats local;
-  MatchStats* const s = stats != nullptr ? stats : &local;
   // Stage every first-seen live candidate while walking the bucket
-  // spans, then classify the probe's whole fresh set in one call:
-  // candidates sit at a fixed stride in the arena, so the kernel streams
-  // them through the dense index list.
+  // spans; Classify then takes the probe's whole fresh set in one call.
   std::vector<uint32_t>& fresh_dense = scratch->fresh_dense_;
   source_->ForEachCandidateSpan(
-      b.bits, [&](std::span<const RecordId> bucket) {
-        s->candidate_occurrences += bucket.size();
+      probe, [&](std::span<const RecordId> bucket) {
+        stats->candidate_occurrences += bucket.size();
         for (const RecordId a_id : bucket) {
           const uint32_t dense = store_a_->DenseIndex(a_id);
           if (dense == VectorStore::kNotFound) {
             // Id indexed but vector unknown: no dense slot to stamp, so
             // de-duplicate through the (steady-state empty) side set.
-            if (!scratch->unknown_.insert(a_id).second) ++s->dedup_skipped;
+            if (!scratch->unknown_.insert(a_id).second) ++stats->dedup_skipped;
             continue;
           }
           if (stamps[dense] == epoch) {
-            ++s->dedup_skipped;
+            ++stats->dedup_skipped;
             continue;
           }
           stamps[dense] = epoch;
@@ -294,8 +298,17 @@ void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
           fresh_dense.push_back(dense);
         }
       });
+}
+
+void Matcher::Classify(const EncodedRecord& b,
+                       const PairClassifier& classifier,
+                       std::vector<IdPair>* out, MatchStats* stats,
+                       Scratch* scratch) const {
+  // Candidates sit at a fixed stride in the arena, so the kernel streams
+  // them through the dense index list.
+  const std::vector<uint32_t>& fresh_dense = scratch->fresh_dense_;
   const size_t n = fresh_dense.size();
-  s->comparisons += n;
+  stats->comparisons += n;
   if (n == 0) return;
   if (scratch->verdicts_.size() < n) scratch->verdicts_.resize(n);
   classifier.ClassifyBatch(b.bits.words().data(), store_a_->arena().data(),
@@ -303,8 +316,35 @@ void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
                            n, scratch->verdicts_.data());
   for (size_t i = 0; i < n; ++i) {
     if (scratch->verdicts_[i] != 0) {
-      ++s->matches;
+      ++stats->matches;
       out->push_back(IdPair{store_a_->IdAt(fresh_dense[i]), b.id});
+    }
+  }
+}
+
+void Matcher::ClassifyUnstamped(const EncodedRecord& b,
+                                const PairClassifier& classifier,
+                                std::vector<IdPair>* out, MatchStats* stats,
+                                Scratch* scratch) const {
+  // One kernel call over the whole contiguous arena, then keep the
+  // verdicts of the live slots the probe did not already stamp.
+  // Classifying a stamped or dead row too is cheaper than gathering the
+  // rest into a dense list.
+  const size_t n = store_a_->size();
+  if (n == 0) return;
+  if (scratch->verdicts_.size() < n) scratch->verdicts_.resize(n);
+  const uint8_t* const verdicts = scratch->verdicts_.data();
+  classifier.ClassifyBatch(b.bits.words().data(), store_a_->arena().data(),
+                           store_a_->words_per_record(), /*dense=*/nullptr, n,
+                           scratch->verdicts_.data());
+  const uint32_t* const stamps = scratch->stamps_.data();
+  const uint32_t epoch = scratch->epoch_;
+  for (uint32_t dense = 0; dense < n; ++dense) {
+    if (stamps[dense] == epoch || store_a_->IsDead(dense)) continue;
+    ++stats->comparisons;
+    if (verdicts[dense] != 0) {
+      ++stats->matches;
+      out->push_back(IdPair{store_a_->IdAt(dense), b.id});
     }
   }
 }

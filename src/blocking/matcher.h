@@ -304,10 +304,33 @@ class Matcher {
   void MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
                 std::vector<IdPair>* out, MatchStats* stats) const;
 
-  /// MatchOne with caller-owned scratch (per-thread reuse).
+  /// MatchOne with caller-owned scratch (per-thread reuse).  Exactly
+  /// Probe followed by Classify.
   void MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
                 std::vector<IdPair>* out, MatchStats* stats,
                 Scratch* scratch) const;
+
+  /// MatchOne's candidates stage: walks `probe`'s buckets, stamps every
+  /// candidate in `scratch` and stages the first-seen live ones.  Adds
+  /// candidate_occurrences and dedup_skipped to `*stats` (not null).
+  void Probe(const BitVector& probe, MatchStats* stats,
+             Scratch* scratch) const;
+
+  /// MatchOne's compare stage: classifies the candidates the last Probe
+  /// staged in `scratch` with one ClassifyBatch call and appends matched
+  /// pairs in staging order.  Adds comparisons and matches to `*stats`.
+  void Classify(const EncodedRecord& b, const PairClassifier& classifier,
+                std::vector<IdPair>* out, MatchStats* stats,
+                Scratch* scratch) const;
+
+  /// Exact fallback after Probe(b.bits): classifies every live record
+  /// the probe did not stamp, with one ClassifyBatch call over the
+  /// contiguous arena, and appends matched pairs in arena order.  With
+  /// Classify, every live record is compared exactly once.
+  void ClassifyUnstamped(const EncodedRecord& b,
+                         const PairClassifier& classifier,
+                         std::vector<IdPair>* out, MatchStats* stats,
+                         Scratch* scratch) const;
 
   /// Matches every B record in sequence.  `stats` may be null.
   std::vector<IdPair> MatchAll(const std::vector<EncodedRecord>& b_records,

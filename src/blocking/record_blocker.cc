@@ -118,6 +118,16 @@ void RecordLevelBlocker::ForEachCandidateSpan(
   }
 }
 
+bool RecordLevelBlocker::ProbeOverflowed(const BitVector& probe) const {
+  for (size_t l = 0; l < tables_.size(); ++l) {
+    if (tables_[l].NumOverflowed() != 0 &&
+        tables_[l].Overflowed(family_.Key(probe, l))) {
+      return true;
+    }
+  }
+  return false;
+}
+
 size_t RecordLevelBlocker::TotalBuckets() const {
   size_t total = 0;
   for (const BlockingTable& table : tables_) total += table.NumBuckets();

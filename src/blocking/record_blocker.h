@@ -71,6 +71,12 @@ class RecordLevelBlocker : public CandidateSource {
   static Result<RecordLevelBlocker> CreateWithL(size_t num_bits, size_t K,
                                                 size_t L, Rng& rng);
 
+  /// An empty blocker over `family`'s L composite keys whose buckets hold
+  /// at most `bucket_cap` Ids each (0 = unlimited; see BlockingTable).
+  explicit RecordLevelBlocker(HammingLshFamily family, size_t bucket_cap = 0)
+      : family_(std::move(family)),
+        tables_(family_.L(), BlockingTable(bucket_cap)) {}
+
   /// Inserts every record of data set A.  May be called repeatedly to add
   /// more records.
   void Index(const std::vector<EncodedRecord>& records);
@@ -100,6 +106,11 @@ class RecordLevelBlocker : public CandidateSource {
       const BitVector& probe,
       FunctionRef<void(std::span<const RecordId>)> cb) const override;
 
+  /// True when one of the buckets `probe` maps to dropped Ids at the
+  /// cap, so its candidates are incomplete.  Free while no bucket has
+  /// overflowed; otherwise recomputes the L keys.
+  bool ProbeOverflowed(const BitVector& probe) const;
+
   size_t L() const { return tables_.size(); }
   size_t K() const { return family_.K(); }
 
@@ -111,10 +122,14 @@ class RecordLevelBlocker : public CandidateSource {
   /// (eval/block_stats.h).
   const std::vector<BlockingTable>& tables() const { return tables_; }
 
- private:
-  RecordLevelBlocker(HammingLshFamily family)
-      : family_(std::move(family)), tables_(family_.L()) {}
+  /// Snapshot restore of one bucket of group `group` (< L()); see
+  /// BlockingTable::RestoreBucket.
+  void RestoreBucket(size_t group, uint64_t key,
+                     std::span<const RecordId> ids, bool overflowed) {
+    tables_[group].RestoreBucket(key, ids, overflowed);
+  }
 
+ private:
   HammingLshFamily family_;
   std::vector<BlockingTable> tables_;
 };

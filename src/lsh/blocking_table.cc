@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 namespace cbvlink {
 
@@ -18,12 +17,15 @@ bool OverLoaded(size_t buckets, size_t num_slots) {
   return buckets * 4 > num_slots * 3;
 }
 
-/// Aborts when a bucket would outgrow the 32-bit size field.
+/// Largest bucket a slot's 31-bit capacity field can describe.
+constexpr uint64_t kMaxBucketIds = (uint64_t{1} << 31) - 1;
+
+/// Aborts when a bucket would outgrow the 31-bit capacity field.
 void CheckBucketSize(uint64_t size) {
-  if (size > std::numeric_limits<uint32_t>::max()) {
+  if (size > kMaxBucketIds) {
     std::fprintf(stderr,
-                 "cbvlink: blocking bucket exceeds %u Ids; aborting\n",
-                 std::numeric_limits<uint32_t>::max());
+                 "cbvlink: blocking bucket exceeds %llu Ids; aborting\n",
+                 static_cast<unsigned long long>(kMaxBucketIds));
     std::abort();
   }
 }
@@ -63,8 +65,7 @@ size_t BlockingTable::FindOrClaimSlot(uint64_t key) {
   return pos;
 }
 
-void BlockingTable::Insert(uint64_t key, RecordId id) {
-  const size_t pos = FindOrClaimSlot(key);
+void BlockingTable::Append(size_t pos, RecordId id) {
   Slot& slot = slots_[pos];
   if (slot.size == slot.capacity) {
     const uint64_t grown =
@@ -90,6 +91,24 @@ void BlockingTable::Insert(uint64_t key, RecordId id) {
   max_bucket_size_ = std::max<size_t>(max_bucket_size_, slot.size);
 }
 
+void BlockingTable::MarkOverflowed(size_t pos) {
+  Slot& slot = slots_[pos];
+  if (slot.overflowed == 0) {
+    slot.overflowed = 1;
+    ++num_overflowed_;
+  }
+}
+
+void BlockingTable::Insert(uint64_t key, RecordId id) {
+  const size_t pos = FindOrClaimSlot(key);
+  if (bucket_cap_ != 0 && slots_[pos].size >= bucket_cap_) {
+    MarkOverflowed(pos);
+    ++num_dropped_;
+    return;
+  }
+  Append(pos, id);
+}
+
 void BlockingTable::BulkInsert(std::span<const uint64_t> keys,
                                std::span<const RecordId> ids) {
   if (num_entries_ != 0) {
@@ -99,11 +118,19 @@ void BlockingTable::BulkInsert(std::span<const uint64_t> keys,
     return;
   }
   // Count: claim one slot per distinct key, tallying its size into
-  // capacity (the slot array grows to fit the distinct keys only).
+  // capacity (the slot array grows to fit the distinct keys only).  An
+  // Id past the cap is dropped here, so the fill below keeps each
+  // bucket's first `bucket_cap_` Ids.
   for (size_t i = 0; i < ids.size(); ++i) {
-    Slot& slot = slots_[FindOrClaimSlot(keys[i])];
+    const size_t pos = FindOrClaimSlot(keys[i]);
+    Slot& slot = slots_[pos];
+    if (bucket_cap_ != 0 && slot.capacity >= bucket_cap_) {
+      MarkOverflowed(pos);
+      ++num_dropped_;
+      continue;
+    }
     CheckBucketSize(uint64_t{slot.capacity} + 1);
-    ++slot.capacity;
+    slot.capacity = slot.capacity + 1;
   }
   // Size: lay the buckets out back to back, each exactly its count.
   uint64_t offset = 0;
@@ -113,7 +140,8 @@ void BlockingTable::BulkInsert(std::span<const uint64_t> keys,
     offset += slot.capacity;
     max_bucket_size_ = std::max<size_t>(max_bucket_size_, slot.capacity);
   }
-  // Fill, in input order, so each bucket keeps insertion order.
+  // Fill, in input order, so each bucket keeps insertion order.  A full
+  // bucket only happens under the cap: its later Ids were dropped above.
   ids_.resize(offset);
   for (size_t i = 0; i < ids.size(); ++i) {
     const uint64_t key = keys[i];
@@ -121,10 +149,20 @@ void BlockingTable::BulkInsert(std::span<const uint64_t> keys,
     size_t pos = HomeSlot(key);
     while (slots_[pos].key != key) pos = (pos + 1) & slot_mask_;
     Slot& slot = slots_[pos];
+    if (slot.size == slot.capacity) continue;
     ids_[slot.offset + slot.size] = ids[i];
     ++slot.size;
   }
-  num_entries_ = ids.size();
+  num_entries_ = offset;
+}
+
+void BlockingTable::RestoreBucket(uint64_t key,
+                                  std::span<const RecordId> ids,
+                                  bool overflowed) {
+  if (ids.empty()) return;
+  const size_t pos = FindOrClaimSlot(key);
+  for (const RecordId id : ids) Append(pos, id);
+  if (overflowed) MarkOverflowed(pos);
 }
 
 std::vector<uint64_t> BlockingTable::OccupancyHistogram(size_t slots) const {
@@ -139,16 +177,20 @@ std::vector<uint64_t> BlockingTable::OccupancyHistogram(size_t slots) const {
 }
 
 bool operator==(const BlockingTable& x, const BlockingTable& y) {
-  if (x.NumBuckets() != y.NumBuckets() || x.NumEntries() != y.NumEntries()) {
+  if (x.NumBuckets() != y.NumBuckets() || x.NumEntries() != y.NumEntries() ||
+      x.NumOverflowed() != y.NumOverflowed() ||
+      x.NumDropped() != y.NumDropped()) {
     return false;
   }
   bool equal = true;
-  x.ForEachBucket([&](uint64_t key, std::span<const RecordId> bucket) {
-    if (!equal) return;
-    const std::span<const RecordId> other = y.Get(key);
-    equal = std::equal(bucket.begin(), bucket.end(), other.begin(),
-                       other.end());
-  });
+  x.ForEachBucket(
+      [&](uint64_t key, std::span<const RecordId> bucket, bool overflowed) {
+        if (!equal) return;
+        const std::span<const RecordId> other = y.Get(key);
+        equal = std::equal(bucket.begin(), bucket.end(), other.begin(),
+                           other.end()) &&
+                y.Overflowed(key) == overflowed;
+      });
   return equal;
 }
 

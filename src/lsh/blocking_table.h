@@ -16,12 +16,21 @@
 // already sits at the end).  Probing is one hash, a short linear scan and
 // a span over the id array; freeing the table frees two buffers.  Ids in
 // a bucket stay in insertion order on every path.
+//
+// An optional bucket cap bounds the Section 5.2 "few overpopulated
+// buckets" failure mode: once a bucket holds `bucket_cap` Ids, further
+// Ids for its key are dropped and counted, and the slot's overflow bit
+// is set so a caller can compensate (the service's scan fallback).  The
+// bit lives in the slot's capacity word, so the cap costs no slot space
+// and an uncapped table pays one predictable branch.  Insert and
+// BulkInsert keep the first `bucket_cap` Ids in insertion order.
 
 #ifndef CBVLINK_LSH_BLOCKING_TABLE_H_
 #define CBVLINK_LSH_BLOCKING_TABLE_H_
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/hashing.h"
@@ -34,17 +43,37 @@ class BlockingTable {
  public:
   BlockingTable() = default;
 
-  /// Appends `id` to the bucket for `key`.
+  /// A table whose buckets hold at most `bucket_cap` Ids (0 = unlimited).
+  explicit BlockingTable(size_t bucket_cap) : bucket_cap_(bucket_cap) {}
+
+  /// Appends `id` to the bucket for `key`; when the bucket is at the cap,
+  /// drops it instead and sets the bucket's overflow bit.
   void Insert(uint64_t key, RecordId id);
 
   /// Bulk merge primitive for the two-phase parallel index build:
   /// inserts ids[i] under keys[i] for i in [0, ids.size()), with the same
   /// contents as that sequence of Insert() calls (same per-bucket id
-  /// order, same counters).  `keys` holds at least ids.size() entries.
-  /// On an empty table it sizes every bucket exactly (count, then fill);
-  /// on a non-empty one it falls back to Insert().
+  /// order, same overflow bits, same counters).  `keys` holds at least
+  /// ids.size() entries.  On an empty table it sizes every bucket exactly
+  /// (count, then fill); on a non-empty one it falls back to Insert().
   void BulkInsert(std::span<const uint64_t> keys,
                   std::span<const RecordId> ids);
+
+  /// Snapshot restore: appends `ids` to the bucket for `key` without
+  /// applying the cap, and sets its overflow bit when `overflowed`.  An
+  /// empty `ids` leaves the table unchanged (there is nothing to probe).
+  void RestoreBucket(uint64_t key, std::span<const RecordId> ids,
+                     bool overflowed);
+
+  /// True when the bucket for `key` has dropped Ids at the cap.
+  bool Overflowed(uint64_t key) const {
+    if (num_overflowed_ == 0) return false;
+    for (size_t pos = HomeSlot(key);; pos = (pos + 1) & slot_mask_) {
+      const Slot& slot = slots_[pos];
+      if (slot.capacity == 0) return false;
+      if (slot.key == key) return slot.overflowed != 0;
+    }
+  }
 
   /// The bucket for `key`; empty when no record hashed there.  The span
   /// is valid until the next Insert/BulkInsert.
@@ -67,6 +96,10 @@ class BlockingTable {
   /// Size of the largest bucket (0 for an empty table).  O(1).
   size_t MaxBucketSize() const { return max_bucket_size_; }
 
+  /// Buckets whose overflow bit is set, and Ids the cap dropped.  O(1).
+  size_t NumOverflowed() const { return num_overflowed_; }
+  size_t NumDropped() const { return num_dropped_; }
+
   /// Mean entries per non-empty bucket (0 for an empty table).  The
   /// Eq. 2 health signal: under the paper's model each table should
   /// spread records near-uniformly, so a mean far below the max flags
@@ -84,30 +117,40 @@ class BlockingTable {
   /// telemetry layer.
   std::vector<uint64_t> OccupancyHistogram(size_t slots = 16) const;
 
-  /// Calls f(key, bucket) once per non-empty bucket, in slot order (not
-  /// key or insertion order).  Each bucket's Ids are in insertion order.
+  /// Calls f(key, bucket) — or f(key, bucket, overflowed) when `f` takes
+  /// three arguments — once per non-empty bucket, in slot order (not key
+  /// or insertion order).  Each bucket's Ids are in insertion order.
   template <typename F>
   void ForEachBucket(F&& f) const {
     for (const Slot& slot : slots_) {
       if (slot.capacity == 0) continue;
-      f(slot.key,
-        std::span<const RecordId>(ids_.data() + slot.offset, slot.size));
+      const std::span<const RecordId> bucket(ids_.data() + slot.offset,
+                                             slot.size);
+      if constexpr (std::is_invocable_v<F, uint64_t,
+                                        std::span<const RecordId>, bool>) {
+        f(slot.key, bucket, slot.overflowed != 0);
+      } else {
+        f(slot.key, bucket);
+      }
     }
   }
 
   /// Equal by content: the same keys, each with the same Ids in the same
-  /// order.  Slot placement and id-array slack do not matter.
+  /// order and the same overflow bit, and the same drop count.  Slot
+  /// placement and id-array slack do not matter.
   friend bool operator==(const BlockingTable& x, const BlockingTable& y);
 
  private:
   /// A claimed slot has capacity > 0; its bucket is
-  /// ids_[offset, offset + size).  Sizes are 32-bit (a single bucket
-  /// above 2^32 - 1 Ids aborts); offsets are 64-bit.
+  /// ids_[offset, offset + size).  Sizes are 31-bit (a single bucket
+  /// above 2^31 - 1 Ids aborts); offsets are 64-bit.  The top bit of the
+  /// capacity word is the overflow bit.
   struct Slot {
     uint64_t key = 0;
     uint64_t offset = 0;
     uint32_t size = 0;
-    uint32_t capacity = 0;
+    uint32_t capacity : 31 = 0;
+    uint32_t overflowed : 1 = 0;
   };
 
   size_t HomeSlot(uint64_t key) const {
@@ -125,12 +168,22 @@ class BlockingTable {
   /// Rehashes every claimed slot into `num_slots` (a power of two).
   void Rehash(size_t num_slots);
 
+  /// Appends `id` to the bucket of the slot at `pos`, growing it as
+  /// needed (the cap is the caller's business).
+  void Append(size_t pos, RecordId id);
+
+  /// Sets the overflow bit of the slot at `pos`.
+  void MarkOverflowed(size_t pos);
+
   std::vector<Slot> slots_;
   size_t slot_mask_ = 0;
   std::vector<RecordId> ids_;
+  size_t bucket_cap_ = 0;
   size_t num_buckets_ = 0;
   size_t num_entries_ = 0;
   size_t max_bucket_size_ = 0;
+  size_t num_overflowed_ = 0;
+  size_t num_dropped_ = 0;
 };
 
 }  // namespace cbvlink

@@ -1,5 +1,7 @@
 #include "src/service/linkage_service.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -18,12 +20,6 @@ namespace cbvlink {
 
 namespace {
 
-size_t RoundUpPowerOfTwo(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 void AtomicMinRelaxed(std::atomic<uint64_t>* target, uint64_t value) {
   uint64_t cur = target->load(std::memory_order_relaxed);
   while (cur > value &&
@@ -40,108 +36,142 @@ void AtomicMaxRelaxed(std::atomic<uint64_t>* target, uint64_t value) {
   }
 }
 
+/// The num_shards field of every written snapshot.  The index is no
+/// longer sharded; the field keeps the old default so snapshot bytes do
+/// not change, and Restore still validates what a file carries.
+constexpr uint64_t kSnapshotNumShards = 16;
+
+/// A reader/writer lock whose waiting writers hold back new readers.
+/// glibc's std::shared_mutex prefers readers, so a steady stream of
+/// overlapping Matches could starve a mutator forever; here a Match waits
+/// for at most the writes already queued.  Readers must not re-lock
+/// shared while holding the lock (a queued writer would deadlock them).
+class WriterPreferringMutex {
+ public:
+  WriterPreferringMutex() {
+    pthread_rwlockattr_t attr;
+    pthread_rwlockattr_init(&attr);
+#ifdef __GLIBC__
+    pthread_rwlockattr_setkind_np(
+        &attr, PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP);
+#endif
+    pthread_rwlock_init(&rw_, &attr);
+    pthread_rwlockattr_destroy(&attr);
+  }
+  ~WriterPreferringMutex() { pthread_rwlock_destroy(&rw_); }
+  WriterPreferringMutex(const WriterPreferringMutex&) = delete;
+  WriterPreferringMutex& operator=(const WriterPreferringMutex&) = delete;
+
+  void lock() { pthread_rwlock_wrlock(&rw_); }
+  void unlock() { pthread_rwlock_unlock(&rw_); }
+  void lock_shared() { pthread_rwlock_rdlock(&rw_); }
+  void unlock_shared() { pthread_rwlock_unlock(&rw_); }
+
+ private:
+  pthread_rwlock_t rw_;
+};
+
+/// Every live record of `store`, sorted by id.
+std::vector<EncodedRecord> LiveRecords(const VectorStore& store) {
+  std::vector<uint32_t> live;
+  live.reserve(store.live_size());
+  for (uint32_t dense = 0; dense < store.size(); ++dense) {
+    if (!store.IsDead(dense)) live.push_back(dense);
+  }
+  std::sort(live.begin(), live.end(), [&](uint32_t x, uint32_t y) {
+    return store.IdAt(x) < store.IdAt(y);
+  });
+  std::vector<EncodedRecord> records;
+  records.reserve(live.size());
+  for (const uint32_t dense : live) {
+    records.push_back(EncodedRecord{store.IdAt(dense), store.VectorAt(dense)});
+  }
+  return records;
+}
+
+/// Per-thread matcher scratch (the stamp array and the staging buffers).
+/// Stamps are epoch-tagged per probe, so one scratch serves every core
+/// and every service a thread touches.
+Matcher::Scratch& ThreadScratch() {
+  thread_local Matcher::Scratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
-ConcurrentVectorStore::ConcurrentVectorStore(size_t num_shards) {
-  const size_t n = RoundUpPowerOfTwo(std::max<size_t>(num_shards, 1));
-  mask_ = n - 1;
-  shards_.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
+struct LinkageService::Core {
+  Core(HammingLshFamily family, size_t bucket_cap)
+      : blocker(std::move(family), bucket_cap), matcher(&blocker, &store) {}
+  Core(const Core&) = delete;
+  Core& operator=(const Core&) = delete;
+
+  bool IsLive(RecordId id) const {
+    const uint32_t dense = store.DenseIndex(id);
+    return dense != VectorStore::kNotFound && !store.IsDead(dense);
   }
-}
 
-void ConcurrentVectorStore::Add(const EncodedRecord& record) {
-  CBVLINK_FAILPOINT_DELAY("store.add");
-  Shard& shard = *shards_[ShardOf(record.id)];
-  std::unique_lock lock(shard.mu);
-  shard.vectors.insert_or_assign(record.id, record.bits);
-}
-
-bool ConcurrentVectorStore::Remove(RecordId id) {
-  CBVLINK_FAILPOINT_DELAY("store.add");
-  Shard& shard = *shards_[ShardOf(id)];
-  std::unique_lock lock(shard.mu);
-  return shard.vectors.erase(id) != 0;
-}
-
-bool ConcurrentVectorStore::Find(RecordId id, BitVector* out) const {
-  CBVLINK_FAILPOINT_DELAY("store.find");
-  const Shard& shard = *shards_[ShardOf(id)];
-  std::shared_lock lock(shard.mu);
-  const auto it = shard.vectors.find(id);
-  if (it == shard.vectors.end()) return false;
-  *out = it->second;
-  return true;
-}
-
-bool ConcurrentVectorStore::CopyWords(RecordId id, size_t num_words,
-                                      uint64_t* dst) const {
-  CBVLINK_FAILPOINT_DELAY("store.find");
-  const Shard& shard = *shards_[ShardOf(id)];
-  std::shared_lock lock(shard.mu);
-  const auto it = shard.vectors.find(id);
-  if (it == shard.vectors.end()) return false;
-  const std::vector<uint64_t>& words = it->second.words();
-  if (words.size() != num_words) return false;
-  std::copy(words.begin(), words.end(), dst);
-  return true;
-}
-
-bool ConcurrentVectorStore::Contains(RecordId id) const {
-  const Shard& shard = *shards_[ShardOf(id)];
-  std::shared_lock lock(shard.mu);
-  return shard.vectors.contains(id);
-}
-
-void ConcurrentVectorStore::ForEach(
-    const std::function<void(RecordId, const BitVector&)>& fn) const {
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mu);
-    for (const auto& [id, bits] : shard->vectors) fn(id, bits);
+  /// Stores `record` without indexing it.  A live id is removed first,
+  /// so Add brings its slot back with the new bits (overwrite, not
+  /// first-wins); an insert of a tombstoned id resurrects it.
+  void Store(const EncodedRecord& record) {
+    store.Remove(record.id);
+    store.Add(record);
+    if (!tombstones.empty()) tombstones.erase(record.id);
   }
-}
 
-size_t ConcurrentVectorStore::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mu);
-    total += shard->vectors.size();
+  /// Store + index the record's blocking keys.
+  void Put(const EncodedRecord& record) {
+    Store(record);
+    blocker.Insert(record);
   }
-  return total;
-}
 
-std::vector<EncodedRecord> ConcurrentVectorStore::Export() const {
-  std::vector<EncodedRecord> out;
-  out.reserve(size());
-  ForEach([&out](RecordId id, const BitVector& bits) {
-    out.push_back(EncodedRecord{id, bits});
-  });
-  std::sort(out.begin(), out.end(),
-            [](const EncodedRecord& a, const EncodedRecord& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
+  /// Sets `id`'s dead-slot bit and tombstones it; false when not live.
+  bool Kill(RecordId id) {
+    if (!store.Remove(id)) return false;
+    tombstones.insert(id);
+    return true;
+  }
+
+  /// Every live id.
+  std::vector<RecordId> LiveIds() const {
+    std::vector<RecordId> ids;
+    ids.reserve(store.live_size());
+    for (uint32_t dense = 0; dense < store.size(); ++dense) {
+      if (!store.IsDead(dense)) ids.push_back(store.IdAt(dense));
+    }
+    return ids;
+  }
+
+  size_t NumEntries() const {
+    size_t total = 0;
+    for (const BlockingTable& table : blocker.tables()) {
+      total += table.NumEntries();
+    }
+    return total;
+  }
+
+  /// Mutators hold it exclusive; Match, snapshots and telemetry shared.
+  mutable WriterPreferringMutex mu;
+  VectorStore store;
+  RecordLevelBlocker blocker;
+  Matcher matcher;
+  /// Deleted ids awaiting compaction: the dead slots, plus ids a restored
+  /// snapshot tombstoned (those have no slot).  Persisted by snapshots.
+  std::unordered_set<RecordId> tombstones;
+};
 
 LinkageService::LinkageService(CbvHbConfig config,
                                LinkageServiceOptions options)
     : config_(std::move(config)),
       options_(options),
-      store_(options.num_shards),
-      epoch_(std::chrono::steady_clock::now()) {
-  // Normalize eagerly so options(), snapshots, and the sharded
-  // structures all agree on the effective shard count — Restore()
-  // validates the persisted value as a power of two.
-  options_.num_shards = RoundUpPowerOfTwo(std::max<size_t>(options.num_shards, 1));
-}
+      epoch_(std::chrono::steady_clock::now()) {}
 
 Result<std::unique_ptr<LinkageService>> LinkageService::Create(
     CbvHbConfig config, LinkageServiceOptions options,
     const std::vector<Record>& calibration_sample) {
   if (config.attribute_level_blocking) {
     return Status::InvalidArgument(
-        "LinkageService shards record-level HB blocking; "
+        "LinkageService indexes record-level HB blocking; "
         "attribute-level structures are not supported");
   }
   // Reuse the batch linker's validation rules.
@@ -194,17 +224,10 @@ Status LinkageService::Init() {
   Result<HammingLshFamily> family = HammingLshFamily::CreateFull(
       record_K, L.value(), encoder_->total_bits(), rng);
   if (!family.ok()) return family.status();
-  // Keep a copy of the family: Compact() rebuilds a successor index with
-  // the identical blocking keys.
-  family_.emplace(family.value());
-
-  ShardedIndexOptions index_options;
-  index_options.num_shards = options_.num_shards;
-  index_options.max_bucket_size = options_.max_bucket_size;
-  Result<ShardedHammingIndex> index =
-      ShardedHammingIndex::Create(std::move(family).value(), index_options);
-  if (!index.ok()) return index.status();
-  index_ = std::make_shared<ShardedHammingIndex>(std::move(index).value());
+  // Keep the family: Compact() rebuilds a successor core with the
+  // identical blocking keys.
+  family_.emplace(std::move(family).value());
+  core_ = NewCore();
 
   classifier_ = MakeRuleClassifier(config_.rule, encoder_->layout());
   const ExecutionOptions& exec = options_.execution;
@@ -238,6 +261,16 @@ Status LinkageService::Init() {
 
 LinkageService::~LinkageService() { StopBackgroundCompaction(); }
 
+std::shared_ptr<LinkageService::Core> LinkageService::NewCore() const {
+  return std::make_shared<Core>(*family_, options_.max_bucket_size);
+}
+
+size_t LinkageService::size() const {
+  const std::shared_ptr<Core> core = PinCore();
+  std::shared_lock lock(core->mu);
+  return core->store.live_size();
+}
+
 uint64_t LinkageService::NowNanos() const {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -255,27 +288,15 @@ void LinkageService::RecordSpan(uint64_t start, uint64_t end,
 }
 
 void LinkageService::InsertEncoded(const EncodedRecord& record) {
+  CBVLINK_FAILPOINT_DELAY("index.insert");
   // Shared against the compactor: no insert may land between its
   // survivor export and the epoch swap, or the record would vanish from
-  // the published index.
+  // the published core.
   std::shared_lock compaction_guard(compaction_mu_);
-  // Store before index: a concurrent Match that sees the id in a bucket
-  // must be able to retrieve the vector.
-  store_.Add(record);
-  PinIndex()->Insert(record);
-  // An insert of a tombstoned id resurrects it (same outcome live and in
-  // replay order).  Gated on the counter so the steady insert path never
-  // touches the tombstone lock.
-  if (tombstone_count_.load(std::memory_order_relaxed) != 0) {
-    ClearTombstone(record.id);
-  }
-}
-
-void LinkageService::ClearTombstone(RecordId id) {
-  std::unique_lock lock(tombstones_mu_);
-  if (tombstones_.erase(id) != 0) {
-    tombstone_count_.store(tombstones_.size(), std::memory_order_relaxed);
-  }
+  const std::shared_ptr<Core> core = PinCore();
+  std::unique_lock lock(core->mu);
+  core->Put(record);
+  tombstone_count_.store(core->tombstones.size(), std::memory_order_relaxed);
 }
 
 Status LinkageService::InsertUnjournaled(const Record& record) {
@@ -326,16 +347,13 @@ Status LinkageService::JournalAppend(const MutationOp& op) {
 Status LinkageService::DeleteUnjournaled(RecordId id, uint64_t* sequence) {
   CBVLINK_FAILPOINT("service.delete");
   std::shared_lock compaction_guard(compaction_mu_);
-  // Remove + tombstone under the tombstone lock, so a racing Update of
-  // the same id serializes against the delete (it would otherwise leave
-  // the id live *and* tombstoned).
-  std::unique_lock lock(tombstones_mu_);
-  if (!store_.Remove(id)) {
+  const std::shared_ptr<Core> core = PinCore();
+  std::unique_lock lock(core->mu);
+  if (!core->Kill(id)) {
     return Status::NotFound(
         StrFormat("record %llu is not live", static_cast<unsigned long long>(id)));
   }
-  tombstones_.insert(id);
-  tombstone_count_.store(tombstones_.size(), std::memory_order_relaxed);
+  tombstone_count_.store(core->tombstones.size(), std::memory_order_relaxed);
   // Stamp the acknowledgement sequence AFTER the state change: a
   // snapshot reads the floor before exporting, so floor >= seq implies
   // the removal is already in the export.
@@ -353,16 +371,16 @@ Status LinkageService::UpdateUnjournaled(const Record& record,
   encode_span.End();
   if (!encoded.ok()) return encoded.status();
   std::shared_lock compaction_guard(compaction_mu_);
-  std::unique_lock lock(tombstones_mu_);
-  if (!store_.Contains(record.id)) {
+  const std::shared_ptr<Core> core = PinCore();
+  std::unique_lock lock(core->mu);
+  if (!core->IsLive(record.id)) {
     return Status::NotFound(StrFormat(
         "record %llu is not live", static_cast<unsigned long long>(record.id)));
   }
-  // Overwrite the vector, then index the new blocking keys into the
-  // current epoch.  Keys from the previous bits stay until compaction;
-  // they only ever produce candidates that classify on the new bits.
-  store_.Add(encoded.value());
-  PinIndex()->Insert(encoded.value());
+  // Bring the slot back with the new bits and index the new blocking
+  // keys.  Keys from the previous bits stay until compaction; they only
+  // ever produce candidates that classify on the new bits.
+  core->Put(encoded.value());
   *sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
   updates_.fetch_add(1, std::memory_order_relaxed);
   t_updates_->Add(1);
@@ -430,10 +448,11 @@ Result<bool> LinkageService::ApplyMutation(const MutationOp& op) {
       }
       AtomicMaxRelaxed(&sequence_, op.sequence);
       std::shared_lock compaction_guard(compaction_mu_);
-      std::unique_lock lock(tombstones_mu_);
-      if (!store_.Remove(op.record.id)) return false;  // idempotent
-      tombstones_.insert(op.record.id);
-      tombstone_count_.store(tombstones_.size(), std::memory_order_relaxed);
+      const std::shared_ptr<Core> core = PinCore();
+      std::unique_lock lock(core->mu);
+      if (!core->Kill(op.record.id)) return false;  // idempotent
+      tombstone_count_.store(core->tombstones.size(),
+                             std::memory_order_relaxed);
       deletes_.fetch_add(1, std::memory_order_relaxed);
       t_deletes_->Add(1);
       return true;
@@ -451,12 +470,11 @@ Result<bool> LinkageService::ApplyMutation(const MutationOp& op) {
       // update before the insert frame is deduped — applying it as an
       // insert converges to the same state.
       std::shared_lock compaction_guard(compaction_mu_);
-      std::unique_lock lock(tombstones_mu_);
-      store_.Add(encoded.value());
-      PinIndex()->Insert(encoded.value());
-      if (tombstones_.erase(op.record.id) != 0) {
-        tombstone_count_.store(tombstones_.size(), std::memory_order_relaxed);
-      }
+      const std::shared_ptr<Core> core = PinCore();
+      std::unique_lock lock(core->mu);
+      core->Put(encoded.value());
+      tombstone_count_.store(core->tombstones.size(),
+                             std::memory_order_relaxed);
       updates_.fetch_add(1, std::memory_order_relaxed);
       t_updates_->Add(1);
       return true;
@@ -476,7 +494,9 @@ std::shared_ptr<Journal> LinkageService::journal() const {
 }
 
 bool LinkageService::Contains(RecordId id) const {
-  return store_.Contains(id);
+  const std::shared_ptr<Core> core = PinCore();
+  std::shared_lock lock(core->mu);
+  return core->IsLive(id);
 }
 
 Result<JournalReplayStats> LinkageService::ReplayJournalFile(
@@ -525,18 +545,24 @@ Result<uint64_t> LinkageService::MergeSnapshotRecords(
       snapshot.tombstones.begin(), snapshot.tombstones.end());
   std::vector<RecordId> to_delete(snapshot.tombstones.begin(),
                                   snapshot.tombstones.end());
-  store_.ForEach([&](RecordId id, const BitVector&) {
+  std::vector<RecordId> live;
+  {
+    const std::shared_ptr<Core> core = PinCore();
+    std::shared_lock lock(core->mu);
+    live = core->LiveIds();
+  }
+  for (const RecordId id : live) {
     if (!snapshot_live.contains(id) && !snapshot_tombstones.contains(id)) {
       to_delete.push_back(id);
     }
-  });
+  }
   AtomicMaxRelaxed(&sequence_, snapshot.last_sequence);
   for (RecordId id : to_delete) {
     std::shared_lock compaction_guard(compaction_mu_);
-    std::unique_lock lock(tombstones_mu_);
-    if (!store_.Remove(id)) continue;
-    tombstones_.insert(id);
-    tombstone_count_.store(tombstones_.size(), std::memory_order_relaxed);
+    const std::shared_ptr<Core> core = PinCore();
+    std::unique_lock lock(core->mu);
+    if (!core->Kill(id)) continue;
+    tombstone_count_.store(core->tombstones.size(), std::memory_order_relaxed);
     deletes_.fetch_add(1, std::memory_order_relaxed);
     t_deletes_->Add(1);
     ++applied;
@@ -546,40 +572,35 @@ Result<uint64_t> LinkageService::MergeSnapshotRecords(
 
 Status LinkageService::Compact() {
   // Exclusive against mutators (they hold compaction_mu_ shared): from
-  // here to the epoch swap the live set is frozen, so the rebuilt index
+  // here to the epoch swap the live set is frozen, so the rebuilt core
   // covers exactly the survivors.  Match never takes this lock — readers
   // keep serving the old epoch throughout; this exclusive section is the
   // "compaction pause" and it stalls writes only.
   const uint64_t pause_start = NowNanos();
   std::unique_lock compaction_guard(compaction_mu_);
-  const std::vector<EncodedRecord> survivors = store_.Export();
-  ShardedIndexOptions index_options;
-  index_options.num_shards = options_.num_shards;
-  index_options.max_bucket_size = options_.max_bucket_size;
-  Result<ShardedHammingIndex> rebuilt =
-      ShardedHammingIndex::Create(*family_, index_options);
-  if (!rebuilt.ok()) return rebuilt.status();
-  auto fresh =
-      std::make_shared<ShardedHammingIndex>(std::move(rebuilt).value());
-  // Deterministic re-block: BulkInsert over id-sorted survivors produces
-  // the same buckets a fresh build of the live set would.
-  fresh->BulkInsert(survivors, pool_);
-  uint64_t reclaimed = 0;
+  const std::shared_ptr<Core> old_core = PinCore();
+  std::vector<EncodedRecord> survivors;
+  size_t before = 0;
   {
-    // Publish the new epoch.  In-flight Matches pinned the old
-    // shared_ptr and drain on it; the old index is retired when the last
-    // pin drops.
-    std::unique_lock swap_lock(index_mu_);
-    const size_t before = index_->NumEntries();
-    const size_t after = fresh->NumEntries();
-    reclaimed = before > after ? before - after : 0;
-    index_ = std::move(fresh);
+    std::shared_lock lock(old_core->mu);
+    survivors = LiveRecords(old_core->store);
+    before = old_core->NumEntries();
   }
+  // Deterministic rebuild: the arena and the tables over id-sorted
+  // survivors are what a fresh build of the live set produces.  No core
+  // lock is held, so the pool is free to run the table build.
+  std::shared_ptr<Core> fresh = NewCore();
+  fresh->store.AddAll(survivors);
+  fresh->blocker.BulkInsert(survivors, pool_);
+  const size_t after = fresh->NumEntries();
+  const uint64_t reclaimed = before > after ? before - after : 0;
   {
-    std::unique_lock lock(tombstones_mu_);
-    tombstones_.clear();
-    tombstone_count_.store(0, std::memory_order_relaxed);
+    // Publish the new epoch.  In-flight Matches pinned the old core and
+    // drain on it; it is retired when the last pin drops.
+    std::unique_lock swap_lock(core_mu_);
+    core_ = std::move(fresh);
   }
+  tombstone_count_.store(0, std::memory_order_relaxed);
   compactions_.fetch_add(1, std::memory_order_relaxed);
   compaction_reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
   t_compactions_->Add(1);
@@ -596,7 +617,7 @@ void LinkageService::CompactorLoop() {
     if (compactor_stop_) break;
     const uint64_t dead = tombstone_count_.load(std::memory_order_relaxed);
     if (dead == 0) continue;
-    const size_t live = store_.size();
+    const size_t live = size();
     const double ratio =
         static_cast<double>(dead) / static_cast<double>(dead + live);
     if (ratio < options_.compaction_dead_ratio) continue;
@@ -630,90 +651,52 @@ void LinkageService::StopBackgroundCompaction() {
 
 void LinkageService::MatchEncoded(const EncodedRecord& b,
                                   std::vector<IdPair>* out) const {
-  std::vector<RecordId> candidates;
-  bool saw_overflow = false;
-  telemetry::TraceSpan candidates_span("candidates");
-  // Pin the index epoch for the whole probe: the compactor may publish a
-  // successor mid-call, but this Match keeps reading the epoch it
-  // started on (the shared_ptr refcount retires the old index after the
-  // last in-flight reader drains).
-  const std::shared_ptr<ShardedHammingIndex> index = PinIndex();
-  index->Collect(b.bits, &candidates, &saw_overflow);
-  candidate_occurrences_.fetch_add(candidates.size(),
+  CBVLINK_FAILPOINT_DELAY("index.collect");
+  const size_t first_pair = out->size();
+  Matcher::Scratch& scratch = ThreadScratch();
+  MatchStats stats;
+  {
+    // Pin the epoch and hold its lock shared for the probe and the
+    // compare: the compactor may publish a successor mid-call, but this
+    // Match finishes on the core it started on.
+    telemetry::TraceSpan candidates_span("candidates");
+    const std::shared_ptr<Core> core = PinCore();
+    std::shared_lock lock(core->mu);
+    core->matcher.Probe(b.bits, &stats, &scratch);
+    const bool saw_overflow = core->blocker.ProbeOverflowed(b.bits);
+    candidates_span.Annotate("occurrences", stats.candidate_occurrences);
+    candidates_span.Annotate(
+        "candidates", stats.candidate_occurrences - stats.dedup_skipped);
+    candidates_span.Annotate("overflow", saw_overflow ? 1 : 0);
+    candidates_span.End();
+
+    telemetry::TraceSpan compare_span("compare");
+    core->matcher.Classify(b, classifier_, out, &stats, &scratch);
+    if (saw_overflow &&
+        options_.overflow_policy == OverflowPolicy::kScanFallback) {
+      // A probed bucket dropped entries: preserve recall by classifying
+      // every live record the probe did not reach, in one arena pass.
+      scan_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+      t_scan_fallbacks_->Add(1);
+      core->matcher.ClassifyUnstamped(b, classifier_, out, &stats, &scratch);
+    }
+    compare_span.Annotate("compared", stats.comparisons);
+    compare_span.Annotate("matched", stats.matches);
+    compare_span.End();
+  }
+  // A query's pairs come out in ascending registry id.
+  std::sort(out->begin() + static_cast<ptrdiff_t>(first_pair), out->end());
+  candidate_occurrences_.fetch_add(stats.candidate_occurrences,
                                    std::memory_order_relaxed);
-  t_candidates_->Add(candidates.size());
-  candidates_span.Annotate("occurrences", candidates.size());
-  // Algorithm 2's unique collection C, as sort+unique over the gathered
-  // occurrences (cheaper than a hash set at bucket-sized cardinalities).
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  candidates_span.Annotate("candidates", candidates.size());
-  candidates_span.Annotate("overflow", saw_overflow ? 1 : 0);
-  candidates_span.End();
-
-  telemetry::TraceSpan compare_span("compare");
-  uint64_t compared = 0;
-  uint64_t matched = 0;
-  // Batched classify (DESIGN.md §14): gather the candidates' words into
-  // a flat buffer (one CopyWords per id under its shard lock), then
-  // classify the contiguous rows with one ClassifyBatch call.  Verdicts
-  // come back in gather order, so pairs are emitted in id order.
-  const size_t num_words = b.bits.words().size();
-  std::vector<uint64_t> gathered(candidates.size() * num_words);
-  std::vector<RecordId> present;
-  present.reserve(candidates.size());
-  for (RecordId id : candidates) {
-    if (!store_.CopyWords(id, num_words,
-                          gathered.data() + present.size() * num_words)) {
-      continue;  // indexed but not yet stored
-    }
-    present.push_back(id);
-  }
-  const size_t n = present.size();
-  compared += n;
-  if (n != 0) {
-    std::vector<uint8_t> verdicts(n);
-    classifier_.ClassifyBatch(b.bits.words().data(), gathered.data(),
-                              num_words, /*dense=*/nullptr, n,
-                              verdicts.data());
-    for (size_t i = 0; i < n; ++i) {
-      if (verdicts[i] != 0) {
-        ++matched;
-        out->push_back(IdPair{present[i], b.id});
-      }
-    }
-  }
-
-  if (saw_overflow &&
-      options_.overflow_policy == OverflowPolicy::kScanFallback) {
-    // A probed bucket dropped entries: preserve recall by scanning the
-    // store, skipping ids the blocked path already compared.
-    scan_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    t_scan_fallbacks_->Add(1);
-    store_.ForEach([&](RecordId id, const BitVector& bits) {
-      if (std::binary_search(candidates.begin(), candidates.end(), id)) {
-        return;
-      }
-      ++compared;
-      if (classifier_(bits, b.bits)) {
-        ++matched;
-        out->push_back(IdPair{id, b.id});
-      }
-    });
-  }
-
-  compare_span.Annotate("compared", compared);
-  compare_span.Annotate("matched", matched);
-  compare_span.End();
-  comparisons_.fetch_add(compared, std::memory_order_relaxed);
-  matches_.fetch_add(matched, std::memory_order_relaxed);
+  comparisons_.fetch_add(stats.comparisons, std::memory_order_relaxed);
+  matches_.fetch_add(stats.matches, std::memory_order_relaxed);
   // Match-funnel telemetry: candidates -> comparisons -> matches.  The
   // ratios are the paper's RR/PQ analogues at serving time (a drifting
   // comparisons/candidates ratio means the Eq. 2 tables stopped
   // discriminating).
-  t_comparisons_->Add(compared);
-  t_matches_->Add(matched);
+  t_candidates_->Add(stats.candidate_occurrences);
+  t_comparisons_->Add(stats.comparisons);
+  t_matches_->Add(stats.matches);
 }
 
 Status LinkageService::Match(const Record& record,
@@ -763,34 +746,35 @@ Status LinkageService::MatchAndInsert(const Record& record,
 }
 
 Status LinkageService::InsertBatch(const std::vector<Record>& records) {
-  std::mutex mu;
-  Status first_error;
+  CBVLINK_FAILPOINT("service.insert");
   telemetry::ScopedTimer batch_timer(t_batch_latency_);
-  // Carry the caller's trace onto the pool threads: each chunk records
-  // its own span into the request's collector (slot claiming makes the
-  // concurrent writes safe; ParallelFor's completion orders the reads).
-  const telemetry::TraceContext parent_ctx = telemetry::CurrentTraceContext();
-  pool_->ParallelFor(records.size(),
-                     [&](size_t /*chunk*/, size_t begin, size_t end) {
-                       telemetry::ScopedTraceContext scope(
-                           parent_ctx.collector, parent_ctx.parent_span_id);
-                       telemetry::TraceSpan chunk_span("insert_chunk");
-                       chunk_span.Annotate("begin", begin);
-                       chunk_span.Annotate("count", end - begin);
-                       for (size_t i = begin; i < end; ++i) {
-                         Status st = InsertUnjournaled(records[i]);
-                         if (!st.ok()) {
-                           std::scoped_lock lock(mu);
-                           if (first_error.ok()) first_error = st;
-                           return;
-                         }
-                       }
-                     });
-  if (!first_error.ok()) return first_error;
-  // Journal in record order after the parallel apply, so the journal's
-  // frame order is deterministic for a given batch; sync once at the
-  // batch boundary so the whole batch is durable before the caller's
-  // acknowledgement even under a relaxed per-append fsync policy.
+  const uint64_t start = NowNanos();
+  telemetry::TraceSpan encode_span("encode");
+  encode_span.Annotate("records", records.size());
+  Result<std::vector<EncodedRecord>> encoded =
+      encoder_->EncodeAll(records, pool_);
+  encode_span.End();
+  if (!encoded.ok()) return encoded.status();
+  {
+    telemetry::TraceSpan insert_span("insert");
+    std::shared_lock compaction_guard(compaction_mu_);
+    const std::shared_ptr<Core> core = PinCore();
+    std::unique_lock lock(core->mu);
+    for (const EncodedRecord& record : encoded.value()) core->Store(record);
+    // Serial: the pool's workers may be Matches waiting on this lock.
+    core->blocker.BulkInsert(encoded.value());
+    tombstone_count_.store(core->tombstones.size(),
+                           std::memory_order_relaxed);
+  }
+  const uint64_t end = NowNanos();
+  inserts_.fetch_add(records.size(), std::memory_order_relaxed);
+  RecordSpan(start, end, &insert_nanos_, &first_insert_start_ns_,
+             &last_insert_end_ns_);
+  t_inserts_->Add(records.size());
+  // Journal in record order after the apply, so the journal's frame order
+  // is deterministic for a given batch; sync once at the batch boundary
+  // so the whole batch is durable before the caller's acknowledgement
+  // even under a relaxed per-append fsync policy.
   std::shared_ptr<Journal> journal = this->journal();
   if (journal != nullptr) {
     telemetry::TraceSpan journal_span("journal");
@@ -839,9 +823,9 @@ Status LinkageService::MatchBatch(const std::vector<Record>& records,
 
 ServiceSnapshot LinkageService::ExportSnapshot() const {
   ServiceSnapshot snapshot;
-  // Shared against the compactor only: an epoch swap or tombstone sweep
-  // mid-export would tear the buckets/records/tombstones triple apart.
-  // Mutators also hold this lock shared, so they are unaffected.
+  // Shared against the compactor only: an epoch swap mid-export would
+  // tear the buckets/records/tombstones triple apart.  Mutators also
+  // hold this lock shared, so they are unaffected.
   std::shared_lock compaction_guard(compaction_mu_);
   // Read the sequence floor FIRST: any delete/update stamped at or below
   // it completed before this point (the sequence is assigned after the
@@ -861,30 +845,38 @@ ServiceSnapshot LinkageService::ExportSnapshot() const {
   snapshot.sizing_max_collisions = config_.sizing.max_collisions;
   snapshot.sizing_confidence_ratio = config_.sizing.confidence_ratio;
   snapshot.seed = config_.seed;
-  snapshot.num_shards = options_.num_shards;
+  snapshot.num_shards = kSnapshotNumShards;
   snapshot.max_bucket_size = options_.max_bucket_size;
   snapshot.overflow_policy = static_cast<uint32_t>(options_.overflow_policy);
-  // Buckets before records: Insert() stores the vector before indexing
-  // it, so every id visible in a bucket here is already in the store —
-  // the later record export can only be a superset, and Restore()'s
-  // bucket-ids-are-stored invariant holds even when inserts race the
-  // snapshot.
-  snapshot.buckets = PinIndex()->ExportBuckets();
-  snapshot.records = store_.Export();
+  // Copy the flat arena and tables under the shared lock (a few vector
+  // copies), then build the snapshot from the copies, so a writer — and,
+  // behind it, new Matches — waits for the copy only.  One lock makes
+  // the records, buckets and tombstones a consistent cut.
+  VectorStore store;
+  std::vector<BlockingTable> tables;
   {
-    std::shared_lock lock(tombstones_mu_);
-    snapshot.tombstones.assign(tombstones_.begin(), tombstones_.end());
+    const std::shared_ptr<Core> core = PinCore();
+    std::shared_lock lock(core->mu);
+    store = core->store;
+    tables = core->blocker.tables();
+    snapshot.tombstones.assign(core->tombstones.begin(),
+                               core->tombstones.end());
   }
-  // A racing resurrect (insert of a tombstoned id) between the record
-  // export and the tombstone read can list an id in both sets; keep the
-  // record (the insert frame is journaled, so replay converges) and drop
-  // the tombstone so the snapshot stays self-consistent.
-  {
-    std::unordered_set<RecordId> live;
-    live.reserve(snapshot.records.size());
-    for (const EncodedRecord& record : snapshot.records) live.insert(record.id);
-    std::erase_if(snapshot.tombstones,
-                  [&](RecordId id) { return live.contains(id); });
+  snapshot.records = LiveRecords(store);
+  for (size_t group = 0; group < tables.size(); ++group) {
+    const size_t first = snapshot.buckets.size();
+    tables[group].ForEachBucket([&](uint64_t key,
+                                    std::span<const RecordId> ids,
+                                    bool overflowed) {
+      snapshot.buckets.push_back(IndexBucketSnapshot{
+          group, key, overflowed, std::vector<RecordId>(ids.begin(),
+                                                        ids.end())});
+    });
+    std::sort(snapshot.buckets.begin() + static_cast<ptrdiff_t>(first),
+              snapshot.buckets.end(),
+              [](const IndexBucketSnapshot& a, const IndexBucketSnapshot& b) {
+                return a.key < b.key;
+              });
   }
   std::sort(snapshot.tombstones.begin(), snapshot.tombstones.end());
   return snapshot;
@@ -1012,7 +1004,6 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
   config.seed = snapshot.seed;
 
   LinkageServiceOptions options;
-  options.num_shards = static_cast<size_t>(snapshot.num_shards);
   options.max_bucket_size = static_cast<size_t>(snapshot.max_bucket_size);
   options.overflow_policy =
       snapshot.overflow_policy == 0 ? OverflowPolicy::kTruncate
@@ -1030,28 +1021,40 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
           "snapshot record width does not match the restored encoder");
     }
   }
-  // Widths validated; load the store over the service pool (Add is
-  // thread-safe and ids are unique, so the result is order-independent)
-  // and the buckets through the index's shard-parallel restore.
-  ThreadPool* pool = service.value()->pool_;
-  pool->ParallelFor(snapshot.records.size(),
-                    [&](size_t, size_t begin, size_t end) {
-                      for (size_t i = begin; i < end; ++i) {
-                        service.value()->store_.Add(snapshot.records[i]);
-                      }
-                    });
-  CBVLINK_RETURN_NOT_OK(
-      service.value()->index_->BulkRestore(snapshot.buckets, pool));
+  const size_t L = service.value()->blocking_groups();
+  for (const IndexBucketSnapshot& bucket : snapshot.buckets) {
+    if (bucket.group >= L) {
+      return Status::InvalidArgument("snapshot bucket group out of range");
+    }
+  }
+  // Validated; load the arena, then the buckets — one table per worker
+  // (the snapshot lists each group's buckets contiguously, sorted by
+  // group, but the split below does not rely on it).
+  Core& core = *service.value()->core_;
+  core.store.AddAll(snapshot.records);
+  std::vector<std::vector<const IndexBucketSnapshot*>> by_group(L);
+  for (const IndexBucketSnapshot& bucket : snapshot.buckets) {
+    by_group[bucket.group].push_back(&bucket);
+  }
+  service.value()->pool_->ParallelFor(
+      L, [&](size_t, size_t begin, size_t end) {
+        for (size_t group = begin; group < end; ++group) {
+          for (const IndexBucketSnapshot* bucket : by_group[group]) {
+            core.blocker.RestoreBucket(group, bucket->key, bucket->ids,
+                                       bucket->overflowed);
+          }
+        }
+      });
   service.value()->inserts_.store(snapshot.records.size(),
                                   std::memory_order_relaxed);
   // Mutation state (version 3+; defaults for older snapshots): restored
   // tombstones keep deleted records dead across the restart, and the
   // sequence floor lets journal replay skip delete/update frames the
   // snapshot already reflects.
-  service.value()->tombstones_.insert(snapshot.tombstones.begin(),
-                                      snapshot.tombstones.end());
-  service.value()->tombstone_count_.store(
-      service.value()->tombstones_.size(), std::memory_order_relaxed);
+  core.tombstones.insert(snapshot.tombstones.begin(),
+                         snapshot.tombstones.end());
+  service.value()->tombstone_count_.store(core.tombstones.size(),
+                                          std::memory_order_relaxed);
   service.value()->sequence_.store(snapshot.last_sequence,
                                    std::memory_order_relaxed);
   return service;
@@ -1094,10 +1097,17 @@ Result<std::unique_ptr<LinkageService>> LinkageService::RestoreFromFile(
 
 ServiceMetrics LinkageService::metrics() const {
   ServiceMetrics m;
+  {
+    const std::shared_ptr<Core> core = PinCore();
+    std::shared_lock lock(core->mu);
+    m.live_records = core->store.live_size();
+    for (const BlockingTable& table : core->blocker.tables()) {
+      m.dropped_entries += table.NumDropped();
+    }
+  }
   m.inserts = inserts_.load(std::memory_order_relaxed);
   m.deletes = deletes_.load(std::memory_order_relaxed);
   m.updates = updates_.load(std::memory_order_relaxed);
-  m.live_records = store_.size();
   m.tombstones = tombstone_count_.load(std::memory_order_relaxed);
   m.compactions = compactions_.load(std::memory_order_relaxed);
   m.compaction_reclaimed =
@@ -1110,7 +1120,6 @@ ServiceMetrics LinkageService::metrics() const {
   m.scan_fallbacks = scan_fallbacks_.load(std::memory_order_relaxed);
   m.restore_fallbacks = restore_fallbacks_.load(std::memory_order_relaxed);
   m.skipped_rows = skipped_rows_.load(std::memory_order_relaxed);
-  m.dropped_entries = PinIndex()->dropped_entries();
   m.insert_seconds =
       static_cast<double>(insert_nanos_.load(std::memory_order_relaxed)) * 1e-9;
   m.query_seconds =
@@ -1144,56 +1153,63 @@ void LinkageService::FillTelemetry(telemetry::Registry* registry) const {
   reg.GetGauge(telemetry::LabeledName("hamming_kernel_active", "kernel",
                                       ActiveKernels().name))
       ->Set(1.0);
-  reg.GetGauge("service_records")->Set(static_cast<double>(store_.size()));
-  reg.GetGauge("service_shards")
-      ->Set(static_cast<double>(options_.num_shards));
   const ServiceMetrics m = metrics();
+  reg.GetGauge("service_records")->Set(static_cast<double>(m.live_records));
   reg.GetGauge("service_query_wall_seconds")->Set(m.query_wall_seconds);
   reg.GetGauge("service_insert_wall_seconds")->Set(m.insert_wall_seconds);
   reg.GetGauge("service_queries_per_second")->Set(m.QueriesPerSecond());
 
   // Mutation-lifecycle gauges: live vs dead is the compactor's trigger
   // ratio, surfaced so operators can see reclaim pressure build.
-  reg.GetGauge("index_live")->Set(static_cast<double>(store_.size()));
-  reg.GetGauge("index_dead")->Set(static_cast<double>(
-      tombstone_count_.load(std::memory_order_relaxed)));
+  const double live = static_cast<double>(m.live_records);
+  const double dead = static_cast<double>(m.tombstones);
+  reg.GetGauge("index_live")->Set(live);
+  reg.GetGauge("index_dead")->Set(dead);
   reg.GetGauge("compaction_tombstone_ratio")
-      ->Set([&]() -> double {
-        const double dead = static_cast<double>(
-            tombstone_count_.load(std::memory_order_relaxed));
-        const double live = static_cast<double>(store_.size());
-        return dead + live == 0 ? 0.0 : dead / (dead + live);
-      }());
+      ->Set(dead + live == 0 ? 0.0 : dead / (dead + live));
 
-  const std::shared_ptr<ShardedHammingIndex> index = PinIndex();
-  const IndexHealth health = index->CollectHealth();
-  reg.GetGauge("lsh_tables")->Set(static_cast<double>(index->L()));
-  reg.GetGauge("lsh_k")->Set(static_cast<double>(index->K()));
-  reg.GetGauge("lsh_dropped_entries")
-      ->Set(static_cast<double>(health.dropped_entries));
-  reg.GetGauge("lsh_overflowed_buckets")
-      ->Set(static_cast<double>(health.overflowed_buckets));
-  for (size_t l = 0; l < health.tables.size(); ++l) {
-    const TableHealth& table = health.tables[l];
+  // Per-table LSH health in one pass under the shared lock: bucket
+  // count, entries, max/mean bucket size, and the cross-table occupancy
+  // histogram (bin k counts buckets of size in [2^k, 2^(k+1))).
+  constexpr size_t kOccupancySlots = 16;
+  std::vector<uint64_t> occupancy(kOccupancySlots, 0);
+  uint64_t dropped = 0;
+  uint64_t overflowed = 0;
+  const std::shared_ptr<Core> core = PinCore();
+  std::shared_lock lock(core->mu);
+  const std::vector<BlockingTable>& tables = core->blocker.tables();
+  reg.GetGauge("lsh_tables")->Set(static_cast<double>(tables.size()));
+  reg.GetGauge("lsh_k")->Set(static_cast<double>(core->blocker.K()));
+  for (size_t l = 0; l < tables.size(); ++l) {
+    const BlockingTable& table = tables[l];
+    dropped += table.NumDropped();
+    overflowed += table.NumOverflowed();
+    const std::vector<uint64_t> histogram =
+        table.OccupancyHistogram(kOccupancySlots);
+    for (size_t bin = 0; bin < kOccupancySlots; ++bin) {
+      occupancy[bin] += histogram[bin];
+    }
     const std::string label = StrFormat("%zu", l);
     reg.GetGauge(telemetry::LabeledName("lsh_table_buckets", "table", label))
-        ->Set(static_cast<double>(table.buckets));
+        ->Set(static_cast<double>(table.NumBuckets()));
     reg.GetGauge(telemetry::LabeledName("lsh_table_entries", "table", label))
-        ->Set(static_cast<double>(table.entries));
+        ->Set(static_cast<double>(table.NumEntries()));
     reg.GetGauge(
            telemetry::LabeledName("lsh_table_max_bucket", "table", label))
-        ->Set(static_cast<double>(table.max_bucket));
+        ->Set(static_cast<double>(table.MaxBucketSize()));
     reg.GetGauge(
            telemetry::LabeledName("lsh_table_mean_bucket", "table", label))
-        ->Set(table.mean_bucket);
+        ->Set(table.MeanBucketSize());
   }
-  // Cross-table occupancy: bin k counts buckets of size in
-  // [2^k, 2^(k+1)).  All bins are always exported so a scrape sees the
-  // full distribution shape, including its zeros.
-  for (size_t bin = 0; bin < IndexHealth::kOccupancySlots; ++bin) {
+  reg.GetGauge("lsh_dropped_entries")->Set(static_cast<double>(dropped));
+  reg.GetGauge("lsh_overflowed_buckets")
+      ->Set(static_cast<double>(overflowed));
+  // All bins are always exported so a scrape sees the full distribution
+  // shape, including its zeros.
+  for (size_t bin = 0; bin < kOccupancySlots; ++bin) {
     reg.GetGauge(telemetry::LabeledName("lsh_bucket_occupancy", "size_log2",
                                         StrFormat("%zu", bin)))
-        ->Set(static_cast<double>(health.occupancy[bin]));
+        ->Set(static_cast<double>(occupancy[bin]));
   }
 }
 

@@ -2,30 +2,36 @@
 //
 // The introduction motivates 120-bit embeddings with "nearly real-time
 // analysis ... involving streaming data"; this facade turns the one-shot
-// pipeline into that service: a fixed encoder, a sharded blocking index
-// (src/service/sharded_index.h), and a concurrent vector store behind
-// thread-safe Match / MatchAndInsert calls, batch APIs driven by a thread
-// pool, per-call latency and volume counters, and snapshot/restore so a
-// restarted process resumes warm from disk (src/io/serialization.h).
+// pipeline into that service: a fixed encoder over the batch engine's
+// structures (the VectorStore arena, the flat RecordLevelBlocker tables
+// and the stamped Matcher), behind thread-safe Match / MatchAndInsert
+// calls, batch APIs driven by a thread pool, per-call latency and volume
+// counters, and snapshot/restore so a restarted process resumes warm from
+// disk (src/io/serialization.h).
 //
-// Concurrency model: Match is wait-free against other Matches (shared
-// locks only); Insert takes exclusive locks one shard at a time.  A
-// MatchAndInsert is atomic per shard, not globally: two concurrent
-// arrivals of the same entity may each miss the other (both match before
-// either inserts) — the same anomaly any eventually-consistent ingest
-// path has, and why batch deduplication remains available offline.
+// Concurrency model (DESIGN.md §15): the index is one *core* — arena,
+// tables and matcher — behind one reader/writer lock.  A Match pins the
+// current core and takes its lock shared once for the whole probe and
+// compare, so Matches never block each other.  Each mutation takes the
+// lock exclusive for its few table and arena writes (about a microsecond;
+// encoding and journaling happen outside it).  The lock prefers writers,
+// so a Match can wait for one in-flight or queued write, never for a
+// stream of them, and a write is never starved by back-to-back Matches.
+// A MatchAndInsert is not atomic as a whole: two concurrent arrivals of
+// the same entity may each miss the other (both match before either
+// inserts) — the same anomaly any eventually-consistent ingest path has,
+// and why batch deduplication remains available offline.
 //
-// Mutation lifecycle (DESIGN.md §15): Delete tombstones a record in O(1)
-// — the vector leaves the store, the id joins the tombstone set, and the
-// blocking tables keep their (now stale) entries, which the matcher
-// skips because the store lookup fails.  Update re-encodes in place and
-// inserts the new blocking keys; stale keys produce candidates that
-// classify on the *current* bits, so results match a fresh build.  A
-// background compactor reclaims the stale entries: it rebuilds the index
-// from the live survivors offline and publishes it with an atomic
-// shared_ptr swap — readers pin the index epoch by holding the
-// shared_ptr, so an in-flight Match keeps its epoch until it drains and
-// never observes torn state; match output is byte-identical before and
+// Mutation lifecycle: Delete sets the record's dead-slot bit in the
+// arena (O(1); the blocking tables keep their now stale entries, which
+// the matcher stamps and skips).  Update, and an Insert of a live id,
+// bring the same arena slot back with the new bits and index the new
+// blocking keys; stale keys only produce candidates that classify on the
+// *current* bits, so results match a fresh build.  A background
+// compactor rebuilds the arena and the tables from the live survivors
+// (sorted by id) and publishes the new core with an atomic shared_ptr
+// swap — readers pin the core by holding the shared_ptr, so an in-flight
+// Match finishes on its epoch; match output is byte-identical before and
 // after compaction at any thread count.  Mutators hold a shared
 // compaction lock; only the compactor's rebuild+swap takes it exclusive,
 // so compaction stalls writes (briefly) but never reads.
@@ -43,8 +49,6 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/blocking/matcher.h"
@@ -53,7 +57,6 @@
 #include "src/io/journal.h"
 #include "src/io/serialization.h"
 #include "src/linkage/cbv_hb_linker.h"
-#include "src/service/sharded_index.h"
 #include "src/text/alphabet.h"
 
 namespace cbvlink {
@@ -76,9 +79,8 @@ enum class OverflowPolicy : uint32_t {
 
 /// Service-layer options on top of CbvHbConfig.
 struct LinkageServiceOptions {
-  /// Lock shards for the blocking index and the vector store.
-  size_t num_shards = 16;
-  /// Bucket entry cap; 0 = unlimited.
+  /// Bucket entry cap; 0 = unlimited.  A bucket keeps its first
+  /// max_bucket_size ids in insertion order and drops the rest.
   size_t max_bucket_size = 0;
   OverflowPolicy overflow_policy = OverflowPolicy::kScanFallback;
   /// Execution policy for the batch APIs and snapshot restore.  A
@@ -149,63 +151,11 @@ struct ServiceMetrics {
   }
 };
 
-/// Id -> BitVector storage sharded like the index, so concurrent Match
-/// calls can retrieve vectors while inserts land.  Find() copies the
-/// vector out under the shard lock (a pointer would dangle on rehash).
-class ConcurrentVectorStore {
- public:
-  explicit ConcurrentVectorStore(size_t num_shards);
-
-  void Add(const EncodedRecord& record);
-
-  /// Erases `id`; returns true when it was stored.  After a Remove every
-  /// lookup (Find/CopyWords/Contains) reports the id unknown, which is
-  /// exactly the state the matcher already skips — deletion needs no
-  /// matcher changes.
-  bool Remove(RecordId id);
-
-  /// Copies the vector for `id` into `*out`; false when unknown.
-  bool Find(RecordId id, BitVector* out) const;
-
-  /// Copies the raw words of `id` into `dst` (capacity `num_words`);
-  /// false when the id is unknown or its vector does not hold exactly
-  /// `num_words` words.  The allocation-free gather behind the batched
-  /// Hamming kernels: the caller stages candidates in a flat scratch
-  /// buffer instead of copying BitVector objects.
-  bool CopyWords(RecordId id, size_t num_words, uint64_t* dst) const;
-
-  /// True when `id` is stored (no vector copy — the journal-replay
-  /// dedupe check).
-  bool Contains(RecordId id) const;
-
-  /// Invokes `fn(id, bits)` for every stored record, one shard at a time
-  /// under that shard's shared lock.  Weakly consistent against
-  /// concurrent Adds (a record inserted mid-scan may or may not appear).
-  void ForEach(
-      const std::function<void(RecordId, const BitVector&)>& fn) const;
-
-  size_t size() const;
-
-  /// Every stored record, ordered by id (snapshot determinism).
-  std::vector<EncodedRecord> Export() const;
-
- private:
-  struct Shard {
-    mutable std::shared_mutex mu;
-    std::unordered_map<RecordId, BitVector> vectors;
-  };
-
-  size_t ShardOf(RecordId id) const { return id & mask_; }
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t mask_;
-};
-
 /// The concurrent linkage service.  All public methods are thread-safe.
 class LinkageService {
  public:
   /// Creates a service.  `config` follows CbvHbLinker semantics except
-  /// that attribute-level blocking is rejected (the sharded index covers
+  /// that attribute-level blocking is rejected (the service indexes
   /// record-level HB).  When config.expected_qgrams is empty they are
   /// estimated from `calibration_sample` (which must then be non-empty).
   static Result<std::unique_ptr<LinkageService>> Create(
@@ -241,25 +191,25 @@ class LinkageService {
   Status Insert(const Record& record);
 
   /// Matches one query against everything indexed so far; appends
-  /// (registry_id, query_id) pairs to `out`.  Never blocks other Match
-  /// calls.
+  /// (registry_id, query_id) pairs to `out` in ascending registry id.
+  /// Never blocks other Match calls; may wait for one write.
   Status Match(const Record& record, std::vector<IdPair>* out) const;
 
   /// Match, then insert the query so future arrivals can link to it.
   Status MatchAndInsert(const Record& record, std::vector<IdPair>* out);
 
-  /// Tombstones `id`: the vector leaves the store immediately (O(1); no
-  /// index surgery — stale bucket entries are skipped by every matcher
+  /// Tombstones `id`: its arena slot's dead bit is set immediately (O(1);
+  /// no index surgery — stale bucket entries are skipped by the matcher
   /// and reclaimed by compaction), the delete is journaled with its
   /// acknowledgement sequence, and subsequent Matches never return the
   /// record.  NotFound when `id` is not live.
   Status Delete(RecordId id);
 
-  /// Replaces the record's fields: re-encodes, overwrites the stored
-  /// vector, and indexes the new blocking keys.  Old keys keep serving
-  /// the id as a candidate, but classification runs on the current bits,
-  /// so match results equal a fresh build.  NotFound when `record.id` is
-  /// not live.
+  /// Replaces the record's fields: re-encodes, brings the record's arena
+  /// slot back with the new bits, and indexes the new blocking keys.  Old
+  /// keys keep serving the id as a candidate, but classification runs on
+  /// the current bits, so match results equal a fresh build.  NotFound
+  /// when `record.id` is not live.
   Status Update(const Record& record);
 
   /// Sequential Delete per id, journaled and fsynced once at the batch
@@ -279,12 +229,12 @@ class LinkageService {
   /// reflects them).  Returns true when state changed.
   Result<bool> ApplyMutation(const MutationOp& op);
 
-  /// Rebuilds the vector-store index state from the live survivors and
-  /// publishes a fresh blocking index with an atomic epoch swap: stale
-  /// bucket entries (tombstoned or superseded blocking keys) are gone,
-  /// the tombstone set is cleared, and match output is byte-identical
-  /// before and after.  Blocks mutators for the rebuild (the "compaction
-  /// pause"); never blocks Match.
+  /// Rebuilds the arena and the blocking tables from the live survivors
+  /// (sorted by id) and publishes them with an atomic epoch swap: dead
+  /// slots and stale bucket entries (tombstoned or superseded blocking
+  /// keys) are gone, the tombstone set is cleared, and match output is
+  /// byte-identical before and after.  Blocks mutators for the rebuild
+  /// (the "compaction pause"); never blocks Match.
   Status Compact();
 
   /// Starts the background compactor: every options().compaction_interval
@@ -294,7 +244,9 @@ class LinkageService {
   void StartBackgroundCompaction();
   void StopBackgroundCompaction();
 
-  /// Parallel bulk insert over the service thread pool.
+  /// Bulk insert: encodes over the service thread pool, then stores and
+  /// indexes the whole batch in one exclusive section, in record order
+  /// (a repeated id ends with its last record's bits, as with Insert).
   Status InsertBatch(const std::vector<Record>& records);
 
   /// Parallel bulk match; appends every matched pair to `out` (order
@@ -354,8 +306,9 @@ class LinkageService {
   /// the runtime observables of Theorem 1's m_opt and Eq. 2's L.  Call
   /// before exporting (stats reporter tick, scrape, shutdown dump); the
   /// event-driven metrics (latency histograms, funnel counters) are
-  /// maintained live and need no refresh.  Takes each index shard lock
-  /// shared once; do not call from a latency-critical path.  Null
+  /// maintained live and need no refresh.  Takes the index lock shared
+  /// for one pass over the tables; do not call from a latency-critical
+  /// path.  Null
   /// `registry` targets the process-wide telemetry::Registry::Global().
   void FillTelemetry(telemetry::Registry* registry = nullptr) const;
 
@@ -364,8 +317,8 @@ class LinkageService {
   /// serving counters.
   void RecordSkippedRows(uint64_t n);
 
-  /// Live records (the store holds only live vectors).
-  size_t size() const { return store_.size(); }
+  /// Live records.
+  size_t size() const;
   /// Tombstoned ids awaiting compaction.
   size_t tombstone_count() const {
     return tombstone_count_.load(std::memory_order_relaxed);
@@ -374,32 +327,37 @@ class LinkageService {
   uint64_t last_sequence() const {
     return sequence_.load(std::memory_order_relaxed);
   }
-  size_t blocking_groups() const { return PinIndex()->L(); }
+  size_t blocking_groups() const { return family_->L(); }
   const CVectorRecordEncoder& encoder() const { return *encoder_; }
   const LinkageServiceOptions& options() const { return options_; }
 
  private:
+  /// One index epoch: the arena, the blocking tables and the matcher over
+  /// them, behind one reader/writer lock (linkage_service.cc).
+  struct Core;
+
   LinkageService(CbvHbConfig config, LinkageServiceOptions options);
 
   Status Init();
 
+  /// An empty core over the service's LSH family and bucket cap.
+  std::shared_ptr<Core> NewCore() const;
+
   /// Pins the current index epoch: the returned shared_ptr keeps that
-  /// index (and everything a Collect is walking) alive even if the
-  /// compactor publishes a successor mid-call; the old epoch is retired
-  /// when the last pin drops.
-  std::shared_ptr<ShardedHammingIndex> PinIndex() const {
-    std::shared_lock lock(index_mu_);
-    return index_;
+  /// core alive even if the compactor publishes a successor mid-call; the
+  /// old epoch is retired when the last pin drops.
+  std::shared_ptr<Core> PinCore() const {
+    std::shared_lock lock(core_mu_);
+    return core_;
   }
 
-  /// Algorithm 2 against the sharded structures, plus the overflow
-  /// fallback.  `b` must be encoded by this service's encoder.
+  /// Algorithm 2 against the current core, plus the overflow fallback.
+  /// `b` must be encoded by this service's encoder.
   void MatchEncoded(const EncodedRecord& b, std::vector<IdPair>* out) const;
 
   void InsertEncoded(const EncodedRecord& record);
 
-  /// Insert without the journal append — the batch path journals in
-  /// record order itself, after the parallel apply.
+  /// Insert without the journal append.
   Status InsertUnjournaled(const Record& record);
 
   /// Delete/Update without the journal append (the batch paths journal
@@ -407,9 +365,6 @@ class LinkageService {
   /// through `*sequence`.
   Status DeleteUnjournaled(RecordId id, uint64_t* sequence);
   Status UpdateUnjournaled(const Record& record, uint64_t* sequence);
-
-  /// Drops `id` from the tombstone set (an insert resurrected it).
-  void ClearTombstone(RecordId id);
 
   /// Appends `record` as an insert frame to the attached journal, if any.
   Status JournalAppend(const Record& record);
@@ -425,28 +380,24 @@ class LinkageService {
   /// the caller's alphabets instead).
   std::vector<std::unique_ptr<Alphabet>> owned_alphabets_;
   std::optional<CVectorRecordEncoder> encoder_;
-  /// The LSH family, kept so Compact() can build a successor index with
+  /// The LSH family, kept so Compact() can build a successor core with
   /// identical blocking keys.
   std::optional<HammingLshFamily> family_;
-  /// The current index epoch.  Readers pin it via PinIndex(); Compact()
+  /// The current index epoch.  Readers pin it via PinCore(); Compact()
   /// publishes a successor under the unique lock.  Never null after
   /// Init().
-  mutable std::shared_mutex index_mu_;
-  std::shared_ptr<ShardedHammingIndex> index_;
-  ConcurrentVectorStore store_;
+  mutable std::shared_mutex core_mu_;
+  std::shared_ptr<Core> core_;
   PairClassifier classifier_;
 
   /// Mutation/compaction exclusion: every mutator (insert/delete/update,
   /// live or replayed) holds it shared; Compact()'s rebuild+swap holds it
   /// unique so no mutation lands between the survivor export and the
-  /// epoch swap (it would vanish from the new index).  Match never
+  /// epoch swap (it would vanish from the new core).  Match never
   /// touches this lock.
   mutable std::shared_mutex compaction_mu_;
 
-  /// Tombstoned ids awaiting compaction (persisted by snapshots).
-  mutable std::shared_mutex tombstones_mu_;
-  std::unordered_set<RecordId> tombstones_;
-  /// tombstones_.size() mirror, readable without the lock.
+  /// The current core's tombstone count, readable without its lock.
   mutable std::atomic<uint64_t> tombstone_count_{0};
   /// Monotonic delete/update acknowledgement sequence; doubles as the
   /// replay dedupe floor (Restore seeds it from the snapshot).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace cbvlink {
 namespace {
 
@@ -111,6 +114,112 @@ TEST(BlockingTableTest, EqualityIsByContent) {
   BlockingTable bulk;
   bulk.BulkInsert(keys, ids);
   EXPECT_TRUE(bulk == w);
+}
+
+// --- Bucket cap: the first `cap` Ids stay, the rest are dropped and
+// counted, and the bucket's overflow bit is set.
+
+TEST(BlockingTableTest, BucketCapDropsAndFlagsOverflow) {
+  BlockingTable table(2);
+  for (RecordId id = 0; id < 3; ++id) table.Insert(9, id);
+  table.Insert(4, 40);
+  const auto bucket = table.Get(9);
+  ASSERT_EQ(bucket.size(), 2u);
+  EXPECT_EQ(bucket[0], 0u);
+  EXPECT_EQ(bucket[1], 1u);
+  EXPECT_TRUE(table.Overflowed(9));
+  EXPECT_FALSE(table.Overflowed(4));
+  EXPECT_FALSE(table.Overflowed(5));  // absent key
+  EXPECT_EQ(table.NumDropped(), 1u);
+  EXPECT_EQ(table.NumOverflowed(), 1u);
+  EXPECT_EQ(table.NumEntries(), 3u);
+  EXPECT_EQ(table.MaxBucketSize(), 2u);
+  // Per-table health: the capped bucket still counts as one size-2
+  // bucket in the occupancy histogram.
+  const std::vector<uint64_t> histogram = table.OccupancyHistogram(16);
+  EXPECT_EQ(histogram[0], 1u);
+  EXPECT_EQ(histogram[1], 1u);
+  EXPECT_DOUBLE_EQ(table.MeanBucketSize(), 1.5);
+  size_t flagged = 0;
+  table.ForEachBucket(
+      [&](uint64_t key, std::span<const RecordId>, bool overflowed) {
+        if (overflowed) {
+          ++flagged;
+          EXPECT_EQ(key, 9u);
+        }
+      });
+  EXPECT_EQ(flagged, 1u);
+}
+
+TEST(BlockingTableTest, UncappedTableNeverOverflows) {
+  BlockingTable table;
+  for (RecordId id = 0; id < 1000; ++id) table.Insert(1, id);
+  EXPECT_EQ(table.Get(1).size(), 1000u);
+  EXPECT_FALSE(table.Overflowed(1));
+  EXPECT_EQ(table.NumDropped(), 0u);
+  EXPECT_EQ(table.NumOverflowed(), 0u);
+}
+
+TEST(BlockingTableTest, BulkInsertKeepsCapSemantics) {
+  // Bulk and serial builds must keep the same first Ids per bucket, the
+  // same overflow bits and the same drop count, into an empty table and
+  // appended to a non-empty one.
+  std::vector<uint64_t> keys;
+  std::vector<RecordId> ids;
+  for (RecordId id = 0; id < 200; ++id) {
+    keys.push_back((id * 7919) % 13);  // 13 keys, ~15 Ids each
+    ids.push_back(id);
+  }
+  for (size_t cap : {size_t{0}, size_t{1}, size_t{3}, size_t{15},
+                     size_t{1000}}) {
+    BlockingTable serial(cap);
+    for (size_t i = 0; i < ids.size(); ++i) serial.Insert(keys[i], ids[i]);
+    BlockingTable bulk(cap);
+    bulk.BulkInsert(keys, ids);
+    EXPECT_TRUE(bulk == serial) << "cap " << cap;
+    EXPECT_EQ(bulk.NumDropped(), serial.NumDropped()) << "cap " << cap;
+    EXPECT_EQ(bulk.NumEntries(), serial.NumEntries()) << "cap " << cap;
+    EXPECT_EQ(bulk.MaxBucketSize(), serial.MaxBucketSize()) << "cap " << cap;
+    if (cap != 0 && cap < 15) {
+      EXPECT_GT(bulk.NumDropped(), 0u) << "cap " << cap;
+      EXPECT_EQ(bulk.MaxBucketSize(), cap);
+    }
+    // Appending goes through Insert() and keeps the cap.
+    serial.Insert(keys[0], 5000);
+    bulk.BulkInsert(std::span<const uint64_t>(keys.data(), 1),
+                    std::vector<RecordId>{5000});
+    EXPECT_TRUE(bulk == serial) << "cap " << cap << " after append";
+  }
+}
+
+TEST(BlockingTableTest, EqualityIncludesOverflowBits) {
+  BlockingTable capped(1);
+  capped.Insert(1, 10);
+  capped.Insert(1, 11);  // dropped
+  BlockingTable plain;
+  plain.Insert(1, 10);
+  EXPECT_FALSE(capped == plain);
+  plain.RestoreBucket(2, std::vector<RecordId>{}, true);  // no-op
+  EXPECT_FALSE(plain.Overflowed(2));
+}
+
+TEST(BlockingTableTest, RestoreBucketIgnoresCapAndKeepsFlag) {
+  BlockingTable table(2);
+  const std::vector<RecordId> ids = {5, 6, 7};
+  table.RestoreBucket(3, ids, true);
+  table.RestoreBucket(4, std::vector<RecordId>{8}, false);
+  const auto bucket = table.Get(3);
+  EXPECT_EQ(std::vector<RecordId>(bucket.begin(), bucket.end()), ids);
+  EXPECT_TRUE(table.Overflowed(3));
+  EXPECT_FALSE(table.Overflowed(4));
+  EXPECT_EQ(table.NumOverflowed(), 1u);
+  EXPECT_EQ(table.NumDropped(), 0u);  // restore drops nothing
+  // Later inserts see the cap: both buckets are at or past it or below.
+  table.Insert(3, 9);
+  table.Insert(4, 10);
+  EXPECT_EQ(table.Get(3).size(), 3u);
+  EXPECT_EQ(table.Get(4).size(), 2u);
+  EXPECT_EQ(table.NumDropped(), 1u);
 }
 
 }  // namespace

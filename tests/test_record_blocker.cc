@@ -249,5 +249,79 @@ TEST(RecordLevelBlockerBulkInsertTest, AppendsAfterPriorInserts) {
   ExpectSameTables(parallel, serial, 3);
 }
 
+// --- Bucket cap: drops past the cap and overflow bits, serial and bulk.
+
+HammingLshFamily MakeFamily(size_t K, size_t L, size_t bits, uint64_t seed) {
+  Rng rng(seed);
+  return HammingLshFamily::CreateFull(K, L, bits, rng).value();
+}
+
+TEST(RecordLevelBlockerTest, BucketCapDropsAndFlagsOverflow) {
+  RecordLevelBlocker blocker(MakeFamily(4, 3, 32, 42), /*bucket_cap=*/2);
+  // Identical vectors share every bucket; the third insert overflows all
+  // three groups' buckets.
+  const EncodedRecord base = MakeRecord(0, 32, {1, 7});
+  const BitVector other = MakeRecord(9, 32, {2, 3, 30}).bits;
+  EXPECT_FALSE(blocker.ProbeOverflowed(base.bits));
+  for (RecordId id = 0; id < 3; ++id) {
+    EncodedRecord r = base;
+    r.id = id;
+    blocker.Insert(r);
+  }
+  EXPECT_EQ(blocker.MaxBucketSize(), 2u);
+  size_t dropped = 0;
+  for (const BlockingTable& table : blocker.tables()) {
+    dropped += table.NumDropped();
+    EXPECT_EQ(table.NumOverflowed(), 1u);
+    EXPECT_EQ(table.NumEntries(), 2u);
+  }
+  EXPECT_EQ(dropped, 3u);  // one drop per group
+  EXPECT_TRUE(blocker.ProbeOverflowed(base.bits));
+  if (Candidates(blocker, other).empty()) {
+    EXPECT_FALSE(blocker.ProbeOverflowed(other));
+  }
+
+  std::vector<RecordId> occurrences;
+  blocker.ForEachCandidate(base.bits,
+                           [&](RecordId id) { occurrences.push_back(id); });
+  EXPECT_EQ(occurrences.size(), 6u);  // 2 ids x 3 groups
+  EXPECT_EQ(Candidates(blocker, base.bits), (std::set<RecordId>{0, 1}));
+}
+
+TEST(RecordLevelBlockerBulkInsertTest,
+     BucketCapIdenticalToIndexAtAnyThreadCount) {
+  // Overflow bits and drop counters depend on arrival order; the bulk
+  // build must reproduce the serial order even with a tight cap that
+  // most records exceed.
+  std::vector<EncodedRecord> records;
+  for (RecordId id = 0; id < 40; ++id) {
+    records.push_back(MakeRecord(id, 32, {1}));  // all collide everywhere
+  }
+  std::vector<EncodedRecord> mixed = RandomRecords(300, 64, 29);
+  for (size_t i = 0; i < mixed.size(); i += 3) mixed[i].bits = mixed[0].bits;
+
+  for (const auto& [bits, input] :
+       {std::pair<size_t, const std::vector<EncodedRecord>*>{32, &records},
+        std::pair<size_t, const std::vector<EncodedRecord>*>{64, &mixed}}) {
+    RecordLevelBlocker serial(MakeFamily(4, 6, bits, 19), /*bucket_cap=*/3);
+    serial.Index(*input);
+    size_t dropped = 0;
+    for (const BlockingTable& table : serial.tables()) {
+      dropped += table.NumDropped();
+    }
+    EXPECT_GT(dropped, 0u);
+
+    RecordLevelBlocker no_pool(MakeFamily(4, 6, bits, 19), 3);
+    no_pool.BulkInsert(*input);
+    ExpectSameTables(no_pool, serial, 0);
+    for (size_t threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      RecordLevelBlocker parallel(MakeFamily(4, 6, bits, 19), 3);
+      parallel.BulkInsert(*input, &pool);
+      ExpectSameTables(parallel, serial, threads);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cbvlink

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <sstream>
@@ -153,7 +154,7 @@ TEST(ServiceTest, FillTelemetryExportsGaugesAndFunnelCounters) {
 
   service.value()->FillTelemetry(&registry);
   EXPECT_EQ(registry.GetGauge("service_records")->Value(), 20.0);
-  EXPECT_GT(registry.GetGauge("service_shards")->Value(), 0.0);
+  EXPECT_EQ(registry.GetGauge("index_live")->Value(), 20.0);
   EXPECT_GT(registry.GetGauge("lsh_tables")->Value(), 0.0);
   // Per-table gauges exist for table 0 and the occupancy histogram
   // covers every bucket exactly once.
@@ -186,6 +187,86 @@ TEST(ServiceTest, FillTelemetryExportsGaugesAndFunnelCounters) {
   EXPECT_GT(metrics.candidate_occurrences, 0u);
   EXPECT_GT(metrics.comparisons, 0u);
   EXPECT_GE(metrics.candidate_occurrences, metrics.matches);
+}
+
+double Gauge(telemetry::Registry& registry, const char* name,
+             const char* label_key = nullptr, size_t label = 0) {
+  return registry
+      .GetGauge(label_key == nullptr
+                    ? std::string(name)
+                    : telemetry::LabeledName(name, label_key,
+                                             std::to_string(label)))
+      ->Value();
+}
+
+TEST(ServiceTest, FillTelemetryReportsPerTableHealthUnderBucketCap) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  {
+    telemetry::Registry registry;
+    LinkageServiceOptions options;
+    options.max_bucket_size = 2;
+    Result<std::unique_ptr<LinkageService>> service =
+        LinkageService::Create(BaseConfig(gen.value().schema()), options);
+    ASSERT_TRUE(service.ok());
+    // Identical records share one bucket per table, capped at 2 entries.
+    Rng rng(4);
+    const Record entity = gen.value().Generate(0, rng);
+    for (RecordId id = 0; id < 3; ++id) {
+      Record copy = entity;
+      copy.id = id;
+      ASSERT_TRUE(service.value()->Insert(copy).ok());
+    }
+    service.value()->FillTelemetry(&registry);
+    const size_t L = service.value()->blocking_groups();
+    ASSERT_EQ(Gauge(registry, "lsh_tables"), static_cast<double>(L));
+    for (size_t l = 0; l < L; ++l) {
+      EXPECT_EQ(Gauge(registry, "lsh_table_buckets", "table", l), 1.0);
+      EXPECT_EQ(Gauge(registry, "lsh_table_entries", "table", l), 2.0);
+      EXPECT_EQ(Gauge(registry, "lsh_table_max_bucket", "table", l), 2.0);
+      EXPECT_DOUBLE_EQ(Gauge(registry, "lsh_table_mean_bucket", "table", l),
+                       2.0);
+    }
+    EXPECT_EQ(Gauge(registry, "lsh_overflowed_buckets"),
+              static_cast<double>(L));
+    EXPECT_EQ(Gauge(registry, "lsh_dropped_entries"), static_cast<double>(L));
+    EXPECT_EQ(service.value()->metrics().dropped_entries, L);
+    // Every bucket has size 2 -> log2 slot 1.
+    EXPECT_EQ(Gauge(registry, "lsh_bucket_occupancy", "size_log2", 1),
+              static_cast<double>(L));
+    EXPECT_EQ(Gauge(registry, "lsh_bucket_occupancy", "size_log2", 0), 0.0);
+  }
+  {
+    // Uncapped: per-table totals add up to the records times the tables,
+    // and the occupancy histogram counts every bucket once.
+    telemetry::Registry registry;
+    Result<std::unique_ptr<LinkageService>> service =
+        LinkageService::Create(BaseConfig(gen.value().schema()));
+    ASSERT_TRUE(service.ok());
+    ASSERT_TRUE(
+        service.value()->InsertBatch(GenerateRecords(gen.value(), 100, 11))
+            .ok());
+    service.value()->FillTelemetry(&registry);
+    const size_t L = service.value()->blocking_groups();
+    double entries = 0;
+    double buckets = 0;
+    double max_bucket = 0;
+    double occupied = 0;
+    for (size_t l = 0; l < L; ++l) {
+      entries += Gauge(registry, "lsh_table_entries", "table", l);
+      buckets += Gauge(registry, "lsh_table_buckets", "table", l);
+      max_bucket = std::max(
+          max_bucket, Gauge(registry, "lsh_table_max_bucket", "table", l));
+    }
+    for (size_t bin = 0; bin < 16; ++bin) {
+      occupied += Gauge(registry, "lsh_bucket_occupancy", "size_log2", bin);
+    }
+    EXPECT_EQ(entries, 100.0 * static_cast<double>(L));
+    EXPECT_EQ(occupied, buckets);
+    EXPECT_GE(max_bucket, 1.0);
+    EXPECT_EQ(Gauge(registry, "lsh_dropped_entries"), 0.0);
+    EXPECT_EQ(Gauge(registry, "lsh_overflowed_buckets"), 0.0);
+  }
 }
 
 TEST(ServiceTest, BatchMatchEqualsSerialMatch) {
@@ -413,6 +494,61 @@ TEST(ServiceTest, SnapshotRestoreRoundTripIdenticalMatches) {
                         IdPair{90000u, 90001u}) != out.end());
 }
 
+TEST(ServiceTest, SnapshotRoundTripKeepsBucketsAndOverflowBits) {
+  // Export -> restore -> export again gives the same buckets (group, key,
+  // overflow bit, ids in order), records and tombstones, and the same
+  // bytes on disk.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  LinkageServiceOptions options;
+  options.max_bucket_size = 4;
+  Result<std::unique_ptr<LinkageService>> created =
+      LinkageService::Create(BaseConfig(gen.value().schema()), options);
+  ASSERT_TRUE(created.ok());
+  LinkageService& service = *created.value();
+  std::vector<Record> registry = GenerateRecords(gen.value(), 100, 3);
+  for (size_t i = 1; i < 8; ++i) {  // seven copies of record 0 overflow
+    registry[i] = registry[0];
+    registry[i].id = i;
+  }
+  ASSERT_TRUE(service.InsertBatch(registry).ok());
+  ASSERT_TRUE(service.Delete(registry[50].id).ok());
+
+  const ServiceSnapshot snapshot = service.ExportSnapshot();
+  EXPECT_EQ(snapshot.num_shards, 16u);
+  EXPECT_EQ(snapshot.tombstones, std::vector<RecordId>{registry[50].id});
+  size_t overflowed = 0;
+  for (size_t i = 0; i < snapshot.buckets.size(); ++i) {
+    if (snapshot.buckets[i].overflowed) ++overflowed;
+    EXPECT_LE(snapshot.buckets[i].ids.size(), 4u);
+    if (i > 0) {
+      const IndexBucketSnapshot& prev = snapshot.buckets[i - 1];
+      EXPECT_TRUE(prev.group != snapshot.buckets[i].group
+                      ? prev.group < snapshot.buckets[i].group
+                      : prev.key < snapshot.buckets[i].key)
+          << "buckets sorted by (group, key)";
+    }
+  }
+  EXPECT_EQ(overflowed, service.blocking_groups());
+
+  Result<std::unique_ptr<LinkageService>> restored =
+      LinkageService::Restore(snapshot);
+  ASSERT_TRUE(restored.ok());
+  const ServiceSnapshot round = restored.value()->ExportSnapshot();
+  ASSERT_EQ(round.buckets.size(), snapshot.buckets.size());
+  for (size_t i = 0; i < snapshot.buckets.size(); ++i) {
+    EXPECT_EQ(round.buckets[i].group, snapshot.buckets[i].group);
+    EXPECT_EQ(round.buckets[i].key, snapshot.buckets[i].key);
+    EXPECT_EQ(round.buckets[i].overflowed, snapshot.buckets[i].overflowed);
+    EXPECT_EQ(round.buckets[i].ids, snapshot.buckets[i].ids);
+  }
+  std::stringstream first;
+  std::stringstream second;
+  ASSERT_TRUE(WriteServiceSnapshot(snapshot, first).ok());
+  ASSERT_TRUE(restored.value()->SaveSnapshot(second).ok());
+  EXPECT_EQ(first.str(), second.str());
+}
+
 // A decoded-but-inconsistent snapshot must be rejected by Restore's
 // semantic validation, not acted on.
 class RestoreValidationTest : public ::testing::Test {
@@ -443,6 +579,16 @@ TEST_F(RestoreValidationTest, DanglingBucketIdRejected) {
   ASSERT_FALSE(snapshot_.buckets.empty());
   snapshot_.buckets[0].ids.push_back(999999);
   ExpectRejected("bucket id not in stored records");
+}
+
+TEST_F(RestoreValidationTest, ForeignBucketGroupRejected) {
+  ASSERT_FALSE(snapshot_.buckets.empty());
+  Result<std::unique_ptr<LinkageService>> baseline =
+      LinkageService::Restore(snapshot_);
+  ASSERT_TRUE(baseline.ok());
+  // Valid groups are 0 .. L-1.
+  snapshot_.buckets.back().group = baseline.value()->blocking_groups();
+  ExpectRejected("bucket group >= L");
 }
 
 TEST_F(RestoreValidationTest, DuplicateRecordIdsRejected) {
@@ -586,6 +732,162 @@ TEST(ServiceTest, TruncatePolicyBoundsWorkUnderBucketCap) {
   ASSERT_TRUE(service.value()->Match(query, &out).ok());
   EXPECT_EQ(out, (std::vector<IdPair>{{1, 42}}));
   EXPECT_EQ(service.value()->metrics().scan_fallbacks, 0u);
+}
+
+TEST(ServiceTest, PairsAscendByRegistryIdPerQuery) {
+  // Identical records inserted out of id order share every bucket, so
+  // both the blocked path (bucket arrival order 7, 2, 9, 5) and the scan
+  // fallback (arena order) would emit them out of id order; each query's
+  // pairs must still come out ascending, from Match and from MatchBatch.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  Rng rng(8);
+  const Record entity = gen.value().Generate(0, rng);
+  for (const size_t cap : {size_t{0}, size_t{1}}) {
+    LinkageServiceOptions options;
+    options.max_bucket_size = cap;
+    options.overflow_policy = OverflowPolicy::kScanFallback;
+    options.execution = ExecutionOptions::WithThreads(2);
+    Result<std::unique_ptr<LinkageService>> service =
+        LinkageService::Create(BaseConfig(gen.value().schema()), options);
+    ASSERT_TRUE(service.ok());
+    for (const RecordId id : {7, 2, 9, 5}) {
+      Record copy = entity;
+      copy.id = id;
+      ASSERT_TRUE(service.value()->Insert(copy).ok());
+    }
+    std::vector<Record> queries;
+    for (const RecordId id : {42, 43}) {
+      Record query = entity;
+      query.id = id;
+      queries.push_back(query);
+    }
+    std::vector<IdPair> out;
+    ASSERT_TRUE(service.value()->Match(queries[0], &out).ok());
+    EXPECT_EQ(out, (std::vector<IdPair>{{2, 42}, {5, 42}, {7, 42}, {9, 42}}))
+        << "cap " << cap;
+    EXPECT_EQ(service.value()->metrics().scan_fallbacks, cap == 0 ? 0u : 1u);
+
+    std::vector<IdPair> batch;
+    ASSERT_TRUE(service.value()->MatchBatch(queries, &batch).ok());
+    for (const Record& query : queries) {
+      std::vector<RecordId> registry_ids;
+      for (const IdPair& pair : batch) {
+        if (pair.b_id == query.id) registry_ids.push_back(pair.a_id);
+      }
+      EXPECT_EQ(registry_ids, (std::vector<RecordId>{2, 5, 7, 9}))
+          << "cap " << cap << " query " << query.id;
+    }
+  }
+}
+
+TEST(ServiceTest, MatchBatchRacesWritersAndCompaction) {
+  // Pool-driven MatchBatch readers run back to back while other threads
+  // insert, update, delete and compact.  The index lock prefers writers,
+  // so no write waits behind an unbounded stream of Matches; once the
+  // threads stop, every Match equals a fresh build of the survivors.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  LinkageServiceOptions options;
+  options.execution = ExecutionOptions::WithThreads(3);
+  Result<std::unique_ptr<LinkageService>> created =
+      LinkageService::Create(BaseConfig(gen.value().schema()), options);
+  ASSERT_TRUE(created.ok());
+  LinkageService& service = *created.value();
+
+  const std::vector<Record> registry = GenerateRecords(gen.value(), 150, 21);
+  ASSERT_TRUE(service.InsertBatch(registry).ok());
+  std::vector<Record> arrivals = GenerateRecords(gen.value(), 60, 22);
+  for (size_t i = 0; i < arrivals.size(); ++i) arrivals[i].id = 1000 + i;
+  std::vector<Record> replacements = GenerateRecords(gen.value(), 30, 23);
+  for (size_t i = 0; i < replacements.size(); ++i) {
+    replacements[i].id = registry[i].id;
+  }
+  std::vector<Record> queries;
+  for (const std::vector<Record>& set : {registry, arrivals, replacements}) {
+    for (const Record& r : set) {
+      Record q = r;
+      q.id = 50000 + queries.size();
+      queries.push_back(std::move(q));
+    }
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> rounds{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        std::vector<IdPair> out;
+        EXPECT_TRUE(service.MatchBatch(queries, &out).ok());
+        rounds.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (rounds.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+
+  using Clock = std::chrono::steady_clock;
+  std::atomic<int64_t> slowest_write_us{0};
+  const auto timed = [&](const auto& write) {
+    const Clock::time_point start = Clock::now();
+    write();
+    const int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
+                           Clock::now() - start)
+                           .count();
+    int64_t seen = slowest_write_us.load();
+    while (us > seen && !slowest_write_us.compare_exchange_weak(seen, us)) {
+    }
+  };
+  std::vector<std::thread> writers;
+  writers.emplace_back([&] {
+    for (const Record& r : arrivals) {
+      timed([&] { EXPECT_TRUE(service.Insert(r).ok()); });
+    }
+  });
+  writers.emplace_back([&] {
+    for (const Record& r : replacements) {
+      timed([&] { EXPECT_TRUE(service.Update(r).ok()); });
+    }
+  });
+  writers.emplace_back([&] {
+    for (size_t i = 30; i < 60; ++i) {
+      timed([&] { EXPECT_TRUE(service.Delete(registry[i].id).ok()); });
+    }
+  });
+  writers.emplace_back([&] {
+    for (int k = 0; k < 4; ++k) {
+      timed([&] { EXPECT_TRUE(service.Compact().ok()); });
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  for (std::thread& t : writers) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+  // Generous for sanitizer builds: a write waits for the Matches already
+  // holding the lock, never for the ones that arrive after it.
+  EXPECT_LT(slowest_write_us.load(), 5'000'000);
+
+  ASSERT_TRUE(service.Compact().ok());
+  std::vector<Record> survivors(registry.begin(), registry.end());
+  std::copy(replacements.begin(), replacements.end(), survivors.begin());
+  survivors.erase(survivors.begin() + 30, survivors.begin() + 60);
+  survivors.insert(survivors.end(), arrivals.begin(), arrivals.end());
+  EXPECT_EQ(service.size(), survivors.size());
+  EXPECT_EQ(service.tombstone_count(), 0u);
+
+  Result<std::unique_ptr<LinkageService>> fresh =
+      LinkageService::Create(BaseConfig(gen.value().schema()));
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(fresh.value()->InsertBatch(survivors).ok());
+  for (const Record& q : queries) {
+    std::vector<IdPair> served;
+    std::vector<IdPair> expected;
+    ASSERT_TRUE(service.Match(q, &served).ok());
+    ASSERT_TRUE(fresh.value()->Match(q, &expected).ok());
+    EXPECT_EQ(served, expected) << "query " << q.id;
+  }
 }
 
 }  // namespace

@@ -28,7 +28,6 @@
 //   --alphanumeric         alphanumeric alphabet for every attribute
 //   --seed N               RNG seed (default 7)
 //   --num-threads N        batch worker threads (default 0 = hardware)
-//   --shards N             lock shards (default 16)
 //   --max-bucket N         bucket-size cap (default 0 = unlimited)
 //   --overflow POLICY      truncate | scan (default scan)
 //   --batch N              stream queries in batches of N (default 1024;
@@ -132,7 +131,6 @@ struct Args {
   bool alphanumeric = false;
   uint64_t seed = 7;
   size_t threads = 0;
-  size_t shards = 16;
   size_t max_bucket = 0;
   std::string overflow = "scan";
   size_t batch = 1024;
@@ -264,7 +262,7 @@ void Usage() {
                "--queries B.csv\n"
                "  [--insert] [--snapshot-out FILE] [--rule RULE] [--theta N]\n"
                "  [--k N] [--delta X] [--alphanumeric] [--id-column NAME]\n"
-               "  [--num-threads N] [--shards N] [--max-bucket N] "
+               "  [--num-threads N] [--max-bucket N] "
                "[--overflow truncate|scan]\n"
                "  [--batch N] [--out FILE] [--seed N]\n"
                "  [--metrics-out FILE] [--stats-interval SEC]\n"
@@ -331,7 +329,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--num-threads") {
       if (!next_size(&args->threads)) return false;
     } else if (flag == "--shards") {
-      if (!next_size(&args->shards)) return false;
+      // The index is no longer sharded; old command lines keep working.
+      size_t ignored = 0;
+      if (!next_size(&ignored)) return false;
+      std::fprintf(stderr, "cbvlink_serve: --shards is ignored\n");
     } else if (flag == "--max-bucket") {
       if (!next_size(&args->max_bucket)) return false;
     } else if (flag == "--overflow") {
@@ -582,7 +583,6 @@ int RunMain(int argc, char** argv) {
   if (!args.follow.empty()) return RunStandby(args);
 
   LinkageServiceOptions options;
-  options.num_shards = args.shards;
   options.max_bucket_size = args.max_bucket;
   options.overflow_policy = args.overflow == "truncate"
                                 ? OverflowPolicy::kTruncate
@@ -677,10 +677,9 @@ int RunMain(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stderr,
-                 "indexed %zu records, %zu blocking groups, %zu shards "
-                 "(%.2fs)\n",
+                 "indexed %zu records, %zu blocking groups (%.2fs)\n",
                  service->size(), service->blocking_groups(),
-                 service->options().num_shards, build_watch.ElapsedSeconds());
+                 build_watch.ElapsedSeconds());
   }
 
   // Journal: replay the tail BEFORE attaching (attached frames are
