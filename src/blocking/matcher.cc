@@ -44,7 +44,7 @@ struct MatcherMetrics {
 
 }  // namespace
 
-void VectorStore::Add(const EncodedRecord& record) {
+uint32_t VectorStore::Add(const EncodedRecord& record) {
   if (ids_.empty()) {
     num_bits_ = record.bits.size();
     stride_ = record.bits.words().size();
@@ -81,7 +81,7 @@ void VectorStore::Add(const EncodedRecord& record) {
         dead_words_[dense >> 6] &= ~(uint64_t{1} << (dense & 63));
         --dead_count_;
       }
-      return;
+      return dense;
     }
     pos = (pos + 1) & slot_mask_;
   }
@@ -92,14 +92,20 @@ void VectorStore::Add(const EncodedRecord& record) {
   words_.insert(words_.end(), words.begin(), words.end());
   // BitVector zero-pads past size(); the arena inherits the invariant, so
   // whole-word kernels are exact.
+  return dense;
 }
 
-void VectorStore::AddAll(const std::vector<EncodedRecord>& records) {
+void VectorStore::AddAll(const std::vector<EncodedRecord>& records,
+                         std::vector<uint32_t>* slots) {
   if (!records.empty() && ids_.empty()) {
     words_.reserve(records.size() * records.front().bits.words().size());
     ids_.reserve(records.size());
   }
-  for (const EncodedRecord& record : records) Add(record);
+  if (slots != nullptr) slots->resize(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    const uint32_t slot = Add(records[i]);
+    if (slots != nullptr) (*slots)[i] = slot;
+  }
 }
 
 bool VectorStore::Remove(RecordId id) {
@@ -252,6 +258,11 @@ bool PairClassifier::EvalNode(uint32_t index, const uint64_t* a,
   return false;
 }
 
+Matcher::Matcher(const CandidateSource* source, const VectorStore* store_a)
+    : source_(source),
+      slot_source_(dynamic_cast<const SlotCandidateSource*>(source)),
+      store_a_(store_a) {}
+
 void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
                        std::vector<IdPair>* out, MatchStats* stats) const {
   MatchOne(b, classifier, out, stats, &scratch_);
@@ -271,31 +282,71 @@ void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
 void Matcher::Probe(const BitVector& probe, MatchStats* stats,
                     Scratch* scratch) const {
   scratch->Prepare(store_a_->size());
+  if (slot_source_ == nullptr) {
+    ProbeIds(probe, stats, scratch);
+    return;
+  }
+  // Slots index the stamps and the arena directly; one check per probe
+  // keeps a blocker built over other records from reading past them.
+  if (slot_source_->num_slots() > store_a_->size()) {
+    std::fprintf(stderr,
+                 "cbvlink: Matcher: blocking tables hold slot %zu but the "
+                 "store has %zu records (tables and store must be built "
+                 "over the same records)\n",
+                 slot_source_->num_slots() - 1, store_a_->size());
+    std::abort();
+  }
   uint32_t* const stamps = scratch->stamps_.data();
   const uint32_t epoch = scratch->epoch_;
   // Stage every first-seen live candidate while walking the bucket
   // spans; Classify then takes the probe's whole fresh set in one call.
   std::vector<uint32_t>& fresh_dense = scratch->fresh_dense_;
-  source_->ForEachCandidateSpan(
-      probe, [&](std::span<const RecordId> bucket) {
+  slot_source_->ForEachSlotSpan(
+      probe, [&](std::span<const uint32_t> bucket) {
         stats->candidate_occurrences += bucket.size();
-        for (const RecordId a_id : bucket) {
-          const uint32_t dense = store_a_->DenseIndex(a_id);
-          if (dense == VectorStore::kNotFound) {
-            // Id indexed but vector unknown: no dense slot to stamp, so
-            // de-duplicate through the (steady-state empty) side set.
-            if (!scratch->unknown_.insert(a_id).second) ++stats->dedup_skipped;
-            continue;
-          }
-          if (stamps[dense] == epoch) {
+        for (const uint32_t slot : bucket) {
+          if (stamps[slot] == epoch) {
             ++stats->dedup_skipped;
             continue;
           }
-          stamps[dense] = epoch;
+          stamps[slot] = epoch;
           // Tombstoned slot: stamped (so repeats dedupe for free) but
           // never compared — a deleted record matches nothing.
-          if (store_a_->IsDead(dense)) continue;
-          fresh_dense.push_back(dense);
+          if (store_a_->IsDead(slot)) continue;
+          fresh_dense.push_back(slot);
+        }
+      });
+}
+
+void Matcher::ProbeIds(const BitVector& probe, MatchStats* stats,
+                       Scratch* scratch) const {
+  uint32_t* const stamps = scratch->stamps_.data();
+  const uint32_t epoch = scratch->epoch_;
+  std::vector<uint32_t>& fresh_dense = scratch->fresh_dense_;
+  // Ids without a stored vector have no slot to stamp; a probe rarely
+  // meets any, so a short list de-duplicates them.
+  std::vector<RecordId> unknown;
+  source_->ForEachCandidateSpan(
+      probe, [&](std::span<const RecordId> ids) {
+        stats->candidate_occurrences += ids.size();
+        for (const RecordId id : ids) {
+          const uint32_t slot = store_a_->DenseIndex(id);
+          if (slot == VectorStore::kNotFound) {
+            if (std::find(unknown.begin(), unknown.end(), id) !=
+                unknown.end()) {
+              ++stats->dedup_skipped;
+            } else {
+              unknown.push_back(id);
+            }
+            continue;
+          }
+          if (stamps[slot] == epoch) {
+            ++stats->dedup_skipped;
+            continue;
+          }
+          stamps[slot] = epoch;
+          if (store_a_->IsDead(slot)) continue;
+          fresh_dense.push_back(slot);
         }
       });
 }

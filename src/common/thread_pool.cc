@@ -99,4 +99,14 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+void ParallelForOrInline(
+    ThreadPool* pool, size_t total, size_t min_chunk,
+    const std::function<void(size_t, size_t, size_t)>& fn) {
+  if (pool == nullptr || pool->num_threads() <= 1 || total <= 1) {
+    fn(0, 0, total);
+  } else {
+    pool->ParallelFor(total, min_chunk, fn);
+  }
+}
+
 }  // namespace cbvlink

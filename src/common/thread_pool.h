@@ -72,6 +72,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// pool->ParallelFor(total, min_chunk, fn), or fn(0, 0, total) on the
+/// calling thread when `pool` is null, has one worker, or `total` <= 1.
+void ParallelForOrInline(
+    ThreadPool* pool, size_t total, size_t min_chunk,
+    const std::function<void(size_t, size_t, size_t)>& fn);
+
 }  // namespace cbvlink
 
 #endif  // CBVLINK_COMMON_THREAD_POOL_H_

@@ -80,7 +80,13 @@ Result<LinkageResult> CbvHbLinker::Link(const std::vector<Record>& a,
   result.embed_seconds = watch.ElapsedSeconds();
 
   // --- Blocking ----------------------------------------------------------
+  // The arena first: its slots are what the blocking tables hold.  A
+  // repeated id keeps its first vector and slot, so every record carrying
+  // that id blocks onto the first one's row.
   watch.Restart();
+  VectorStore store_a;
+  std::vector<uint32_t> slots;
+  store_a.AddAll(encoded_a, &slots);
   std::optional<RecordLevelBlocker> record_blocker;
   std::optional<AttributeLevelBlocker> attribute_blocker;
   const CandidateSource* source = nullptr;
@@ -93,7 +99,7 @@ Result<LinkageResult> CbvHbLinker::Link(const std::vector<Record>& a,
         config_.rule, encoder_->layout(), options, rng);
     if (!blocker.ok()) return blocker.status();
     attribute_blocker.emplace(std::move(blocker).value());
-    attribute_blocker->BulkInsert(encoded_a, ctx.pool(),
+    attribute_blocker->BulkInsert(encoded_a, slots, ctx.pool(),
                                   ctx.chunk_size_hint());
     for (size_t s = 0; s < attribute_blocker->num_structures(); ++s) {
       result.blocking_groups += attribute_blocker->structure_L(s);
@@ -105,14 +111,12 @@ Result<LinkageResult> CbvHbLinker::Link(const std::vector<Record>& a,
                                    config_.record_theta, config_.delta, rng);
     if (!blocker.ok()) return blocker.status();
     record_blocker.emplace(std::move(blocker).value());
-    record_blocker->BulkInsert(encoded_a, ctx.pool(),
+    record_blocker->BulkInsert(encoded_a, slots, ctx.pool(),
                                ctx.chunk_size_hint());
     result.blocking_groups = record_blocker->L();
     source = &*record_blocker;
   }
 
-  VectorStore store_a;
-  store_a.AddAll(encoded_a);
   result.index_seconds = watch.ElapsedSeconds();
 
   // --- Matching (Algorithm 2) --------------------------------------------

@@ -94,7 +94,7 @@ Result<LinkageResult> HarraLinker::Link(const std::vector<Record>& a,
     }
   };
   std::vector<uint64_t> table_keys;
-  std::vector<RecordId> table_ids;
+  std::vector<uint32_t> table_ids;
   for (size_t l = 0; l < config_.L; ++l) {
     // Build this iteration's table over the records still alive: keys in
     // parallel, then one bulk merge in index order (deterministic
@@ -107,7 +107,7 @@ Result<LinkageResult> HarraLinker::Link(const std::vector<Record>& a,
     for (size_t i = 0; i < a.size(); ++i) {
       if (!alive_a[i]) continue;
       table_keys.push_back(keys_a[i]);
-      table_ids.push_back(static_cast<RecordId>(i));
+      table_ids.push_back(static_cast<uint32_t>(i));
     }
     BlockingTable table;
     table.BulkInsert(table_keys, table_ids);
@@ -120,7 +120,7 @@ Result<LinkageResult> HarraLinker::Link(const std::vector<Record>& a,
         std::fill(stamps.begin(), stamps.end(), 0);
         epoch = 1;
       }
-      for (RecordId ai : table.Get(key)) {
+      for (const uint32_t ai : table.Get(key)) {
         ++result.stats.candidate_occurrences;
         const size_t i = static_cast<size_t>(ai);
         if (!alive_a[i]) continue;  // matched earlier in this iteration

@@ -62,13 +62,17 @@ Result<EncodedRecord> OnlineCbvHbLinker::Encode(const Record& record) const {
 Status OnlineCbvHbLinker::Insert(const Record& record) {
   Result<EncodedRecord> encoded = Encode(record);
   if (!encoded.ok()) return encoded.status();
-  if (attribute_blocker_.has_value()) {
-    attribute_blocker_->Insert(encoded.value());
-  } else {
-    record_blocker_->Insert(encoded.value());
-  }
-  store_.Add(encoded.value());
+  Index(encoded.value());
   return Status::OK();
+}
+
+void OnlineCbvHbLinker::Index(const EncodedRecord& encoded) {
+  const uint32_t slot = store_.Add(encoded);
+  if (attribute_blocker_.has_value()) {
+    attribute_blocker_->Insert(encoded, slot);
+  } else {
+    record_blocker_->Insert(encoded, slot);
+  }
 }
 
 Status OnlineCbvHbLinker::InsertBatch(const std::vector<Record>& records,
@@ -77,14 +81,15 @@ Status OnlineCbvHbLinker::InsertBatch(const std::vector<Record>& records,
   Result<std::vector<EncodedRecord>> encoded =
       encoder_->EncodeAll(records, ctx.pool(), ctx.chunk_size_hint());
   if (!encoded.ok()) return encoded.status();
+  std::vector<uint32_t> slots;
+  store_.AddAll(encoded.value(), &slots);
   if (attribute_blocker_.has_value()) {
-    attribute_blocker_->BulkInsert(encoded.value(), ctx.pool(),
+    attribute_blocker_->BulkInsert(encoded.value(), slots, ctx.pool(),
                                    ctx.chunk_size_hint());
   } else {
-    record_blocker_->BulkInsert(encoded.value(), ctx.pool(),
+    record_blocker_->BulkInsert(encoded.value(), slots, ctx.pool(),
                                 ctx.chunk_size_hint());
   }
-  store_.AddAll(encoded.value());
   return Status::OK();
 }
 
@@ -113,12 +118,7 @@ Status OnlineCbvHbLinker::MatchAndInsertEncoded(const EncodedRecord& encoded,
   }
   Matcher matcher(&source(), &store_);
   matcher.MatchOne(encoded, classifier_, out, &stats_, &scratch_);
-  if (attribute_blocker_.has_value()) {
-    attribute_blocker_->Insert(encoded);
-  } else {
-    record_blocker_->Insert(encoded);
-  }
-  store_.Add(encoded);
+  Index(encoded);
   return Status::OK();
 }
 

@@ -74,6 +74,10 @@ class OnlineCbvHbLinker {
 
   Result<EncodedRecord> Encode(const Record& record) const;
 
+  /// Stores `encoded` and indexes its blocking keys at the slot it
+  /// landed in.
+  void Index(const EncodedRecord& encoded);
+
   /// The active candidate source (derived, so the object stays safely
   /// movable).
   const CandidateSource& source() const {

@@ -125,7 +125,7 @@ Result<LinkageResult> SmEbLinker::Link(const std::vector<Record>& a,
     for (size_t i = 0; i < a.size(); ++i) {
       for (size_t l = 0; l < L; ++l) {
         tables[l].Insert(family.value().Key(points_a[i], l),
-                         static_cast<RecordId>(i));
+                         static_cast<uint32_t>(i));
       }
     }
   } else {
@@ -133,11 +133,11 @@ Result<LinkageResult> SmEbLinker::Link(const std::vector<Record>& a,
     // one deterministic column merge per table.
     const size_t n = a.size();
     std::vector<uint64_t> keys(n * L);
-    std::vector<RecordId> ids(n);
+    std::vector<uint32_t> ids(n);
     ctx.pool()->ParallelFor(n, ctx.chunk_size_hint(),
                             [&](size_t, size_t begin, size_t end) {
                               for (size_t i = begin; i < end; ++i) {
-                                ids[i] = static_cast<RecordId>(i);
+                                ids[i] = static_cast<uint32_t>(i);
                                 for (size_t l = 0; l < L; ++l) {
                                   keys[l * n + i] =
                                       family.value().Key(points_a[i], l);
@@ -175,10 +175,10 @@ Result<LinkageResult> SmEbLinker::Link(const std::vector<Record>& a,
   const auto match_range = [&](size_t begin, size_t end, MatchStats* stats,
                                std::vector<IdPair>* matches) {
     for (size_t j = begin; j < end; ++j) {
-      std::unordered_set<RecordId> compared;
+      std::unordered_set<uint32_t> compared;
       for (size_t l = 0; l < L; ++l) {
         const uint64_t key = family.value().Key(points_b[j], l);
-        for (RecordId ai : tables[l].Get(key)) {
+        for (const uint32_t ai : tables[l].Get(key)) {
           ++stats->candidate_occurrences;
           if (!compared.insert(ai).second) {
             ++stats->dedup_skipped;

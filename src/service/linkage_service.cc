@@ -110,19 +110,21 @@ struct LinkageService::Core {
     return dense != VectorStore::kNotFound && !store.IsDead(dense);
   }
 
-  /// Stores `record` without indexing it.  A live id is removed first,
-  /// so Add brings its slot back with the new bits (overwrite, not
-  /// first-wins); an insert of a tombstoned id resurrects it.
-  void Store(const EncodedRecord& record) {
+  /// Stores `record` without indexing it and returns its slot.  A live
+  /// id is removed first, so Add brings its slot back with the new bits
+  /// (overwrite, not first-wins); an insert of a tombstoned id resurrects
+  /// it.  Either way the id keeps its slot, so bucket entries written
+  /// for its old bits still name it.
+  uint32_t Store(const EncodedRecord& record) {
     store.Remove(record.id);
-    store.Add(record);
+    const uint32_t slot = store.Add(record);
     if (!tombstones.empty()) tombstones.erase(record.id);
+    return slot;
   }
 
-  /// Store + index the record's blocking keys.
+  /// Store + index the record's blocking keys at its slot.
   void Put(const EncodedRecord& record) {
-    Store(record);
-    blocker.Insert(record);
+    blocker.Insert(record, Store(record));
   }
 
   /// Sets `id`'s dead-slot bit and tombstones it; false when not live.
@@ -590,8 +592,9 @@ Status LinkageService::Compact() {
   // survivors are what a fresh build of the live set produces.  No core
   // lock is held, so the pool is free to run the table build.
   std::shared_ptr<Core> fresh = NewCore();
-  fresh->store.AddAll(survivors);
-  fresh->blocker.BulkInsert(survivors, pool_);
+  std::vector<uint32_t> slots;
+  fresh->store.AddAll(survivors, &slots);
+  fresh->blocker.BulkInsert(survivors, slots, pool_);
   const size_t after = fresh->NumEntries();
   const uint64_t reclaimed = before > after ? before - after : 0;
   {
@@ -757,12 +760,20 @@ Status LinkageService::InsertBatch(const std::vector<Record>& records) {
   if (!encoded.ok()) return encoded.status();
   {
     telemetry::TraceSpan insert_span("insert");
+    const std::vector<EncodedRecord>& batch = encoded.value();
+    // The key matrix depends only on the hash family, which every core
+    // shares: compute it on the pool before taking any lock, so the
+    // exclusive section below holds only the slot assignment and the
+    // table merge.
+    const std::vector<uint64_t> keys =
+        PinCore()->blocker.KeyMatrix(batch, pool_);
+    std::vector<uint32_t> slots(batch.size());
     std::shared_lock compaction_guard(compaction_mu_);
     const std::shared_ptr<Core> core = PinCore();
     std::unique_lock lock(core->mu);
-    for (const EncodedRecord& record : encoded.value()) core->Store(record);
+    for (size_t i = 0; i < batch.size(); ++i) slots[i] = core->Store(batch[i]);
     // Serial: the pool's workers may be Matches waiting on this lock.
-    core->blocker.BulkInsert(encoded.value());
+    core->blocker.InsertKeys(batch, keys, slots);
     tombstone_count_.store(core->tombstones.size(),
                            std::memory_order_relaxed);
   }
@@ -851,7 +862,9 @@ ServiceSnapshot LinkageService::ExportSnapshot() const {
   // Copy the flat arena and tables under the shared lock (a few vector
   // copies), then build the snapshot from the copies, so a writer — and,
   // behind it, new Matches — waits for the copy only.  One lock makes
-  // the records, buckets and tombstones a consistent cut.
+  // the records, buckets and tombstones a consistent cut.  The tables
+  // hold arena slots; the snapshot names records by id, so each slot is
+  // written as the id stored there (a dead slot keeps its id).
   VectorStore store;
   std::vector<BlockingTable> tables;
   {
@@ -866,11 +879,14 @@ ServiceSnapshot LinkageService::ExportSnapshot() const {
   for (size_t group = 0; group < tables.size(); ++group) {
     const size_t first = snapshot.buckets.size();
     tables[group].ForEachBucket([&](uint64_t key,
-                                    std::span<const RecordId> ids,
+                                    std::span<const uint32_t> slots,
                                     bool overflowed) {
-      snapshot.buckets.push_back(IndexBucketSnapshot{
-          group, key, overflowed, std::vector<RecordId>(ids.begin(),
-                                                        ids.end())});
+      std::vector<RecordId> ids(slots.size());
+      for (size_t i = 0; i < slots.size(); ++i) {
+        ids[i] = store.IdAt(slots[i]);
+      }
+      snapshot.buckets.push_back(
+          IndexBucketSnapshot{group, key, overflowed, std::move(ids)});
     });
     std::sort(snapshot.buckets.begin() + static_cast<ptrdiff_t>(first),
               snapshot.buckets.end(),
@@ -1029,22 +1045,43 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
   }
   // Validated; load the arena, then the buckets — one table per worker
   // (the snapshot lists each group's buckets contiguously, sorted by
-  // group, but the split below does not rely on it).
+  // group, but the split below does not rely on it).  Bucket ids become
+  // the slots the arena gave them.  A bucket may still name a deleted id
+  // (ids linger in buckets until compaction, and snapshots store only
+  // live records); it has no slot, matches nothing, and is dropped here
+  // and counted.
   Core& core = *service.value()->core_;
-  core.store.AddAll(snapshot.records);
+  std::vector<uint32_t> slots;
+  core.store.AddAll(snapshot.records, &slots);
+  core.blocker.AssignSlots(snapshot.records, slots);
   std::vector<std::vector<const IndexBucketSnapshot*>> by_group(L);
   for (const IndexBucketSnapshot& bucket : snapshot.buckets) {
     by_group[bucket.group].push_back(&bucket);
   }
+  std::atomic<uint64_t> dropped{0};
   service.value()->pool_->ParallelFor(
       L, [&](size_t, size_t begin, size_t end) {
+        std::vector<uint32_t> bucket_slots;
+        uint64_t unbacked = 0;
         for (size_t group = begin; group < end; ++group) {
           for (const IndexBucketSnapshot* bucket : by_group[group]) {
-            core.blocker.RestoreBucket(group, bucket->key, bucket->ids,
+            bucket_slots.clear();
+            for (const RecordId id : bucket->ids) {
+              const uint32_t slot = core.store.DenseIndex(id);
+              if (slot == VectorStore::kNotFound) {
+                ++unbacked;
+              } else {
+                bucket_slots.push_back(slot);
+              }
+            }
+            core.blocker.RestoreBucket(group, bucket->key, bucket_slots,
                                        bucket->overflowed);
           }
         }
+        dropped.fetch_add(unbacked, std::memory_order_relaxed);
       });
+  service.value()->restore_dropped_bucket_ids_.store(
+      dropped.load(std::memory_order_relaxed), std::memory_order_relaxed);
   service.value()->inserts_.store(snapshot.records.size(),
                                   std::memory_order_relaxed);
   // Mutation state (version 3+; defaults for older snapshots): restored
@@ -1119,6 +1156,8 @@ ServiceMetrics LinkageService::metrics() const {
   m.matches = matches_.load(std::memory_order_relaxed);
   m.scan_fallbacks = scan_fallbacks_.load(std::memory_order_relaxed);
   m.restore_fallbacks = restore_fallbacks_.load(std::memory_order_relaxed);
+  m.restore_dropped_bucket_ids =
+      restore_dropped_bucket_ids_.load(std::memory_order_relaxed);
   m.skipped_rows = skipped_rows_.load(std::memory_order_relaxed);
   m.insert_seconds =
       static_cast<double>(insert_nanos_.load(std::memory_order_relaxed)) * 1e-9;

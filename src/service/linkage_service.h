@@ -117,6 +117,9 @@ struct ServiceMetrics {
   /// 1 when RestoreFromFile served this process from the .bak snapshot
   /// because the primary was corrupt.
   uint64_t restore_fallbacks = 0;
+  /// Bucket entries a restored snapshot named by an id it does not store
+  /// (records deleted before the snapshot); Restore drops them.
+  uint64_t restore_dropped_bucket_ids = 0;
   /// Malformed input rows the feeding layer skipped (RecordSkippedRows).
   uint64_t skipped_rows = 0;
   /// Busy time summed across calls — and across threads for the batch
@@ -444,6 +447,7 @@ class LinkageService {
   mutable std::atomic<uint64_t> matches_{0};
   mutable std::atomic<uint64_t> scan_fallbacks_{0};
   mutable std::atomic<uint64_t> restore_fallbacks_{0};
+  std::atomic<uint64_t> restore_dropped_bucket_ids_{0};
   mutable std::atomic<uint64_t> skipped_rows_{0};
   mutable std::atomic<uint64_t> insert_nanos_{0};
   mutable std::atomic<uint64_t> query_nanos_{0};

@@ -108,7 +108,7 @@ TEST(BitVectorModelTest, AppendThenSliceIsIdentity) {
   }
 }
 
-using BucketModel = std::map<uint64_t, std::vector<RecordId>>;
+using BucketModel = std::map<uint64_t, std::vector<uint32_t>>;
 
 /// Keys that share a home slot in every BlockingTable of up to 2^16 slots
 /// (a key's home slot is Mix64(key) masked to the slot count), so their
@@ -141,8 +141,8 @@ void ExpectAgrees(const BlockingTable& table, const BucketModel& model) {
   EXPECT_EQ(table.OccupancyHistogram(16), model_histogram);
   // ForEachBucket visits each model bucket exactly once, with its ids.
   BucketModel visited;
-  table.ForEachBucket([&](uint64_t key, std::span<const RecordId> bucket) {
-    EXPECT_TRUE(visited.emplace(key, std::vector<RecordId>(bucket.begin(),
+  table.ForEachBucket([&](uint64_t key, std::span<const uint32_t> bucket) {
+    EXPECT_TRUE(visited.emplace(key, std::vector<uint32_t>(bucket.begin(),
                                                            bucket.end()))
                     .second)
         << "key " << key << " visited twice";
@@ -163,10 +163,10 @@ TEST(BlockingTableModelTest, AgreesWithMultimap) {
   // BulkInsert of `n` random entries, mirrored into the model.
   const auto bulk = [&](BlockingTable* table, BucketModel* model, size_t n) {
     std::vector<uint64_t> keys(n);
-    std::vector<RecordId> ids(n);
+    std::vector<uint32_t> ids(n);
     for (size_t i = 0; i < n; ++i) {
       keys[i] = draw_key();
-      ids[i] = rng.Below(1000);
+      ids[i] = static_cast<uint32_t>(rng.Below(1000));
       (*model)[keys[i]].push_back(ids[i]);
     }
     table->BulkInsert(keys, ids);
@@ -183,7 +183,7 @@ TEST(BlockingTableModelTest, AgreesWithMultimap) {
     for (int op = 0; op < 400; ++op) {
       if (rng.NextBool(0.9)) {
         const uint64_t key = draw_key();
-        const RecordId id = rng.Below(1000);
+        const uint32_t id = static_cast<uint32_t>(rng.Below(1000));
         table.Insert(key, id);
         model[key].push_back(id);
       } else {

@@ -494,6 +494,150 @@ TEST(ServiceTest, SnapshotRestoreRoundTripIdenticalMatches) {
                         IdPair{90000u, 90001u}) != out.end());
 }
 
+TEST(ServiceTest, InsertBatchTablesEqualSerialInserts) {
+  // InsertBatch computes the key matrix before taking the index lock and
+  // merges it under the lock.  Into empty and into non-empty tables, and
+  // with ids that repeat across and within batches, the buckets (ids in
+  // order, overflow bits) equal those of one Insert per record.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  LinkageServiceOptions options;
+  options.max_bucket_size = 6;
+  options.execution = ExecutionOptions::WithThreads(3);
+  Result<std::unique_ptr<LinkageService>> batched =
+      LinkageService::Create(BaseConfig(gen.value().schema()), options);
+  Result<std::unique_ptr<LinkageService>> serial =
+      LinkageService::Create(BaseConfig(gen.value().schema()), options);
+  ASSERT_TRUE(batched.ok());
+  ASSERT_TRUE(serial.ok());
+  std::vector<Record> first = GenerateRecords(gen.value(), 90, 51);
+  for (size_t i = 1; i < 9; ++i) {  // eight copies overflow the cap
+    first[i] = first[0];
+    first[i].id = 500 + i;
+  }
+  std::vector<Record> second = GenerateRecords(gen.value(), 60, 52);
+  for (size_t i = 0; i < 10; ++i) second[i].id = first[20 + i].id;
+  second[15].id = second[14].id;
+  for (const std::vector<Record>* batch : {&first, &second}) {
+    ASSERT_TRUE(batched.value()->InsertBatch(*batch).ok());
+    for (const Record& r : *batch) ASSERT_TRUE(serial.value()->Insert(r).ok());
+  }
+  const ServiceSnapshot x = batched.value()->ExportSnapshot();
+  const ServiceSnapshot y = serial.value()->ExportSnapshot();
+  size_t overflowed = 0;
+  ASSERT_EQ(x.buckets.size(), y.buckets.size());
+  for (size_t i = 0; i < x.buckets.size(); ++i) {
+    EXPECT_EQ(x.buckets[i].group, y.buckets[i].group);
+    EXPECT_EQ(x.buckets[i].key, y.buckets[i].key);
+    EXPECT_EQ(x.buckets[i].overflowed, y.buckets[i].overflowed);
+    EXPECT_EQ(x.buckets[i].ids, y.buckets[i].ids);
+    overflowed += x.buckets[i].overflowed ? 1 : 0;
+  }
+  EXPECT_GT(overflowed, 0u);
+  std::stringstream bx;
+  std::stringstream by;
+  ASSERT_TRUE(WriteServiceSnapshot(x, bx).ok());
+  ASSERT_TRUE(WriteServiceSnapshot(y, by).ok());
+  EXPECT_EQ(bx.str(), by.str());
+}
+
+TEST(ServiceTest, UpdateThenMatchEqualsFreshBuild) {
+  // An update keeps the id's arena slot: the old bits' bucket entries
+  // still name that slot, which now holds the new bits.  Matches must
+  // see only the new bits — queries carrying the old bits no longer link
+  // to the updated ids — exactly as a fresh build of the final records.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  Result<std::unique_ptr<LinkageService>> created =
+      LinkageService::Create(BaseConfig(gen.value().schema()));
+  ASSERT_TRUE(created.ok());
+  LinkageService& service = *created.value();
+  const std::vector<Record> registry = GenerateRecords(gen.value(), 120, 31);
+  ASSERT_TRUE(service.InsertBatch(registry).ok());
+  std::vector<Record> final_records = registry;
+  std::vector<Record> replacements = GenerateRecords(gen.value(), 25, 32);
+  for (size_t i = 0; i < replacements.size(); ++i) {
+    replacements[i].id = registry[i * 4].id;
+    final_records[i * 4] = replacements[i];
+    ASSERT_TRUE(service.Update(replacements[i]).ok());
+  }
+
+  Result<std::unique_ptr<LinkageService>> fresh =
+      LinkageService::Create(BaseConfig(gen.value().schema()));
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(fresh.value()->InsertBatch(final_records).ok());
+  size_t old_links = 0;
+  size_t new_links = 0;
+  const std::vector<Record>* const sets[] = {&registry, &replacements};
+  for (const std::vector<Record>* set : sets) {
+    for (const Record& r : *set) {
+      Record q = r;
+      q.id = 70000 + r.id;
+      std::vector<IdPair> served;
+      std::vector<IdPair> expected;
+      ASSERT_TRUE(service.Match(q, &served).ok());
+      ASSERT_TRUE(fresh.value()->Match(q, &expected).ok());
+      EXPECT_EQ(served, expected) << "query for id " << r.id;
+      const bool links_to_own_id =
+          std::find(served.begin(), served.end(), IdPair{r.id, q.id}) !=
+          served.end();
+      (set == &replacements ? new_links : old_links) += links_to_own_id;
+    }
+  }
+  EXPECT_EQ(new_links, replacements.size());
+  EXPECT_EQ(old_links, registry.size() - replacements.size());
+}
+
+TEST(ServiceTest, RestoreDropsDeletedBucketIdsAndMatchesAsBefore) {
+  // Snapshots store only live records, while a deleted id lingers in
+  // its buckets until compaction.  Restore drops those entries (the id
+  // has no slot) and counts them; the restored service matches exactly
+  // as the original did before the snapshot.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  Result<std::unique_ptr<LinkageService>> created =
+      LinkageService::Create(BaseConfig(gen.value().schema()));
+  ASSERT_TRUE(created.ok());
+  LinkageService& service = *created.value();
+  const std::vector<Record> registry = GenerateRecords(gen.value(), 150, 41);
+  ASSERT_TRUE(service.InsertBatch(registry).ok());
+  size_t deleted = 0;
+  for (size_t i = 0; i < registry.size(); i += 5) {
+    ASSERT_TRUE(service.Delete(registry[i].id).ok());
+    ++deleted;
+  }
+  std::vector<Record> queries;
+  for (const Record& r : registry) {
+    Record q = r;
+    q.id = 60000 + r.id;
+    queries.push_back(std::move(q));
+  }
+  std::vector<std::vector<IdPair>> before(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(service.Match(queries[i], &before[i]).ok());
+  }
+
+  std::stringstream buffer;
+  ASSERT_TRUE(service.SaveSnapshot(buffer).ok());
+  Result<ServiceSnapshot> snapshot = ReadServiceSnapshot(buffer);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot.value().tombstones.size(), deleted);
+  Result<std::unique_ptr<LinkageService>> restored =
+      LinkageService::Restore(snapshot.value());
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored.value()->metrics().restore_dropped_bucket_ids,
+            deleted * service.blocking_groups());
+  EXPECT_EQ(restored.value()->size(), registry.size() - deleted);
+  size_t linked = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::vector<IdPair> after;
+    ASSERT_TRUE(restored.value()->Match(queries[i], &after).ok());
+    EXPECT_EQ(after, before[i]) << "query " << queries[i].id;
+    linked += after.empty() ? 0 : 1;
+  }
+  EXPECT_GE(linked, registry.size() - deleted);
+}
+
 TEST(ServiceTest, SnapshotRoundTripKeepsBucketsAndOverflowBits) {
   // Export -> restore -> export again gives the same buckets (group, key,
   // overflow bit, ids in order), records and tombstones, and the same
@@ -531,20 +675,33 @@ TEST(ServiceTest, SnapshotRoundTripKeepsBucketsAndOverflowBits) {
   }
   EXPECT_EQ(overflowed, service.blocking_groups());
 
+  // The deleted record's id lingers in its buckets, but the snapshot
+  // stores no vector for it: Restore drops it from every bucket (and a
+  // bucket left empty with it, unless overflowed) and counts the drops.
+  ServiceSnapshot expected = snapshot;
+  size_t lingering = 0;
+  std::erase_if(expected.buckets, [&](IndexBucketSnapshot& bucket) {
+    lingering += std::erase(bucket.ids, registry[50].id);
+    return bucket.ids.empty() && !bucket.overflowed;
+  });
+  EXPECT_EQ(lingering, service.blocking_groups());
+
   Result<std::unique_ptr<LinkageService>> restored =
       LinkageService::Restore(snapshot);
   ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored.value()->metrics().restore_dropped_bucket_ids,
+            lingering);
   const ServiceSnapshot round = restored.value()->ExportSnapshot();
-  ASSERT_EQ(round.buckets.size(), snapshot.buckets.size());
-  for (size_t i = 0; i < snapshot.buckets.size(); ++i) {
-    EXPECT_EQ(round.buckets[i].group, snapshot.buckets[i].group);
-    EXPECT_EQ(round.buckets[i].key, snapshot.buckets[i].key);
-    EXPECT_EQ(round.buckets[i].overflowed, snapshot.buckets[i].overflowed);
-    EXPECT_EQ(round.buckets[i].ids, snapshot.buckets[i].ids);
+  ASSERT_EQ(round.buckets.size(), expected.buckets.size());
+  for (size_t i = 0; i < expected.buckets.size(); ++i) {
+    EXPECT_EQ(round.buckets[i].group, expected.buckets[i].group);
+    EXPECT_EQ(round.buckets[i].key, expected.buckets[i].key);
+    EXPECT_EQ(round.buckets[i].overflowed, expected.buckets[i].overflowed);
+    EXPECT_EQ(round.buckets[i].ids, expected.buckets[i].ids);
   }
   std::stringstream first;
   std::stringstream second;
-  ASSERT_TRUE(WriteServiceSnapshot(snapshot, first).ok());
+  ASSERT_TRUE(WriteServiceSnapshot(expected, first).ok());
   ASSERT_TRUE(restored.value()->SaveSnapshot(second).ok());
   EXPECT_EQ(first.str(), second.str());
 }
