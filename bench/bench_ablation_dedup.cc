@@ -42,7 +42,8 @@ void Run() {
     enc_b.push_back(encoder.value().Encode(r).value());
   }
   VectorStore store;
-  store.AddAll(enc_a);
+  std::vector<uint32_t> slots_a;
+  store.AddAll(enc_a, &slots_a);
   const PairClassifier classifier =
       MakeRuleClassifier(bench::PlRule(), encoder.value().layout());
 
@@ -64,7 +65,7 @@ void Run() {
                                         rng);
     bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                       "blocker");
-    blocker.value().Index(enc_a);
+    blocker.value().BulkInsert(enc_a, slots_a);
     Matcher matcher(&blocker.value(), &store);
     MatchStats stats;
     Stopwatch watch;

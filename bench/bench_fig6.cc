@@ -39,7 +39,8 @@ Outcome RunCell(const Rule& rule, bool attribute_level,
                 const PairSet& rule_matches, uint64_t seed) {
   Rng rng(seed);
   VectorStore store;
-  store.AddAll(enc_a);
+  std::vector<uint32_t> slots_a;
+  store.AddAll(enc_a, &slots_a);
 
   std::vector<IdPair> found;
   MatchStats stats;
@@ -52,7 +53,7 @@ Outcome RunCell(const Rule& rule, bool attribute_level,
         rule, encoder.layout(), options, rng);
     bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                       "attribute blocker");
-    blocker.value().Index(enc_a);
+    blocker.value().BulkInsert(enc_a, slots_a);
     Matcher matcher(&blocker.value(), &store);
     found = matcher.MatchAll(enc_b, classifier, &stats);
   } else {
@@ -62,7 +63,7 @@ Outcome RunCell(const Rule& rule, bool attribute_level,
         RecordLevelBlocker::Create(encoder.total_bits(), 30, 16, 0.1, rng);
     bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                       "record blocker");
-    blocker.value().Index(enc_a);
+    blocker.value().BulkInsert(enc_a, slots_a);
     Matcher matcher(&blocker.value(), &store);
     found = matcher.MatchAll(enc_b, classifier, &stats);
   }

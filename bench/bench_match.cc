@@ -121,7 +121,10 @@ void Run() {
       encoder.value().total_bits(), 30, 4, 0.1, blk_rng);
   bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                     "blocker");
-  blocker.value().Index(enc_a);
+  VectorStore store;
+  std::vector<uint32_t> slots_a;
+  store.AddAll(enc_a, &slots_a);
+  blocker.value().BulkInsert(enc_a, slots_a);
 
   // --- Seed engine -------------------------------------------------------
   std::unordered_map<RecordId, BitVector> legacy_store;
@@ -154,8 +157,6 @@ void Run() {
   }
 
   // --- Arena engine ------------------------------------------------------
-  VectorStore store;
-  store.AddAll(enc_a);
   Matcher matcher(&blocker.value(), &store);
   const PairClassifier classifier =
       MakeRuleClassifier(rule, encoder.value().layout());

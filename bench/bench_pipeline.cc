@@ -100,12 +100,13 @@ void Run() {
           encoder.value().total_bits(), 30, 4, 0.1, blk_rng);
       bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                         "blocker");
+      VectorStore store;
+      std::vector<uint32_t> slots_a;
+      store.AddAll(enc_a.value(), &slots_a);
       Stopwatch build_watch;
-      blocker.value().BulkInsert(enc_a.value(), pool);
+      blocker.value().BulkInsert(enc_a.value(), slots_a, pool);
       best.build = std::min(best.build, build_watch.ElapsedSeconds());
 
-      VectorStore store;
-      store.AddAll(enc_a.value());
       Matcher matcher(&blocker.value(), &store);
       MatchStats stats;
       Stopwatch match_watch;
@@ -122,7 +123,7 @@ void Run() {
         continue;
       }
       // Equivalence gate: embeddings byte-identical, tables identical
-      // to a serial Index() build, pairs and stats identical.
+      // to a serial Insert() build, pairs and stats identical.
       if (!SameEncodings(enc_a.value(), ref_a) ||
           !SameEncodings(enc_b.value(), ref_b)) {
         std::fprintf(stderr, "FATAL: %s embeddings diverge from serial\n",
@@ -134,7 +135,9 @@ void Run() {
           RecordLevelBlocker::Create(encoder.value().total_bits(), 30, 4, 0.1,
                                      serial_rng)
               .value();
-      serial_blocker.Index(ref_a);
+      for (size_t i = 0; i < ref_a.size(); ++i) {
+        serial_blocker.Insert(ref_a[i], slots_a[i]);
+      }
       if (!SameTables(blocker.value(), serial_blocker)) {
         std::fprintf(stderr, "FATAL: %s index diverges from serial\n", label);
         std::exit(1);

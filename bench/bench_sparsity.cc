@@ -115,10 +115,10 @@ void Run() {
         RecordLevelBlocker::CreateWithL(bits, 30, 6, rng);
     bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                       "blocker");
-    blocker.value().Index(enc_a);
-
     VectorStore store;
-    store.AddAll(enc_a);
+    std::vector<uint32_t> slots_a;
+    store.AddAll(enc_a, &slots_a);
+    blocker.value().BulkInsert(enc_a, slots_a);
     Matcher matcher(&blocker.value(), &store);
     MatchStats stats;
     matcher.MatchAll(enc_b, MakeRecordThresholdClassifier(4), &stats);

@@ -58,7 +58,8 @@ int main() {
     enc_b.push_back(encoder.value().Encode(r).value());
   }
   VectorStore store;
-  store.AddAll(enc_a);
+  std::vector<uint32_t> slots_a;
+  store.AddAll(enc_a, &slots_a);
 
   for (const char* text : rule_texts) {
     Result<Rule> rule = ParseRule(text);
@@ -98,7 +99,7 @@ int main() {
     }
     std::printf("\n");
 
-    blocker.value().Index(enc_a);
+    blocker.value().BulkInsert(enc_a, slots_a);
     Matcher matcher(&blocker.value(), &store);
     MatchStats stats;
     const PairClassifier classifier =

@@ -40,16 +40,19 @@ Result<LinkageResult> BfhLinker::Link(const std::vector<Record>& a,
   result.embed_seconds = watch.ElapsedSeconds();
 
   // --- Blocking: standard record-level HB ---------------------------------
+  // The arena first: its slots are what the blocking tables hold, and a
+  // repeated id keeps its first vector and slot.
   watch.Restart();
+  VectorStore store_a;
+  std::vector<uint32_t> slots;
+  store_a.AddAll(encoded_a, &slots);
   Result<RecordLevelBlocker> blocker =
       RecordLevelBlocker::Create(encoder.value().total_bits(), config_.K,
                                  config_.record_theta, config_.delta, rng);
   if (!blocker.ok()) return blocker.status();
-  blocker.value().BulkInsert(encoded_a, ctx.pool(), ctx.chunk_size_hint());
+  blocker.value().BulkInsert(encoded_a, slots, ctx.pool(),
+                             ctx.chunk_size_hint());
   result.blocking_groups = blocker.value().L();
-
-  VectorStore store_a;
-  store_a.AddAll(encoded_a);
   result.index_seconds = watch.ElapsedSeconds();
 
   // --- Matching: attribute thresholds on filter segments ------------------

@@ -106,8 +106,9 @@ Result<MultiPartyResult> MultiPartyLinker::Link(
             PartyOf(pair.a_id), LocalOf(pair.a_id), p, LocalOf(pair.b_id)});
       }
     }
-    blocker.value().Index(encoded);
-    store.AddAll(encoded);
+    std::vector<uint32_t> slots;
+    store.AddAll(encoded, &slots);
+    blocker.value().BulkInsert(encoded, slots);
   }
   return result;
 }

@@ -73,10 +73,13 @@ Result<LinkageResultLite> LinkageUnit::LinkEncoded(
       layout_.total_bits(), options_.record_K, options_.record_theta,
       options_.delta, rng);
   if (!blocker.ok()) return blocker.status();
-  blocker.value().BulkInsert(from_a, ctx.pool(), ctx.chunk_size_hint());
-
+  // Received ids are not checked for uniqueness: the store keeps a
+  // repeated id's first vector and slot, and the tables take its slots.
   VectorStore store;
-  store.AddAll(from_a);
+  std::vector<uint32_t> slots;
+  store.AddAll(from_a, &slots);
+  blocker.value().BulkInsert(from_a, slots, ctx.pool(),
+                             ctx.chunk_size_hint());
 
   LinkageResultLite result;
   result.blocking_groups = blocker.value().L();

@@ -34,6 +34,14 @@ EncodedRecord MakeRecord(RecordId id, const BitVector& bits) {
   return EncodedRecord{id, bits};
 }
 
+/// The slots VectorStore::AddAll gives `n` distinct ids after `first`
+/// stored records: first, first + 1, ...
+std::vector<uint32_t> DenseSlots(size_t n, uint32_t first = 0) {
+  std::vector<uint32_t> slots(n);
+  for (size_t i = 0; i < n; ++i) slots[i] = first + static_cast<uint32_t>(i);
+  return slots;
+}
+
 /// A dense deterministic base vector.
 BitVector BaseVector() {
   BitVector bv(120);
@@ -153,7 +161,7 @@ TEST(AttributeLevelBlockerTest, IdenticalVectorsAlwaysFormulated) {
       AttributeLevelBlocker::Create(c1, NcvrLayout(), DefaultOptions(), rng)
           .value();
   const BitVector base = BaseVector();
-  blocker.Insert(MakeRecord(7, base));
+  blocker.Insert(MakeRecord(7, base), 0);
   EXPECT_TRUE(Candidates(blocker, base).contains(7));
   EXPECT_TRUE(blocker.FormulatedByRule(base, base));
 }
@@ -173,7 +181,7 @@ TEST(AttributeLevelBlockerTest, WithinThresholdPairsFoundReliably) {
     const BitVector a = BaseVector();
     BitVector b = FlipInSegment(a, 0, 15, 2, data_rng);     // u^(f1) = 2
     b = FlipInSegment(std::move(b), 15, 15, 2, data_rng);   // u^(f2) = 2
-    blocker.Insert(MakeRecord(1, a));
+    blocker.Insert(MakeRecord(1, a), 0);
     if (Candidates(blocker, b).contains(1)) ++found;
   }
   EXPECT_GE(static_cast<double>(found) / kRounds, 0.88);
@@ -188,7 +196,7 @@ TEST(AttributeLevelBlockerTest, NotRulePrunesMatchingSecondAttribute) {
       AttributeLevelBlocker::Create(c3, NcvrLayout(), DefaultOptions(), rng)
           .value();
   const BitVector a = BaseVector();
-  blocker.Insert(MakeRecord(1, a));
+  blocker.Insert(MakeRecord(1, a), 0);
   // Probe identical in f2 (and f1): excluded by the NOT.
   EXPECT_FALSE(Candidates(blocker, a).contains(1));
   EXPECT_FALSE(blocker.FormulatedByRule(a, a));
@@ -206,7 +214,7 @@ TEST(AttributeLevelBlockerTest, OrRuleFindsPairsMatchingEitherSide) {
       AttributeLevelBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
           .value();
   const BitVector a = BaseVector();
-  blocker.Insert(MakeRecord(1, a));
+  blocker.Insert(MakeRecord(1, a), 0);
 
   // Destroy f1 entirely but keep f3 identical: the OR should still fire.
   Rng flip(10);
@@ -225,7 +233,7 @@ TEST(AttributeLevelBlockerTest, CompoundAndOfStructuresRequiresBoth) {
           .value();
   EXPECT_EQ(blocker.num_structures(), 2u);
   const BitVector a = BaseVector();
-  blocker.Insert(MakeRecord(1, a));
+  blocker.Insert(MakeRecord(1, a), 0);
 
   // Identical probe satisfies both OR structures.
   EXPECT_TRUE(blocker.FormulatedByRule(a, a));
@@ -249,13 +257,13 @@ TEST(AttributeLevelBlockerTest, IndexRetainsVectorsForMembership) {
   std::vector<EncodedRecord> records;
   records.push_back(MakeRecord(1, BaseVector()));
   records.push_back(MakeRecord(2, BaseVector()));
-  blocker.Index(records);
+  blocker.BulkInsert(records, DenseSlots(records.size()));
   EXPECT_TRUE(Candidates(blocker, BaseVector()).contains(1));
   EXPECT_TRUE(Candidates(blocker, BaseVector()).contains(2));
 }
 
 // --- BulkInsert determinism: tables and retained vectors identical to
-// Index() at any thread count.  The structures' tables are private, so
+// an Insert() loop at any thread count.  The structures' tables are private, so
 // equivalence is asserted through the full candidate-emission sequence
 // (which exposes bucket contents *and* per-bucket id order) plus
 // FormulatedByRule (which exposes the retained vector map).
@@ -287,8 +295,11 @@ TEST(AttributeLevelBlockerBulkInsertTest, IdenticalToIndexAtAnyThreadCount) {
     probes.push_back(FlipInSegment(BaseVector(), 0, 120, i % 4, data_rng));
   }
 
+  const std::vector<uint32_t> slots = DenseSlots(records.size());
   AttributeLevelBlocker serial = make_blocker();
-  serial.Index(records);
+  for (size_t i = 0; i < records.size(); ++i) {
+    serial.Insert(records[i], slots[i]);
+  }
   const auto emission = [&](const AttributeLevelBlocker& blocker) {
     std::vector<RecordId> out;
     for (const BitVector& probe : probes) {
@@ -302,7 +313,7 @@ TEST(AttributeLevelBlockerBulkInsertTest, IdenticalToIndexAtAnyThreadCount) {
   for (size_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
     AttributeLevelBlocker parallel = make_blocker();
-    parallel.BulkInsert(records, &pool);
+    parallel.BulkInsert(records, slots, &pool);
     EXPECT_EQ(emission(parallel), serial_emission)
         << "candidate stream diverges at " << threads << " threads";
     for (const EncodedRecord& r : records) {
@@ -323,23 +334,27 @@ TEST(AttributeLevelBlockerBulkInsertTest, EmptyAndAppendInputs) {
   ThreadPool pool(4);
 
   AttributeLevelBlocker empty = make_blocker();
-  empty.BulkInsert(std::span<const EncodedRecord>{}, &pool);
+  empty.BulkInsert(std::span<const EncodedRecord>{},
+                   std::span<const uint32_t>{}, &pool);
   EXPECT_TRUE(Candidates(empty, BaseVector()).empty());
 
-  // Two bulk batches behave like one Index over the concatenation.
+  // Two bulk batches behave like one Insert() loop over the
+  // concatenation.
   std::vector<EncodedRecord> all;
   Rng data_rng(44);
   for (RecordId id = 0; id < 60; ++id) {
     all.push_back(
         MakeRecord(id, FlipInSegment(BaseVector(), 0, 120, id % 3, data_rng)));
   }
+  const std::vector<uint32_t> slots = DenseSlots(all.size());
   AttributeLevelBlocker serial = make_blocker();
-  serial.Index(all);
+  for (size_t i = 0; i < all.size(); ++i) serial.Insert(all[i], slots[i]);
 
   AttributeLevelBlocker parallel = make_blocker();
   const std::span<const EncodedRecord> span(all);
-  parallel.BulkInsert(span.subspan(0, 25), &pool);
-  parallel.BulkInsert(span.subspan(25), &pool);
+  const std::span<const uint32_t> slot_span(slots);
+  parallel.BulkInsert(span.subspan(0, 25), slot_span.subspan(0, 25), &pool);
+  parallel.BulkInsert(span.subspan(25), slot_span.subspan(25), &pool);
   for (const EncodedRecord& r : all) {
     ASSERT_EQ(Candidates(parallel, r.bits), Candidates(serial, r.bits));
   }
@@ -397,9 +412,10 @@ TEST(AttributeLevelBlockerSpanTest, C1SpansMatchDedupedCandidates) {
   };
   const std::vector<EncodedRecord> a = make_records(0, 300);
   const std::vector<EncodedRecord> b = make_records(1000, 200);
-  blocker.Index(a);
   VectorStore store;
-  store.AddAll(a);
+  std::vector<uint32_t> slots;
+  store.AddAll(a, &slots);
+  blocker.BulkInsert(a, slots);
   const PairClassifier classifier = MakeRuleClassifier(rule, NcvrLayout());
   const DedupedCandidates deduped(blocker);
 

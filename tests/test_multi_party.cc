@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/datagen/dataset.h"
@@ -76,6 +77,58 @@ TEST(MultiPartyLinkerTest, TwoPartiesMatchesPairwiseTruth) {
   EXPECT_GE(static_cast<double>(hits) /
                 static_cast<double>(data.value().truth.size()),
             0.85);
+}
+
+TEST(MultiPartyLinkerTest, RepeatedIdsInAPartyKeepTheFirstRecord) {
+  // A party that repeats an id keeps the first record under it: an exact
+  // repeat changes nothing, and a repeat with other values only adds
+  // candidates for the first record.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  LinkagePairOptions options;
+  options.num_records = 300;
+  options.seed = 13;
+  Result<LinkagePair> data =
+      BuildLinkagePair(gen.value(), PerturbationScheme::Light(), options);
+  ASSERT_TRUE(data.ok());
+  MultiPartyConfig config = MakeConfig(gen.value().schema());
+  // Fixed sizing, so the repeats cannot change the encoder.
+  config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+  Result<MultiPartyLinker> linker = MultiPartyLinker::Create(config);
+  ASSERT_TRUE(linker.ok());
+  const std::vector<Record>& a = data.value().a;
+  const std::vector<Record>& b = data.value().b;
+
+  const auto pairs_of = [&](const std::vector<Record>& party0) {
+    Result<MultiPartyResult> result = linker.value().Link({party0, b});
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::pair<RecordId, RecordId>> pairs;
+    if (!result.ok()) return pairs;
+    for (const MultiPartyMatch& m : result.value().matches) {
+      pairs.push_back({m.id_a, m.id_b});
+    }
+    std::sort(pairs.begin(), pairs.end());
+    return pairs;
+  };
+  const auto plain = pairs_of(a);
+  ASSERT_FALSE(plain.empty());
+
+  std::vector<Record> exact = a;
+  for (size_t i = 0; i < 20; ++i) exact.push_back(a[i * 11 % a.size()]);
+  EXPECT_EQ(pairs_of(exact), plain);
+
+  std::vector<Record> changed = a;
+  for (size_t i = 0; i < 20; ++i) {
+    Record repeat = b[i];
+    repeat.id = a[(i * 37 + 5) % a.size()].id;
+    changed.push_back(std::move(repeat));
+  }
+  const auto with_changed = pairs_of(changed);
+  EXPECT_TRUE(std::adjacent_find(with_changed.begin(), with_changed.end()) ==
+              with_changed.end())
+      << "a repeated id is compared once per probe";
+  EXPECT_TRUE(std::includes(with_changed.begin(), with_changed.end(),
+                            plain.begin(), plain.end()));
 }
 
 TEST(MultiPartyLinkerTest, ThreePartiesCoverAllCrossPairs) {

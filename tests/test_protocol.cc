@@ -130,6 +130,81 @@ TEST(ProtocolTest, EndToEndOverWireFiles) {
   EXPECT_GT(result.value().blocking_groups, 0u);
 }
 
+TEST(ProtocolTest, RepeatedIdsInReceivedAKeepTheFirstVector) {
+  // Received ids are not checked for uniqueness; a repeated id keeps its
+  // first vector.  Each of the PL rule's four attributes allows 4 bits,
+  // so a whole-vector distance of 0 always matches and one above 16
+  // never does, whatever the layout.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  LinkagePairOptions options;
+  options.num_records = 300;
+  options.seed = 35;
+  Result<LinkagePair> data =
+      BuildLinkagePair(gen.value(), PerturbationScheme::Light(), options);
+  ASSERT_TRUE(data.ok());
+  const LinkageParameters parameters =
+      PublishedParameters(gen.value().schema());
+  Result<DataCustodian> alice = DataCustodian::Create("alice", parameters);
+  Result<DataCustodian> bob = DataCustodian::Create("bob", parameters);
+  ASSERT_TRUE(alice.ok());
+  ASSERT_TRUE(bob.ok());
+  std::vector<EncodedRecord> from_a =
+      alice.value().EncodeRecords(data.value().a).value();
+  const std::vector<EncodedRecord> from_b =
+      bob.value().EncodeRecords(data.value().b).value();
+
+  // A record i < 10 is first stored with B record i's vector, and its id
+  // comes again later with that vector complemented: first wins, so the
+  // pair is reported.  A record 10 + i comes again with B record i's
+  // vector: its first vector is far from it, so the pair is not.
+  std::vector<IdPair> must_match;
+  std::vector<IdPair> must_not_match;
+  std::vector<EncodedRecord> repeats;
+  for (size_t i = 0; i < 10; ++i) {
+    from_a[i].bits = from_b[i].bits;
+    EncodedRecord complement = from_a[i];
+    for (size_t bit = 0; bit < complement.bits.size(); ++bit) {
+      if (complement.bits.Test(bit)) {
+        complement.bits.Clear(bit);
+      } else {
+        complement.bits.Set(bit);
+      }
+    }
+    repeats.push_back(std::move(complement));
+    must_match.push_back(IdPair{from_a[i].id, from_b[i].id});
+
+    ASSERT_GT(from_a[10 + i].bits.HammingDistance(from_b[i].bits), 16u);
+    repeats.push_back(EncodedRecord{from_a[10 + i].id, from_b[i].bits});
+    must_not_match.push_back(IdPair{from_a[10 + i].id, from_b[i].id});
+  }
+  std::vector<EncodedRecord> with_repeats = from_a;
+  with_repeats.insert(with_repeats.end(), repeats.begin(), repeats.end());
+
+  Result<LinkageUnit> charlie =
+      LinkageUnit::Create(parameters, CharlieOptions());
+  ASSERT_TRUE(charlie.ok());
+  Result<LinkageResultLite> plain = charlie.value().LinkEncoded(from_a, from_b);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  Result<LinkageResultLite> repeated =
+      charlie.value().LinkEncoded(with_repeats, from_b);
+  ASSERT_TRUE(repeated.ok()) << repeated.status().ToString();
+
+  const PairSet plain_pairs(plain.value().matches.begin(),
+                            plain.value().matches.end());
+  const PairSet pairs(repeated.value().matches.begin(),
+                      repeated.value().matches.end());
+  EXPECT_EQ(pairs.size(), repeated.value().matches.size())
+      << "a repeated id is compared once per probe";
+  for (const IdPair& p : plain_pairs) EXPECT_TRUE(pairs.contains(p));
+  for (const IdPair& p : must_match) {
+    EXPECT_TRUE(pairs.contains(p)) << p.a_id << "," << p.b_id;
+  }
+  for (const IdPair& p : must_not_match) {
+    EXPECT_FALSE(pairs.contains(p)) << p.a_id << "," << p.b_id;
+  }
+}
+
 TEST(ProtocolTest, WidthMismatchRejected) {
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());
