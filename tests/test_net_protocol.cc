@@ -280,6 +280,27 @@ TEST(NetProtocolTest, ParseJsonRecordIsStrict) {
   EXPECT_FALSE(ParseJsonRecord(R"({"id": 1} trailing)", &record).ok());
 }
 
+// One decimal parser serves JSON ids and /records/{id} targets; it must
+// refuse every value past UINT64_MAX, including ones whose 10x wraps to
+// a number larger than the previous step (9n >= 2^64).
+TEST(NetProtocolTest, ParseDecimalU64RejectsEveryOverflow) {
+  uint64_t v = 0;
+  size_t consumed = 0;
+  ASSERT_TRUE(ParseDecimalU64("18446744073709551615/", &v, &consumed).ok());
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_EQ(consumed, 20u);
+  ASSERT_TRUE(ParseDecimalU64("007x", &v, &consumed).ok());
+  EXPECT_EQ(v, 7u);
+  EXPECT_EQ(consumed, 3u);
+  EXPECT_FALSE(ParseDecimalU64("18446744073709551616", &v, &consumed).ok());
+  EXPECT_FALSE(ParseDecimalU64("20496382304121724017", &v, &consumed).ok());
+  EXPECT_FALSE(ParseDecimalU64("", &v, &consumed).ok());
+  EXPECT_FALSE(ParseDecimalU64("x1", &v, &consumed).ok());
+  Record record;
+  EXPECT_FALSE(
+      ParseJsonRecord(R"({"id": 20496382304121724017})", &record).ok());
+}
+
 TEST(NetProtocolTest, PairsAndStatusJson) {
   EXPECT_EQ(PairsToJson({}), "{\"pairs\":[]}");
   EXPECT_EQ(PairsToJson({{1, 2}, {3, 4}}), "{\"pairs\":[[1,2],[3,4]]}");
