@@ -20,11 +20,19 @@
 // past `idle_timeout_ms` (no bytes read or written) are closed by a
 // periodic sweep, bounding the cost of dead peers.
 //
-// Per-connection batching: a run of consecutive binary kMatch requests
-// with distinct query ids is executed as one LinkageService::MatchBatch
-// over the service thread pool, then demultiplexed back into one
-// response per request (pairs carry the query id).  A pipelining client
-// therefore gets batch throughput without a batch API.
+// One request path: admission classifies every request, from either
+// protocol, as one op of a single op table (frame type, or HTTP method
+// and target).  A worker decodes its payload, runs it through the one
+// switch that calls the service, and hands the protocol-neutral response
+// to a binary or an HTTP renderer; shed, deadline and error replies take
+// the same two renderers.
+//
+// Per-connection batching: a run of consecutive match requests (binary
+// kMatch frames or pipelined HTTP POST /match) with distinct query ids
+// is executed as one LinkageService::MatchBatch over the service thread
+// pool, then demultiplexed back into one response per request (pairs
+// carry the query id), each byte-identical to a sequential Match.  A
+// pipelining client therefore gets batch throughput without a batch API.
 
 #ifndef CBVLINK_NET_SERVER_H_
 #define CBVLINK_NET_SERVER_H_
@@ -66,8 +74,8 @@ struct NetServerOptions {
   /// otherwise hold a connection forever (each byte resets the idle
   /// clock, but not this one).  0 disables the check.
   int request_progress_timeout_ms = 10000;
-  /// Read-only mode (warm standby): kInsert / kMatchAndInsert and their
-  /// HTTP POSTs answer FailedPrecondition / 403.
+  /// Read-only mode (warm standby): insert, match_and_insert, delete
+  /// and update answer FailedPrecondition / 403 on both protocols.
   bool read_only = false;
   /// Request tracing sink (src/telemetry/trace_sink.h).  Null disables
   /// tracing entirely — no collectors are allocated and the span sites
@@ -99,12 +107,12 @@ class NetServer {
 
   /// Graceful drain, the first half of a clean SIGTERM exit: stops
   /// accepting new connections, flips /readyz to 503, sheds new *work*
-  /// requests (POSTs / binary match+insert — health probes and
-  /// snapshot/journal fetches still answer, so replicas keep converging
-  /// through a failover), and waits up to `deadline_ms` for every
-  /// already-admitted request to finish and flush.  Returns true when
-  /// the queue fully drained within the deadline.  Call Shutdown()
-  /// afterwards.  Idempotent.
+  /// requests (match, insert, match_and_insert, delete, update — health
+  /// probes, stats and snapshot/journal fetches still answer, so
+  /// replicas keep converging through a failover), and waits up to
+  /// `deadline_ms` for every already-admitted request to finish and
+  /// flush.  Returns true when the queue fully drained within the
+  /// deadline.  Call Shutdown() afterwards.  Idempotent.
   bool Drain(int deadline_ms);
 
   /// True once Drain() has started (readiness probes key off this).
