@@ -1,7 +1,7 @@
 // Blocking binary-protocol client for the network serving tier — the
 // counterpart of src/net/server.h used by the cbvlink_query CLI, the
 // replication follower (src/net/replication.h), the network tests and
-// bench_net.
+// perfbench's serving workloads.
 //
 // One NetClient is one TCP connection in binary mode (it sends the
 // "CBVP" preamble on connect).  Calls are synchronous request/response

@@ -1,6 +1,6 @@
 // A toxiproxy-style TCP fault-injection proxy, as a library so the
-// chaos tests (tests/test_chaos.cc) and bench_net can run traffic
-// through it in-process and mutate the faults mid-flight; the
+// chaos and trace tests (tests/test_chaos.cc, tests/test_trace.cc) can
+// run traffic through it in-process and mutate the faults mid-flight; the
 // cbvlink_faultproxy tool is a thin CLI over it.
 //
 // The proxy accepts on a local port and pumps bytes to/from a single

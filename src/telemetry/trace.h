@@ -15,7 +15,7 @@
 // slot with one relaxed fetch_add and writes the span into memory no
 // other thread touches.  Untraced requests pay one thread-local read
 // and a predictable branch per span site — tracing is off by default
-// and must stay invisible in bench_net's clean numbers.
+// and must stay invisible in untraced serving numbers.
 //
 // Threading: the current collector is installed per thread
 // (ScopedTraceContext), so batch stages running on pool threads record

@@ -1,7 +1,7 @@
 // cbvlink_query: command-line client for a cbvlink_serve --listen
 // instance, speaking either the CRC-framed binary protocol (default)
-// or the HTTP/JSON mapping (--mode http).  Used by the network tests,
-// bench_net and the CI serving smoke job.
+// or the HTTP/JSON mapping (--mode http).  Used by the network tests
+// and the CI serving smoke job.
 //
 // Usage:
 //   cbvlink_query --connect HOST:PORT [--mode binary|http] COMMAND
