@@ -106,16 +106,46 @@ void BM_EditDistanceWithin(benchmark::State& state) {
 }
 BENCHMARK(BM_EditDistanceWithin);
 
-void BM_HammingLshKey(benchmark::State& state) {
+// One record's blocking keys: every group's key under a family in one
+// Keys pass.  PL: record-level K = 30, L = 6 over 120 bits.  C1: the rule's
+// three attribute families over the NCVR c-vector segments f1 = [0, 15),
+// f2 = [15, 30), f3 = [30, 98) with K = 5, 5, 10 and the structure's
+// L = 178.
+void BM_HammingLshKeysPl(benchmark::State& state) {
   Rng rng(4);
-  const size_t K = static_cast<size_t>(state.range(0));
-  const HammingHashFunction h = HammingHashFunction::Sample(K, 0, 120, rng);
+  const HammingLshFamily family =
+      HammingLshFamily::CreateFull(30, 6, 120, rng).value();
   const BitVector bv = RandomVector(120, rng);
+  KeyBuffer keys(family.L());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(h.Key(bv));
+    family.Keys(bv, keys.span());
+    benchmark::DoNotOptimize(keys.span().data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_HammingLshKey)->Arg(20)->Arg(30)->Arg(40);
+BENCHMARK(BM_HammingLshKeysPl);
+
+void BM_HammingLshKeysC1(benchmark::State& state) {
+  Rng rng(4);
+  constexpr size_t kL = 178;
+  const HammingLshFamily families[] = {
+      HammingLshFamily::Create(5, kL, 0, 15, rng).value(),
+      HammingLshFamily::Create(5, kL, 15, 15, rng).value(),
+      HammingLshFamily::Create(10, kL, 30, 68, rng).value(),
+  };
+  const BitVector bv = RandomVector(120, rng);
+  KeyBuffer keys(kL);
+  for (auto _ : state) {
+    for (const HammingLshFamily& family : families) {
+      family.Keys(bv, keys.span());
+      benchmark::DoNotOptimize(keys.span().data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HammingLshKeysC1);
 
 }  // namespace
 }  // namespace cbvlink

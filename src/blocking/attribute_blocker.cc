@@ -199,13 +199,23 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
                                std::move(generating));
 }
 
-uint64_t AttributeLevelBlocker::CompoundKey(const Structure& s,
-                                            const BitVector& bv, size_t l) {
-  uint64_t acc = Mix64(l + 1);
-  for (const HammingLshFamily& family : s.families) {
-    acc = HashCombine(acc, family.Key(bv, l));
+void AttributeLevelBlocker::StructureKeys(const Structure& s,
+                                          const BitVector& bv,
+                                          std::span<uint64_t> keys) {
+  if (s.kind == Structure::Kind::kOr) {
+    for (size_t i = 0; i < s.families.size(); ++i) {
+      s.families[i].Keys(bv, keys.subspan(i * s.L, s.L));
+    }
+    return;
   }
-  return acc;
+  for (size_t l = 0; l < s.L; ++l) keys[l] = Mix64(l + 1);
+  KeyBuffer family_keys(s.L);
+  for (const HammingLshFamily& family : s.families) {
+    family.Keys(bv, family_keys.span());
+    for (size_t l = 0; l < s.L; ++l) {
+      keys[l] = HashCombine(keys[l], family_keys[l]);
+    }
+  }
 }
 
 void AttributeLevelBlocker::Retain(uint32_t slot, const BitVector& bits) {
@@ -217,15 +227,10 @@ void AttributeLevelBlocker::Insert(const EncodedRecord& record,
                                    uint32_t slot) {
   AssignSlots({&record, 1}, {&slot, 1});
   for (Structure& s : structures_) {
-    for (size_t l = 0; l < s.L; ++l) {
-      if (s.kind == Structure::Kind::kAnd) {
-        s.tables[l].Insert(CompoundKey(s, record.bits, l), slot);
-      } else {
-        for (size_t i = 0; i < s.predicates.size(); ++i) {
-          s.tables[i * s.L + l].Insert(s.families[i].Key(record.bits, l),
-                                       slot);
-        }
-      }
+    KeyBuffer keys(s.tables.size());
+    StructureKeys(s, record.bits, keys.span());
+    for (size_t t = 0; t < s.tables.size(); ++t) {
+      s.tables[t].Insert(keys[t], slot);
     }
   }
   if (!single_structure()) Retain(slot, record.bits);
@@ -269,22 +274,14 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
   std::vector<uint64_t> keys(n * total_tables);
   ParallelForOrInline(pool, n, min_chunk, [&](size_t, size_t begin,
                                               size_t end) {
+    KeyBuffer row(total_tables);
     for (size_t i = begin; i < end; ++i) {
       for (size_t s = 0; s < structures_.size(); ++s) {
-        const Structure& st = structures_[s];
-        uint64_t* cell = keys.data() + structure_base[s] * n + i;
-        if (st.kind == Structure::Kind::kAnd) {
-          for (size_t l = 0; l < st.L; ++l) {
-            cell[l * n] = CompoundKey(st, records[i].bits, l);
-          }
-        } else {
-          for (size_t p = 0; p < st.predicates.size(); ++p) {
-            for (size_t l = 0; l < st.L; ++l) {
-              cell[(p * st.L + l) * n] = st.families[p].Key(records[i].bits, l);
-            }
-          }
-        }
+        StructureKeys(structures_[s], records[i].bits,
+                      row.span().subspan(structure_base[s],
+                                         structures_[s].tables.size()));
       }
+      for (size_t t = 0; t < total_tables; ++t) keys[t * n + i] = row[t];
     }
   });
   AssignSlots(records, slots);
@@ -312,14 +309,12 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
 bool AttributeLevelBlocker::CollidesInStructure(const Structure& s,
                                                 const BitVector& a,
                                                 const BitVector& b) {
-  for (size_t l = 0; l < s.L; ++l) {
-    if (s.kind == Structure::Kind::kAnd) {
-      if (CompoundKey(s, a, l) == CompoundKey(s, b, l)) return true;
-    } else {
-      for (const HammingLshFamily& family : s.families) {
-        if (family.Key(a, l) == family.Key(b, l)) return true;
-      }
-    }
+  KeyBuffer keys_a(s.tables.size());
+  KeyBuffer keys_b(s.tables.size());
+  StructureKeys(s, a, keys_a.span());
+  StructureKeys(s, b, keys_b.span());
+  for (size_t t = 0; t < s.tables.size(); ++t) {
+    if (keys_a[t] == keys_b[t]) return true;
   }
   return false;
 }
@@ -350,40 +345,36 @@ bool AttributeLevelBlocker::FormulatedByRule(const BitVector& a,
   return EvaluateExpr(expr_, a, b);
 }
 
-void AttributeLevelBlocker::ForEachProbedBucket(
+bool AttributeLevelBlocker::ForEachProbedBucket(
     const BitVector& probe,
     FunctionRef<void(std::span<const uint32_t>)> cb) const {
   ProbeBatch batch;
-  const auto add = [&](const BlockingTable& table, uint64_t key) {
-    batch.Add(table, key);
-    if (batch.full()) batch.Flush(cb);
-  };
+  bool overflowed = false;
   for (size_t si : generating_) {
     const Structure& s = structures_[si];
+    KeyBuffer keys(s.tables.size());
+    StructureKeys(s, probe, keys.span());
+    // Group order: an OR structure probes every predicate's table of
+    // group l before group l + 1.
+    const size_t per_group = s.tables.size() / s.L;
     for (size_t l = 0; l < s.L; ++l) {
-      if (s.kind == Structure::Kind::kAnd) {
-        add(s.tables[l], CompoundKey(s, probe, l));
-      } else {
-        for (size_t i = 0; i < s.predicates.size(); ++i) {
-          add(s.tables[i * s.L + l], s.families[i].Key(probe, l));
-        }
+      for (size_t i = 0; i < per_group; ++i) {
+        batch.Add(s.tables[i * s.L + l], keys[i * s.L + l]);
+        if (batch.full()) overflowed |= batch.Flush(cb);
       }
     }
   }
-  batch.Flush(cb);
+  return batch.Flush(cb) || overflowed;
 }
 
-void AttributeLevelBlocker::ForEachSlotSpan(
+bool AttributeLevelBlocker::ForEachSlotSpan(
     const BitVector& probe,
     FunctionRef<void(std::span<const uint32_t>)> cb) const {
   // A single structure formulates every pair it generates: emit the raw
   // buckets and leave de-duplication to the caller.
-  if (single_structure()) {
-    ForEachProbedBucket(probe, cb);
-    return;
-  }
+  if (single_structure()) return ForEachProbedBucket(probe, cb);
   std::unordered_set<uint32_t> seen;
-  ForEachProbedBucket(probe, [&](std::span<const uint32_t> bucket) {
+  return ForEachProbedBucket(probe, [&](std::span<const uint32_t> bucket) {
     for (const uint32_t slot : bucket) {
       if (!seen.insert(slot).second) continue;
       if (FormulatedByRule(indexed_[slot], probe)) {

@@ -21,6 +21,7 @@
 #ifndef CBVLINK_BLOCKING_ATTRIBUTE_BLOCKER_H_
 #define CBVLINK_BLOCKING_ATTRIBUTE_BLOCKER_H_
 
+#include <span>
 #include <vector>
 
 #include "src/blocking/record_blocker.h"
@@ -90,7 +91,7 @@ class AttributeLevelBlocker : public SlotCandidateSource {
   /// de-duplicate).  Otherwise each slot is emitted at most once, as a
   /// single-slot span.  Either way the probe runs key-first
   /// (BlockingTable's ProbeBatch).
-  void ForEachSlotSpan(
+  bool ForEachSlotSpan(
       const BitVector& probe,
       FunctionRef<void(std::span<const uint32_t>)> cb) const override;
 
@@ -141,9 +142,13 @@ class AttributeLevelBlocker : public SlotCandidateSource {
         expr_(std::move(expr)),
         generating_(std::move(generating)) {}
 
-  /// Compound key of `bv` in AND-structure `s`, group l.
-  static uint64_t CompoundKey(const Structure& s, const BitVector& bv,
-                              size_t l);
+  /// The key of `bv` in every table of structure `s`: keys[t] for
+  /// s.tables[t].  AND: the compound key of group l, Mix64(l + 1) folded
+  /// with each predicate family's key by HashCombine, in predicate order.
+  /// OR: predicate i's key of group l at i * L + l.  One key pass per
+  /// family; `keys` holds s.tables.size() keys.
+  static void StructureKeys(const Structure& s, const BitVector& bv,
+                            std::span<uint64_t> keys);
 
   /// True iff (a, b) collide in structure `s` in any group/table.
   static bool CollidesInStructure(const Structure& s, const BitVector& a,
@@ -159,8 +164,9 @@ class AttributeLevelBlocker : public SlotCandidateSource {
   }
 
   /// Calls `cb` with every non-empty bucket `probe` maps to in the
-  /// generating structures, in group order, key-first.
-  void ForEachProbedBucket(
+  /// generating structures, in group order, key-first.  Returns true
+  /// when one of them has dropped entries at its cap.
+  bool ForEachProbedBucket(
       const BitVector& probe,
       FunctionRef<void(std::span<const uint32_t>)> cb) const;
 

@@ -279,12 +279,12 @@ void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
   Classify(b, classifier, out, s, scratch);
 }
 
-void Matcher::Probe(const BitVector& probe, MatchStats* stats,
+bool Matcher::Probe(const BitVector& probe, MatchStats* stats,
                     Scratch* scratch) const {
   scratch->Prepare(store_a_->size());
   if (slot_source_ == nullptr) {
     ProbeIds(probe, stats, scratch);
-    return;
+    return false;
   }
   // Slots index the stamps and the arena directly; one check per probe
   // keeps a blocker built over other records from reading past them.
@@ -301,7 +301,7 @@ void Matcher::Probe(const BitVector& probe, MatchStats* stats,
   // Stage every first-seen live candidate while walking the bucket
   // spans; Classify then takes the probe's whole fresh set in one call.
   std::vector<uint32_t>& fresh_dense = scratch->fresh_dense_;
-  slot_source_->ForEachSlotSpan(
+  return slot_source_->ForEachSlotSpan(
       probe, [&](std::span<const uint32_t> bucket) {
         stats->candidate_occurrences += bucket.size();
         for (const uint32_t slot : bucket) {

@@ -322,8 +322,10 @@ class Matcher {
   /// MatchOne's candidates stage: walks `probe`'s bucket slots, stamps
   /// every candidate in `scratch` and stages the first-seen live ones.
   /// Adds candidate_occurrences and dedup_skipped to `*stats` (not null).
-  /// Aborts when the source holds a slot outside the store.
-  void Probe(const BitVector& probe, MatchStats* stats,
+  /// Returns true when a probed bucket has dropped entries at its cap
+  /// (SlotCandidateSource::ForEachSlotSpan; an id-only source reports
+  /// none).  Aborts when the source holds a slot outside the store.
+  bool Probe(const BitVector& probe, MatchStats* stats,
              Scratch* scratch) const;
 
   /// MatchOne's compare stage: classifies the candidates the last Probe

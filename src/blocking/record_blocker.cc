@@ -111,10 +111,11 @@ std::vector<uint64_t> RecordLevelBlocker::KeyMatrix(
   std::vector<uint64_t> keys(n * L);
   ParallelForOrInline(pool, n, min_chunk,
                       [&](size_t, size_t begin, size_t end) {
+                        KeyBuffer row(L);
                         for (size_t i = begin; i < end; ++i) {
+                          family_.Keys(records[i].bits, row.span());
                           for (size_t l = 0; l < L; ++l) {
-                            keys[l * n + i] =
-                                family_.Key(records[i].bits, l);
+                            keys[l * n + i] = row[l];
                           }
                         }
                       });
@@ -141,30 +142,25 @@ void RecordLevelBlocker::InsertKeys(std::span<const EncodedRecord> records,
 
 void RecordLevelBlocker::Insert(const EncodedRecord& record, uint32_t slot) {
   AssignSlots({&record, 1}, {&slot, 1});
+  KeyBuffer keys(tables_.size());
+  family_.Keys(record.bits, keys.span());
   for (size_t l = 0; l < tables_.size(); ++l) {
-    tables_[l].Insert(family_.Key(record.bits, l), slot);
+    tables_[l].Insert(keys[l], slot);
   }
 }
 
-void RecordLevelBlocker::ForEachSlotSpan(
+bool RecordLevelBlocker::ForEachSlotSpan(
     const BitVector& probe,
     FunctionRef<void(std::span<const uint32_t>)> cb) const {
+  KeyBuffer keys(tables_.size());
+  family_.Keys(probe, keys.span());
   ProbeBatch batch;
+  bool overflowed = false;
   for (size_t l = 0; l < tables_.size(); ++l) {
-    batch.Add(tables_[l], family_.Key(probe, l));
-    if (batch.full()) batch.Flush(cb);
+    batch.Add(tables_[l], keys[l]);
+    if (batch.full()) overflowed |= batch.Flush(cb);
   }
-  batch.Flush(cb);
-}
-
-bool RecordLevelBlocker::ProbeOverflowed(const BitVector& probe) const {
-  for (size_t l = 0; l < tables_.size(); ++l) {
-    if (tables_[l].NumOverflowed() != 0 &&
-        tables_[l].Overflowed(family_.Key(probe, l))) {
-      return true;
-    }
-  }
-  return false;
+  return batch.Flush(cb) || overflowed;
 }
 
 size_t RecordLevelBlocker::TotalBuckets() const {

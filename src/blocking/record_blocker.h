@@ -66,7 +66,9 @@ class SlotCandidateSource : public CandidateSource {
  public:
   /// Invokes `cb` once per non-empty probed bucket with that bucket's
   /// slots, in blocking-group order (repeats across groups included).
-  virtual void ForEachSlotSpan(
+  /// Returns true when a probed bucket has dropped entries at its cap,
+  /// so the candidates are incomplete.
+  virtual bool ForEachSlotSpan(
       const BitVector& probe,
       FunctionRef<void(std::span<const uint32_t>)> cb) const = 0;
 
@@ -166,17 +168,13 @@ class RecordLevelBlocker : public SlotCandidateSource {
   /// Inserts a single record (streaming ingestion) at `slot`.
   void Insert(const EncodedRecord& record, uint32_t slot);
 
-  /// The probe runs key-first (BlockingTable's ProbeBatch): the keys and
-  /// home-slot prefetches of a block of tables, then the buckets, then
-  /// the spans.  Each span views the table's own storage.
-  void ForEachSlotSpan(
+  /// The probe computes the L keys in one pass, then runs key-first
+  /// (BlockingTable's ProbeBatch): the home-slot prefetches of a block of
+  /// tables, then the buckets, then the spans.  Each span views the
+  /// table's own storage.
+  bool ForEachSlotSpan(
       const BitVector& probe,
       FunctionRef<void(std::span<const uint32_t>)> cb) const override;
-
-  /// True when one of the buckets `probe` maps to dropped entries at the
-  /// cap, so its candidates are incomplete.  Free while no bucket has
-  /// overflowed; otherwise recomputes the L keys.
-  bool ProbeOverflowed(const BitVector& probe) const;
 
   size_t L() const { return tables_.size(); }
   size_t K() const { return family_.K(); }

@@ -97,11 +97,21 @@ class BlockingTable {
   /// The bucket for `key`; empty when no record hashed there.  The span
   /// is valid until the next Insert/BulkInsert.
   std::span<const uint32_t> Get(uint64_t key) const {
+    bool overflowed = false;
+    return Get(key, &overflowed);
+  }
+
+  /// Get(key), also setting `*overflowed` when the bucket has dropped
+  /// entries at the cap (left as is otherwise).
+  std::span<const uint32_t> Get(uint64_t key, bool* overflowed) const {
     if (slots_.empty()) return {};
     for (size_t pos = HomeSlot(key);; pos = (pos + 1) & slot_mask_) {
       const Slot& slot = slots_[pos];
       if (slot.claimed == 0) return {};
-      if (slot.key == key) return {entries_.data() + slot.offset, slot.size};
+      if (slot.key == key) {
+        *overflowed |= slot.overflowed != 0;
+        return {entries_.data() + slot.offset, slot.size};
+      }
     }
   }
 
@@ -229,7 +239,9 @@ class BlockingTable {
 /// Flush() resolves every recorded bucket, prefetching its first entry,
 /// and only then calls cb(bucket) for each non-empty one in Add order.
 /// Holds at most kCapacity pairs on the stack, so a probe over any number
-/// of tables allocates nothing: callers Flush() whenever full().
+/// of tables allocates nothing: callers Flush() whenever full().  Flush()
+/// returns true when one of the buckets it resolved has dropped entries
+/// at its table's cap, so its candidates are incomplete.
 class ProbeBatch {
  public:
   static constexpr size_t kCapacity = 16;
@@ -244,15 +256,17 @@ class ProbeBatch {
   }
 
   template <typename F>
-  void Flush(F&& cb) {
+  bool Flush(F&& cb) {
+    bool overflowed = false;
     for (size_t i = 0; i < size_; ++i) {
-      buckets_[i] = tables_[i]->Get(keys_[i]);
+      buckets_[i] = tables_[i]->Get(keys_[i], &overflowed);
       if (!buckets_[i].empty()) __builtin_prefetch(buckets_[i].data());
     }
     for (size_t i = 0; i < size_; ++i) {
       if (!buckets_[i].empty()) cb(buckets_[i]);
     }
     size_ = 0;
+    return overflowed;
   }
 
  private:

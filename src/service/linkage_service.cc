@@ -665,8 +665,7 @@ void LinkageService::MatchEncoded(const EncodedRecord& b,
     telemetry::TraceSpan candidates_span("candidates");
     const std::shared_ptr<Core> core = PinCore();
     std::shared_lock lock(core->mu);
-    core->matcher.Probe(b.bits, &stats, &scratch);
-    const bool saw_overflow = core->blocker.ProbeOverflowed(b.bits);
+    const bool saw_overflow = core->matcher.Probe(b.bits, &stats, &scratch);
     candidates_span.Annotate("occurrences", stats.candidate_occurrences);
     candidates_span.Annotate(
         "candidates", stats.candidate_occurrences - stats.dedup_skipped);

@@ -306,5 +306,30 @@ TEST(BlockingTableTest, ProbeBatchEmitsBucketsInAddOrder) {
   EXPECT_FALSE(expected.empty());
 }
 
+TEST(BlockingTableTest, ProbeBatchReportsOverflowedBuckets) {
+  // Flush reports whether a resolved bucket dropped entries at the cap,
+  // including a bucket restored empty for its overflow bit, which emits
+  // no span; the service's scan fallback relies on it.
+  BlockingTable capped(1);
+  capped.Insert(1, 10);
+  capped.Insert(1, 11);  // dropped: bucket 1 overflows
+  capped.Insert(2, 20);
+  BlockingTable restored(1);
+  restored.RestoreBucket(3, std::vector<uint32_t>{}, true);
+  size_t spans = 0;
+  const auto count = [&](std::span<const uint32_t>) { ++spans; };
+  ProbeBatch batch;
+  batch.Add(capped, 2);
+  EXPECT_FALSE(batch.Flush(count));
+  batch.Add(capped, 2);
+  batch.Add(capped, 1);
+  EXPECT_TRUE(batch.Flush(count));
+  batch.Add(restored, 3);
+  EXPECT_TRUE(batch.Flush(count));
+  batch.Add(restored, 4);  // absent key
+  EXPECT_FALSE(batch.Flush(count));
+  EXPECT_EQ(spans, 3u);
+}
+
 }  // namespace
 }  // namespace cbvlink

@@ -345,13 +345,18 @@ HammingLshFamily MakeFamily(size_t K, size_t L, size_t bits, uint64_t seed) {
   return HammingLshFamily::CreateFull(K, L, bits, rng).value();
 }
 
+/// True when the probe of `bits` reaches a bucket that dropped entries.
+bool ProbeOverflowed(const RecordLevelBlocker& blocker, const BitVector& bits) {
+  return blocker.ForEachSlotSpan(bits, [](std::span<const uint32_t>) {});
+}
+
 TEST(RecordLevelBlockerTest, BucketCapDropsAndFlagsOverflow) {
   RecordLevelBlocker blocker(MakeFamily(4, 3, 32, 42), /*bucket_cap=*/2);
   // Identical vectors share every bucket; the third insert overflows all
   // three groups' buckets.
   const EncodedRecord base = MakeRecord(0, 32, {1, 7});
   const BitVector other = MakeRecord(9, 32, {2, 3, 30}).bits;
-  EXPECT_FALSE(blocker.ProbeOverflowed(base.bits));
+  EXPECT_FALSE(ProbeOverflowed(blocker, base.bits));
   for (RecordId id = 0; id < 3; ++id) {
     EncodedRecord r = base;
     r.id = id;
@@ -365,9 +370,9 @@ TEST(RecordLevelBlockerTest, BucketCapDropsAndFlagsOverflow) {
     EXPECT_EQ(table.NumEntries(), 2u);
   }
   EXPECT_EQ(dropped, 3u);  // one drop per group
-  EXPECT_TRUE(blocker.ProbeOverflowed(base.bits));
+  EXPECT_TRUE(ProbeOverflowed(blocker, base.bits));
   if (Candidates(blocker, other).empty()) {
-    EXPECT_FALSE(blocker.ProbeOverflowed(other));
+    EXPECT_FALSE(ProbeOverflowed(blocker, other));
   }
 
   std::vector<RecordId> occurrences;
