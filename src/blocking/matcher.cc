@@ -259,9 +259,17 @@ bool PairClassifier::EvalNode(uint32_t index, const uint64_t* a,
 }
 
 Matcher::Matcher(const CandidateSource* source, const VectorStore* store_a)
-    : source_(source),
-      slot_source_(dynamic_cast<const SlotCandidateSource*>(source)),
-      store_a_(store_a) {}
+    : source_(dynamic_cast<const SlotCandidateSource*>(source)),
+      store_a_(store_a) {
+  // Slots index the stamps and the arena directly; a source that knows
+  // only RecordIds has nothing to stamp.
+  if (source_ == nullptr) {
+    std::fprintf(stderr,
+                 "cbvlink: Matcher: the candidate source is not a "
+                 "SlotCandidateSource (its tables must hold arena slots)\n");
+    std::abort();
+  }
+}
 
 void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
                        std::vector<IdPair>* out, MatchStats* stats) const {
@@ -282,18 +290,14 @@ void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
 bool Matcher::Probe(const BitVector& probe, MatchStats* stats,
                     Scratch* scratch) const {
   scratch->Prepare(store_a_->size());
-  if (slot_source_ == nullptr) {
-    ProbeIds(probe, stats, scratch);
-    return false;
-  }
   // Slots index the stamps and the arena directly; one check per probe
   // keeps a blocker built over other records from reading past them.
-  if (slot_source_->num_slots() > store_a_->size()) {
+  if (source_->num_slots() > store_a_->size()) {
     std::fprintf(stderr,
                  "cbvlink: Matcher: blocking tables hold slot %zu but the "
                  "store has %zu records (tables and store must be built "
                  "over the same records)\n",
-                 slot_source_->num_slots() - 1, store_a_->size());
+                 source_->num_slots() - 1, store_a_->size());
     std::abort();
   }
   uint32_t* const stamps = scratch->stamps_.data();
@@ -301,7 +305,7 @@ bool Matcher::Probe(const BitVector& probe, MatchStats* stats,
   // Stage every first-seen live candidate while walking the bucket
   // spans; Classify then takes the probe's whole fresh set in one call.
   std::vector<uint32_t>& fresh_dense = scratch->fresh_dense_;
-  return slot_source_->ForEachSlotSpan(
+  return source_->ForEachSlotSpan(
       probe, [&](std::span<const uint32_t> bucket) {
         stats->candidate_occurrences += bucket.size();
         for (const uint32_t slot : bucket) {
@@ -312,39 +316,6 @@ bool Matcher::Probe(const BitVector& probe, MatchStats* stats,
           stamps[slot] = epoch;
           // Tombstoned slot: stamped (so repeats dedupe for free) but
           // never compared — a deleted record matches nothing.
-          if (store_a_->IsDead(slot)) continue;
-          fresh_dense.push_back(slot);
-        }
-      });
-}
-
-void Matcher::ProbeIds(const BitVector& probe, MatchStats* stats,
-                       Scratch* scratch) const {
-  uint32_t* const stamps = scratch->stamps_.data();
-  const uint32_t epoch = scratch->epoch_;
-  std::vector<uint32_t>& fresh_dense = scratch->fresh_dense_;
-  // Ids without a stored vector have no slot to stamp; a probe rarely
-  // meets any, so a short list de-duplicates them.
-  std::vector<RecordId> unknown;
-  source_->ForEachCandidateSpan(
-      probe, [&](std::span<const RecordId> ids) {
-        stats->candidate_occurrences += ids.size();
-        for (const RecordId id : ids) {
-          const uint32_t slot = store_a_->DenseIndex(id);
-          if (slot == VectorStore::kNotFound) {
-            if (std::find(unknown.begin(), unknown.end(), id) !=
-                unknown.end()) {
-              ++stats->dedup_skipped;
-            } else {
-              unknown.push_back(id);
-            }
-            continue;
-          }
-          if (stamps[slot] == epoch) {
-            ++stats->dedup_skipped;
-            continue;
-          }
-          stamps[slot] = epoch;
           if (store_a_->IsDead(slot)) continue;
           fresh_dense.push_back(slot);
         }

@@ -20,9 +20,7 @@
 //    stamps and gathers by the slot it reads, so a candidate costs a
 //    stamp and a row read, with no hash lookup.  The open-addressing
 //    RecordId -> slot table (VectorStore::DenseIndex) serves only the
-//    id-addressed operations — the service's Delete, Update and restore
-//    — and the id-only CandidateSource test doubles (ProbeIds), which
-//    pay one DenseIndex per candidate occurrence.
+//    id-addressed operations — the service's Delete, Update and restore.
 //  * The unique collection C is a generation-stamped visited array
 //    indexed by slot: one epoch bump per probe, zero allocations in
 //    steady state (a per-probe std::unordered_set in the seed engine).
@@ -301,9 +299,9 @@ class Matcher {
   };
 
   /// A matcher over `source`'s candidates for the records of `store_a`.
-  /// When `source` is a SlotCandidateSource its slots must be `store_a`'s
-  /// (every table slot below store_a->size(), checked per probe);
-  /// otherwise its Ids are resolved through VectorStore::DenseIndex.
+  /// `source` must be a SlotCandidateSource whose slots are `store_a`'s
+  /// (every table slot below store_a->size(), checked per probe); the
+  /// constructor aborts on any other source.
   Matcher(const CandidateSource* source, const VectorStore* store_a);
 
   /// Matches one B record; appends matched pairs to `out`.  `stats` may
@@ -323,8 +321,8 @@ class Matcher {
   /// every candidate in `scratch` and stages the first-seen live ones.
   /// Adds candidate_occurrences and dedup_skipped to `*stats` (not null).
   /// Returns true when a probed bucket has dropped entries at its cap
-  /// (SlotCandidateSource::ForEachSlotSpan; an id-only source reports
-  /// none).  Aborts when the source holds a slot outside the store.
+  /// (SlotCandidateSource::ForEachSlotSpan).  Aborts when the source
+  /// holds a slot outside the store.
   bool Probe(const BitVector& probe, MatchStats* stats,
              Scratch* scratch) const;
 
@@ -359,16 +357,7 @@ class Matcher {
                                MatchStats* stats, ThreadPool* pool) const;
 
  private:
-  /// Probe for a source that knows only Ids: each Id is resolved to its
-  /// slot through DenseIndex; an Id without a stored vector is counted,
-  /// de-duplicated and never compared.  Only id-only CandidateSource
-  /// test doubles reach it; every blocker is a SlotCandidateSource.
-  void ProbeIds(const BitVector& probe, MatchStats* stats,
-                Scratch* scratch) const;
-
-  const CandidateSource* source_;
-  /// `source_` when its tables hold slots, else null.
-  const SlotCandidateSource* slot_source_;
+  const SlotCandidateSource* source_;
   const VectorStore* store_a_;
   /// Scratch behind the scratch-less MatchOne overload.
   mutable Scratch scratch_;

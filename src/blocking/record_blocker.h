@@ -179,6 +179,9 @@ class RecordLevelBlocker : public SlotCandidateSource {
   size_t L() const { return tables_.size(); }
   size_t K() const { return family_.K(); }
 
+  /// The L composite hash functions the tables key on.
+  const HammingLshFamily& family() const { return family_; }
+
   /// Aggregate statistics over the L tables, for diagnostics.
   size_t TotalBuckets() const;
   size_t MaxBucketSize() const;

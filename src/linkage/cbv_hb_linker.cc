@@ -2,15 +2,13 @@
 
 #include <algorithm>
 
-#include "src/blocking/attribute_blocker.h"
-#include "src/blocking/record_blocker.h"
 #include "src/common/stopwatch.h"
 #include "src/common/str.h"
-#include "src/common/thread_pool.h"
+#include "src/linkage/online_linker.h"
 
 namespace cbvlink {
 
-Result<CbvHbLinker> CbvHbLinker::Create(CbvHbConfig config) {
+Status ValidateCbvHbConfig(const CbvHbConfig& config) {
   if (config.schema.num_attributes() == 0) {
     return Status::InvalidArgument("schema has no attributes");
   }
@@ -26,6 +24,11 @@ Result<CbvHbLinker> CbvHbLinker::Create(CbvHbConfig config) {
       config.expected_qgrams.size() != config.schema.num_attributes()) {
     return Status::InvalidArgument("expected_qgrams size mismatch");
   }
+  return Status::OK();
+}
+
+Result<CbvHbLinker> CbvHbLinker::Create(CbvHbConfig config) {
+  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(config));
   return CbvHbLinker(std::move(config));
 }
 
@@ -42,8 +45,8 @@ Result<LinkageResult> CbvHbLinker::Link(const std::vector<Record>& a,
   result.threads_used = ctx.threads_used();
 
   // --- Embedding ---------------------------------------------------------
-  std::vector<double> expected = config_.expected_qgrams;
-  if (expected.empty()) {
+  CbvHbConfig config = config_;
+  if (config.expected_qgrams.empty()) {
     if (a.empty()) {
       // The sizing estimate has nothing to sample from; an empty sample
       // would silently produce degenerate vector sizes.
@@ -52,80 +55,53 @@ Result<LinkageResult> CbvHbLinker::Link(const std::vector<Record>& a,
     }
     // Charlie samples the records to estimate b^(f_i) (Section 5.2).
     std::vector<Record> sample;
-    const size_t n = std::min(config_.estimation_sample, a.size());
+    const size_t n = std::min(config.estimation_sample, a.size());
     sample.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      sample.push_back(a[a.size() <= config_.estimation_sample
+      sample.push_back(a[a.size() <= config.estimation_sample
                              ? i
                              : rng.Below(a.size())]);
     }
-    expected = EstimateExpectedQGrams(config_.schema, sample);
+    config.expected_qgrams = EstimateExpectedQGrams(config.schema, sample);
   }
 
-  Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
-      config_.schema, expected, rng, config_.sizing);
-  if (!encoder.ok()) return encoder.status();
-  encoder_.emplace(std::move(encoder).value());
+  // The engine draws the encoder, then the blocker, from the same Rng.
+  // It lives only for this call, so its arena and tables are freed
+  // before Link returns; a copy of the encoder stays for encoder().
+  Result<OnlineCbvHbLinker> engine_result =
+      OnlineCbvHbLinker::Create(std::move(config), rng);
+  if (!engine_result.ok()) return engine_result.status();
+  OnlineCbvHbLinker& engine = engine_result.value();
+  encoder_.emplace(engine.encoder());
 
   // Embedding is embarrassingly parallel over records; EncodeAll shards
   // both data sets over the context's pool (byte-identical to serial).
-  Result<std::vector<EncodedRecord>> encoded_a_result =
-      encoder_->EncodeAll(a, ctx.pool(), ctx.chunk_size_hint());
-  if (!encoded_a_result.ok()) return encoded_a_result.status();
-  std::vector<EncodedRecord> encoded_a = std::move(encoded_a_result).value();
-  Result<std::vector<EncodedRecord>> encoded_b_result =
-      encoder_->EncodeAll(b, ctx.pool(), ctx.chunk_size_hint());
-  if (!encoded_b_result.ok()) return encoded_b_result.status();
-  std::vector<EncodedRecord> encoded_b = std::move(encoded_b_result).value();
+  Result<std::vector<EncodedRecord>> encoded_a =
+      engine.encoder().EncodeAll(a, ctx.pool(), ctx.chunk_size_hint());
+  if (!encoded_a.ok()) return encoded_a.status();
+  Result<std::vector<EncodedRecord>> encoded_b =
+      engine.encoder().EncodeAll(b, ctx.pool(), ctx.chunk_size_hint());
+  if (!encoded_b.ok()) return encoded_b.status();
   result.embed_seconds = watch.ElapsedSeconds();
 
   // --- Blocking ----------------------------------------------------------
-  // The arena first: its slots are what the blocking tables hold.  A
-  // repeated id keeps its first vector and slot, so every record carrying
-  // that id blocks onto the first one's row.
+  // A repeated id keeps its first vector and slot, so every record
+  // carrying that id blocks onto the first one's row.
   watch.Restart();
-  VectorStore store_a;
-  std::vector<uint32_t> slots;
-  store_a.AddAll(encoded_a, &slots);
-  std::optional<RecordLevelBlocker> record_blocker;
-  std::optional<AttributeLevelBlocker> attribute_blocker;
-  const CandidateSource* source = nullptr;
-
-  if (config_.attribute_level_blocking) {
-    AttributeBlockerOptions options;
-    options.attribute_K = config_.attribute_K;
-    options.delta = config_.delta;
-    Result<AttributeLevelBlocker> blocker = AttributeLevelBlocker::Create(
-        config_.rule, encoder_->layout(), options, rng);
-    if (!blocker.ok()) return blocker.status();
-    attribute_blocker.emplace(std::move(blocker).value());
-    attribute_blocker->BulkInsert(encoded_a, slots, ctx.pool(),
-                                  ctx.chunk_size_hint());
-    for (size_t s = 0; s < attribute_blocker->num_structures(); ++s) {
-      result.blocking_groups += attribute_blocker->structure_L(s);
-    }
-    source = &*attribute_blocker;
-  } else {
-    Result<RecordLevelBlocker> blocker =
-        RecordLevelBlocker::Create(encoder_->total_bits(), config_.record_K,
-                                   config_.record_theta, config_.delta, rng);
-    if (!blocker.ok()) return blocker.status();
-    record_blocker.emplace(std::move(blocker).value());
-    record_blocker->BulkInsert(encoded_a, slots, ctx.pool(),
-                               ctx.chunk_size_hint());
-    result.blocking_groups = record_blocker->L();
-    source = &*record_blocker;
-  }
-
+  CBVLINK_RETURN_NOT_OK(engine.InsertEncoded(encoded_a.value(), ctx.pool(),
+                                             ctx.chunk_size_hint()));
+  // The arena holds A's vectors now.
+  std::vector<EncodedRecord>().swap(encoded_a.value());
+  result.blocking_groups = engine.blocking_groups();
   result.index_seconds = watch.ElapsedSeconds();
 
   // --- Matching (Algorithm 2) --------------------------------------------
   watch.Restart();
-  Matcher matcher(source, &store_a);
-  const PairClassifier classifier =
-      MakeRuleClassifier(config_.rule, encoder_->layout());
-  result.matches =
-      matcher.MatchAll(encoded_b, classifier, &result.stats, ctx.pool());
+  Result<std::vector<IdPair>> matches =
+      engine.MatchAll(encoded_b.value(), ctx.pool());
+  if (!matches.ok()) return matches.status();
+  result.matches = std::move(matches).value();
+  result.stats = engine.stats();
   result.match_seconds = watch.ElapsedSeconds();
   return result;
 }

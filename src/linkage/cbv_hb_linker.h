@@ -4,7 +4,8 @@
 // c-vector encoders -> encode both data sets -> block with HB, either
 // record-level (Section 4.2) or attribute-level rule-aware (Section 5.4)
 // -> match with Algorithm 2, classifying pairs by the rule on
-// attribute-level Hamming distances.
+// attribute-level Hamming distances.  OnlineCbvHbLinker (online_linker.h)
+// builds and runs every stage after the estimate; Link() drives it.
 
 #ifndef CBVLINK_LINKAGE_CBV_HB_LINKER_H_
 #define CBVLINK_LINKAGE_CBV_HB_LINKER_H_
@@ -50,7 +51,14 @@ struct CbvHbConfig {
   uint64_t seed = 7;
 };
 
-/// The cBV-HB linker.
+/// OK when `config` is a valid cBV-HB configuration: a non-empty schema,
+/// a rule over its attributes, one K per attribute for attribute-level
+/// blocking, and one expected q-gram count per attribute when given.
+/// CbvHbLinker, OnlineCbvHbLinker and LinkageService all check it.
+Status ValidateCbvHbConfig(const CbvHbConfig& config);
+
+/// The cBV-HB linker: a batch driver over OnlineCbvHbLinker, which
+/// indexes data set A and matches data set B within one Link() call.
 class CbvHbLinker : public Linker {
  public:
   /// Validates the configuration.

@@ -1,8 +1,9 @@
 #include "src/linkage/multi_party.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "src/common/str.h"
+#include "src/linkage/online_linker.h"
 
 namespace cbvlink {
 
@@ -23,13 +24,26 @@ RecordId LocalOf(uint64_t global_id) {
   return global_id & ((uint64_t{1} << 48) - 1);
 }
 
+/// The engine configuration: MultiPartyConfig is CbvHbConfig's
+/// record-level mode.
+CbvHbConfig EngineConfig(const MultiPartyConfig& config) {
+  CbvHbConfig engine;
+  engine.schema = config.schema;
+  engine.rule = config.rule;
+  engine.record_K = config.record_K;
+  engine.record_theta = config.record_theta;
+  engine.delta = config.delta;
+  engine.sizing = config.sizing;
+  engine.expected_qgrams = config.expected_qgrams;
+  engine.estimation_sample = config.estimation_sample;
+  engine.seed = config.seed;
+  return engine;
+}
+
 }  // namespace
 
 Result<MultiPartyLinker> MultiPartyLinker::Create(MultiPartyConfig config) {
-  if (config.schema.num_attributes() == 0) {
-    return Status::InvalidArgument("schema has no attributes");
-  }
-  CBVLINK_RETURN_NOT_OK(config.rule.Validate(config.schema.num_attributes()));
+  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(EngineConfig(config)));
   if (config.record_K == 0) {
     return Status::InvalidArgument("K must be positive");
   }
@@ -55,61 +69,42 @@ Result<MultiPartyResult> MultiPartyLinker::Link(
     return Status::OutOfRange("too many parties for 16-bit party ids");
   }
 
-  Rng rng(config_.seed);
-
-  // Shared encoders so identical values collide across custodians.
-  std::vector<double> expected = config_.expected_qgrams;
-  if (expected.empty()) {
-    std::vector<Record> sample;
+  // One engine, so identical values collide across custodians; party 0's
+  // first records size its encoders.
+  std::vector<Record> sample;
+  if (config_.expected_qgrams.empty()) {
     const size_t n = std::min(config_.estimation_sample, parties[0].size());
-    sample.reserve(n);
-    for (size_t i = 0; i < n; ++i) sample.push_back(parties[0][i]);
-    expected = EstimateExpectedQGrams(config_.schema, sample);
+    sample.assign(parties[0].begin(), parties[0].begin() + n);
   }
-  Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
-      config_.schema, expected, rng, config_.sizing);
-  if (!encoder.ok()) return encoder.status();
-
-  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
-      encoder.value().total_bits(), config_.record_K, config_.record_theta,
-      config_.delta, rng);
-  if (!blocker.ok()) return blocker.status();
+  Result<OnlineCbvHbLinker> engine_result =
+      OnlineCbvHbLinker::Create(EngineConfig(config_), sample);
+  if (!engine_result.ok()) return engine_result.status();
+  OnlineCbvHbLinker& engine = engine_result.value();
 
   MultiPartyResult result;
-  result.blocking_groups = blocker.value().L();
-
-  VectorStore store;
-  Matcher matcher(&blocker.value(), &store);
-  const PairClassifier classifier =
-      MakeRuleClassifier(config_.rule, encoder.value().layout());
+  result.blocking_groups = engine.blocking_groups();
 
   // Incremental pass: probe each party against everything indexed so far,
   // then index it.  Every cross-party pair is considered exactly once.
   for (PartyId p = 0; p < parties.size(); ++p) {
-    std::vector<EncodedRecord> encoded;
-    encoded.reserve(parties[p].size());
-    for (const Record& record : parties[p]) {
-      Result<EncodedRecord> enc = encoder.value().Encode(record);
-      if (!enc.ok()) return enc.status();
-      EncodedRecord tagged = std::move(enc).value();
-      tagged.id = GlobalId(p, record.id);
-      encoded.push_back(std::move(tagged));
+    Result<std::vector<EncodedRecord>> encoded =
+        engine.encoder().EncodeAll(parties[p]);
+    if (!encoded.ok()) return encoded.status();
+    for (EncodedRecord& record : encoded.value()) {
+      record.id = GlobalId(p, record.id);
     }
     if (p > 0) {
-      std::vector<IdPair> found;
-      for (const EncodedRecord& probe : encoded) {
-        matcher.MatchOne(probe, classifier, &found, &result.stats);
-      }
-      for (const IdPair& pair : found) {
+      Result<std::vector<IdPair>> found = engine.MatchAll(encoded.value());
+      if (!found.ok()) return found.status();
+      for (const IdPair& pair : found.value()) {
         // a_id is the earlier-indexed record; b_id the probing one.
         result.matches.push_back(MultiPartyMatch{
             PartyOf(pair.a_id), LocalOf(pair.a_id), p, LocalOf(pair.b_id)});
       }
     }
-    std::vector<uint32_t> slots;
-    store.AddAll(encoded, &slots);
-    blocker.value().BulkInsert(encoded, slots);
+    CBVLINK_RETURN_NOT_OK(engine.InsertEncoded(encoded.value()));
   }
+  result.stats = engine.stats();
   return result;
 }
 

@@ -6,15 +6,15 @@
 // same c-vector encoders, indexes everything into one set of blocking
 // groups, and reports matches between records of *different* sources.
 // The de-duplicating matcher semantics of Algorithm 2 apply per probe.
+// One OnlineCbvHbLinker (record-level mode) runs the pass: each party
+// probes the parties indexed before it, then is indexed itself.
 
 #ifndef CBVLINK_LINKAGE_MULTI_PARTY_H_
 #define CBVLINK_LINKAGE_MULTI_PARTY_H_
 
-#include <optional>
 #include <vector>
 
 #include "src/blocking/matcher.h"
-#include "src/blocking/record_blocker.h"
 #include "src/common/record.h"
 #include "src/common/status.h"
 #include "src/embedding/record_encoder.h"

@@ -6,61 +6,69 @@ namespace cbvlink {
 
 Result<OnlineCbvHbLinker> OnlineCbvHbLinker::Create(
     CbvHbConfig config, const std::vector<Record>& calibration_sample) {
-  // Reuse CbvHbLinker's validation rules.
-  {
-    CbvHbConfig copy = config;
-    Result<CbvHbLinker> check = CbvHbLinker::Create(std::move(copy));
-    if (!check.ok()) return check.status();
-  }
-
-  std::vector<double> expected = config.expected_qgrams;
-  if (expected.empty()) {
+  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(config));
+  if (config.expected_qgrams.empty()) {
     if (calibration_sample.empty()) {
       return Status::InvalidArgument(
           "online linker needs expected_qgrams or a calibration sample");
     }
-    expected = EstimateExpectedQGrams(config.schema, calibration_sample);
+    config.expected_qgrams =
+        EstimateExpectedQGrams(config.schema, calibration_sample);
   }
-
-  OnlineCbvHbLinker linker;
   Rng rng(config.seed);
+  return Create(std::move(config), rng);
+}
+
+Result<OnlineCbvHbLinker> OnlineCbvHbLinker::Create(CbvHbConfig config,
+                                                    Rng& rng) {
+  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(config));
+  if (config.expected_qgrams.empty()) {
+    return Status::InvalidArgument(
+        "the cBV-HB engine needs expected_qgrams to size its encoder");
+  }
+  // The draw order — encoder, then blocker — is fixed: every pair list
+  // and snapshot depends on it.
   Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
-      config.schema, expected, rng, config.sizing);
+      config.schema, config.expected_qgrams, rng, config.sizing);
   if (!encoder.ok()) return encoder.status();
-  linker.encoder_.emplace(std::move(encoder).value());
+  const RecordLayout& layout = encoder.value().layout();
+  PairClassifier classifier = MakeRuleClassifier(config.rule, layout);
 
   if (config.attribute_level_blocking) {
     AttributeBlockerOptions options;
     options.attribute_K = config.attribute_K;
     options.delta = config.delta;
-    Result<AttributeLevelBlocker> blocker = AttributeLevelBlocker::Create(
-        config.rule, linker.encoder_->layout(), options, rng);
+    Result<AttributeLevelBlocker> blocker =
+        AttributeLevelBlocker::Create(config.rule, layout, options, rng);
     if (!blocker.ok()) return blocker.status();
-    linker.attribute_blocker_.emplace(std::move(blocker).value());
-    for (size_t s = 0; s < linker.attribute_blocker_->num_structures(); ++s) {
-      linker.blocking_groups_ += linker.attribute_blocker_->structure_L(s);
+    size_t groups = 0;
+    for (size_t s = 0; s < blocker.value().num_structures(); ++s) {
+      groups += blocker.value().structure_L(s);
     }
-  } else {
-    Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
-        linker.encoder_->total_bits(), config.record_K, config.record_theta,
-        config.delta, rng);
-    if (!blocker.ok()) return blocker.status();
-    linker.record_blocker_.emplace(std::move(blocker).value());
-    linker.blocking_groups_ = linker.record_blocker_->L();
+    return OnlineCbvHbLinker(std::move(encoder).value(),
+                             std::move(blocker).value(),
+                             std::move(classifier), groups);
   }
-
-  linker.classifier_ =
-      MakeRuleClassifier(config.rule, linker.encoder_->layout());
-  linker.config_ = std::move(config);
-  return linker;
+  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
+      encoder.value().total_bits(), config.record_K, config.record_theta,
+      config.delta, rng);
+  if (!blocker.ok()) return blocker.status();
+  const size_t groups = blocker.value().L();
+  return OnlineCbvHbLinker(std::move(encoder).value(),
+                           std::move(blocker).value(), std::move(classifier),
+                           groups);
 }
 
-Result<EncodedRecord> OnlineCbvHbLinker::Encode(const Record& record) const {
-  return encoder_->Encode(record);
+Status OnlineCbvHbLinker::CheckWidth(const EncodedRecord& encoded) const {
+  if (encoded.bits.size() == encoder_.total_bits()) return Status::OK();
+  return Status::InvalidArgument(
+      StrFormat("encoded record is %zu bits; this stream's encoder "
+                "produces %zu",
+                encoded.bits.size(), encoder_.total_bits()));
 }
 
 Status OnlineCbvHbLinker::Insert(const Record& record) {
-  Result<EncodedRecord> encoded = Encode(record);
+  Result<EncodedRecord> encoded = encoder_.Encode(record);
   if (!encoded.ok()) return encoded.status();
   Index(encoded.value());
   return Status::OK();
@@ -68,56 +76,68 @@ Status OnlineCbvHbLinker::Insert(const Record& record) {
 
 void OnlineCbvHbLinker::Index(const EncodedRecord& encoded) {
   const uint32_t slot = store_.Add(encoded);
-  if (attribute_blocker_.has_value()) {
-    attribute_blocker_->Insert(encoded, slot);
-  } else {
-    record_blocker_->Insert(encoded, slot);
-  }
+  std::visit([&](auto& blocker) { blocker.Insert(encoded, slot); },
+             blocker_);
 }
 
 Status OnlineCbvHbLinker::InsertBatch(const std::vector<Record>& records,
                                       const ExecutionOptions& options) {
   ExecutionContext ctx(options);
   Result<std::vector<EncodedRecord>> encoded =
-      encoder_->EncodeAll(records, ctx.pool(), ctx.chunk_size_hint());
+      encoder_.EncodeAll(records, ctx.pool(), ctx.chunk_size_hint());
   if (!encoded.ok()) return encoded.status();
-  std::vector<uint32_t> slots;
-  store_.AddAll(encoded.value(), &slots);
-  if (attribute_blocker_.has_value()) {
-    attribute_blocker_->BulkInsert(encoded.value(), slots, ctx.pool(),
-                                   ctx.chunk_size_hint());
-  } else {
-    record_blocker_->BulkInsert(encoded.value(), slots, ctx.pool(),
-                                ctx.chunk_size_hint());
+  return InsertEncoded(encoded.value(), ctx.pool(), ctx.chunk_size_hint());
+}
+
+Status OnlineCbvHbLinker::InsertEncoded(
+    const std::vector<EncodedRecord>& records, ThreadPool* pool,
+    size_t min_chunk) {
+  for (const EncodedRecord& record : records) {
+    CBVLINK_RETURN_NOT_OK(CheckWidth(record));
   }
+  // The arena first: its slots are what the blocking tables hold.
+  std::vector<uint32_t> slots;
+  store_.AddAll(records, &slots);
+  std::visit(
+      [&](auto& blocker) {
+        blocker.BulkInsert(records, slots, pool, min_chunk);
+      },
+      blocker_);
   return Status::OK();
 }
 
 Status OnlineCbvHbLinker::Match(const Record& record,
                                 std::vector<IdPair>* out) {
-  Result<EncodedRecord> encoded = Encode(record);
+  Result<EncodedRecord> encoded = encoder_.Encode(record);
   if (!encoded.ok()) return encoded.status();
-  Matcher matcher(&source(), &store_);
-  matcher.MatchOne(encoded.value(), classifier_, out, &stats_, &scratch_);
+  return MatchEncoded(encoded.value(), out);
+}
+
+Status OnlineCbvHbLinker::MatchEncoded(const EncodedRecord& encoded,
+                                       std::vector<IdPair>* out) {
+  CBVLINK_RETURN_NOT_OK(CheckWidth(encoded));
+  MakeMatcher().MatchOne(encoded, classifier_, out, &stats_, &scratch_);
   return Status::OK();
+}
+
+Result<std::vector<IdPair>> OnlineCbvHbLinker::MatchAll(
+    const std::vector<EncodedRecord>& records, ThreadPool* pool) {
+  for (const EncodedRecord& record : records) {
+    CBVLINK_RETURN_NOT_OK(CheckWidth(record));
+  }
+  return MakeMatcher().MatchAll(records, classifier_, &stats_, pool);
 }
 
 Status OnlineCbvHbLinker::MatchAndInsert(const Record& record,
                                          std::vector<IdPair>* out) {
-  CBVLINK_RETURN_NOT_OK(Match(record, out));
-  return Insert(record);
+  Result<EncodedRecord> encoded = encoder_.Encode(record);
+  if (!encoded.ok()) return encoded.status();
+  return MatchAndInsertEncoded(encoded.value(), out);
 }
 
 Status OnlineCbvHbLinker::MatchAndInsertEncoded(const EncodedRecord& encoded,
                                                 std::vector<IdPair>* out) {
-  if (encoded.bits.size() != encoder_->total_bits()) {
-    return Status::InvalidArgument(
-        StrFormat("encoded record is %zu bits; this stream's encoder "
-                  "produces %zu",
-                  encoded.bits.size(), encoder_->total_bits()));
-  }
-  Matcher matcher(&source(), &store_);
-  matcher.MatchOne(encoded, classifier_, out, &stats_, &scratch_);
+  CBVLINK_RETURN_NOT_OK(MatchEncoded(encoded, out));
   Index(encoded);
   return Status::OK();
 }

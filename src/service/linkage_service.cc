@@ -11,7 +11,6 @@
 #include "src/common/failpoint.h"
 #include "src/common/hamming_kernels.h"
 #include "src/common/str.h"
-#include "src/lsh/params.h"
 #include "src/rules/rule_parser.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
@@ -176,12 +175,7 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Create(
         "LinkageService indexes record-level HB blocking; "
         "attribute-level structures are not supported");
   }
-  // Reuse the batch linker's validation rules.
-  {
-    CbvHbConfig copy = config;
-    Result<CbvHbLinker> check = CbvHbLinker::Create(std::move(copy));
-    if (!check.ok()) return check.status();
-  }
+  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(config));
   if (config.expected_qgrams.empty()) {
     if (calibration_sample.empty()) {
       return Status::InvalidArgument(
@@ -206,29 +200,15 @@ Status LinkageService::Init() {
   if (!encoder.ok()) return encoder.status();
   encoder_.emplace(std::move(encoder).value());
 
-  // Distinct sampling caps K at the record width; a larger configured K
-  // was pure duplicate draws before, so clamp (deterministically — the
-  // clamp depends only on the persisted config, keeping Restore's RNG
-  // stream reproducible) instead of rejecting old configs.
-  const size_t record_K =
-      std::min(config_.record_K, encoder_->total_bits());
-  if (record_K != config_.record_K) {
-    std::fprintf(stderr,
-                 "cbvlink: record_K = %zu exceeds the %zu-bit record; "
-                 "clamping to %zu (distinct bit positions)\n",
-                 config_.record_K, encoder_->total_bits(), record_K);
-  }
-  Result<double> p =
-      HammingBaseProbability(config_.record_theta, encoder_->total_bits());
-  if (!p.ok()) return p.status();
-  Result<size_t> L = OptimalGroups(p.value(), record_K, config_.delta);
-  if (!L.ok()) return L.status();
-  Result<HammingLshFamily> family = HammingLshFamily::CreateFull(
-      record_K, L.value(), encoder_->total_bits(), rng);
-  if (!family.ok()) return family.status();
-  // Keep the family: Compact() rebuilds a successor core with the
-  // identical blocking keys.
-  family_.emplace(std::move(family).value());
+  // The blocker factory clamps K to the record width (deterministically:
+  // the clamp depends only on the persisted config) and derives L from
+  // Equation 2.  Keep its family: every core, Compact()'s successors
+  // included, is built over the identical blocking keys.
+  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
+      encoder_->total_bits(), config_.record_K, config_.record_theta,
+      config_.delta, rng);
+  if (!blocker.ok()) return blocker.status();
+  family_.emplace(blocker.value().family());
   core_ = NewCore();
 
   classifier_ = MakeRuleClassifier(config_.rule, encoder_->layout());

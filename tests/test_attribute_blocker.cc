@@ -362,24 +362,26 @@ TEST(AttributeLevelBlockerBulkInsertTest, EmptyAndAppendInputs) {
 
 // --- Bucket spans vs a de-duplicated candidate stream -----------------
 
-/// Exposes only a de-duplicated ForEachCandidate over `inner`: each Id
-/// once per probe, at its first occurrence.  The matcher sees it through
-/// the default single-Id span adapter.
-class DedupedCandidates : public CandidateSource {
+/// Exposes `inner`'s slots de-duplicated: each slot once per probe, at
+/// its first occurrence, in single-slot spans.
+class DedupedCandidates : public SlotCandidateSource {
  public:
-  explicit DedupedCandidates(const CandidateSource& inner) : inner_(inner) {}
+  explicit DedupedCandidates(const SlotCandidateSource& inner)
+      : inner_(inner) {}
 
-  void ForEachCandidate(
+  bool ForEachSlotSpan(
       const BitVector& probe,
-      const std::function<void(RecordId)>& cb) const override {
-    std::unordered_set<RecordId> seen;
-    inner_.ForEachCandidate(probe, [&](RecordId id) {
-      if (seen.insert(id).second) cb(id);
+      FunctionRef<void(std::span<const uint32_t>)> cb) const override {
+    std::unordered_set<uint32_t> seen;
+    return inner_.ForEachSlotSpan(probe, [&](std::span<const uint32_t> bucket) {
+      for (const uint32_t& slot : bucket) {
+        if (seen.insert(slot).second) cb(std::span<const uint32_t>(&slot, 1));
+      }
     });
   }
 
  private:
-  const CandidateSource& inner_;
+  const SlotCandidateSource& inner_;
 };
 
 TEST(AttributeLevelBlockerSpanTest, C1SpansMatchDedupedCandidates) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "src/common/hashing.h"
 #include "src/datagen/generators.h"
 #include "src/datagen/perturbator.h"
 
@@ -131,6 +132,44 @@ TEST(DedupTest, PropagatesConfigErrors) {
   Rng rng(5);
   std::vector<Record> records{gen.value().Generate(0, rng)};
   EXPECT_FALSE(FindDuplicates(records, config).ok());
+}
+
+TEST(DedupTest, PinnedPairs) {
+  // The exact duplicate-pair list at a fixed seed: its length, the
+  // comparison count, the cluster count and a hash of the ordered list,
+  // identical at any thread count.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  Rng rng(29);
+  std::vector<Record> records;
+  for (size_t i = 0; i < 400; ++i) {
+    records.push_back(gen.value().Generate(i, rng));
+  }
+  // Typo-variants of every fifth record, under fresh ids.
+  for (size_t i = 0; i < 400; i += 5) {
+    Result<Record> dup = Perturbator::Apply(
+        records[i], PerturbationScheme::Light(), rng, nullptr);
+    ASSERT_TRUE(dup.ok());
+    records.push_back(std::move(dup).value());
+    records.back().id = 1000 + i;
+  }
+  CbvHbConfig config = DedupConfig(gen.value().schema());
+  config.seed = 2016;
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    Result<DedupResult> result = FindDuplicates(
+        records, config, ExecutionOptions::WithThreads(threads));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::vector<IdPair>& pairs = result.value().duplicate_pairs;
+    uint64_t hash = Mix64(pairs.size());
+    for (const IdPair& pair : pairs) {
+      hash = HashCombine(HashCombine(hash, pair.a_id), pair.b_id);
+    }
+    EXPECT_EQ(pairs.size(), 75u);
+    EXPECT_EQ(result.value().stats.comparisons, 92u);
+    EXPECT_EQ(result.value().clusters.size(), 405u);
+    EXPECT_EQ(hash, 0xe1aa8b8370c37d75ULL);
+  }
 }
 
 }  // namespace

@@ -426,39 +426,38 @@ TEST(HammingKernelsTest, ForceKernelsOverridesActive) {
 // pairs and stats under every runnable kernel set, at 1, 2, and 8
 // threads — the acceptance gate for the dispatch layer.
 
-class SpanSource : public CandidateSource {
+/// A probe-dependent slot source over the store it fills: `a` goes into
+/// `store`, and each probe maps to a mix of bucket spans of its slots
+/// with cross-bucket duplicates.
+class SpanSource : public SlotCandidateSource {
  public:
-  SpanSource(size_t num_a, size_t num_buckets) {
+  SpanSource(VectorStore* store, const std::vector<EncodedRecord>& a,
+             size_t num_buckets) {
+    std::vector<uint32_t> slots;
+    store->AddAll(a, &slots);
+    AssignSlots(a, slots);
     buckets_.resize(num_buckets);
     for (size_t b = 0; b < num_buckets; ++b) {
       const size_t len = 1 + (b * 7) % 13;
       for (size_t k = 0; k < len; ++k) {
-        buckets_[b].push_back(
-            static_cast<RecordId>((b * 31 + k * 17) % (num_a + 3)));
+        buckets_[b].push_back(slots[(b * 31 + k * 17) % slots.size()]);
       }
     }
   }
 
-  void ForEachCandidate(
+  bool ForEachSlotSpan(
       const BitVector& probe,
-      const std::function<void(RecordId)>& cb) const override {
-    ForEachCandidateSpan(probe, [&](std::span<const RecordId> bucket) {
-      for (RecordId id : bucket) cb(id);
-    });
-  }
-
-  void ForEachCandidateSpan(
-      const BitVector& probe,
-      FunctionRef<void(std::span<const RecordId>)> cb) const override {
+      FunctionRef<void(std::span<const uint32_t>)> cb) const override {
     const uint64_t h = probe.words().empty() ? 0 : probe.words()[0];
     const size_t groups = 1 + h % 5;
     for (size_t g = 0; g < groups; ++g) {
       cb(buckets_[(h + g * 13) % buckets_.size()]);
     }
+    return false;
   }
 
  private:
-  std::vector<std::vector<RecordId>> buckets_;
+  std::vector<std::vector<uint32_t>> buckets_;
 };
 
 bool SameStats(const MatchStats& x, const MatchStats& y) {
@@ -562,9 +561,8 @@ void ExpectMatcherEquivalence(
   const std::vector<EncodedRecord> near =
       NearRecords(a, 91, 12, 2000, rng);
   b.insert(b.end(), near.begin(), near.end());
-  SpanSource source(kNumA, 19);
   VectorStore store;
-  store.AddAll(a);
+  SpanSource source(&store, a, 19);
   Matcher matcher(&source, &store);
 
   MatchStats ref_stats;

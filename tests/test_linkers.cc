@@ -8,8 +8,9 @@
 #include <functional>
 #include <set>
 
-#include "src/common/thread_pool.h"
 #include "src/blocking/matcher.h"
+#include "src/common/hashing.h"
+#include "src/common/thread_pool.h"
 #include "src/eval/experiment.h"
 #include "src/linkage/bfh_linker.h"
 #include "src/linkage/cbv_hb_linker.h"
@@ -111,6 +112,15 @@ class LinkersTest : public testing::Test {
       if (plain_pairs.contains(pair)) continue;
       EXPECT_TRUE(matches(pair)) << pair.a_id << "," << pair.b_id;
     }
+  }
+
+  /// Order-sensitive hash of a pair list, for the pinned-pair tests.
+  static uint64_t HashPairs(const std::vector<IdPair>& pairs) {
+    uint64_t hash = Mix64(pairs.size());
+    for (const IdPair& pair : pairs) {
+      hash = HashCombine(HashCombine(hash, pair.a_id), pair.b_id);
+    }
+    return hash;
   }
 
   static NcvrGenerator* generator_;
@@ -546,6 +556,59 @@ TEST_F(LinkersTest, TimingBreakdownIsPopulated) {
                    result.value().embed_seconds +
                        result.value().index_seconds +
                        result.value().match_seconds);
+}
+
+// --- Pinned pairs ------------------------------------------------------
+//
+// Link's exact output at a fixed seed: the pair count, the comparison
+// count and a hash of the ordered pair list.  The literals pin the whole
+// pipeline — the sampling draws, the encoder, the blocker (drawn from the
+// same Rng, in that order), the arena slots and the match order — so a
+// refactor of any of them that is not byte-identical moves them.
+
+TEST_F(LinkersTest, PinnedPairsRecordLevelPl) {
+  CbvHbConfig config;
+  config.schema = generator_->schema();
+  config.rule = PlRule();
+  config.record_K = 30;
+  config.record_theta = 4;
+  // Fewer than |A|, so the q-gram estimate samples A with Rng draws
+  // ahead of the encoder's and the blocker's.
+  config.estimation_sample = 300;
+  config.seed = 2016;
+  Result<CbvHbLinker> linker = CbvHbLinker::Create(std::move(config));
+  ASSERT_TRUE(linker.ok());
+  Result<LinkageResult> serial = linker.value().Link(data_->a, data_->b);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_EQ(serial.value().matches.size(), 439u);
+  EXPECT_EQ(serial.value().stats.comparisons, 753u);
+  EXPECT_EQ(HashPairs(serial.value().matches), 0x0dc72516a244f6fdULL);
+  EXPECT_EQ(serial.value().blocking_groups, 6u);
+
+  Result<LinkageResult> parallel = linker.value().Link(
+      data_->a, data_->b, ExecutionOptions::WithThreads(4));
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_EQ(parallel.value().matches, serial.value().matches);
+}
+
+TEST_F(LinkersTest, PinnedPairsAttributeLevelC1) {
+  CbvHbConfig config;
+  config.schema = generator_->schema();
+  // Rule C1: f1 <= 4 AND f2 <= 4 AND f3 <= 8.
+  config.rule =
+      Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4), Rule::Pred(2, 8)});
+  config.attribute_level_blocking = true;
+  config.attribute_K = {5, 5, 10, 5};
+  config.seed = 2016;
+  Result<CbvHbLinker> linker = CbvHbLinker::Create(std::move(config));
+  ASSERT_TRUE(linker.ok());
+  Result<LinkageResult> result = linker.value().Link(
+      data_->a, data_->b, ExecutionOptions::WithThreads(4));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().matches.size(), 1507u);
+  EXPECT_EQ(result.value().stats.comparisons, 16756u);
+  EXPECT_EQ(HashPairs(result.value().matches), 0x0e815e9242a00a3eULL);
+  EXPECT_EQ(result.value().blocking_groups, 208u);
 }
 
 }  // namespace

@@ -8,22 +8,6 @@
 namespace cbvlink {
 namespace {
 
-/// A candidate source that replays a fixed list (with duplicates) for any
-/// probe — isolates Algorithm 2 from the LSH machinery.
-class FixedSource : public CandidateSource {
- public:
-  explicit FixedSource(std::vector<RecordId> ids) : ids_(std::move(ids)) {}
-
-  void ForEachCandidate(
-      const BitVector&,
-      const std::function<void(RecordId)>& cb) const override {
-    for (RecordId id : ids_) cb(id);
-  }
-
- private:
-  std::vector<RecordId> ids_;
-};
-
 EncodedRecord MakeRecord(RecordId id, size_t bits,
                          std::initializer_list<size_t> set_bits) {
   EncodedRecord r;
@@ -32,6 +16,34 @@ EncodedRecord MakeRecord(RecordId id, size_t bits,
   for (size_t b : set_bits) r.bits.Set(b);
   return r;
 }
+
+/// A slot source that replays a fixed list of stored ids (with
+/// duplicates) for any probe — isolates Algorithm 2 from the LSH
+/// machinery.  It adds `records` to `store` and replays each of `ids`
+/// as the slot the store gave it.
+class FixedSource : public SlotCandidateSource {
+ public:
+  FixedSource(VectorStore* store, const std::vector<EncodedRecord>& records,
+              std::initializer_list<RecordId> ids) {
+    std::vector<uint32_t> slots;
+    store->AddAll(records, &slots);
+    AssignSlots(records, slots);
+    for (const RecordId id : ids) {
+      slots_.push_back(store->DenseIndex(id));
+      EXPECT_NE(slots_.back(), VectorStore::kNotFound) << "id " << id;
+    }
+  }
+
+  bool ForEachSlotSpan(
+      const BitVector&,
+      FunctionRef<void(std::span<const uint32_t>)> cb) const override {
+    for (const uint32_t& slot : slots_) cb(std::span<const uint32_t>(&slot, 1));
+    return false;
+  }
+
+ private:
+  std::vector<uint32_t> slots_;
+};
 
 TEST(VectorStoreTest, AddAndLookup) {
   VectorStore store;
@@ -123,10 +135,9 @@ TEST(VectorStoreDeathTest, MixedWidthAborts) {
 TEST(MatcherTest, Algorithm2DeduplicatesPerProbe) {
   // The same A-Id delivered from three blocking groups must be compared
   // once (the unique collection C of Algorithm 2).
-  FixedSource source({1, 1, 1, 2});
   VectorStore store;
-  store.Add(MakeRecord(1, 16, {0}));
-  store.Add(MakeRecord(2, 16, {0}));
+  FixedSource source(&store, {MakeRecord(1, 16, {0}), MakeRecord(2, 16, {0})},
+                     {1, 1, 1, 2});
 
   Matcher matcher(&source, &store);
   MatchStats stats;
@@ -141,9 +152,8 @@ TEST(MatcherTest, Algorithm2DeduplicatesPerProbe) {
 }
 
 TEST(MatcherTest, DedupResetsBetweenProbes) {
-  FixedSource source({1});
   VectorStore store;
-  store.Add(MakeRecord(1, 16, {0}));
+  FixedSource source(&store, {MakeRecord(1, 16, {0})}, {1});
   Matcher matcher(&source, &store);
   MatchStats stats;
   std::vector<IdPair> out = matcher.MatchAll(
@@ -154,43 +164,10 @@ TEST(MatcherTest, DedupResetsBetweenProbes) {
   EXPECT_EQ(out.size(), 2u);
 }
 
-TEST(MatcherTest, UnknownIdsSkippedSafely) {
-  // Only a source that knows just Ids can name a record the store lacks
-  // (blocking tables hold arena slots; see TableSlotsStayInsideStore).
-  // The matcher's id path counts such an Id and never compares it.
-  FixedSource source({42});
-  VectorStore store;  // empty — Id 42 unknown
-  Matcher matcher(&source, &store);
-  MatchStats stats;
-  std::vector<IdPair> out;
-  matcher.MatchOne(MakeRecord(100, 16, {}),
-                   MakeRecordThresholdClassifier(0), &out, &stats);
-  EXPECT_EQ(stats.comparisons, 0u);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(MatcherTest, RepeatedUnknownIdsCountAsDedupSkipped) {
-  // An Id that is indexed but has no stored vector still participates in
-  // the unique collection: its second and later occurrences are skips.
-  FixedSource source({42, 42, 42});
-  VectorStore store;
-  store.Add(MakeRecord(1, 16, {0}));  // non-empty store, 42 still unknown
-  Matcher matcher(&source, &store);
-  MatchStats stats;
-  std::vector<IdPair> out;
-  matcher.MatchOne(MakeRecord(100, 16, {0}),
-                   MakeRecordThresholdClassifier(0), &out, &stats);
-  EXPECT_EQ(stats.candidate_occurrences, 3u);
-  EXPECT_EQ(stats.comparisons, 0u);
-  EXPECT_EQ(stats.dedup_skipped, 2u);
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(MatcherTest, NullStatsAccepted) {
   // Callers that only want the pairs may pass stats == nullptr.
-  FixedSource source({1, 1, 42});
   VectorStore store;
-  store.Add(MakeRecord(1, 16, {0}));
+  FixedSource source(&store, {MakeRecord(1, 16, {0})}, {1, 1});
   Matcher matcher(&source, &store);
   std::vector<IdPair> out;
   matcher.MatchOne(MakeRecord(100, 16, {0}),
@@ -203,10 +180,11 @@ TEST(MatcherTest, NullStatsAccepted) {
 }
 
 TEST(MatcherTest, ThresholdClassifierFiltersByDistance) {
-  FixedSource source({1, 2});
   VectorStore store;
-  store.Add(MakeRecord(1, 16, {0, 1}));          // distance 0 to probe
-  store.Add(MakeRecord(2, 16, {0, 1, 2, 3, 4}));  // distance 3 to probe
+  FixedSource source(&store,
+                     {MakeRecord(1, 16, {0, 1}),           // distance 0
+                      MakeRecord(2, 16, {0, 1, 2, 3, 4})},  // distance 3
+                     {1, 2});
   Matcher matcher(&source, &store);
   MatchStats stats;
   std::vector<IdPair> out;
@@ -264,43 +242,39 @@ TEST(MatcherTest, MatchStatsAccumulate) {
   EXPECT_EQ(a.dedup_skipped, 3u);
 }
 
-/// A probe-dependent candidate source: each probe maps to a different mix
-/// of bucket spans (with cross-bucket duplicates and some unknown Ids), so
-/// the parallel determinism tests exercise uneven per-probe work.
-class HashedSpanSource : public CandidateSource {
+/// A probe-dependent slot source: each probe maps to a different mix of
+/// bucket spans (with cross-bucket duplicates), so the parallel
+/// determinism tests exercise uneven per-probe work.  It adds `a` to
+/// `store` and fills its buckets with the slots the store gave them.
+class HashedSpanSource : public SlotCandidateSource {
  public:
-  HashedSpanSource(size_t num_a, size_t num_buckets) {
+  HashedSpanSource(VectorStore* store, const std::vector<EncodedRecord>& a,
+                   size_t num_buckets) {
+    std::vector<uint32_t> slots;
+    store->AddAll(a, &slots);
+    AssignSlots(a, slots);
     buckets_.resize(num_buckets);
     for (size_t b = 0; b < num_buckets; ++b) {
       const size_t len = 1 + (b * 7) % 13;
       for (size_t k = 0; k < len; ++k) {
-        // Mostly known Ids, a few unknown ones (>= num_a) sprinkled in.
-        buckets_[b].push_back(
-            static_cast<RecordId>((b * 31 + k * 17) % (num_a + 3)));
+        buckets_[b].push_back(slots[(b * 31 + k * 17) % slots.size()]);
       }
     }
   }
 
-  void ForEachCandidate(
+  bool ForEachSlotSpan(
       const BitVector& probe,
-      const std::function<void(RecordId)>& cb) const override {
-    ForEachCandidateSpan(probe, [&](std::span<const RecordId> bucket) {
-      for (RecordId id : bucket) cb(id);
-    });
-  }
-
-  void ForEachCandidateSpan(
-      const BitVector& probe,
-      FunctionRef<void(std::span<const RecordId>)> cb) const override {
+      FunctionRef<void(std::span<const uint32_t>)> cb) const override {
     const uint64_t h = probe.words().empty() ? 0 : probe.words()[0];
     const size_t groups = 1 + h % 5;
     for (size_t g = 0; g < groups; ++g) {
       cb(buckets_[(h + g * 13) % buckets_.size()]);
     }
+    return false;
   }
 
  private:
-  std::vector<std::vector<RecordId>> buckets_;
+  std::vector<std::vector<uint32_t>> buckets_;
 };
 
 std::vector<EncodedRecord> RandomRecords(size_t n, size_t bits,
@@ -324,9 +298,8 @@ TEST(MatcherParallelTest, OutputIdenticalAcrossThreadCounts) {
   const size_t kNumA = 64;
   std::vector<EncodedRecord> a = RandomRecords(kNumA, 96, 0, rng);
   std::vector<EncodedRecord> b = RandomRecords(257, 96, 1000, rng);
-  HashedSpanSource source(kNumA, 23);
   VectorStore store;
-  store.AddAll(a);
+  HashedSpanSource source(&store, a, 23);
   Matcher matcher(&source, &store);
   const PairClassifier classifier = MakeRecordThresholdClassifier(40);
 
@@ -353,9 +326,8 @@ TEST(MatcherParallelTest, OutputIdenticalAcrossThreadCounts) {
 TEST(MatcherParallelTest, NullPoolAndEmptyInputAreSafe) {
   Rng rng(7);
   std::vector<EncodedRecord> a = RandomRecords(4, 32, 0, rng);
-  HashedSpanSource source(4, 5);
   VectorStore store;
-  store.AddAll(a);
+  HashedSpanSource source(&store, a, 5);
   Matcher matcher(&source, &store);
   ThreadPool pool(4);
   MatchStats stats;
@@ -382,9 +354,8 @@ TEST(MatcherParallelTest, RuleClassifierIdenticalAcrossThreadCounts) {
   const size_t kNumA = 48;
   std::vector<EncodedRecord> a = RandomRecords(kNumA, 96, 0, rng);
   std::vector<EncodedRecord> b = RandomRecords(128, 96, 500, rng);
-  HashedSpanSource source(kNumA, 17);
   VectorStore store;
-  store.AddAll(a);
+  HashedSpanSource source(&store, a, 17);
   Matcher matcher(&source, &store);
 
   MatchStats serial_stats;
@@ -475,6 +446,24 @@ TEST(MatcherDeathTest, TableSlotPastStoreAborts) {
   EXPECT_DEATH(matcher.MatchOne(records[2], MakeRecordThresholdClassifier(0),
                                 &out, nullptr),
                "blocking tables hold slot 2");
+}
+
+TEST(MatcherDeathTest, IdOnlySourceAborts) {
+  // The matcher stamps and gathers by arena slot; a source that yields
+  // only RecordIds has no slots to give it, so the matcher refuses it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  class IdOnlySource : public CandidateSource {
+   public:
+    void ForEachCandidate(
+        const BitVector&,
+        const std::function<void(RecordId)>& cb) const override {
+      cb(1);
+    }
+  };
+  const IdOnlySource source;
+  VectorStore store;
+  store.Add(MakeRecord(1, 16, {0}));
+  EXPECT_DEATH(Matcher(&source, &store), "not a SlotCandidateSource");
 }
 
 }  // namespace

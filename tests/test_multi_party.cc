@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <set>
 
+#include "src/common/hashing.h"
 #include "src/datagen/dataset.h"
 #include "src/datagen/generators.h"
+#include "src/datagen/perturbator.h"
 
 namespace cbvlink {
 namespace {
@@ -198,6 +200,50 @@ TEST(MultiPartyLinkerTest, NoFalseCrossPartyPartyIds) {
     EXPECT_LT(m.id_a, 100u);
     EXPECT_LT(m.id_b, 100u);
   }
+}
+
+TEST(MultiPartyLinkerTest, PinnedMatchesThreeParties) {
+  // The exact match list at a fixed seed: its length, the comparison
+  // count and a hash of the ordered list.  Three custodians hold
+  // perturbed copies of overlapping entities; party 0 is larger than the
+  // estimation sample, so the encoder is sized from its first records.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  Rng rng(23);
+  std::vector<Record> entities;
+  for (size_t i = 0; i < 200; ++i) {
+    entities.push_back(gen.value().Generate(i, rng));
+  }
+  std::vector<std::vector<Record>> parties(3);
+  for (size_t p = 0; p < 3; ++p) {
+    for (size_t i = 0; i < entities.size(); ++i) {
+      if (rng.Below(4) == 0) continue;  // not every custodian holds everyone
+      Result<Record> copy = Perturbator::Apply(
+          entities[i], PerturbationScheme::Light(), rng, nullptr);
+      ASSERT_TRUE(copy.ok());
+      parties[p].push_back(std::move(copy).value());
+      parties[p].back().id = i;
+    }
+  }
+  MultiPartyConfig config = MakeConfig(gen.value().schema());
+  config.estimation_sample = 100;
+  config.seed = 2016;
+  Result<MultiPartyLinker> linker = MultiPartyLinker::Create(config);
+  ASSERT_TRUE(linker.ok());
+  Result<MultiPartyResult> result = linker.value().Link(parties);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  uint64_t hash = Mix64(result.value().matches.size());
+  for (const MultiPartyMatch& m : result.value().matches) {
+    hash = HashCombine(hash, m.party_a);
+    hash = HashCombine(hash, m.id_a);
+    hash = HashCombine(hash, m.party_b);
+    hash = HashCombine(hash, m.id_b);
+  }
+  EXPECT_EQ(result.value().matches.size(), 277u);
+  EXPECT_EQ(result.value().stats.comparisons, 298u);
+  EXPECT_EQ(hash, 0xf303ecfd77588476ULL);
+  EXPECT_EQ(result.value().blocking_groups, 6u);
 }
 
 }  // namespace

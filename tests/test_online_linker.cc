@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "src/common/thread_pool.h"
 #include "src/datagen/dataset.h"
 #include "src/datagen/generators.h"
 #include "src/eval/measures.h"
@@ -170,6 +171,104 @@ TEST(OnlineLinkerTest, EncoderExposedForIntrospection) {
       OnlineCbvHbLinker::Create(std::move(config));
   ASSERT_TRUE(linker.ok());
   EXPECT_EQ(linker.value().encoder().total_bits(), 120u);
+}
+
+TEST(OnlineLinkerTest, BatchOpsEqualPerRecordOps) {
+  // InsertEncoded + MatchAll over a pool must equal an Insert loop plus
+  // a MatchEncoded loop: same pairs in the same order, same counters, at
+  // any thread count, in both blocking modes.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  LinkagePairOptions options;
+  options.num_records = 300;
+  options.seed = 22;
+  Result<LinkagePair> data =
+      BuildLinkagePair(gen.value(), PerturbationScheme::Light(), options);
+  ASSERT_TRUE(data.ok());
+  const std::vector<Record>& a = data.value().a;
+  const std::vector<Record>& b = data.value().b;
+
+  for (const bool attribute_level : {false, true}) {
+    SCOPED_TRACE(attribute_level ? "attribute-level" : "record-level");
+    CbvHbConfig config = BaseConfig(gen.value().schema());
+    config.attribute_level_blocking = attribute_level;
+    config.attribute_K = {5, 5, 10, 5};
+    config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+
+    OnlineCbvHbLinker serial = OnlineCbvHbLinker::Create(config).value();
+    for (const Record& r : a) ASSERT_TRUE(serial.Insert(r).ok());
+    const std::vector<EncodedRecord> encoded_b =
+        serial.encoder().EncodeAll(b).value();
+    std::vector<IdPair> expected;
+    for (const EncodedRecord& r : encoded_b) {
+      ASSERT_TRUE(serial.MatchEncoded(r, &expected).ok());
+    }
+    EXPECT_EQ(serial.size(), a.size()) << "MatchEncoded does not insert";
+    ASSERT_FALSE(expected.empty());
+
+    for (const size_t threads : {1u, 4u}) {
+      ThreadPool pool(threads);
+      OnlineCbvHbLinker batch = OnlineCbvHbLinker::Create(config).value();
+      ASSERT_TRUE(batch
+                      .InsertEncoded(batch.encoder().EncodeAll(a).value(),
+                                     &pool)
+                      .ok());
+      Result<std::vector<IdPair>> pairs = batch.MatchAll(encoded_b, &pool);
+      ASSERT_TRUE(pairs.ok());
+      EXPECT_EQ(pairs.value(), expected) << threads << " threads";
+      EXPECT_EQ(batch.stats().candidate_occurrences,
+                serial.stats().candidate_occurrences);
+      EXPECT_EQ(batch.stats().comparisons, serial.stats().comparisons);
+      EXPECT_EQ(batch.stats().dedup_skipped, serial.stats().dedup_skipped);
+    }
+  }
+}
+
+TEST(OnlineLinkerTest, EncodedOpsRejectOtherWidths) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  CbvHbConfig config = BaseConfig(gen.value().schema());
+  config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+  Result<OnlineCbvHbLinker> linker =
+      OnlineCbvHbLinker::Create(std::move(config));
+  ASSERT_TRUE(linker.ok());
+  const EncodedRecord narrow{1, BitVector(64)};
+  std::vector<IdPair> out;
+  EXPECT_FALSE(linker.value().InsertEncoded({narrow}).ok());
+  EXPECT_FALSE(linker.value().MatchEncoded(narrow, &out).ok());
+  EXPECT_FALSE(linker.value().MatchAll({narrow}).ok());
+  EXPECT_FALSE(linker.value().MatchAndInsertEncoded(narrow, &out).ok());
+  EXPECT_EQ(linker.value().size(), 0u);
+}
+
+TEST(OnlineLinkerTest, CreateFromRngNeedsExpectedQGrams) {
+  // The Rng overload never estimates: its caller sized the encoder.  With
+  // the counts set, it equals the seed overload on a fresh Rng.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  CbvHbConfig config = BaseConfig(gen.value().schema());
+  Rng rng(config.seed);
+  EXPECT_FALSE(OnlineCbvHbLinker::Create(config, rng).ok());
+
+  config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+  Rng fresh(config.seed);
+  OnlineCbvHbLinker from_rng = OnlineCbvHbLinker::Create(config, fresh).value();
+  OnlineCbvHbLinker from_seed = OnlineCbvHbLinker::Create(config).value();
+  Rng data(4);
+  std::vector<IdPair> x, y;
+  for (RecordId id = 0; id < 50; ++id) {
+    const Record r = gen.value().Generate(id, data);
+    ASSERT_TRUE(from_rng.MatchAndInsert(r, &x).ok());
+    ASSERT_TRUE(from_seed.MatchAndInsert(r, &y).ok());
+    Record again = r;
+    again.id = 1000 + id;
+    ASSERT_TRUE(from_rng.Match(again, &x).ok());
+    ASSERT_TRUE(from_seed.Match(again, &y).ok());
+  }
+  EXPECT_GE(x.size(), 50u);
+  EXPECT_EQ(x, y);
+  EXPECT_EQ(from_rng.stats().candidate_occurrences,
+            from_seed.stats().candidate_occurrences);
 }
 
 }  // namespace
