@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "src/common/hashing.h"
 #include "src/common/str.h"
 #include "src/common/thread_pool.h"
 #include "src/lsh/params.h"
@@ -75,6 +74,24 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
           std::min(options.attribute_K[p.attribute], seg.size), s.L,
           seg.offset, seg.size, rng);
       if (!family.ok()) return family.status();
+      s.families.push_back(std::move(family).value());
+    }
+    if (s.kind == Structure::Kind::kAnd && s.families.size() > 1) {
+      // An AND keys on every predicate's sampled bits at once: function
+      // l of the structure's one family concatenates function l of
+      // each predicate's, so a key pass covers them all.
+      std::vector<std::vector<uint32_t>> lists(s.L);
+      for (size_t l = 0; l < s.L; ++l) {
+        for (const HammingLshFamily& family : s.families) {
+          const std::vector<uint32_t>& positions =
+              family.function(l).positions();
+          lists[l].insert(lists[l].end(), positions.begin(), positions.end());
+        }
+      }
+      Result<HammingLshFamily> family =
+          HammingLshFamily::FromPositions(std::move(lists));
+      if (!family.ok()) return family.status();
+      s.families.clear();
       s.families.push_back(std::move(family).value());
     }
 
@@ -193,6 +210,10 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
     return Status::OK();
   };
   CBVLINK_RETURN_NOT_OK(check_or_branches(expr.value()));
+  for (size_t s = 1; s < structures.size(); ++s) {
+    structures[s].first_key =
+        structures[s - 1].first_key + structures[s - 1].tables.size();
+  }
 
   return AttributeLevelBlocker(rule, std::move(structures),
                                std::move(expr).value(),
@@ -202,19 +223,8 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
 void AttributeLevelBlocker::StructureKeys(const Structure& s,
                                           const BitVector& bv,
                                           std::span<uint64_t> keys) {
-  if (s.kind == Structure::Kind::kOr) {
-    for (size_t i = 0; i < s.families.size(); ++i) {
-      s.families[i].Keys(bv, keys.subspan(i * s.L, s.L));
-    }
-    return;
-  }
-  for (size_t l = 0; l < s.L; ++l) keys[l] = Mix64(l + 1);
-  KeyBuffer family_keys(s.L);
-  for (const HammingLshFamily& family : s.families) {
-    family.Keys(bv, family_keys.span());
-    for (size_t l = 0; l < s.L; ++l) {
-      keys[l] = HashCombine(keys[l], family_keys[l]);
-    }
+  for (size_t i = 0; i < s.families.size(); ++i) {
+    s.families[i].Keys(bv, keys.subspan(i * s.L, s.L));
   }
 }
 
@@ -249,17 +259,16 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
       reg.GetHistogram("index_build_batch_latency_us"));
 
   // Flatten the per-structure tables into one global enumeration so
-  // phase 2 can shard them uniformly.  Global table t of structure s is
-  // local table t - base: AND structures key group l = local index;
-  // OR structures key (predicate, group) = (local / L, local % L).
+  // phase 2 can shard them uniformly: global table t is AllKeys()'s key
+  // t, local table t - first_key of its structure.  AND structures key
+  // group l = local index; OR structures key (predicate, group) =
+  // (local / L, local % L).
   struct TableRef {
     size_t structure;
     size_t local;
   };
   std::vector<TableRef> table_refs;
-  std::vector<size_t> structure_base(structures_.size(), 0);
   for (size_t s = 0; s < structures_.size(); ++s) {
-    structure_base[s] = table_refs.size();
     for (size_t t = 0; t < structures_[s].tables.size(); ++t) {
       table_refs.push_back(TableRef{s, t});
     }
@@ -276,11 +285,7 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
                                               size_t end) {
     KeyBuffer row(total_tables);
     for (size_t i = begin; i < end; ++i) {
-      for (size_t s = 0; s < structures_.size(); ++s) {
-        StructureKeys(structures_[s], records[i].bits,
-                      row.span().subspan(structure_base[s],
-                                         structures_[s].tables.size()));
-      }
+      AllKeys(records[i].bits, row.span());
       for (size_t t = 0; t < total_tables; ++t) keys[t * n + i] = row[t];
     }
   });
@@ -306,60 +311,66 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
   reg.GetCounter("index_build_records_total")->Add(records.size());
 }
 
-bool AttributeLevelBlocker::CollidesInStructure(const Structure& s,
-                                                const BitVector& a,
-                                                const BitVector& b) {
+void AttributeLevelBlocker::AllKeys(const BitVector& bv,
+                                    std::span<uint64_t> keys) const {
+  for (const Structure& s : structures_) {
+    StructureKeys(s, bv, keys.subspan(s.first_key, s.tables.size()));
+  }
+}
+
+bool AttributeLevelBlocker::CollidesInStructure(
+    const Structure& s, const BitVector& a, std::span<const uint64_t> keys) {
   KeyBuffer keys_a(s.tables.size());
-  KeyBuffer keys_b(s.tables.size());
   StructureKeys(s, a, keys_a.span());
-  StructureKeys(s, b, keys_b.span());
   for (size_t t = 0; t < s.tables.size(); ++t) {
-    if (keys_a[t] == keys_b[t]) return true;
+    if (keys_a[t] == keys[s.first_key + t]) return true;
   }
   return false;
 }
 
-bool AttributeLevelBlocker::EvaluateExpr(const Expr& expr, const BitVector& a,
-                                         const BitVector& b) const {
+bool AttributeLevelBlocker::EvaluateExpr(
+    const Expr& expr, const BitVector& a,
+    std::span<const uint64_t> b_keys) const {
   switch (expr.kind) {
     case Expr::Kind::kStructure:
-      return CollidesInStructure(structures_[expr.structure], a, b);
+      return CollidesInStructure(structures_[expr.structure], a, b_keys);
     case Expr::Kind::kAnd:
       for (const Expr& child : expr.children) {
-        if (!EvaluateExpr(child, a, b)) return false;
+        if (!EvaluateExpr(child, a, b_keys)) return false;
       }
       return true;
     case Expr::Kind::kOr:
       for (const Expr& child : expr.children) {
-        if (EvaluateExpr(child, a, b)) return true;
+        if (EvaluateExpr(child, a, b_keys)) return true;
       }
       return false;
     case Expr::Kind::kNot:
-      return !EvaluateExpr(expr.children[0], a, b);
+      return !EvaluateExpr(expr.children[0], a, b_keys);
   }
   return false;
 }
 
 bool AttributeLevelBlocker::FormulatedByRule(const BitVector& a,
                                              const BitVector& b) const {
-  return EvaluateExpr(expr_, a, b);
+  KeyBuffer b_keys(TotalTables());
+  AllKeys(b, b_keys.span());
+  return EvaluateExpr(expr_, a, b_keys.span());
 }
 
 bool AttributeLevelBlocker::ForEachProbedBucket(
-    const BitVector& probe,
+    std::span<const uint64_t> keys,
     FunctionRef<void(std::span<const uint32_t>)> cb) const {
   ProbeBatch batch;
   bool overflowed = false;
   for (size_t si : generating_) {
     const Structure& s = structures_[si];
-    KeyBuffer keys(s.tables.size());
-    StructureKeys(s, probe, keys.span());
     // Group order: an OR structure probes every predicate's table of
     // group l before group l + 1.
     const size_t per_group = s.tables.size() / s.L;
     for (size_t l = 0; l < s.L; ++l) {
       for (size_t i = 0; i < per_group; ++i) {
-        batch.Add(s.tables[i * s.L + l], keys[i * s.L + l]);
+        const size_t t = i * s.L + l;
+        batch.Add(s.tables[t], keys[s.first_key + t]);
         if (batch.full()) overflowed |= batch.Flush(cb);
       }
     }
@@ -370,18 +381,24 @@ bool AttributeLevelBlocker::ForEachProbedBucket(
 bool AttributeLevelBlocker::ForEachSlotSpan(
     const BitVector& probe,
     FunctionRef<void(std::span<const uint32_t>)> cb) const {
+  // The probe's keys in every structure, computed once: the buckets are
+  // found by them, and each fresh candidate of a multi-structure rule is
+  // checked against them.
+  KeyBuffer keys(TotalTables());
+  AllKeys(probe, keys.span());
   // A single structure formulates every pair it generates: emit the raw
   // buckets and leave de-duplication to the caller.
-  if (single_structure()) return ForEachProbedBucket(probe, cb);
+  if (single_structure()) return ForEachProbedBucket(keys.span(), cb);
   std::unordered_set<uint32_t> seen;
-  return ForEachProbedBucket(probe, [&](std::span<const uint32_t> bucket) {
-    for (const uint32_t slot : bucket) {
-      if (!seen.insert(slot).second) continue;
-      if (FormulatedByRule(indexed_[slot], probe)) {
-        cb(std::span<const uint32_t>(&slot, 1));
-      }
-    }
-  });
+  return ForEachProbedBucket(
+      keys.span(), [&](std::span<const uint32_t> bucket) {
+        for (const uint32_t slot : bucket) {
+          if (!seen.insert(slot).second) continue;
+          if (EvaluateExpr(expr_, indexed_[slot], keys.span())) {
+            cb(std::span<const uint32_t>(&slot, 1));
+          }
+        }
+      });
 }
 
 size_t AttributeLevelBlocker::TotalTables() const {

@@ -119,12 +119,16 @@ class AttributeLevelBlocker : public SlotCandidateSource {
     Kind kind = Kind::kAnd;
     std::vector<Predicate> predicates;
     size_t L = 0;
-    /// One family per predicate, each with L composite functions sampled
-    /// from that attribute's bit segment.
+    /// OR: one family per predicate, each with L composite functions
+    /// sampled from that attribute's bit segment.  AND: one family, whose
+    /// function l concatenates those of every predicate.
     std::vector<HammingLshFamily> families;
     /// AND: tables[l] (compound keys).  OR: tables[i * L + l] for
     /// predicate i.
     std::vector<BlockingTable> tables;
+    /// Where its keys start in AllKeys(): the tables of the structures
+    /// before it.
+    size_t first_key = 0;
   };
 
   /// Boolean expression over structure membership.
@@ -143,19 +147,25 @@ class AttributeLevelBlocker : public SlotCandidateSource {
         generating_(std::move(generating)) {}
 
   /// The key of `bv` in every table of structure `s`: keys[t] for
-  /// s.tables[t].  AND: the compound key of group l, Mix64(l + 1) folded
-  /// with each predicate family's key by HashCombine, in predicate order.
+  /// s.tables[t].  AND: group l's key under the structure's one family.
   /// OR: predicate i's key of group l at i * L + l.  One key pass per
   /// family; `keys` holds s.tables.size() keys.
   static void StructureKeys(const Structure& s, const BitVector& bv,
                             std::span<uint64_t> keys);
 
-  /// True iff (a, b) collide in structure `s` in any group/table.
-  static bool CollidesInStructure(const Structure& s, const BitVector& a,
-                                  const BitVector& b);
+  /// The keys of `bv` in every structure: structure s's StructureKeys
+  /// at keys[s.first_key, s.first_key + s.tables.size()).  `keys` holds
+  /// TotalTables() keys.
+  void AllKeys(const BitVector& bv, std::span<uint64_t> keys) const;
 
+  /// True iff `a` collides in structure `s`, in any group/table, with
+  /// the vector whose AllKeys() are `keys`.
+  static bool CollidesInStructure(const Structure& s, const BitVector& a,
+                                  std::span<const uint64_t> keys);
+
+  /// The rule's expression on (a, b), b given by its AllKeys().
   bool EvaluateExpr(const Expr& expr, const BitVector& a,
-                    const BitVector& b) const;
+                    std::span<const uint64_t> b_keys) const;
 
   /// True when the rule lowered to one structure: every generated pair
   /// is formulated, so no membership check (and no indexed_) is needed.
@@ -163,11 +173,12 @@ class AttributeLevelBlocker : public SlotCandidateSource {
     return expr_.kind == Expr::Kind::kStructure;
   }
 
-  /// Calls `cb` with every non-empty bucket `probe` maps to in the
-  /// generating structures, in group order, key-first.  Returns true
-  /// when one of them has dropped entries at its cap.
+  /// Calls `cb` with every non-empty bucket the probe whose AllKeys()
+  /// are `keys` maps to in the generating structures, in group order,
+  /// key-first.  Returns true when one of them has dropped entries at
+  /// its cap.
   bool ForEachProbedBucket(
-      const BitVector& probe,
+      std::span<const uint64_t> keys,
       FunctionRef<void(std::span<const uint32_t>)> cb) const;
 
   /// Retains `bits` as the vector at `slot` for multi-structure rules;

@@ -14,10 +14,17 @@
 // Layout (DESIGN.md §9): one open-addressing array of 16-byte slots
 // {key, offset, size, flags} over a single contiguous uint32_t entry
 // array (4 B per entry).  A bucket is the range entries_[offset, offset +
-// size).  BulkInsert into an empty table counts every key first, then
-// gives each bucket exactly its size and fills it, so a bulk-built table
-// is two flat allocations with no slack in the entry array.  Insert grows
-// a full bucket by relocating it to the end of the entry array with
+// size).  A key's home slot is the top log2(slots) bits of its mixed
+// hash, so the keys that share their top b bits own one contiguous range
+// of home slots.  BulkInsert into an empty table builds on that: one
+// stable scatter groups the entries by the top bits of their hashes into
+// partitions of about 2,048 entries, a cache-sized table per partition
+// counts its distinct keys, the slot array is allocated once at the size
+// Insert's doubling would reach, and each partition's keys are then
+// placed and its buckets filled, each exactly its size, while its range
+// of both arrays stays in cache.  A bulk-built table is two flat
+// allocations with no slack in the entry array.  Insert grows a full
+// bucket by relocating it to the end of the entry array with
 // power-of-two capacity (in place when it already sits at the end).  A
 // bucket's capacity is therefore never stored: it is its size when the
 // bucket was laid out exactly, else the next power of two.  Entries in a
@@ -68,9 +75,9 @@ class BlockingTable {
   /// inserts slots[i] under keys[i] for i in [0, slots.size()), with the
   /// same contents as that sequence of Insert() calls (same per-bucket
   /// order, same overflow bits, same counters).  `keys` holds at least
-  /// slots.size() entries.  On an empty table it sizes every bucket
-  /// exactly (count, then fill); on a non-empty one it falls back to
-  /// Insert().
+  /// slots.size() entries.  On an empty table it builds partition by
+  /// partition (see the file comment), sizing every bucket exactly; on a
+  /// non-empty one it falls back to Insert().
   void BulkInsert(std::span<const uint64_t> keys,
                   std::span<const uint32_t> slots);
 
@@ -200,9 +207,11 @@ class BlockingTable {
   }
 
   size_t HomeSlot(uint64_t key) const {
-    // Keys from bit-sampling families can be low-entropy in their low
-    // bits; mix before masking.
-    return static_cast<size_t>(Mix64(key)) & slot_mask_;
+    // Keys from bit-sampling families can be low-entropy; mix them.  The
+    // top bits choose the slot, so the keys that share their top b bits
+    // own one contiguous range of home slots (what BulkInsert's
+    // partitions rely on).
+    return static_cast<size_t>(Mix64(key) >> slot_shift_);
   }
 
   /// The slot holding `key`, claiming an empty one (an exact bucket of
@@ -222,6 +231,8 @@ class BlockingTable {
 
   std::vector<Slot> slots_;
   size_t slot_mask_ = 0;
+  /// 64 - log2(slots_.size()): HomeSlot keeps the top bits.
+  int slot_shift_ = 64;
   std::vector<uint32_t> entries_;
   size_t bucket_cap_ = 0;
   /// Claimed slots (what the load limit counts), and those among them

@@ -189,10 +189,28 @@ Result<HammingLshFamily> HammingLshFamily::Create(size_t K, size_t L,
                   "(distinct positions require K <= range)",
                   K, range_bits, offset));
   }
-  std::vector<HammingHashFunction> functions;
-  functions.reserve(L);
+  std::vector<std::vector<uint32_t>> lists;
+  lists.reserve(L);
   for (size_t l = 0; l < L; ++l) {
-    functions.push_back(HammingHashFunction::Sample(K, offset, range_bits, rng));
+    lists.push_back(
+        HammingHashFunction::Sample(K, offset, range_bits, rng).positions());
+  }
+  return FromPositions(std::move(lists));
+}
+
+Result<HammingLshFamily> HammingLshFamily::FromPositions(
+    std::vector<std::vector<uint32_t>> lists) {
+  if (lists.empty()) return Status::InvalidArgument("no position lists");
+  const size_t K = lists[0].size();
+  if (K == 0) return Status::InvalidArgument("empty position list");
+  std::vector<HammingHashFunction> functions;
+  functions.reserve(lists.size());
+  for (std::vector<uint32_t>& list : lists) {
+    if (list.size() != K) {
+      return Status::InvalidArgument(
+          StrFormat("position lists of %zu and %zu entries", K, list.size()));
+    }
+    functions.emplace_back(std::move(list));
   }
   return HammingLshFamily(K, std::move(functions));
 }

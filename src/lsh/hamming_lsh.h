@@ -50,12 +50,13 @@ class HammingHashFunction {
   static HammingHashFunction Sample(size_t K, size_t offset,
                                     size_t range_bits, Rng& rng);
 
-  const std::vector<uint32_t>& positions() const { return positions_; }
-
- private:
+  /// The function that samples `positions`, in that order.
   explicit HammingHashFunction(std::vector<uint32_t> positions)
       : positions_(std::move(positions)) {}
 
+  const std::vector<uint32_t>& positions() const { return positions_; }
+
+ private:
   std::vector<uint32_t> positions_;
 };
 
@@ -93,6 +94,13 @@ class HammingLshFamily {
   /// range_bits.
   static Result<HammingLshFamily> Create(size_t K, size_t L, size_t offset,
                                          size_t range_bits, Rng& rng);
+
+  /// The family whose function l samples lists[l], in list order, with
+  /// the key-pass tables (Create is Floyd sampling plus this).  Every
+  /// list holds the same number K of positions, K > 0; InvalidArgument
+  /// otherwise, and for no lists.
+  static Result<HammingLshFamily> FromPositions(
+      std::vector<std::vector<uint32_t>> lists);
 
   /// Convenience: range = the whole vector [0, num_bits).
   static Result<HammingLshFamily> CreateFull(size_t K, size_t L,

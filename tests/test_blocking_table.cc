@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <random>
 #include <span>
 #include <vector>
+
+#include "src/common/hashing.h"
 
 namespace cbvlink {
 namespace {
@@ -160,35 +165,119 @@ TEST(BlockingTableTest, UncappedTableNeverOverflows) {
   EXPECT_EQ(table.NumOverflowed(), 0u);
 }
 
+// One partition of BulkInsert's build into an empty table holds up to
+// this many entries; the sizes below straddle it.
+constexpr size_t kPartitionEntries = 2048;
+
+enum class KeyShape { kAllEqual, kAllDistinct, kZipf, kThirteen };
+
+const char* Name(KeyShape shape) {
+  switch (shape) {
+    case KeyShape::kAllEqual:
+      return "all-equal";
+    case KeyShape::kAllDistinct:
+      return "all-distinct";
+    case KeyShape::kZipf:
+      return "zipf";
+    case KeyShape::kThirteen:
+      return "13-keys";
+  }
+  return "?";
+}
+
+std::vector<uint64_t> MakeKeys(KeyShape shape, size_t n) {
+  std::vector<uint64_t> keys(n);
+  std::mt19937_64 rng(n * 31 + static_cast<size_t>(shape));
+  for (size_t i = 0; i < n; ++i) {
+    switch (shape) {
+      case KeyShape::kAllEqual:
+        keys[i] = 0x5eed;
+        break;
+      case KeyShape::kAllDistinct:
+        keys[i] = i * 0x9e3779b97f4a7c15ULL;
+        break;
+      case KeyShape::kZipf: {
+        // Log-uniform ranks over [1, n]: P(rank = r) falls as 1/r, so a
+        // few keys hold a large share of the entries.
+        const double u = std::uniform_real_distribution<double>(0, 1)(rng);
+        keys[i] = static_cast<uint64_t>(
+            std::exp(u * std::log(static_cast<double>(n) + 1)));
+        break;
+      }
+      case KeyShape::kThirteen:
+        keys[i] = (i * 7919) % 13;
+        break;
+    }
+  }
+  return keys;
+}
+
 TEST(BlockingTableTest, BulkInsertKeepsCapSemantics) {
   // Bulk and serial builds must keep the same first Ids per bucket, the
-  // same overflow bits and the same drop count, into an empty table and
+  // same overflow bits and the same counters, into an empty table (one
+  // partition, a partition's worth +-1, and many partitions) and
   // appended to a non-empty one.
-  std::vector<uint64_t> keys;
-  std::vector<uint32_t> ids;
-  for (uint32_t id = 0; id < 200; ++id) {
-    keys.push_back((id * 7919) % 13);  // 13 keys, ~15 Ids each
-    ids.push_back(id);
+  for (const size_t n :
+       {size_t{0}, size_t{1}, size_t{200}, kPartitionEntries - 1,
+        kPartitionEntries, kPartitionEntries + 1, size_t{200000}}) {
+    for (const KeyShape shape : {KeyShape::kAllEqual, KeyShape::kAllDistinct,
+                                 KeyShape::kZipf, KeyShape::kThirteen}) {
+      const std::vector<uint64_t> keys = MakeKeys(shape, n);
+      std::vector<uint32_t> ids(n);
+      for (size_t i = 0; i < n; ++i) {
+        ids[i] = static_cast<uint32_t>(i * 2654435761u);
+      }
+      for (const size_t cap : {size_t{0}, size_t{1}, size_t{3}, size_t{15}}) {
+        SCOPED_TRACE(testing::Message() << "n " << n << ", " << Name(shape)
+                                        << " keys, cap " << cap);
+        BlockingTable serial(cap);
+        for (size_t i = 0; i < n; ++i) serial.Insert(keys[i], ids[i]);
+        BlockingTable bulk(cap);
+        bulk.BulkInsert(keys, ids);
+        EXPECT_TRUE(bulk == serial);
+        EXPECT_EQ(bulk.NumDropped(), serial.NumDropped());
+        EXPECT_EQ(bulk.NumEntries(), serial.NumEntries());
+        EXPECT_EQ(bulk.MaxBucketSize(), serial.MaxBucketSize());
+        EXPECT_EQ(bulk.NumOverflowed(), serial.NumOverflowed());
+        EXPECT_EQ(bulk.NumBuckets(), serial.NumBuckets());
+        if (shape == KeyShape::kThirteen && n == 200 && cap != 0 &&
+            cap < 15) {
+          EXPECT_GT(bulk.NumDropped(), 0u);
+          EXPECT_EQ(bulk.MaxBucketSize(), cap);
+        }
+        if (n == 0) continue;
+        // Appending goes through Insert() and keeps the cap.
+        serial.Insert(keys[0], 5000);
+        bulk.BulkInsert(std::span<const uint64_t>(keys.data(), 1),
+                        std::vector<uint32_t>{5000});
+        EXPECT_TRUE(bulk == serial) << "after append";
+      }
+    }
   }
-  for (size_t cap : {size_t{0}, size_t{1}, size_t{3}, size_t{15},
-                     size_t{1000}}) {
+}
+
+TEST(BlockingTableTest, BulkInsertOutgrowsPartitionTable) {
+  // Distinct keys whose mixed hashes share their top 10 bits all land in
+  // one partition, which then holds more distinct keys than a partition's
+  // counting table starts with.
+  std::vector<uint64_t> keys;
+  for (uint64_t key = 0; keys.size() < 3 * kPartitionEntries; ++key) {
+    if (Mix64(key) >> 54 == 0) keys.push_back(key);
+  }
+  std::vector<uint32_t> ids(keys.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
+  // Every key twice, the second time after all the others.
+  keys.insert(keys.end(), keys.begin(), keys.end());
+  ids.insert(ids.end(), ids.begin(), ids.end());
+  for (const size_t cap : {size_t{0}, size_t{1}}) {
     BlockingTable serial(cap);
-    for (size_t i = 0; i < ids.size(); ++i) serial.Insert(keys[i], ids[i]);
+    for (size_t i = 0; i < keys.size(); ++i) serial.Insert(keys[i], ids[i]);
     BlockingTable bulk(cap);
     bulk.BulkInsert(keys, ids);
     EXPECT_TRUE(bulk == serial) << "cap " << cap;
+    EXPECT_EQ(bulk.NumBuckets(), 3 * kPartitionEntries);
     EXPECT_EQ(bulk.NumDropped(), serial.NumDropped()) << "cap " << cap;
-    EXPECT_EQ(bulk.NumEntries(), serial.NumEntries()) << "cap " << cap;
     EXPECT_EQ(bulk.MaxBucketSize(), serial.MaxBucketSize()) << "cap " << cap;
-    if (cap != 0 && cap < 15) {
-      EXPECT_GT(bulk.NumDropped(), 0u) << "cap " << cap;
-      EXPECT_EQ(bulk.MaxBucketSize(), cap);
-    }
-    // Appending goes through Insert() and keeps the cap.
-    serial.Insert(keys[0], 5000);
-    bulk.BulkInsert(std::span<const uint64_t>(keys.data(), 1),
-                    std::vector<uint32_t>{5000});
-    EXPECT_TRUE(bulk == serial) << "cap " << cap << " after append";
   }
 }
 

@@ -405,5 +405,73 @@ TEST(HammingLshFamilyTest, KeysMatchPerBitReference) {
   }
 }
 
+TEST(HammingLshFamilyTest, FromPositionsValidation) {
+  using Lists = std::vector<std::vector<uint32_t>>;
+  EXPECT_FALSE(HammingLshFamily::FromPositions(Lists{}).ok());
+  EXPECT_FALSE(HammingLshFamily::FromPositions(Lists{{}, {}}).ok());
+  EXPECT_FALSE(HammingLshFamily::FromPositions(Lists{{1, 2}, {3}}).ok());
+  Result<HammingLshFamily> family =
+      HammingLshFamily::FromPositions(Lists{{1, 2}, {3, 4}, {5, 6}});
+  ASSERT_TRUE(family.ok());
+  EXPECT_EQ(family.value().K(), 2u);
+  EXPECT_EQ(family.value().L(), 3u);
+}
+
+TEST(HammingLshFamilyTest, FromPositionsConcatenatesFunctions) {
+  // The C1 shape of PinnedKeysC1Compound: one family whose function l
+  // samples function l of f1, f2 and f3 in turn keys exactly those bits,
+  // so two vectors share its key iff they share all three attribute
+  // keys.  Create is the same as FromPositions over its own functions.
+  Rng rng(2016);
+  std::vector<HammingLshFamily> parts;
+  parts.push_back(HammingLshFamily::Create(5, 4, 0, 15, rng).value());
+  parts.push_back(HammingLshFamily::Create(5, 4, 15, 15, rng).value());
+  parts.push_back(HammingLshFamily::Create(10, 4, 30, 68, rng).value());
+  std::vector<std::vector<uint32_t>> lists(4);
+  for (size_t l = 0; l < 4; ++l) {
+    for (const HammingLshFamily& part : parts) {
+      const std::vector<uint32_t>& positions = part.function(l).positions();
+      lists[l].insert(lists[l].end(), positions.begin(), positions.end());
+    }
+  }
+  Result<HammingLshFamily> joined = HammingLshFamily::FromPositions(lists);
+  ASSERT_TRUE(joined.ok());
+  EXPECT_EQ(joined.value().K(), 20u);
+  std::vector<BitVector> vectors = PinnedVectors(120);
+  // Near copies of vector 2, each differing in one bit of one segment.
+  for (const size_t bit : {3, 20, 50, 110}) {
+    vectors.push_back(vectors[2]);
+    vectors.back().Assign(bit, !vectors[2].Test(bit));
+  }
+  for (size_t l = 0; l < 4; ++l) {
+    for (const BitVector& x : vectors) {
+      EXPECT_EQ(joined.value().Key(x, l),
+                ReferenceKey(joined.value().function(l), x));
+      for (const BitVector& y : vectors) {
+        bool all_equal = true;
+        for (const HammingLshFamily& part : parts) {
+          all_equal = all_equal && part.Key(x, l) == part.Key(y, l);
+        }
+        EXPECT_EQ(joined.value().Key(x, l) == joined.value().Key(y, l),
+                  all_equal);
+      }
+    }
+  }
+  for (const HammingLshFamily& part : parts) {
+    std::vector<std::vector<uint32_t>> own;
+    for (size_t l = 0; l < part.L(); ++l) {
+      own.push_back(part.function(l).positions());
+    }
+    Result<HammingLshFamily> rebuilt =
+        HammingLshFamily::FromPositions(std::move(own));
+    ASSERT_TRUE(rebuilt.ok());
+    for (const BitVector& x : vectors) {
+      for (size_t l = 0; l < part.L(); ++l) {
+        EXPECT_EQ(rebuilt.value().Key(x, l), part.Key(x, l));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cbvlink

@@ -611,5 +611,97 @@ TEST_F(LinkersTest, PinnedPairsAttributeLevelC1) {
   EXPECT_EQ(result.value().blocking_groups, 208u);
 }
 
+TEST_F(LinkersTest, PinnedPairsAttributeLevelC2) {
+  CbvHbConfig config;
+  config.schema = generator_->schema();
+  // Rule C2: (f1 <= 4 AND f2 <= 4) OR f3 <= 8 — two structures.
+  config.rule = Rule::Or(
+      {Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4)}), Rule::Pred(2, 8)});
+  config.attribute_level_blocking = true;
+  config.attribute_K = {5, 5, 10, 5};
+  config.seed = 2016;
+  Result<CbvHbLinker> linker = CbvHbLinker::Create(std::move(config));
+  ASSERT_TRUE(linker.ok());
+  Result<LinkageResult> result = linker.value().Link(
+      data_->a, data_->b, ExecutionOptions::WithThreads(4));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().matches.size(), 48241u);
+  EXPECT_EQ(result.value().stats.comparisons, 188988u);
+  EXPECT_EQ(HashPairs(result.value().matches), 0x0a6509e9ef11102aULL);
+  EXPECT_EQ(result.value().blocking_groups, 65u);
+}
+
+TEST_F(LinkersTest, PinnedPairsAttributeLevelC3) {
+  CbvHbConfig config;
+  config.schema = generator_->schema();
+  // Rule C3: f1 <= 4 AND NOT f2 <= 4 — the NOT prunes by a second
+  // structure.
+  config.rule = Rule::And({Rule::Pred(0, 4), Rule::Not(Rule::Pred(1, 4))});
+  config.attribute_level_blocking = true;
+  config.attribute_K = {5, 5, 10, 5};
+  config.seed = 2016;
+  Result<CbvHbLinker> linker = CbvHbLinker::Create(std::move(config));
+  ASSERT_TRUE(linker.ok());
+  Result<LinkageResult> result = linker.value().Link(
+      data_->a, data_->b, ExecutionOptions::WithThreads(4));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().matches.size(), 68187u);
+  EXPECT_EQ(result.value().stats.comparisons, 152769u);
+  EXPECT_EQ(HashPairs(result.value().matches), 0x76f518ba709c4c6bULL);
+  EXPECT_EQ(result.value().blocking_groups, 22u);
+}
+
+TEST_F(LinkersTest, PinnedPairsBfh) {
+  BfhConfig config;
+  config.schema = generator_->schema();
+  config.rule = Rule::And({Rule::Pred(0, 45), Rule::Pred(1, 45),
+                           Rule::Pred(2, 45), Rule::Pred(3, 45)});
+  config.record_theta = 45;
+  config.seed = 2016;
+  Result<BfhLinker> linker = BfhLinker::Create(std::move(config));
+  ASSERT_TRUE(linker.ok());
+  Result<LinkageResult> result = linker.value().Link(
+      data_->a, data_->b, ExecutionOptions::WithThreads(4));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().matches.size(), 381u);
+  EXPECT_EQ(result.value().stats.comparisons, 1030u);
+  EXPECT_EQ(HashPairs(result.value().matches), 0x021b45a80c7fa747ULL);
+  EXPECT_EQ(result.value().blocking_groups, 4u);
+}
+
+TEST_F(LinkersTest, PinnedPairsHarra) {
+  HarraConfig config;
+  config.K = 5;
+  config.L = 30;
+  config.theta = 0.35;
+  config.seed = 2016;
+  Result<HarraLinker> linker = HarraLinker::Create(std::move(config));
+  ASSERT_TRUE(linker.ok());
+  Result<LinkageResult> result = linker.value().Link(data_->a, data_->b);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().matches.size(), 439u);
+  EXPECT_EQ(result.value().stats.comparisons, 1967u);
+  EXPECT_EQ(HashPairs(result.value().matches), 0xaaddc2eb06a6ad66ULL);
+  EXPECT_EQ(result.value().blocking_groups, 30u);
+}
+
+TEST_F(LinkersTest, PinnedPairsSmEb) {
+  SmEbConfig config;
+  config.schema = generator_->schema();
+  config.thresholds = {1.0, 1.0, 1.0, 1.0};
+  config.stringmap.dimensions = 6;
+  config.stringmap.max_train_sample = 200;
+  config.L = 0;  // derived from Eq. 2
+  config.seed = 2016;
+  Result<SmEbLinker> linker = SmEbLinker::Create(std::move(config));
+  ASSERT_TRUE(linker.ok());
+  Result<LinkageResult> result = linker.value().Link(data_->a, data_->b);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().matches.size(), 89u);
+  EXPECT_EQ(result.value().stats.comparisons, 1206u);
+  EXPECT_EQ(HashPairs(result.value().matches), 0x8963140c55b4412cULL);
+  EXPECT_EQ(result.value().blocking_groups, 27u);
+}
+
 }  // namespace
 }  // namespace cbvlink
