@@ -6,8 +6,7 @@
 #include <optional>
 
 #include "bench/bench_util.h"
-#include "src/blocking/matcher.h"
-#include "src/blocking/record_blocker.h"
+#include "src/blocking/hb_index.h"
 #include "src/common/stopwatch.h"
 #include "src/common/str.h"
 
@@ -41,9 +40,6 @@ void Run() {
   for (const Record& r : data.value().b) {
     enc_b.push_back(encoder.value().Encode(r).value());
   }
-  VectorStore store;
-  std::vector<uint32_t> slots_a;
-  store.AddAll(enc_a, &slots_a);
   const PairClassifier classifier =
       MakeRuleClassifier(bench::PlRule(), encoder.value().layout());
 
@@ -65,11 +61,11 @@ void Run() {
                                         rng);
     bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                       "blocker");
-    blocker.value().BulkInsert(enc_a, slots_a);
-    Matcher matcher(&blocker.value(), &store);
+    HbIndex index(std::move(blocker).value());
+    index.InsertAll(enc_a);
     MatchStats stats;
     Stopwatch watch;
-    matcher.MatchAll(enc_b, classifier, &stats);
+    index.matcher().MatchAll(enc_b, classifier, &stats);
     const double saved_frac =
         stats.candidate_occurrences == 0
             ? 0.0

@@ -12,9 +12,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/blocking/attribute_blocker.h"
-#include "src/blocking/matcher.h"
-#include "src/blocking/record_blocker.h"
+#include "src/blocking/hb_index.h"
 #include "src/eval/measures.h"
 
 namespace cbvlink {
@@ -38,35 +36,29 @@ Outcome RunCell(const Rule& rule, bool attribute_level,
                 const std::vector<EncodedRecord>& enc_b,
                 const PairSet& rule_matches, uint64_t seed) {
   Rng rng(seed);
-  VectorStore store;
-  std::vector<uint32_t> slots_a;
-  store.AddAll(enc_a, &slots_a);
-
-  std::vector<IdPair> found;
-  MatchStats stats;
-  const PairClassifier classifier = MakeRuleClassifier(rule, encoder.layout());
-
-  if (attribute_level) {
-    AttributeBlockerOptions options;
-    options.attribute_K = bench::AttributeK();
-    Result<AttributeLevelBlocker> blocker = AttributeLevelBlocker::Create(
-        rule, encoder.layout(), options, rng);
-    bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
-                      "attribute blocker");
-    blocker.value().BulkInsert(enc_a, slots_a);
-    Matcher matcher(&blocker.value(), &store);
-    found = matcher.MatchAll(enc_b, classifier, &stats);
-  } else {
+  Result<HbIndex::Blocker> blocker = [&]() -> Result<HbIndex::Blocker> {
+    if (attribute_level) {
+      AttributeBlockerOptions options;
+      options.attribute_K = bench::AttributeK();
+      Result<AttributeLevelBlocker> b = AttributeLevelBlocker::Create(
+          rule, encoder.layout(), options, rng);
+      if (!b.ok()) return b.status();
+      return HbIndex::Blocker(std::move(b).value());
+    }
     // The standard approach: uniform record-level sampling, K = 30,
     // record threshold = sum of the rule's positive thresholds.
-    Result<RecordLevelBlocker> blocker =
+    Result<RecordLevelBlocker> b =
         RecordLevelBlocker::Create(encoder.total_bits(), 30, 16, 0.1, rng);
-    bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
-                      "record blocker");
-    blocker.value().BulkInsert(enc_a, slots_a);
-    Matcher matcher(&blocker.value(), &store);
-    found = matcher.MatchAll(enc_b, classifier, &stats);
-  }
+    if (!b.ok()) return b.status();
+    return HbIndex::Blocker(std::move(b).value());
+  }();
+  bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
+                    "blocker");
+  HbIndex index(std::move(blocker).value());
+  index.InsertAll(enc_a);
+  MatchStats stats;
+  const std::vector<IdPair> found = index.matcher().MatchAll(
+      enc_b, MakeRuleClassifier(rule, encoder.layout()), &stats);
 
   size_t hits = 0;
   PairSet unique_found;

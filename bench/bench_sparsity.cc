@@ -11,8 +11,7 @@
 #include <optional>
 
 #include "bench/bench_util.h"
-#include "src/blocking/matcher.h"
-#include "src/blocking/record_blocker.h"
+#include "src/blocking/hb_index.h"
 #include "src/common/stopwatch.h"
 #include "src/embedding/qgram_vector.h"
 #include "src/eval/block_stats.h"
@@ -115,17 +114,16 @@ void Run() {
         RecordLevelBlocker::CreateWithL(bits, 30, 6, rng);
     bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                       "blocker");
-    VectorStore store;
-    std::vector<uint32_t> slots_a;
-    store.AddAll(enc_a, &slots_a);
-    blocker.value().BulkInsert(enc_a, slots_a);
-    Matcher matcher(&blocker.value(), &store);
+    HbIndex index(std::move(blocker).value());
+    index.InsertAll(enc_a);
     MatchStats stats;
-    matcher.MatchAll(enc_b, MakeRecordThresholdClassifier(4), &stats);
+    index.matcher().MatchAll(enc_b, MakeRecordThresholdClassifier(4), &stats);
 
-    rows.push_back({use_full ? "full BV" : "c-vector", bits,
-                    ComputeBucketStats(blocker.value().tables()),
-                    stats.comparisons, watch.ElapsedSeconds()});
+    rows.push_back(
+        {use_full ? "full BV" : "c-vector", bits,
+         ComputeBucketStats(
+             std::get<RecordLevelBlocker>(index.blocker()).tables()),
+         stats.comparisons, watch.ElapsedSeconds()});
   }
 
   std::printf("%-10s %8s %10s %12s %10s %8s %14s %10s\n", "vector", "bits",

@@ -5,8 +5,7 @@
 
 #include <cstdio>
 
-#include "src/blocking/attribute_blocker.h"
-#include "src/blocking/matcher.h"
+#include "src/blocking/hb_index.h"
 #include "src/datagen/dataset.h"
 #include "src/datagen/generators.h"
 #include "src/eval/measures.h"
@@ -57,9 +56,6 @@ int main() {
   for (const Record& r : data.value().b) {
     enc_b.push_back(encoder.value().Encode(r).value());
   }
-  VectorStore store;
-  std::vector<uint32_t> slots_a;
-  store.AddAll(enc_a, &slots_a);
 
   for (const char* text : rule_texts) {
     Result<Rule> rule = ParseRule(text);
@@ -99,13 +95,13 @@ int main() {
     }
     std::printf("\n");
 
-    blocker.value().BulkInsert(enc_a, slots_a);
-    Matcher matcher(&blocker.value(), &store);
+    HbIndex index(std::move(blocker).value());
+    index.InsertAll(enc_a);
     MatchStats stats;
     const PairClassifier classifier =
         MakeRuleClassifier(rule.value(), encoder.value().layout());
     const std::vector<IdPair> matches =
-        matcher.MatchAll(enc_b, classifier, &stats);
+        index.matcher().MatchAll(enc_b, classifier, &stats);
     std::printf("  comparisons: %llu, matched pairs: %zu\n\n",
                 static_cast<unsigned long long>(stats.comparisons),
                 matches.size());

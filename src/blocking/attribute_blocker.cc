@@ -257,28 +257,16 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
   telemetry::Registry& reg = telemetry::Registry::Global();
   telemetry::ScopedTimer timer(
       reg.GetHistogram("index_build_batch_latency_us"));
+  InsertKeys(records, KeyMatrix(records, pool, min_chunk), slots, pool);
+  reg.GetCounter("index_build_records_total")->Add(records.size());
+}
 
-  // Flatten the per-structure tables into one global enumeration so
-  // phase 2 can shard them uniformly: global table t is AllKeys()'s key
-  // t, local table t - first_key of its structure.  AND structures key
-  // group l = local index; OR structures key (predicate, group) =
-  // (local / L, local % L).
-  struct TableRef {
-    size_t structure;
-    size_t local;
-  };
-  std::vector<TableRef> table_refs;
-  for (size_t s = 0; s < structures_.size(); ++s) {
-    for (size_t t = 0; t < structures_[s].tables.size(); ++t) {
-      table_refs.push_back(TableRef{s, t});
-    }
-  }
-  const size_t total_tables = table_refs.size();
-
-  // Phase 1: the key matrix, one contiguous column per table
-  // (keys[global_table * n + i]), sharded over records.  Consecutive
-  // records fill consecutive words of every column, and phase 2 reads
-  // each column sequentially.
+std::vector<uint64_t> AttributeLevelBlocker::KeyMatrix(
+    std::span<const EncodedRecord> records, ThreadPool* pool,
+    size_t min_chunk) const {
+  // One contiguous column per table (keys[t * n + i], table t being
+  // AllKeys()'s key t), sharded over records.
+  const size_t total_tables = TotalTables();
   const size_t n = records.size();
   std::vector<uint64_t> keys(n * total_tables);
   ParallelForOrInline(pool, n, min_chunk, [&](size_t, size_t begin,
@@ -289,16 +277,27 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
       for (size_t t = 0; t < total_tables; ++t) keys[t * n + i] = row[t];
     }
   });
+  return keys;
+}
+
+void AttributeLevelBlocker::InsertKeys(std::span<const EncodedRecord> records,
+                                       std::span<const uint64_t> keys,
+                                       std::span<const uint32_t> slots,
+                                       ThreadPool* pool) {
+  // Every structure's tables in AllKeys() order, so the merge can shard
+  // them uniformly.
+  std::vector<BlockingTable*> tables;
+  for (Structure& s : structures_) {
+    for (BlockingTable& table : s.tables) tables.push_back(&table);
+  }
   AssignSlots(records, slots);
 
-  // Phase 2: per-table merge in record order.
-  ParallelForOrInline(n <= 1 ? nullptr : pool, total_tables, 0,
+  // Per-table merge in record order.
+  const size_t n = slots.size();
+  ParallelForOrInline(n <= 1 ? nullptr : pool, tables.size(), 0,
                       [&](size_t, size_t begin, size_t end) {
                         for (size_t t = begin; t < end; ++t) {
-                          const TableRef& ref = table_refs[t];
-                          structures_[ref.structure]
-                              .tables[ref.local]
-                              .BulkInsert({keys.data() + t * n, n}, slots);
+                          tables[t]->BulkInsert(keys.subspan(t * n, n), slots);
                         }
                       });
 
@@ -308,7 +307,20 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
   if (!single_structure()) {
     for (size_t i = 0; i < n; ++i) Retain(slots[i], records[i].bits);
   }
-  reg.GetCounter("index_build_records_total")->Add(records.size());
+}
+
+AttributeLevelBlocker AttributeLevelBlocker::EmptyCopy(
+    size_t bucket_cap) const {
+  std::vector<Structure> structures;
+  structures.reserve(structures_.size());
+  for (const Structure& s : structures_) {
+    structures.push_back(Structure{
+        s.kind, s.predicates, s.L, s.families,
+        std::vector<BlockingTable>(s.tables.size(), BlockingTable(bucket_cap)),
+        s.first_key});
+  }
+  return AttributeLevelBlocker(rule_, std::move(structures), expr_,
+                               generating_);
 }
 
 void AttributeLevelBlocker::AllKeys(const BitVector& bv,

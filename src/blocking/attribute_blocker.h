@@ -59,6 +59,10 @@ class AttributeLevelBlocker : public SlotCandidateSource {
       const Rule& rule, const RecordLayout& layout,
       const AttributeBlockerOptions& options, Rng& rng);
 
+  /// An empty blocker over the same structures and hash functions whose
+  /// buckets hold at most `bucket_cap` slots (0 = unlimited).
+  AttributeLevelBlocker EmptyCopy(size_t bucket_cap) const;
+
   /// Inserts data set A's records, record i at `slots[i]` (the slot
   /// VectorStore::Add / AddAll returned for it), into every structure's
   /// tables and, for multi-structure rules, retains their vectors for
@@ -77,6 +81,16 @@ class AttributeLevelBlocker : public SlotCandidateSource {
   /// distinct ids (see RecordLevelBlocker's id-only BulkInsert).
   void BulkInsert(std::span<const EncodedRecord> records,
                   ThreadPool* pool = nullptr, size_t min_chunk = 0);
+
+  /// The two phases of BulkInsert, as RecordLevelBlocker's: the key
+  /// matrix (one column per table, in AllKeys() order), then the merge,
+  /// which also retains the vectors multi-structure rules need.
+  std::vector<uint64_t> KeyMatrix(std::span<const EncodedRecord> records,
+                                  ThreadPool* pool = nullptr,
+                                  size_t min_chunk = 0) const;
+  void InsertKeys(std::span<const EncodedRecord> records,
+                  std::span<const uint64_t> keys,
+                  std::span<const uint32_t> slots, ThreadPool* pool = nullptr);
 
   /// Inserts a single record (streaming ingestion) at `slot`.
   void Insert(const EncodedRecord& record, uint32_t slot);

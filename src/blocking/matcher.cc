@@ -136,6 +136,22 @@ BitVector VectorStore::VectorAt(uint32_t dense) const {
                               std::vector<uint64_t>(words, words + stride_));
 }
 
+std::vector<EncodedRecord> VectorStore::LiveRecords() const {
+  std::vector<uint32_t> live;
+  live.reserve(live_size());
+  for (uint32_t dense = 0; dense < size(); ++dense) {
+    if (!IsDead(dense)) live.push_back(dense);
+  }
+  std::sort(live.begin(), live.end(),
+            [&](uint32_t x, uint32_t y) { return ids_[x] < ids_[y]; });
+  std::vector<EncodedRecord> records;
+  records.reserve(live.size());
+  for (const uint32_t dense : live) {
+    records.push_back(EncodedRecord{ids_[dense], VectorAt(dense)});
+  }
+  return records;
+}
+
 namespace {
 
 /// Appends the predicates of `rule` to `out` when it is a bare predicate

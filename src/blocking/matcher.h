@@ -20,7 +20,7 @@
 //    stamps and gathers by the slot it reads, so a candidate costs a
 //    stamp and a row read, with no hash lookup.  The open-addressing
 //    RecordId -> slot table (VectorStore::DenseIndex) serves only the
-//    id-addressed operations — the service's Delete, Update and restore.
+//    id-addressed operations — the service's Delete, Update and IsLive.
 //  * The unique collection C is a generation-stamped visited array
 //    indexed by slot: one epoch bump per probe, zero allocations in
 //    steady state (a per-probe std::unordered_set in the seed engine).
@@ -118,9 +118,6 @@ class VectorStore {
   /// Records stored and not tombstoned.
   size_t live_size() const { return ids_.size() - dead_count_; }
 
-  /// Tombstoned slots awaiting compaction.
-  size_t dead_count() const { return dead_count_; }
-
   /// Dense index of `id` in [0, size()), or kNotFound.  O(1): one hash
   /// probe over the flat slot table.
   uint32_t DenseIndex(RecordId id) const {
@@ -149,6 +146,10 @@ class VectorStore {
   /// Reconstructs the BitVector at dense index `dense` (copies; for
   /// tests and diagnostics, not the hot path).
   BitVector VectorAt(uint32_t dense) const;
+
+  /// Every live record, sorted by id (copies): what a rebuild of the
+  /// index over the survivors stores.
+  std::vector<EncodedRecord> LiveRecords() const;
 
   size_t size() const { return ids_.size(); }
 

@@ -90,13 +90,12 @@ class SlotCandidateSource : public CandidateSource {
   /// The RecordId written with `slot` (< num_slots()).
   RecordId SlotId(uint32_t slot) const { return slot_ids_[slot]; }
 
+ protected:
   /// Records that `slots[i]` holds `records[i]`'s id, growing the column
-  /// as needed.  Every writer calls it; a snapshot restore, which writes
-  /// the buckets separately, calls it directly.
+  /// as needed.  Every writer calls it.
   void AssignSlots(std::span<const EncodedRecord> records,
                    std::span<const uint32_t> slots);
 
- protected:
   /// The slots [num_slots(), num_slots() + n), for the id-taking
   /// BulkInsert shims.
   std::vector<uint32_t> NextSlots(size_t n) const;
@@ -125,6 +124,12 @@ class RecordLevelBlocker : public SlotCandidateSource {
   explicit RecordLevelBlocker(HammingLshFamily family, size_t bucket_cap = 0)
       : family_(std::move(family)),
         tables_(family_.L(), BlockingTable(bucket_cap)) {}
+
+  /// An empty blocker over the same family whose buckets hold at most
+  /// `bucket_cap` slots.
+  RecordLevelBlocker EmptyCopy(size_t bucket_cap) const {
+    return RecordLevelBlocker(family_, bucket_cap);
+  }
 
   /// Inserts data set A's records, record i at `slots[i]` (the slot
   /// VectorStore::Add / AddAll returned for it), with a two-phase
@@ -179,9 +184,6 @@ class RecordLevelBlocker : public SlotCandidateSource {
   size_t L() const { return tables_.size(); }
   size_t K() const { return family_.K(); }
 
-  /// The L composite hash functions the tables key on.
-  const HammingLshFamily& family() const { return family_; }
-
   /// Aggregate statistics over the L tables, for diagnostics.
   size_t TotalBuckets() const;
   size_t MaxBucketSize() const;
@@ -189,15 +191,6 @@ class RecordLevelBlocker : public SlotCandidateSource {
   /// The L blocking tables, for distribution diagnostics
   /// (eval/block_stats.h).
   const std::vector<BlockingTable>& tables() const { return tables_; }
-
-  /// Snapshot restore of one bucket of group `group` (< L()); see
-  /// BlockingTable::RestoreBucket.  The slot -> id column is restored
-  /// separately (AssignSlots), so distinct groups may restore in
-  /// parallel.
-  void RestoreBucket(size_t group, uint64_t key,
-                     std::span<const uint32_t> slots, bool overflowed) {
-    tables_[group].RestoreBucket(key, slots, overflowed);
-  }
 
  private:
   HammingLshFamily family_;

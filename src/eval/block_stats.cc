@@ -24,9 +24,6 @@ namespace {
 void Accumulate(const BlockingTable& table, BucketStats* stats,
                 std::vector<size_t>* sizes) {
   table.ForEachBucket([&](uint64_t, std::span<const uint32_t> bucket) {
-    // An empty bucket is one a snapshot restore kept for its overflow
-    // bit; it holds nothing to describe.
-    if (bucket.empty()) return;
     const size_t size = bucket.size();
     ++stats->num_buckets;
     stats->num_entries += size;

@@ -28,9 +28,10 @@ constexpr uint32_t kVersionLegacy = 1;
 constexpr uint32_t kVersion = 2;
 // Snapshot ('CBVS') versions run ahead of the record-file version:
 // version 3 appends a mutation block (delete/update sequence floor +
-// tombstoned record ids) after the buckets.  Writers emit version 3;
-// readers accept 1–3, treating older files as having no tombstones.
-constexpr uint32_t kSnapshotVersion = 3;
+// tombstoned record ids) after the buckets; version 4 drops num_shards
+// and the bucket section.  Writers emit version 4 (2 and 3 on request,
+// with num_shards 16 and no buckets); readers accept 1–4.
+constexpr uint32_t kSnapshotVersion = 4;
 
 // Hard caps on untrusted length fields.  Each bounds the single largest
 // allocation a corrupt field can demand (the "allocation budget" of the
@@ -541,6 +542,7 @@ Status WriteServiceSnapshot(const ServiceSnapshot& snapshot,
     return Status::InvalidArgument(
         StrFormat("cannot write snapshot version %u", version));
   }
+  const bool legacy = version < 4;
   if (version < 3 && (!snapshot.tombstones.empty() ||
                       snapshot.last_sequence != 0)) {
     return Status::InvalidArgument(
@@ -555,7 +557,7 @@ Status WriteServiceSnapshot(const ServiceSnapshot& snapshot,
   w.F64(snapshot.delta);
   w.F64(snapshot.sizing_max_collisions);
   w.F64(snapshot.sizing_confidence_ratio);
-  w.U64(snapshot.num_shards);
+  if (legacy) w.U64(16);  // num_shards
   w.U64(snapshot.max_bucket_size);
   w.U32(snapshot.overflow_policy);
   w.Str(snapshot.rule_text);
@@ -572,14 +574,7 @@ Status WriteServiceSnapshot(const ServiceSnapshot& snapshot,
   // nested header included, so tooling can share the reader.  The
   // snapshot's single trailing CRC covers the nested block too.
   CBVLINK_RETURN_NOT_OK(WriteEncodedRecordsBody(w, snapshot.records));
-  w.U64(snapshot.buckets.size());
-  for (const IndexBucketSnapshot& bucket : snapshot.buckets) {
-    w.U64(bucket.group);
-    w.U64(bucket.key);
-    w.U32(bucket.overflowed ? 1 : 0);
-    w.U64(bucket.ids.size());
-    for (RecordId id : bucket.ids) w.U64(id);
-  }
+  if (legacy) w.U64(0);  // an empty bucket section
   if (version >= 3) {
     // Mutation block: the highest acknowledged delete/update sequence
     // (the replay dedupe floor) and every live tombstone.
@@ -612,13 +607,15 @@ Result<ServiceSnapshot> ReadServiceSnapshot(std::istream& in) {
     return Status::InvalidArgument(
         StrFormat("unsupported snapshot version %u", version));
   }
+  const bool legacy = version < 4;
   ServiceSnapshot snapshot;
   uint32_t policy = 0;
+  uint64_t num_shards = 1;
   if (!r.U64(&snapshot.seed) || !r.U64(&snapshot.record_K) ||
       !r.U64(&snapshot.record_theta) || !r.F64(&snapshot.delta) ||
       !r.F64(&snapshot.sizing_max_collisions) ||
       !r.F64(&snapshot.sizing_confidence_ratio) ||
-      !r.U64(&snapshot.num_shards) || !r.U64(&snapshot.max_bucket_size) ||
+      (legacy && !r.U64(&num_shards)) || !r.U64(&snapshot.max_bucket_size) ||
       !r.U32(&policy) || !r.Str(&snapshot.rule_text)) {
     return r.Error("snapshot configuration");
   }
@@ -652,30 +649,29 @@ Result<ServiceSnapshot> ReadServiceSnapshot(std::istream& in) {
   Status records_st =
       ReadEncodedRecordsBody(r, &snapshot.records, &nested_version);
   if (!records_st.ok()) return records_st;
-  uint64_t num_buckets = 0;
-  if (!r.U64(&num_buckets) ||
-      // Minimum bucket: group + key + flag + empty id list.
-      !r.CheckCount(num_buckets, kMaxBucketCount, 8 + 8 + 4 + 8, "bucket")) {
-    return r.Error("snapshot bucket block");
-  }
-  snapshot.buckets.reserve(r.ReserveHint(num_buckets));
-  for (uint64_t i = 0; i < num_buckets; ++i) {
-    IndexBucketSnapshot bucket;
-    uint32_t overflowed = 0;
-    uint64_t count = 0;
-    if (!r.U64(&bucket.group) || !r.U64(&bucket.key) ||
-        !r.U32(&overflowed) || !r.U64(&count) ||
-        !r.CheckCount(count, kMaxRecordCount, 8, "bucket id")) {
+  if (legacy) {
+    // The bucket section of versions 1–3, read through the same caps and
+    // checksum and then dropped: Restore rebuilds the tables.
+    uint64_t num_buckets = 0;
+    if (!r.U64(&num_buckets) ||
+        // Minimum bucket: group + key + flag + empty id list.
+        !r.CheckCount(num_buckets, kMaxBucketCount, 8 + 8 + 4 + 8,
+                      "bucket")) {
       return r.Error("snapshot bucket block");
     }
-    bucket.overflowed = overflowed != 0;
-    bucket.ids.reserve(r.ReserveHint(count));
-    for (uint64_t j = 0; j < count; ++j) {
-      RecordId id = 0;
-      if (!r.U64(&id)) return r.Error("snapshot bucket block");
-      bucket.ids.push_back(id);
+    uint64_t word = 0;  // group, key, then each id
+    uint32_t overflowed = 0;
+    uint64_t count = 0;
+    for (uint64_t i = 0; i < num_buckets; ++i) {
+      if (!r.U64(&word) || !r.U64(&word) || !r.U32(&overflowed) ||
+          !r.U64(&count) ||
+          !r.CheckCount(count, kMaxRecordCount, 8, "bucket id")) {
+        return r.Error("snapshot bucket block");
+      }
+      for (uint64_t j = 0; j < count; ++j) {
+        if (!r.U64(&word)) return r.Error("snapshot bucket block");
+      }
     }
-    snapshot.buckets.push_back(std::move(bucket));
   }
   if (version >= 3) {
     uint64_t num_tombstones = 0;
@@ -692,6 +688,13 @@ Result<ServiceSnapshot> ReadServiceSnapshot(std::istream& in) {
   }
   if (version >= kVersion && !r.VerifyCrcTrailer()) {
     return r.Error("snapshot checksum");
+  }
+  // Versions 1–3 carried the lock-shard count of the service that wrote
+  // them; it no longer configures anything, but a value no writer ever
+  // produced still marks the file as corrupt.
+  if (num_shards == 0 || (num_shards & (num_shards - 1)) != 0) {
+    return Status::InvalidArgument(
+        "snapshot num_shards must be a nonzero power of two");
   }
   return snapshot;
 }

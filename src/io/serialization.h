@@ -12,16 +12,16 @@
 //   repeated: u64 id, ceil(bits/64) * u64 words
 //   u32 CRC32C over every preceding byte   (top-level files only)
 //
-// A *service snapshot* ('CBVS') additionally persists everything a
-// long-lived linkage service needs to restart warm: the encoder/linker
-// configuration (schema, rule text, LSH and sizing parameters, seed —
-// enough to rebuild the random components identically), the service's
-// sharding options, the encoded records, and the blocking-table bucket
-// contents.  Snapshot version 3 appends a mutation block — the
-// delete/update sequence floor and the tombstoned record ids — so a
-// restore keeps deleted records dead; versions 1 and 2 stay readable
-// (no tombstones).  See ServiceSnapshot below.
-//
+// A *service snapshot* ('CBVS') persists what a linkage service needs
+// to restart warm: the encoder/linker configuration (enough to rebuild
+// the random components identically from the seed), the bucket cap and
+// overflow policy, the live records, and the mutation block — the
+// delete/update sequence floor and the tombstoned ids.  Version 4 saves
+// no blocking tables: a restore rebuilds them from the records, as a
+// compaction does.  Versions 1–3 stay readable; their num_shards and
+// bucket section are checked and dropped, and versions 1–2 have no
+// mutation block.  DESIGN.md §7 has the byte layout.
+
 // Durability contract (version 2):
 //  * Every top-level file ends in a CRC32C trailer (src/common/crc32.h)
 //    over all preceding bytes, so bit rot and torn writes are detected
@@ -117,15 +117,6 @@ struct SnapshotAttribute {
   bool qgram_pad = false;
 };
 
-/// One persisted bucket of a blocking index: bucket (group, key) holds
-/// `ids`; `overflowed` records that the bucket-size cap dropped entries.
-struct IndexBucketSnapshot {
-  uint64_t group = 0;
-  uint64_t key = 0;
-  bool overflowed = false;
-  std::vector<RecordId> ids;
-};
-
 /// Everything a linkage service persists: configuration + data.  The
 /// random components (encoder hash functions, LSH bit samples) are not
 /// stored bit-for-bit — they are reproduced deterministically from `seed`
@@ -145,14 +136,12 @@ struct ServiceSnapshot {
   uint64_t seed = 7;
 
   // Service options.
-  uint64_t num_shards = 16;
   uint64_t max_bucket_size = 0;
   /// Raw service-layer overflow-policy tag (opaque to this module).
   uint32_t overflow_policy = 0;
 
-  // Data.
+  // Data: the live records, sorted by id.
   std::vector<EncodedRecord> records;
-  std::vector<IndexBucketSnapshot> buckets;
 
   // Mutation state (snapshot version 3+; older files restore with both
   // at their defaults).
@@ -167,8 +156,9 @@ struct ServiceSnapshot {
 
 /// Writes a service snapshot, ending in a CRC32C trailer.  Returns
 /// IOError on stream failure.  `version` selects the format for
-/// compatibility testing: 0 (the default) writes the current version 3;
-/// 2 writes the pre-mutation layout and requires `tombstones` empty and
+/// compatibility testing: 0 (the default) writes the current version 4;
+/// 3 writes num_shards 16 and an empty bucket section; 2 additionally
+/// drops the mutation block and requires `tombstones` empty and
 /// `last_sequence` zero.
 Status WriteServiceSnapshot(const ServiceSnapshot& snapshot,
                             std::ostream& out, uint32_t version = 0);
@@ -181,9 +171,10 @@ Status WriteServiceSnapshot(const ServiceSnapshot& snapshot,
 Status WriteServiceSnapshotToFile(const ServiceSnapshot& snapshot,
                                   const std::string& path);
 
-/// Reads a service snapshot (version 1, 2, or 3).  Returns InvalidArgument
-/// on a corrupt or foreign header, an over-cap length field, or a
-/// checksum mismatch, and IOError on truncated input.
+/// Reads a service snapshot (version 1 to 4).  Returns InvalidArgument
+/// on a corrupt or foreign header, an over-cap length field, a checksum
+/// mismatch, or a version 1–3 num_shards that is not a nonzero power of
+/// two, and IOError on truncated input.
 Result<ServiceSnapshot> ReadServiceSnapshot(std::istream& in);
 
 /// Reads from a file path.

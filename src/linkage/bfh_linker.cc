@@ -1,6 +1,6 @@
 #include "src/linkage/bfh_linker.h"
 
-#include "src/blocking/record_blocker.h"
+#include "src/blocking/hb_index.h"
 #include "src/common/stopwatch.h"
 #include "src/common/thread_pool.h"
 
@@ -40,28 +40,23 @@ Result<LinkageResult> BfhLinker::Link(const std::vector<Record>& a,
   result.embed_seconds = watch.ElapsedSeconds();
 
   // --- Blocking: standard record-level HB ---------------------------------
-  // The arena first: its slots are what the blocking tables hold, and a
-  // repeated id keeps its first vector and slot.
+  // A repeated id keeps its first vector and slot (HbIndex::InsertAll).
   watch.Restart();
-  VectorStore store_a;
-  std::vector<uint32_t> slots;
-  store_a.AddAll(encoded_a, &slots);
   Result<RecordLevelBlocker> blocker =
       RecordLevelBlocker::Create(encoder.value().total_bits(), config_.K,
                                  config_.record_theta, config_.delta, rng);
   if (!blocker.ok()) return blocker.status();
-  blocker.value().BulkInsert(encoded_a, slots, ctx.pool(),
-                             ctx.chunk_size_hint());
-  result.blocking_groups = blocker.value().L();
+  HbIndex index(std::move(blocker).value());
+  index.InsertAll(encoded_a, ctx.pool(), ctx.chunk_size_hint());
+  result.blocking_groups = index.blocking_groups();
   result.index_seconds = watch.ElapsedSeconds();
 
   // --- Matching: attribute thresholds on filter segments ------------------
   watch.Restart();
-  Matcher matcher(&blocker.value(), &store_a);
   const PairClassifier classifier =
       MakeRuleClassifier(config_.rule, encoder.value().layout());
-  result.matches =
-      matcher.MatchAll(encoded_b, classifier, &result.stats, ctx.pool());
+  result.matches = index.matcher().MatchAll(encoded_b, classifier,
+                                            &result.stats, ctx.pool());
   result.match_seconds = watch.ElapsedSeconds();
   return result;
 }

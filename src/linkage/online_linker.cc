@@ -4,23 +4,20 @@
 
 namespace cbvlink {
 
-Result<OnlineCbvHbLinker> OnlineCbvHbLinker::Create(
-    CbvHbConfig config, const std::vector<Record>& calibration_sample) {
-  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(config));
-  if (config.expected_qgrams.empty()) {
-    if (calibration_sample.empty()) {
-      return Status::InvalidArgument(
-          "online linker needs expected_qgrams or a calibration sample");
-    }
-    config.expected_qgrams =
-        EstimateExpectedQGrams(config.schema, calibration_sample);
+Status ResolveExpectedQGrams(CbvHbConfig* config,
+                             const std::vector<Record>& calibration_sample) {
+  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(*config));
+  if (!config->expected_qgrams.empty()) return Status::OK();
+  if (calibration_sample.empty()) {
+    return Status::InvalidArgument(
+        "cBV-HB needs expected_qgrams or a calibration sample");
   }
-  Rng rng(config.seed);
-  return Create(std::move(config), rng);
+  config->expected_qgrams =
+      EstimateExpectedQGrams(config->schema, calibration_sample);
+  return Status::OK();
 }
 
-Result<OnlineCbvHbLinker> OnlineCbvHbLinker::Create(CbvHbConfig config,
-                                                    Rng& rng) {
+Result<CbvHbParts> MakeCbvHbParts(const CbvHbConfig& config, Rng& rng) {
   CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(config));
   if (config.expected_qgrams.empty()) {
     return Status::InvalidArgument(
@@ -41,22 +38,31 @@ Result<OnlineCbvHbLinker> OnlineCbvHbLinker::Create(CbvHbConfig config,
     Result<AttributeLevelBlocker> blocker =
         AttributeLevelBlocker::Create(config.rule, layout, options, rng);
     if (!blocker.ok()) return blocker.status();
-    size_t groups = 0;
-    for (size_t s = 0; s < blocker.value().num_structures(); ++s) {
-      groups += blocker.value().structure_L(s);
-    }
-    return OnlineCbvHbLinker(std::move(encoder).value(),
-                             std::move(blocker).value(),
-                             std::move(classifier), groups);
+    return CbvHbParts{std::move(encoder).value(),
+                      HbIndex(std::move(blocker).value()),
+                      std::move(classifier)};
   }
   Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
       encoder.value().total_bits(), config.record_K, config.record_theta,
       config.delta, rng);
   if (!blocker.ok()) return blocker.status();
-  const size_t groups = blocker.value().L();
-  return OnlineCbvHbLinker(std::move(encoder).value(),
-                           std::move(blocker).value(), std::move(classifier),
-                           groups);
+  return CbvHbParts{std::move(encoder).value(),
+                    HbIndex(std::move(blocker).value()),
+                    std::move(classifier)};
+}
+
+Result<OnlineCbvHbLinker> OnlineCbvHbLinker::Create(
+    CbvHbConfig config, const std::vector<Record>& calibration_sample) {
+  CBVLINK_RETURN_NOT_OK(ResolveExpectedQGrams(&config, calibration_sample));
+  Rng rng(config.seed);
+  return Create(std::move(config), rng);
+}
+
+Result<OnlineCbvHbLinker> OnlineCbvHbLinker::Create(CbvHbConfig config,
+                                                    Rng& rng) {
+  Result<CbvHbParts> parts = MakeCbvHbParts(config, rng);
+  if (!parts.ok()) return parts.status();
+  return OnlineCbvHbLinker(std::move(parts).value());
 }
 
 Status OnlineCbvHbLinker::CheckWidth(const EncodedRecord& encoded) const {
@@ -70,14 +76,8 @@ Status OnlineCbvHbLinker::CheckWidth(const EncodedRecord& encoded) const {
 Status OnlineCbvHbLinker::Insert(const Record& record) {
   Result<EncodedRecord> encoded = encoder_.Encode(record);
   if (!encoded.ok()) return encoded.status();
-  Index(encoded.value());
+  index_.Insert(encoded.value());
   return Status::OK();
-}
-
-void OnlineCbvHbLinker::Index(const EncodedRecord& encoded) {
-  const uint32_t slot = store_.Add(encoded);
-  std::visit([&](auto& blocker) { blocker.Insert(encoded, slot); },
-             blocker_);
 }
 
 Status OnlineCbvHbLinker::InsertBatch(const std::vector<Record>& records,
@@ -95,14 +95,7 @@ Status OnlineCbvHbLinker::InsertEncoded(
   for (const EncodedRecord& record : records) {
     CBVLINK_RETURN_NOT_OK(CheckWidth(record));
   }
-  // The arena first: its slots are what the blocking tables hold.
-  std::vector<uint32_t> slots;
-  store_.AddAll(records, &slots);
-  std::visit(
-      [&](auto& blocker) {
-        blocker.BulkInsert(records, slots, pool, min_chunk);
-      },
-      blocker_);
+  index_.InsertAll(records, pool, min_chunk);
   return Status::OK();
 }
 
@@ -116,7 +109,7 @@ Status OnlineCbvHbLinker::Match(const Record& record,
 Status OnlineCbvHbLinker::MatchEncoded(const EncodedRecord& encoded,
                                        std::vector<IdPair>* out) {
   CBVLINK_RETURN_NOT_OK(CheckWidth(encoded));
-  MakeMatcher().MatchOne(encoded, classifier_, out, &stats_, &scratch_);
+  index_.matcher().MatchOne(encoded, classifier_, out, &stats_);
   return Status::OK();
 }
 
@@ -125,7 +118,7 @@ Result<std::vector<IdPair>> OnlineCbvHbLinker::MatchAll(
   for (const EncodedRecord& record : records) {
     CBVLINK_RETURN_NOT_OK(CheckWidth(record));
   }
-  return MakeMatcher().MatchAll(records, classifier_, &stats_, pool);
+  return index_.matcher().MatchAll(records, classifier_, &stats_, pool);
 }
 
 Status OnlineCbvHbLinker::MatchAndInsert(const Record& record,
@@ -138,7 +131,7 @@ Status OnlineCbvHbLinker::MatchAndInsert(const Record& record,
 Status OnlineCbvHbLinker::MatchAndInsertEncoded(const EncodedRecord& encoded,
                                                 std::vector<IdPair>* out) {
   CBVLINK_RETURN_NOT_OK(MatchEncoded(encoded, out));
-  Index(encoded);
+  index_.Insert(encoded);
   return Status::OK();
 }
 

@@ -1,10 +1,10 @@
 // The one cBV-HB engine: the paper's pipeline (Section 5) as a
 // persistent index with per-record and batch operations.
 //
-// Create turns a CbvHbConfig into a Theorem 1-sized c-vector encoder, an
-// HB blocker — record-level (Section 4.2) or rule-aware attribute-level
-// (Section 5.4) — a VectorStore arena whose slots the blocking tables
-// hold, and the rule's classifier.  Every cBV-HB entry point drives it:
+// The engine is a Theorem 1-sized c-vector encoder, an HbIndex
+// (src/blocking/hb_index.h) and the rule's classifier, built from a
+// CbvHbConfig by MakeCbvHbParts, which LinkageService shares.  Every
+// cBV-HB entry point drives it:
 //  * streaming: each arriving query record is embedded, probed through
 //    the blocking groups, classified by the rule, and optionally inserted
 //    so later arrivals can match it — the introduction's "nearly
@@ -17,12 +17,9 @@
 #ifndef CBVLINK_LINKAGE_ONLINE_LINKER_H_
 #define CBVLINK_LINKAGE_ONLINE_LINKER_H_
 
-#include <variant>
 #include <vector>
 
-#include "src/blocking/attribute_blocker.h"
-#include "src/blocking/matcher.h"
-#include "src/blocking/record_blocker.h"
+#include "src/blocking/hb_index.h"
 #include "src/common/execution.h"
 #include "src/common/random.h"
 #include "src/linkage/cbv_hb_linker.h"
@@ -30,6 +27,24 @@
 namespace cbvlink {
 
 class ThreadPool;
+
+/// What a CbvHbConfig builds: the encoder, an empty HB index and the
+/// rule's classifier.
+struct CbvHbParts {
+  CVectorRecordEncoder encoder;
+  HbIndex index;
+  PairClassifier classifier;
+};
+
+/// Validates `*config` and, when its expected_qgrams are empty, estimates
+/// them from `calibration_sample` (which must then be non-empty).
+Status ResolveExpectedQGrams(CbvHbConfig* config,
+                             const std::vector<Record>& calibration_sample);
+
+/// Builds the parts of `config`, whose expected_qgrams must be set,
+/// drawing the encoder and then the blocker from `rng` — the draw order
+/// every cBV-HB entry point shares.
+Result<CbvHbParts> MakeCbvHbParts(const CbvHbConfig& config, Rng& rng);
 
 /// cBV-HB over persistent blocking structures, with insert and match
 /// operations per record and per batch.  The expected q-gram counts must
@@ -43,9 +58,8 @@ class OnlineCbvHbLinker {
   static Result<OnlineCbvHbLinker> Create(
       CbvHbConfig config, const std::vector<Record>& calibration_sample = {});
 
-  /// Creates the engine from a config whose expected_qgrams are set,
-  /// drawing the encoder and then the blocker from `rng` — the draw
-  /// order every cBV-HB entry point shares.
+  /// Creates the engine from a config whose expected_qgrams are set
+  /// (MakeCbvHbParts).
   static Result<OnlineCbvHbLinker> Create(CbvHbConfig config, Rng& rng);
 
   /// Encodes and indexes a registry record.
@@ -56,10 +70,10 @@ class OnlineCbvHbLinker {
   Status InsertBatch(const std::vector<Record>& records,
                      const ExecutionOptions& options = {});
 
-  /// Indexes records encoded by encoder(): stores them in the arena, then
-  /// the blocker's two-phase BulkInsert over `pool` (null = inline) — the
-  /// index is byte-identical to a serial Insert() loop at any thread
-  /// count.  A repeated id keeps its first vector and slot.
+  /// Indexes records encoded by encoder() with HbIndex::InsertAll over
+  /// `pool` (null = inline) — the index is byte-identical to a serial
+  /// Insert() loop at any thread count.  A repeated id keeps its first
+  /// vector and slot.
   /// InvalidArgument when a vector width does not match the encoder.
   Status InsertEncoded(const std::vector<EncodedRecord>& records,
                        ThreadPool* pool = nullptr, size_t min_chunk = 0);
@@ -91,50 +105,27 @@ class OnlineCbvHbLinker {
   const MatchStats& stats() const { return stats_; }
 
   /// Records currently indexed.
-  size_t size() const { return store_.size(); }
+  size_t size() const { return index_.store().size(); }
 
   /// Total blocking groups behind the stream.
-  size_t blocking_groups() const { return blocking_groups_; }
+  size_t blocking_groups() const { return index_.blocking_groups(); }
 
   /// The record encoder (layout introspection).
   const CVectorRecordEncoder& encoder() const { return encoder_; }
 
  private:
-  using Blocker = std::variant<RecordLevelBlocker, AttributeLevelBlocker>;
-
-  OnlineCbvHbLinker(CVectorRecordEncoder encoder, Blocker blocker,
-                    PairClassifier classifier, size_t blocking_groups)
-      : encoder_(std::move(encoder)),
-        blocker_(std::move(blocker)),
-        classifier_(std::move(classifier)),
-        blocking_groups_(blocking_groups) {}
+  explicit OnlineCbvHbLinker(CbvHbParts parts)
+      : encoder_(std::move(parts.encoder)),
+        index_(std::move(parts.index)),
+        classifier_(std::move(parts.classifier)) {}
 
   /// InvalidArgument unless `encoded` has the encoder's width.
   Status CheckWidth(const EncodedRecord& encoded) const;
 
-  /// Stores `encoded` and indexes its blocking keys at the slot it
-  /// landed in.
-  void Index(const EncodedRecord& encoded);
-
-  /// A matcher over the active blocker and the arena (derived per call,
-  /// so the object stays safely movable).
-  Matcher MakeMatcher() const {
-    return Matcher(
-        std::visit([](const auto& blocker) -> const SlotCandidateSource* {
-          return &blocker;
-        }, blocker_),
-        &store_);
-  }
-
   CVectorRecordEncoder encoder_;
-  Blocker blocker_;
+  HbIndex index_;
   PairClassifier classifier_;
-  size_t blocking_groups_ = 0;
-  VectorStore store_;
   MatchStats stats_;
-  /// Probe scratch reused across match calls, so the steady-state stream
-  /// path allocates nothing per query.
-  Matcher::Scratch scratch_;
 };
 
 }  // namespace cbvlink

@@ -98,8 +98,6 @@ void BlockingTable::Append(size_t pos, uint32_t entry) {
   Slot& slot = slots_[pos];
   const uint64_t capacity = Capacity(slot);
   if (slot.size == capacity) {
-    // An empty bucket kept for its overflow bit counts again from here.
-    if (slot.size == 0 && slot.overflowed != 0) --num_kept_empty_;
     const uint64_t grown = std::bit_ceil(uint64_t{slot.size} + 1);
     if (capacity != 0 && slot.offset + capacity == entries_.size()) {
       // Already the last region of the entry array: extend in place.
@@ -307,24 +305,9 @@ void BlockingTable::BulkInsert(std::span<const uint64_t> keys,
   }
 }
 
-void BlockingTable::RestoreBucket(uint64_t key,
-                                  std::span<const uint32_t> slots,
-                                  bool overflowed) {
-  if (slots.empty() && !overflowed) return;
-  const size_t pos = FindOrClaimSlot(key);
-  for (const uint32_t slot : slots) Append(pos, slot);
-  if (overflowed) {
-    if (slots_[pos].size == 0 && slots_[pos].overflowed == 0) {
-      ++num_kept_empty_;
-    }
-    MarkOverflowed(pos);
-  }
-}
-
 std::vector<uint64_t> BlockingTable::OccupancyHistogram(size_t slots) const {
   std::vector<uint64_t> histogram(std::max<size_t>(slots, 1), 0);
   ForEachBucket([&](uint64_t, std::span<const uint32_t> bucket) {
-    if (bucket.empty()) return;
     const size_t slot = std::min(
         histogram.size() - 1,
         static_cast<size_t>(std::bit_width(bucket.size()) - 1));

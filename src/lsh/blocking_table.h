@@ -81,16 +81,6 @@ class BlockingTable {
   void BulkInsert(std::span<const uint64_t> keys,
                   std::span<const uint32_t> slots);
 
-  /// Snapshot restore: appends `slots` to the bucket for `key` without
-  /// applying the cap, and sets its overflow bit when `overflowed`.  An
-  /// empty `slots` leaves the table unchanged, except that an overflowed
-  /// key keeps an empty bucket carrying the bit: the entries it held may
-  /// all be gone while entries the cap dropped are still live.  Such a
-  /// bucket is left out of the bucket statistics until an entry lands
-  /// in it.
-  void RestoreBucket(uint64_t key, std::span<const uint32_t> slots,
-                     bool overflowed);
-
   /// True when the bucket for `key` has dropped entries at the cap.
   bool Overflowed(uint64_t key) const {
     if (num_overflowed_ == 0) return false;
@@ -128,7 +118,7 @@ class BlockingTable {
   }
 
   /// Number of non-empty buckets.
-  size_t NumBuckets() const { return num_claimed_ - num_kept_empty_; }
+  size_t NumBuckets() const { return num_claimed_; }
 
   /// Total stored entries across buckets.  O(1): maintained incrementally, so
   /// per-record diagnostics stay cheap on hot paths.
@@ -161,8 +151,7 @@ class BlockingTable {
 
   /// Calls f(key, bucket) — or f(key, bucket, overflowed) when `f` takes
   /// three arguments — once per bucket, in slot order (not key or
-  /// insertion order).  Each bucket's entries are in insertion order; a
-  /// bucket is empty only when RestoreBucket kept it for its overflow bit.
+  /// insertion order).  Each bucket's entries are in insertion order.
   template <typename F>
   void ForEachBucket(F&& f) const {
     for (const Slot& slot : slots_) {
@@ -235,10 +224,8 @@ class BlockingTable {
   int slot_shift_ = 64;
   std::vector<uint32_t> entries_;
   size_t bucket_cap_ = 0;
-  /// Claimed slots (what the load limit counts), and those among them
-  /// that RestoreBucket kept empty for their overflow bit.
+  /// Claimed slots: the buckets, and what the load limit counts.
   size_t num_claimed_ = 0;
-  size_t num_kept_empty_ = 0;
   size_t num_entries_ = 0;
   size_t max_bucket_size_ = 0;
   size_t num_overflowed_ = 0;

@@ -13,8 +13,8 @@
 //
 // Key of h_l: its K sampled bits, in sample order, packed most-significant
 // first into 64-bit chunks (a shorter last chunk holds any remainder),
-// folded as acc = HashCombine(acc, chunk) from acc = 0.  Snapshots store
-// bucket keys, so this definition is part of the on-disk format.
+// folded as acc = HashCombine(acc, chunk) from acc = 0.  Snapshots
+// store no keys (a restore recomputes them).
 //
 // The family computes all L keys of a vector in one table-driven pass
 // (DESIGN.md §9).  Every chunk of every function is a lane of the

@@ -1,6 +1,6 @@
 #include "src/protocol/party.h"
 
-#include "src/blocking/record_blocker.h"
+#include "src/blocking/hb_index.h"
 #include "src/common/thread_pool.h"
 #include "src/io/serialization.h"
 
@@ -73,21 +73,17 @@ Result<LinkageResultLite> LinkageUnit::LinkEncoded(
       layout_.total_bits(), options_.record_K, options_.record_theta,
       options_.delta, rng);
   if (!blocker.ok()) return blocker.status();
-  // Received ids are not checked for uniqueness: the store keeps a
-  // repeated id's first vector and slot, and the tables take its slots.
-  VectorStore store;
-  std::vector<uint32_t> slots;
-  store.AddAll(from_a, &slots);
-  blocker.value().BulkInsert(from_a, slots, ctx.pool(),
-                             ctx.chunk_size_hint());
+  // Received ids are not checked for uniqueness: a repeated id keeps its
+  // first vector and slot (HbIndex::InsertAll).
+  HbIndex index(std::move(blocker).value());
+  index.InsertAll(from_a, ctx.pool(), ctx.chunk_size_hint());
 
   LinkageResultLite result;
-  result.blocking_groups = blocker.value().L();
-  Matcher matcher(&blocker.value(), &store);
+  result.blocking_groups = index.blocking_groups();
   const PairClassifier classifier =
       MakeRuleClassifier(options_.rule, layout_);
   result.matches =
-      matcher.MatchAll(from_b, classifier, &result.stats, ctx.pool());
+      index.matcher().MatchAll(from_b, classifier, &result.stats, ctx.pool());
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <mutex>
+#include <span>
 #include <unordered_set>
 
 #include "src/common/failpoint.h"
@@ -34,11 +35,6 @@ void AtomicMaxRelaxed(std::atomic<uint64_t>* target, uint64_t value) {
                                         std::memory_order_relaxed)) {
   }
 }
-
-/// The num_shards field of every written snapshot.  The index is no
-/// longer sharded; the field keeps the old default so snapshot bytes do
-/// not change, and Restore still validates what a file carries.
-constexpr uint64_t kSnapshotNumShards = 16;
 
 /// A reader/writer lock whose waiting writers hold back new readers.
 /// glibc's std::shared_mutex prefers readers, so a steady stream of
@@ -70,24 +66,6 @@ class WriterPreferringMutex {
   pthread_rwlock_t rw_;
 };
 
-/// Every live record of `store`, sorted by id.
-std::vector<EncodedRecord> LiveRecords(const VectorStore& store) {
-  std::vector<uint32_t> live;
-  live.reserve(store.live_size());
-  for (uint32_t dense = 0; dense < store.size(); ++dense) {
-    if (!store.IsDead(dense)) live.push_back(dense);
-  }
-  std::sort(live.begin(), live.end(), [&](uint32_t x, uint32_t y) {
-    return store.IdAt(x) < store.IdAt(y);
-  });
-  std::vector<EncodedRecord> records;
-  records.reserve(live.size());
-  for (const uint32_t dense : live) {
-    records.push_back(EncodedRecord{store.IdAt(dense), store.VectorAt(dense)});
-  }
-  return records;
-}
-
 /// Per-thread matcher scratch (the stamp array and the staging buffers).
 /// Stamps are epoch-tagged per probe, so one scratch serves every core
 /// and every service a thread touches.
@@ -99,119 +77,60 @@ Matcher::Scratch& ThreadScratch() {
 }  // namespace
 
 struct LinkageService::Core {
-  Core(HammingLshFamily family, size_t bucket_cap)
-      : blocker(std::move(family), bucket_cap), matcher(&blocker, &store) {}
-  Core(const Core&) = delete;
-  Core& operator=(const Core&) = delete;
+  explicit Core(HbIndex index) : index(std::move(index)) {}
 
-  bool IsLive(RecordId id) const {
-    const uint32_t dense = store.DenseIndex(id);
-    return dense != VectorStore::kNotFound && !store.IsDead(dense);
-  }
-
-  /// Stores `record` without indexing it and returns its slot.  A live
-  /// id is removed first, so Add brings its slot back with the new bits
-  /// (overwrite, not first-wins); an insert of a tombstoned id resurrects
-  /// it.  Either way the id keeps its slot, so bucket entries written
-  /// for its old bits still name it.
-  uint32_t Store(const EncodedRecord& record) {
-    store.Remove(record.id);
-    const uint32_t slot = store.Add(record);
-    if (!tombstones.empty()) tombstones.erase(record.id);
-    return slot;
-  }
-
-  /// Store + index the record's blocking keys at its slot.
+  /// Overwrites `record` in its id's slot (HbIndex::Put): an update of a
+  /// live id, or an insert that brings a tombstoned id back.  Bucket
+  /// entries written for the id's old bits still name its slot.
   void Put(const EncodedRecord& record) {
-    blocker.Insert(record, Store(record));
+    index.Put(record);
+    if (!tombstones.empty()) tombstones.erase(record.id);
+  }
+
+  /// Put for every record, with `keys` = index.KeyMatrix(records).
+  void PutAll(std::span<const EncodedRecord> records,
+              std::span<const uint64_t> keys) {
+    index.PutAll(records, keys);
+    if (tombstones.empty()) return;
+    for (const EncodedRecord& record : records) tombstones.erase(record.id);
   }
 
   /// Sets `id`'s dead-slot bit and tombstones it; false when not live.
   bool Kill(RecordId id) {
-    if (!store.Remove(id)) return false;
+    if (!index.Remove(id)) return false;
     tombstones.insert(id);
     return true;
   }
 
-  /// Every live id.
-  std::vector<RecordId> LiveIds() const {
-    std::vector<RecordId> ids;
-    ids.reserve(store.live_size());
-    for (uint32_t dense = 0; dense < store.size(); ++dense) {
-      if (!store.IsDead(dense)) ids.push_back(store.IdAt(dense));
-    }
-    return ids;
+  /// The blocking tables: the service indexes record-level HB only.
+  const std::vector<BlockingTable>& tables() const {
+    return std::get<RecordLevelBlocker>(index.blocker()).tables();
   }
 
   size_t NumEntries() const {
     size_t total = 0;
-    for (const BlockingTable& table : blocker.tables()) {
-      total += table.NumEntries();
-    }
+    for (const BlockingTable& table : tables()) total += table.NumEntries();
     return total;
   }
 
   /// Mutators hold it exclusive; Match, snapshots and telemetry shared.
   mutable WriterPreferringMutex mu;
-  VectorStore store;
-  RecordLevelBlocker blocker;
-  Matcher matcher;
+  HbIndex index;
   /// Deleted ids awaiting compaction: the dead slots, plus ids a restored
   /// snapshot tombstoned (those have no slot).  Persisted by snapshots.
   std::unordered_set<RecordId> tombstones;
 };
 
 LinkageService::LinkageService(CbvHbConfig config,
-                               LinkageServiceOptions options)
+                               LinkageServiceOptions options,
+                               CbvHbParts parts)
     : config_(std::move(config)),
       options_(options),
-      epoch_(std::chrono::steady_clock::now()) {}
-
-Result<std::unique_ptr<LinkageService>> LinkageService::Create(
-    CbvHbConfig config, LinkageServiceOptions options,
-    const std::vector<Record>& calibration_sample) {
-  if (config.attribute_level_blocking) {
-    return Status::InvalidArgument(
-        "LinkageService indexes record-level HB blocking; "
-        "attribute-level structures are not supported");
-  }
-  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(config));
-  if (config.expected_qgrams.empty()) {
-    if (calibration_sample.empty()) {
-      return Status::InvalidArgument(
-          "linkage service needs expected_qgrams or a calibration sample");
-    }
-    config.expected_qgrams =
-        EstimateExpectedQGrams(config.schema, calibration_sample);
-  }
-  std::unique_ptr<LinkageService> service(
-      new LinkageService(std::move(config), options));
-  Status init = service->Init();
-  if (!init.ok()) return init;
-  return service;
-}
-
-Status LinkageService::Init() {
-  // The RNG consumption order (encoder, then family) must stay fixed:
-  // Restore() depends on the seed reproducing both exactly.
-  Rng rng(config_.seed);
-  Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
-      config_.schema, config_.expected_qgrams, rng, config_.sizing);
-  if (!encoder.ok()) return encoder.status();
-  encoder_.emplace(std::move(encoder).value());
-
-  // The blocker factory clamps K to the record width (deterministically:
-  // the clamp depends only on the persisted config) and derives L from
-  // Equation 2.  Keep its family: every core, Compact()'s successors
-  // included, is built over the identical blocking keys.
-  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
-      encoder_->total_bits(), config_.record_K, config_.record_theta,
-      config_.delta, rng);
-  if (!blocker.ok()) return blocker.status();
-  family_.emplace(blocker.value().family());
-  core_ = NewCore();
-
-  classifier_ = MakeRuleClassifier(config_.rule, encoder_->layout());
+      encoder_(std::move(parts.encoder)),
+      core_(std::make_shared<Core>(
+          parts.index.EmptyCopy(options.max_bucket_size))),
+      classifier_(std::move(parts.classifier)),
+      epoch_(std::chrono::steady_clock::now()) {
   const ExecutionOptions& exec = options_.execution;
   if (exec.pool != nullptr) {
     pool_ = exec.pool;
@@ -238,19 +157,44 @@ Status LinkageService::Init() {
   t_comparisons_ = reg.GetCounter("service_comparisons_total");
   t_matches_ = reg.GetCounter("service_matches_total");
   t_scan_fallbacks_ = reg.GetCounter("service_scan_fallbacks_total");
-  return Status::OK();
+}
+
+Result<std::unique_ptr<LinkageService>> LinkageService::Create(
+    CbvHbConfig config, LinkageServiceOptions options,
+    const std::vector<Record>& calibration_sample) {
+  if (config.attribute_level_blocking) {
+    return Status::InvalidArgument(
+        "LinkageService indexes record-level HB blocking; "
+        "attribute-level structures are not supported");
+  }
+  CBVLINK_RETURN_NOT_OK(ResolveExpectedQGrams(&config, calibration_sample));
+  // The engine's factory and draw order: Restore() depends on the seed
+  // reproducing the encoder and the LSH family exactly.
+  Rng rng(config.seed);
+  Result<CbvHbParts> parts = MakeCbvHbParts(config, rng);
+  if (!parts.ok()) return parts.status();
+  return std::unique_ptr<LinkageService>(new LinkageService(
+      std::move(config), options, std::move(parts).value()));
 }
 
 LinkageService::~LinkageService() { StopBackgroundCompaction(); }
 
-std::shared_ptr<LinkageService::Core> LinkageService::NewCore() const {
-  return std::make_shared<Core>(*family_, options_.max_bucket_size);
+std::shared_ptr<LinkageService::Core> LinkageService::BuildCore(
+    const std::vector<EncodedRecord>& records) const {
+  auto core = std::make_shared<Core>(
+      PinCore()->index.EmptyCopy(options_.max_bucket_size));
+  core->index.InsertAll(records, pool_);
+  return core;
+}
+
+size_t LinkageService::blocking_groups() const {
+  return PinCore()->index.blocking_groups();
 }
 
 size_t LinkageService::size() const {
   const std::shared_ptr<Core> core = PinCore();
   std::shared_lock lock(core->mu);
-  return core->store.live_size();
+  return core->index.store().live_size();
 }
 
 uint64_t LinkageService::NowNanos() const {
@@ -269,27 +213,29 @@ void LinkageService::RecordSpan(uint64_t start, uint64_t end,
   AtomicMaxRelaxed(last_end, end);
 }
 
-void LinkageService::InsertEncoded(const EncodedRecord& record) {
+bool LinkageService::Put(const EncodedRecord& record, bool only_live) {
   CBVLINK_FAILPOINT_DELAY("index.insert");
-  // Shared against the compactor: no insert may land between its
-  // survivor export and the epoch swap, or the record would vanish from
-  // the published core.
+  // Shared against the compactor: no write may land between its
+  // survivor export and the epoch swap, or it would vanish from the
+  // published core.
   std::shared_lock compaction_guard(compaction_mu_);
   const std::shared_ptr<Core> core = PinCore();
   std::unique_lock lock(core->mu);
+  if (only_live && !core->index.IsLive(record.id)) return false;
   core->Put(record);
   tombstone_count_.store(core->tombstones.size(), std::memory_order_relaxed);
+  return true;
 }
 
 Status LinkageService::InsertUnjournaled(const Record& record) {
   CBVLINK_FAILPOINT("service.insert");
   const uint64_t start = NowNanos();
   telemetry::TraceSpan encode_span("encode");
-  Result<EncodedRecord> encoded = encoder_->Encode(record);
+  Result<EncodedRecord> encoded = encoder_.Encode(record);
   encode_span.End();
   if (!encoded.ok()) return encoded.status();
   telemetry::TraceSpan insert_span("insert");
-  InsertEncoded(encoded.value());
+  Put(encoded.value());
   insert_span.End();
   const uint64_t end = NowNanos();
   inserts_.fetch_add(1, std::memory_order_relaxed);
@@ -326,22 +272,27 @@ Status LinkageService::JournalAppend(const MutationOp& op) {
   return journal->Append(op);
 }
 
-Status LinkageService::DeleteUnjournaled(RecordId id, uint64_t* sequence) {
-  CBVLINK_FAILPOINT("service.delete");
+bool LinkageService::Kill(RecordId id) {
   std::shared_lock compaction_guard(compaction_mu_);
   const std::shared_ptr<Core> core = PinCore();
   std::unique_lock lock(core->mu);
-  if (!core->Kill(id)) {
+  if (!core->Kill(id)) return false;
+  tombstone_count_.store(core->tombstones.size(), std::memory_order_relaxed);
+  deletes_.fetch_add(1, std::memory_order_relaxed);
+  t_deletes_->Add(1);
+  return true;
+}
+
+Status LinkageService::DeleteUnjournaled(RecordId id, uint64_t* sequence) {
+  CBVLINK_FAILPOINT("service.delete");
+  if (!Kill(id)) {
     return Status::NotFound(
         StrFormat("record %llu is not live", static_cast<unsigned long long>(id)));
   }
-  tombstone_count_.store(core->tombstones.size(), std::memory_order_relaxed);
   // Stamp the acknowledgement sequence AFTER the state change: a
   // snapshot reads the floor before exporting, so floor >= seq implies
   // the removal is already in the export.
   *sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
-  deletes_.fetch_add(1, std::memory_order_relaxed);
-  t_deletes_->Add(1);
   return Status::OK();
 }
 
@@ -349,20 +300,16 @@ Status LinkageService::UpdateUnjournaled(const Record& record,
                                          uint64_t* sequence) {
   CBVLINK_FAILPOINT("service.update");
   telemetry::TraceSpan encode_span("encode");
-  Result<EncodedRecord> encoded = encoder_->Encode(record);
+  Result<EncodedRecord> encoded = encoder_.Encode(record);
   encode_span.End();
   if (!encoded.ok()) return encoded.status();
-  std::shared_lock compaction_guard(compaction_mu_);
-  const std::shared_ptr<Core> core = PinCore();
-  std::unique_lock lock(core->mu);
-  if (!core->IsLive(record.id)) {
-    return Status::NotFound(StrFormat(
-        "record %llu is not live", static_cast<unsigned long long>(record.id)));
-  }
   // Bring the slot back with the new bits and index the new blocking
   // keys.  Keys from the previous bits stay until compaction; they only
   // ever produce candidates that classify on the new bits.
-  core->Put(encoded.value());
+  if (!Put(encoded.value(), /*only_live=*/true)) {
+    return Status::NotFound(StrFormat(
+        "record %llu is not live", static_cast<unsigned long long>(record.id)));
+  }
   *sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
   updates_.fetch_add(1, std::memory_order_relaxed);
   t_updates_->Add(1);
@@ -429,15 +376,7 @@ Result<bool> LinkageService::ApplyMutation(const MutationOp& op) {
         return false;  // at or below the snapshot's sequence floor
       }
       AtomicMaxRelaxed(&sequence_, op.sequence);
-      std::shared_lock compaction_guard(compaction_mu_);
-      const std::shared_ptr<Core> core = PinCore();
-      std::unique_lock lock(core->mu);
-      if (!core->Kill(op.record.id)) return false;  // idempotent
-      tombstone_count_.store(core->tombstones.size(),
-                             std::memory_order_relaxed);
-      deletes_.fetch_add(1, std::memory_order_relaxed);
-      t_deletes_->Add(1);
-      return true;
+      return Kill(op.record.id);  // idempotent
     }
     case MutationKind::kUpdate: {
       if (op.sequence != 0 &&
@@ -445,18 +384,13 @@ Result<bool> LinkageService::ApplyMutation(const MutationOp& op) {
         return false;
       }
       AtomicMaxRelaxed(&sequence_, op.sequence);
-      Result<EncodedRecord> encoded = encoder_->Encode(op.record);
+      Result<EncodedRecord> encoded = encoder_.Encode(op.record);
       if (!encoded.ok()) return encoded.status();
       // Upsert: in replay order the record existed when the update was
       // acknowledged, but a snapshot/journal overlap can present the
       // update before the insert frame is deduped — applying it as an
       // insert converges to the same state.
-      std::shared_lock compaction_guard(compaction_mu_);
-      const std::shared_ptr<Core> core = PinCore();
-      std::unique_lock lock(core->mu);
-      core->Put(encoded.value());
-      tombstone_count_.store(core->tombstones.size(),
-                             std::memory_order_relaxed);
+      Put(encoded.value());
       updates_.fetch_add(1, std::memory_order_relaxed);
       t_updates_->Add(1);
       return true;
@@ -478,7 +412,7 @@ std::shared_ptr<Journal> LinkageService::journal() const {
 bool LinkageService::Contains(RecordId id) const {
   const std::shared_ptr<Core> core = PinCore();
   std::shared_lock lock(core->mu);
-  return core->IsLive(id);
+  return core->index.IsLive(id);
 }
 
 Result<JournalReplayStats> LinkageService::ReplayJournalFile(
@@ -497,22 +431,26 @@ Result<JournalReplayStats> LinkageService::ReplayJournalFile(
   return stats;
 }
 
-Result<uint64_t> LinkageService::MergeSnapshotRecords(
-    const ServiceSnapshot& snapshot) {
-  const size_t expected_bits = encoder_->total_bits();
+Status LinkageService::CheckWidths(const ServiceSnapshot& snapshot) const {
   for (const EncodedRecord& record : snapshot.records) {
-    if (record.bits.size() != expected_bits) {
+    if (record.bits.size() != encoder_.total_bits()) {
       return Status::InvalidArgument(
           "snapshot record width does not match this service's encoder");
     }
   }
+  return Status::OK();
+}
+
+Result<uint64_t> LinkageService::MergeSnapshotRecords(
+    const ServiceSnapshot& snapshot) {
+  CBVLINK_RETURN_NOT_OK(CheckWidths(snapshot));
   uint64_t applied = 0;
   std::unordered_set<RecordId> snapshot_live;
   snapshot_live.reserve(snapshot.records.size());
   for (const EncodedRecord& record : snapshot.records) {
     snapshot_live.insert(record.id);
     if (Contains(record.id)) continue;
-    InsertEncoded(record);
+    Put(record);
     inserts_.fetch_add(1, std::memory_order_relaxed);
     t_inserts_->Add(1);
     ++applied;
@@ -527,28 +465,20 @@ Result<uint64_t> LinkageService::MergeSnapshotRecords(
       snapshot.tombstones.begin(), snapshot.tombstones.end());
   std::vector<RecordId> to_delete(snapshot.tombstones.begin(),
                                   snapshot.tombstones.end());
-  std::vector<RecordId> live;
   {
     const std::shared_ptr<Core> core = PinCore();
     std::shared_lock lock(core->mu);
-    live = core->LiveIds();
-  }
-  for (const RecordId id : live) {
-    if (!snapshot_live.contains(id) && !snapshot_tombstones.contains(id)) {
-      to_delete.push_back(id);
+    const VectorStore& store = core->index.store();
+    for (uint32_t slot = 0; slot < store.size(); ++slot) {
+      const RecordId id = store.IdAt(slot);
+      if (!store.IsDead(slot) && !snapshot_live.contains(id) &&
+          !snapshot_tombstones.contains(id)) {
+        to_delete.push_back(id);
+      }
     }
   }
   AtomicMaxRelaxed(&sequence_, snapshot.last_sequence);
-  for (RecordId id : to_delete) {
-    std::shared_lock compaction_guard(compaction_mu_);
-    const std::shared_ptr<Core> core = PinCore();
-    std::unique_lock lock(core->mu);
-    if (!core->Kill(id)) continue;
-    tombstone_count_.store(core->tombstones.size(), std::memory_order_relaxed);
-    deletes_.fetch_add(1, std::memory_order_relaxed);
-    t_deletes_->Add(1);
-    ++applied;
-  }
+  for (RecordId id : to_delete) applied += Kill(id) ? 1 : 0;
   return applied;
 }
 
@@ -565,16 +495,13 @@ Status LinkageService::Compact() {
   size_t before = 0;
   {
     std::shared_lock lock(old_core->mu);
-    survivors = LiveRecords(old_core->store);
+    survivors = old_core->index.store().LiveRecords();
     before = old_core->NumEntries();
   }
   // Deterministic rebuild: the arena and the tables over id-sorted
   // survivors are what a fresh build of the live set produces.  No core
   // lock is held, so the pool is free to run the table build.
-  std::shared_ptr<Core> fresh = NewCore();
-  std::vector<uint32_t> slots;
-  fresh->store.AddAll(survivors, &slots);
-  fresh->blocker.BulkInsert(survivors, slots, pool_);
+  std::shared_ptr<Core> fresh = BuildCore(survivors);
   const size_t after = fresh->NumEntries();
   const uint64_t reclaimed = before > after ? before - after : 0;
   {
@@ -645,7 +572,8 @@ void LinkageService::MatchEncoded(const EncodedRecord& b,
     telemetry::TraceSpan candidates_span("candidates");
     const std::shared_ptr<Core> core = PinCore();
     std::shared_lock lock(core->mu);
-    const bool saw_overflow = core->matcher.Probe(b.bits, &stats, &scratch);
+    const Matcher& matcher = core->index.matcher();
+    const bool saw_overflow = matcher.Probe(b.bits, &stats, &scratch);
     candidates_span.Annotate("occurrences", stats.candidate_occurrences);
     candidates_span.Annotate(
         "candidates", stats.candidate_occurrences - stats.dedup_skipped);
@@ -653,14 +581,14 @@ void LinkageService::MatchEncoded(const EncodedRecord& b,
     candidates_span.End();
 
     telemetry::TraceSpan compare_span("compare");
-    core->matcher.Classify(b, classifier_, out, &stats, &scratch);
+    matcher.Classify(b, classifier_, out, &stats, &scratch);
     if (saw_overflow &&
         options_.overflow_policy == OverflowPolicy::kScanFallback) {
       // A probed bucket dropped entries: preserve recall by classifying
       // every live record the probe did not reach, in one arena pass.
       scan_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       t_scan_fallbacks_->Add(1);
-      core->matcher.ClassifyUnstamped(b, classifier_, out, &stats, &scratch);
+      matcher.ClassifyUnstamped(b, classifier_, out, &stats, &scratch);
     }
     compare_span.Annotate("compared", stats.comparisons);
     compare_span.Annotate("matched", stats.matches);
@@ -686,7 +614,7 @@ Status LinkageService::Match(const Record& record,
   CBVLINK_FAILPOINT("service.match");
   const uint64_t start = NowNanos();
   telemetry::TraceSpan encode_span("encode");
-  Result<EncodedRecord> encoded = encoder_->Encode(record);
+  Result<EncodedRecord> encoded = encoder_.Encode(record);
   encode_span.End();
   if (!encoded.ok()) return encoded.status();
   MatchEncoded(encoded.value(), out);
@@ -705,7 +633,7 @@ Status LinkageService::MatchAndInsert(const Record& record,
   CBVLINK_FAILPOINT("service.insert");
   const uint64_t start = NowNanos();
   telemetry::TraceSpan encode_span("encode");
-  Result<EncodedRecord> encoded = encoder_->Encode(record);
+  Result<EncodedRecord> encoded = encoder_.Encode(record);
   encode_span.End();
   if (!encoded.ok()) return encoded.status();
   MatchEncoded(encoded.value(), out);
@@ -716,7 +644,7 @@ Status LinkageService::MatchAndInsert(const Record& record,
   t_queries_->Add(1);
   t_query_latency_->Record((mid - start) / 1000);
   telemetry::TraceSpan insert_span("insert");
-  InsertEncoded(encoded.value());
+  Put(encoded.value());
   insert_span.End();
   const uint64_t end = NowNanos();
   inserts_.fetch_add(1, std::memory_order_relaxed);
@@ -734,7 +662,7 @@ Status LinkageService::InsertBatch(const std::vector<Record>& records) {
   telemetry::TraceSpan encode_span("encode");
   encode_span.Annotate("records", records.size());
   Result<std::vector<EncodedRecord>> encoded =
-      encoder_->EncodeAll(records, pool_);
+      encoder_.EncodeAll(records, pool_);
   encode_span.End();
   if (!encoded.ok()) return encoded.status();
   {
@@ -745,14 +673,12 @@ Status LinkageService::InsertBatch(const std::vector<Record>& records) {
     // exclusive section below holds only the slot assignment and the
     // table merge.
     const std::vector<uint64_t> keys =
-        PinCore()->blocker.KeyMatrix(batch, pool_);
-    std::vector<uint32_t> slots(batch.size());
+        PinCore()->index.KeyMatrix(batch, pool_);
     std::shared_lock compaction_guard(compaction_mu_);
     const std::shared_ptr<Core> core = PinCore();
     std::unique_lock lock(core->mu);
-    for (size_t i = 0; i < batch.size(); ++i) slots[i] = core->Store(batch[i]);
-    // Serial: the pool's workers may be Matches waiting on this lock.
-    core->blocker.InsertKeys(batch, keys, slots);
+    // Inline: the pool's workers may be Matches waiting on this lock.
+    core->PutAll(batch, keys);
     tombstone_count_.store(core->tombstones.size(),
                            std::memory_order_relaxed);
   }
@@ -814,7 +740,7 @@ Status LinkageService::MatchBatch(const std::vector<Record>& records,
 ServiceSnapshot LinkageService::ExportSnapshot() const {
   ServiceSnapshot snapshot;
   // Shared against the compactor only: an epoch swap mid-export would
-  // tear the buckets/records/tombstones triple apart.  Mutators also
+  // tear the records/tombstones pair apart.  Mutators also
   // hold this lock shared, so they are unaffected.
   std::shared_lock compaction_guard(compaction_mu_);
   // Read the sequence floor FIRST: any delete/update stamped at or below
@@ -835,44 +761,21 @@ ServiceSnapshot LinkageService::ExportSnapshot() const {
   snapshot.sizing_max_collisions = config_.sizing.max_collisions;
   snapshot.sizing_confidence_ratio = config_.sizing.confidence_ratio;
   snapshot.seed = config_.seed;
-  snapshot.num_shards = kSnapshotNumShards;
   snapshot.max_bucket_size = options_.max_bucket_size;
   snapshot.overflow_policy = static_cast<uint32_t>(options_.overflow_policy);
-  // Copy the flat arena and tables under the shared lock (a few vector
-  // copies), then build the snapshot from the copies, so a writer — and,
-  // behind it, new Matches — waits for the copy only.  One lock makes
-  // the records, buckets and tombstones a consistent cut.  The tables
-  // hold arena slots; the snapshot names records by id, so each slot is
-  // written as the id stored there (a dead slot keeps its id).
+  // Copy the flat arena under the shared lock (a few vector copies), then
+  // build the records from the copy, so a writer — and, behind it, new
+  // Matches — waits for the copy only.  One lock makes the records and
+  // tombstones a consistent cut.
   VectorStore store;
-  std::vector<BlockingTable> tables;
   {
     const std::shared_ptr<Core> core = PinCore();
     std::shared_lock lock(core->mu);
-    store = core->store;
-    tables = core->blocker.tables();
+    store = core->index.store();
     snapshot.tombstones.assign(core->tombstones.begin(),
                                core->tombstones.end());
   }
-  snapshot.records = LiveRecords(store);
-  for (size_t group = 0; group < tables.size(); ++group) {
-    const size_t first = snapshot.buckets.size();
-    tables[group].ForEachBucket([&](uint64_t key,
-                                    std::span<const uint32_t> slots,
-                                    bool overflowed) {
-      std::vector<RecordId> ids(slots.size());
-      for (size_t i = 0; i < slots.size(); ++i) {
-        ids[i] = store.IdAt(slots[i]);
-      }
-      snapshot.buckets.push_back(
-          IndexBucketSnapshot{group, key, overflowed, std::move(ids)});
-    });
-    std::sort(snapshot.buckets.begin() + static_cast<ptrdiff_t>(first),
-              snapshot.buckets.end(),
-              [](const IndexBucketSnapshot& a, const IndexBucketSnapshot& b) {
-                return a.key < b.key;
-              });
-  }
+  snapshot.records = store.LiveRecords();
   std::sort(snapshot.tombstones.begin(), snapshot.tombstones.end());
   return snapshot;
 }
@@ -932,11 +835,6 @@ Status ValidateSnapshot(const ServiceSnapshot& snapshot) {
     return Status::InvalidArgument(
         "snapshot sizing_confidence_ratio must be finite and in (0, 1]");
   }
-  if (snapshot.num_shards == 0 ||
-      (snapshot.num_shards & (snapshot.num_shards - 1)) != 0) {
-    return Status::InvalidArgument(
-        "snapshot num_shards must be a nonzero power of two");
-  }
   if (snapshot.overflow_policy > 1) {
     return Status::InvalidArgument("snapshot overflow policy unknown");
   }
@@ -948,24 +846,10 @@ Status ValidateSnapshot(const ServiceSnapshot& snapshot) {
           "snapshot contains duplicate record ids");
     }
   }
-  std::unordered_set<RecordId> tombstoned;
-  tombstoned.reserve(snapshot.tombstones.size());
   for (RecordId id : snapshot.tombstones) {
     if (stored.contains(id)) {
       return Status::InvalidArgument(
           "snapshot tombstones a record id it also stores");
-    }
-    tombstoned.insert(id);
-  }
-  for (const IndexBucketSnapshot& bucket : snapshot.buckets) {
-    for (RecordId id : bucket.ids) {
-      // A tombstoned id may linger in buckets until compaction; anything
-      // else unbacked is corruption.
-      if (!stored.contains(id) && !tombstoned.contains(id)) {
-        return Status::InvalidArgument(
-            "snapshot bucket references a record id that is neither "
-            "stored nor tombstoned");
-      }
     }
   }
   return Status::OK();
@@ -1009,70 +893,27 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
   if (!service.ok()) return service.status();
   service.value()->owned_alphabets_ = std::move(alphabets);
 
-  const size_t expected_bits = service.value()->encoder_->total_bits();
-  for (const EncodedRecord& record : snapshot.records) {
-    if (record.bits.size() != expected_bits) {
-      return Status::InvalidArgument(
-          "snapshot record width does not match the restored encoder");
-    }
-  }
-  const size_t L = service.value()->blocking_groups();
-  for (const IndexBucketSnapshot& bucket : snapshot.buckets) {
-    if (bucket.group >= L) {
-      return Status::InvalidArgument("snapshot bucket group out of range");
-    }
-  }
-  // Validated; load the arena, then the buckets — one table per worker
-  // (the snapshot lists each group's buckets contiguously, sorted by
-  // group, but the split below does not rely on it).  Bucket ids become
-  // the slots the arena gave them.  A bucket may still name a deleted id
-  // (ids linger in buckets until compaction, and snapshots store only
-  // live records); it has no slot, matches nothing, and is dropped here
-  // and counted.
-  Core& core = *service.value()->core_;
-  std::vector<uint32_t> slots;
-  core.store.AddAll(snapshot.records, &slots);
-  core.blocker.AssignSlots(snapshot.records, slots);
-  std::vector<std::vector<const IndexBucketSnapshot*>> by_group(L);
-  for (const IndexBucketSnapshot& bucket : snapshot.buckets) {
-    by_group[bucket.group].push_back(&bucket);
-  }
-  std::atomic<uint64_t> dropped{0};
-  service.value()->pool_->ParallelFor(
-      L, [&](size_t, size_t begin, size_t end) {
-        std::vector<uint32_t> bucket_slots;
-        uint64_t unbacked = 0;
-        for (size_t group = begin; group < end; ++group) {
-          for (const IndexBucketSnapshot* bucket : by_group[group]) {
-            bucket_slots.clear();
-            for (const RecordId id : bucket->ids) {
-              const uint32_t slot = core.store.DenseIndex(id);
-              if (slot == VectorStore::kNotFound) {
-                ++unbacked;
-              } else {
-                bucket_slots.push_back(slot);
-              }
-            }
-            core.blocker.RestoreBucket(group, bucket->key, bucket_slots,
-                                       bucket->overflowed);
-          }
-        }
-        dropped.fetch_add(unbacked, std::memory_order_relaxed);
-      });
-  service.value()->restore_dropped_bucket_ids_.store(
-      dropped.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  service.value()->inserts_.store(snapshot.records.size(),
-                                  std::memory_order_relaxed);
+  LinkageService& restored = *service.value();
+  CBVLINK_RETURN_NOT_OK(restored.CheckWidths(snapshot));
+  // Records only: the index is rebuilt as Compact() rebuilds the live
+  // set, in id order.
+  std::vector<EncodedRecord> records = snapshot.records;
+  std::sort(records.begin(), records.end(),
+            [](const EncodedRecord& x, const EncodedRecord& y) {
+              return x.id < y.id;
+            });
+  restored.core_ = restored.BuildCore(records);
+  restored.inserts_.store(snapshot.records.size(),
+                          std::memory_order_relaxed);
   // Mutation state (version 3+; defaults for older snapshots): restored
   // tombstones keep deleted records dead across the restart, and the
   // sequence floor lets journal replay skip delete/update frames the
   // snapshot already reflects.
-  core.tombstones.insert(snapshot.tombstones.begin(),
-                         snapshot.tombstones.end());
-  service.value()->tombstone_count_.store(core.tombstones.size(),
-                                          std::memory_order_relaxed);
-  service.value()->sequence_.store(snapshot.last_sequence,
-                                   std::memory_order_relaxed);
+  restored.core_->tombstones.insert(snapshot.tombstones.begin(),
+                                    snapshot.tombstones.end());
+  restored.tombstone_count_.store(restored.core_->tombstones.size(),
+                                  std::memory_order_relaxed);
+  restored.sequence_.store(snapshot.last_sequence, std::memory_order_relaxed);
   return service;
 }
 
@@ -1116,8 +957,8 @@ ServiceMetrics LinkageService::metrics() const {
   {
     const std::shared_ptr<Core> core = PinCore();
     std::shared_lock lock(core->mu);
-    m.live_records = core->store.live_size();
-    for (const BlockingTable& table : core->blocker.tables()) {
+    m.live_records = core->index.store().live_size();
+    for (const BlockingTable& table : core->tables()) {
       m.dropped_entries += table.NumDropped();
     }
   }
@@ -1135,8 +976,6 @@ ServiceMetrics LinkageService::metrics() const {
   m.matches = matches_.load(std::memory_order_relaxed);
   m.scan_fallbacks = scan_fallbacks_.load(std::memory_order_relaxed);
   m.restore_fallbacks = restore_fallbacks_.load(std::memory_order_relaxed);
-  m.restore_dropped_bucket_ids =
-      restore_dropped_bucket_ids_.load(std::memory_order_relaxed);
   m.skipped_rows = skipped_rows_.load(std::memory_order_relaxed);
   m.insert_seconds =
       static_cast<double>(insert_nanos_.load(std::memory_order_relaxed)) * 1e-9;
@@ -1195,9 +1034,10 @@ void LinkageService::FillTelemetry(telemetry::Registry* registry) const {
   uint64_t overflowed = 0;
   const std::shared_ptr<Core> core = PinCore();
   std::shared_lock lock(core->mu);
-  const std::vector<BlockingTable>& tables = core->blocker.tables();
+  const std::vector<BlockingTable>& tables = core->tables();
   reg.GetGauge("lsh_tables")->Set(static_cast<double>(tables.size()));
-  reg.GetGauge("lsh_k")->Set(static_cast<double>(core->blocker.K()));
+  reg.GetGauge("lsh_k")->Set(static_cast<double>(
+      std::get<RecordLevelBlocker>(core->index.blocker()).K()));
   for (size_t l = 0; l < tables.size(); ++l) {
     const BlockingTable& table = tables[l];
     dropped += table.NumDropped();

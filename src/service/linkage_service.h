@@ -2,21 +2,21 @@
 //
 // The introduction motivates 120-bit embeddings with "nearly real-time
 // analysis ... involving streaming data"; this facade turns the one-shot
-// pipeline into that service: a fixed encoder over the batch engine's
-// structures (the VectorStore arena, the flat RecordLevelBlocker tables
-// and the stamped Matcher), behind thread-safe Match / MatchAndInsert
+// pipeline into that service: the batch engine's encoder, HbIndex and
+// classifier (MakeCbvHbParts) behind thread-safe Match / MatchAndInsert
 // calls, batch APIs driven by a thread pool, per-call latency and volume
-// counters, and snapshot/restore so a restarted process resumes warm from
-// disk (src/io/serialization.h).
+// counters, and snapshot/restore so a restarted process resumes warm
+// from disk (src/io/serialization.h).
 //
-// Concurrency model (DESIGN.md §15): the index is one *core* — arena,
-// tables and matcher — behind one reader/writer lock.  A Match pins the
-// current core and takes its lock shared once for the whole probe and
-// compare, so Matches never block each other.  Each mutation takes the
-// lock exclusive for its few table and arena writes (about a microsecond;
-// encoding and journaling happen outside it).  The lock prefers writers,
-// so a Match can wait for one in-flight or queued write, never for a
-// stream of them, and a write is never starved by back-to-back Matches.
+// Concurrency model (DESIGN.md §15): the index is one *core* — an
+// HbIndex plus the tombstone set — behind one reader/writer lock.  A
+// Match pins the current core and takes its lock shared once for the
+// whole probe and compare, so Matches never block each other.  Each
+// mutation takes the lock exclusive for its few table and arena writes
+// (about a microsecond; encoding and journaling happen outside it).  The
+// lock prefers writers, so a Match can wait for one in-flight or queued
+// write, never for a stream of them, and a write is never starved by
+// back-to-back Matches.
 // A MatchAndInsert is not atomic as a whole: two concurrent arrivals of
 // the same entity may each miss the other (both match before either
 // inserts) — the same anomaly any eventually-consistent ingest path has,
@@ -29,10 +29,11 @@
 // blocking keys; stale keys only produce candidates that classify on the
 // *current* bits, so results match a fresh build.  A background
 // compactor rebuilds the arena and the tables from the live survivors
-// (sorted by id) and publishes the new core with an atomic shared_ptr
-// swap — readers pin the core by holding the shared_ptr, so an in-flight
-// Match finishes on its epoch; match output is byte-identical before and
-// after compaction at any thread count.  Mutators hold a shared
+// (sorted by id), the same build a snapshot restore runs, and publishes
+// the new core with an atomic shared_ptr swap — readers pin the core by
+// holding the shared_ptr, so an in-flight Match finishes on its epoch;
+// match output is the same before and after compaction at any thread
+// count, but for the two cases Compact() names.  Mutators hold a shared
 // compaction lock; only the compactor's rebuild+swap takes it exclusive,
 // so compaction stalls writes (briefly) but never reads.
 
@@ -45,7 +46,6 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -56,7 +56,7 @@
 #include "src/common/thread_pool.h"
 #include "src/io/journal.h"
 #include "src/io/serialization.h"
-#include "src/linkage/cbv_hb_linker.h"
+#include "src/linkage/online_linker.h"
 #include "src/text/alphabet.h"
 
 namespace cbvlink {
@@ -80,7 +80,9 @@ enum class OverflowPolicy : uint32_t {
 /// Service-layer options on top of CbvHbConfig.
 struct LinkageServiceOptions {
   /// Bucket entry cap; 0 = unlimited.  A bucket keeps its first
-  /// max_bucket_size ids in insertion order and drops the rest.
+  /// max_bucket_size ids in insertion order and drops the rest.  A
+  /// compaction or a snapshot restore rebuilds the index in id order, so
+  /// a capped bucket then keeps its lowest live ids.
   size_t max_bucket_size = 0;
   OverflowPolicy overflow_policy = OverflowPolicy::kScanFallback;
   /// Execution policy for the batch APIs and snapshot restore.  A
@@ -117,9 +119,6 @@ struct ServiceMetrics {
   /// 1 when RestoreFromFile served this process from the .bak snapshot
   /// because the primary was corrupt.
   uint64_t restore_fallbacks = 0;
-  /// Bucket entries a restored snapshot named by an id it does not store
-  /// (records deleted before the snapshot); Restore drops them.
-  uint64_t restore_dropped_bucket_ids = 0;
   /// Malformed input rows the feeding layer skipped (RecordSkippedRows).
   uint64_t skipped_rows = 0;
   /// Busy time summed across calls — and across threads for the batch
@@ -165,16 +164,16 @@ class LinkageService {
       CbvHbConfig config, LinkageServiceOptions options = {},
       const std::vector<Record>& calibration_sample = {});
 
-  /// Rebuilds a service from a snapshot: the encoder and LSH family are
-  /// reproduced from the persisted configuration and seed; the store,
-  /// blocking tables, and (version 3+) the mutation state — tombstoned
-  /// ids and the delete/update sequence floor — are loaded from the
-  /// persisted data, so a restore keeps deleted records dead.  The
-  /// snapshot is semantically validated first (finite parameters,
-  /// power-of-two num_shards, known overflow policy, unique record ids,
-  /// tombstones disjoint from the records, every bucket id backed by a
-  /// stored or tombstoned record, record widths matching the rebuilt
-  /// encoder) — InvalidArgument on any violation.
+  /// Rebuilds a service from a snapshot: Create() over the persisted
+  /// configuration and seed (which reproduce the encoder and the LSH
+  /// family), then the id-sorted index build Compact() runs over the
+  /// persisted records, so the restored service answers as the saved one
+  /// would after Compact().  The mutation state (version 3+) — tombstoned
+  /// ids and the delete/update sequence floor — is loaded too, so a
+  /// restore keeps deleted records dead.  The snapshot is semantically
+  /// validated first (finite parameters, known overflow policy, unique
+  /// record ids, tombstones disjoint from the records, record widths
+  /// matching the rebuilt encoder) — InvalidArgument on any violation.
   static Result<std::unique_ptr<LinkageService>> Restore(
       const ServiceSnapshot& snapshot);
 
@@ -236,8 +235,10 @@ class LinkageService {
   /// (sorted by id) and publishes them with an atomic epoch swap: dead
   /// slots and stale bucket entries (tombstoned or superseded blocking
   /// keys) are gone, the tombstone set is cleared, and match output is
-  /// byte-identical before and after.  Blocks mutators for the rebuild
-  /// (the "compaction pause"); never blocks Match.
+  /// byte-identical before and after, except that a capped bucket now
+  /// keeps its lowest live ids and an updated record's old keys are
+  /// gone.  Blocks mutators for the rebuild (the "compaction pause");
+  /// never blocks Match.
   Status Compact();
 
   /// Starts the background compactor: every options().compaction_interval
@@ -330,21 +331,22 @@ class LinkageService {
   uint64_t last_sequence() const {
     return sequence_.load(std::memory_order_relaxed);
   }
-  size_t blocking_groups() const { return family_->L(); }
-  const CVectorRecordEncoder& encoder() const { return *encoder_; }
+  size_t blocking_groups() const;
+  const CVectorRecordEncoder& encoder() const { return encoder_; }
   const LinkageServiceOptions& options() const { return options_; }
 
  private:
-  /// One index epoch: the arena, the blocking tables and the matcher over
-  /// them, behind one reader/writer lock (linkage_service.cc).
+  /// One index epoch: an HbIndex and the tombstones, behind one
+  /// reader/writer lock (linkage_service.cc).
   struct Core;
 
-  LinkageService(CbvHbConfig config, LinkageServiceOptions options);
+  LinkageService(CbvHbConfig config, LinkageServiceOptions options,
+                 CbvHbParts parts);
 
-  Status Init();
-
-  /// An empty core over the service's LSH family and bucket cap.
-  std::shared_ptr<Core> NewCore() const;
+  /// A core over `records`, sorted by id, with the service's bucket cap:
+  /// what Compact() and Restore() publish.
+  std::shared_ptr<Core> BuildCore(
+      const std::vector<EncodedRecord>& records) const;
 
   /// Pins the current index epoch: the returned shared_ptr keeps that
   /// core alive even if the compactor publishes a successor mid-call; the
@@ -358,10 +360,20 @@ class LinkageService {
   /// `b` must be encoded by this service's encoder.
   void MatchEncoded(const EncodedRecord& b, std::vector<IdPair>* out) const;
 
-  void InsertEncoded(const EncodedRecord& record);
+  /// Writes `record` into the current core (an insert, an update, or
+  /// bringing a tombstoned id back).  With `only_live`, writes nothing
+  /// and returns false unless the id is live.
+  bool Put(const EncodedRecord& record, bool only_live = false);
 
   /// Insert without the journal append.
   Status InsertUnjournaled(const Record& record);
+
+  /// InvalidArgument unless the snapshot's records fit the encoder.
+  Status CheckWidths(const ServiceSnapshot& snapshot) const;
+
+  /// Tombstones `id` in the current core and counts the delete; false
+  /// when `id` is not live.
+  bool Kill(RecordId id);
 
   /// Delete/Update without the journal append (the batch paths journal
   /// themselves).  Each stamps and returns the acknowledgement sequence
@@ -382,13 +394,9 @@ class LinkageService {
   /// Alphabets reconstructed from a snapshot (Create()d services borrow
   /// the caller's alphabets instead).
   std::vector<std::unique_ptr<Alphabet>> owned_alphabets_;
-  std::optional<CVectorRecordEncoder> encoder_;
-  /// The LSH family, kept so Compact() can build a successor core with
-  /// identical blocking keys.
-  std::optional<HammingLshFamily> family_;
+  CVectorRecordEncoder encoder_;
   /// The current index epoch.  Readers pin it via PinCore(); Compact()
-  /// publishes a successor under the unique lock.  Never null after
-  /// Init().
+  /// publishes a successor under the unique lock.  Never null.
   mutable std::shared_mutex core_mu_;
   std::shared_ptr<Core> core_;
   PairClassifier classifier_;
@@ -414,7 +422,7 @@ class LinkageService {
   // ParallelFor keeps a per-call completion latch, so concurrent batch
   // calls share the pool without serializing on each other.  `pool_`
   // points at either the owned pool or a borrowed
-  // options_.execution.pool (never null after Init()).
+  // options_.execution.pool (never null).
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
 
@@ -447,7 +455,6 @@ class LinkageService {
   mutable std::atomic<uint64_t> matches_{0};
   mutable std::atomic<uint64_t> scan_fallbacks_{0};
   mutable std::atomic<uint64_t> restore_fallbacks_{0};
-  std::atomic<uint64_t> restore_dropped_bucket_ids_{0};
   mutable std::atomic<uint64_t> skipped_rows_{0};
   mutable std::atomic<uint64_t> insert_nanos_{0};
   mutable std::atomic<uint64_t> query_nanos_{0};
@@ -459,7 +466,7 @@ class LinkageService {
   mutable std::atomic<uint64_t> first_insert_start_ns_{UINT64_MAX};
   mutable std::atomic<uint64_t> last_insert_end_ns_{0};
 
-  // Process-wide telemetry handles (resolved once in Init(); the
+  // Process-wide telemetry handles (resolved once at construction; the
   // registry outlives every service, so raw pointers are safe).
   telemetry::Histogram* t_query_latency_ = nullptr;
   telemetry::Histogram* t_insert_latency_ = nullptr;

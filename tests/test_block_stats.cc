@@ -55,20 +55,6 @@ TEST(ComputeBucketStatsTest, SingleTable) {
   EXPECT_GT(stats.gini, 0.0);
 }
 
-TEST(ComputeBucketStatsTest, KeptEmptyBucketIsLeftOut) {
-  // A snapshot restore keeps an empty overflowed bucket for its bit; it
-  // holds nothing and is not described.
-  BlockingTable table(2);
-  table.RestoreBucket(5, std::vector<uint32_t>{}, true);
-  table.Insert(1, 10);
-  table.Insert(1, 11);
-  const BucketStats stats = ComputeBucketStats(table);
-  EXPECT_EQ(stats.num_buckets, 1u);
-  EXPECT_EQ(stats.num_entries, 2u);
-  EXPECT_DOUBLE_EQ(stats.mean_bucket, 2.0);
-  EXPECT_DOUBLE_EQ(stats.gini, 0.0);
-}
-
 TEST(ComputeBucketStatsTest, AggregatesAcrossTables) {
   std::vector<BlockingTable> tables(2);
   tables[0].Insert(1, 10);

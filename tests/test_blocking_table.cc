@@ -288,81 +288,8 @@ TEST(BlockingTableTest, EqualityIncludesOverflowBits) {
   BlockingTable plain;
   plain.Insert(1, 10);
   EXPECT_FALSE(capped == plain);
-  plain.RestoreBucket(2, std::vector<uint32_t>{}, false);  // no-op
   EXPECT_FALSE(plain.Overflowed(2));
   EXPECT_EQ(plain.NumBuckets(), 1u);
-}
-
-TEST(BlockingTableTest, RestoreBucketKeepsEmptyOverflowedBucket) {
-  // A capped bucket whose every entry was deleted before a snapshot
-  // restores with no entries; its overflow bit must survive, since the
-  // entries the cap dropped may still be live.  It holds nothing, so the
-  // bucket statistics leave it out until an entry lands in it.
-  BlockingTable table(2);
-  table.RestoreBucket(2, std::vector<uint32_t>{}, true);
-  table.RestoreBucket(2, std::vector<uint32_t>{}, true);
-  EXPECT_TRUE(table.Overflowed(2));
-  EXPECT_TRUE(table.Get(2).empty());
-  EXPECT_EQ(table.NumBuckets(), 0u);
-  EXPECT_EQ(table.MeanBucketSize(), 0.0);
-  EXPECT_EQ(table.NumOverflowed(), 1u);
-  EXPECT_EQ(table.NumEntries(), 0u);
-  EXPECT_EQ(table.OccupancyHistogram(4), (std::vector<uint64_t>{0, 0, 0, 0}));
-  size_t visited = 0;
-  table.ForEachBucket(
-      [&](uint64_t key, std::span<const uint32_t> bucket, bool overflowed) {
-        ++visited;
-        EXPECT_EQ(key, 2u);
-        EXPECT_TRUE(bucket.empty());
-        EXPECT_TRUE(overflowed);
-      });
-  EXPECT_EQ(visited, 1u);
-  // Later inserts land in it under the cap.
-  table.Insert(2, 7);
-  table.Insert(2, 8);
-  table.Insert(2, 9);  // dropped at the cap
-  EXPECT_EQ(std::vector<uint32_t>(table.Get(2).begin(), table.Get(2).end()),
-            (std::vector<uint32_t>{7, 8}));
-  EXPECT_EQ(table.NumDropped(), 1u);
-  EXPECT_EQ(table.NumBuckets(), 1u);
-  EXPECT_EQ(table.MeanBucketSize(), 2.0);
-}
-
-TEST(BlockingTableTest, BulkInsertAfterKeptEmptyBucketMatchesInserts) {
-  // A table holding only a kept-empty bucket is not empty: BulkInsert
-  // takes the Insert path, so the bucket fills under the cap and counts.
-  BlockingTable bulk(2);
-  BlockingTable serial(2);
-  for (BlockingTable* table : {&bulk, &serial}) {
-    table->RestoreBucket(2, std::vector<uint32_t>{}, true);
-  }
-  const std::vector<uint64_t> keys = {2, 3, 2, 2};
-  const std::vector<uint32_t> slots = {0, 1, 2, 3};
-  bulk.BulkInsert(keys, slots);
-  for (size_t i = 0; i < keys.size(); ++i) serial.Insert(keys[i], slots[i]);
-  EXPECT_TRUE(bulk == serial);
-  EXPECT_EQ(bulk.NumBuckets(), 2u);
-  EXPECT_EQ(bulk.NumDropped(), 1u);
-  EXPECT_TRUE(bulk.Overflowed(2));
-}
-
-TEST(BlockingTableTest, RestoreBucketIgnoresCapAndKeepsFlag) {
-  BlockingTable table(2);
-  const std::vector<uint32_t> ids = {5, 6, 7};
-  table.RestoreBucket(3, ids, true);
-  table.RestoreBucket(4, std::vector<uint32_t>{8}, false);
-  const auto bucket = table.Get(3);
-  EXPECT_EQ(std::vector<uint32_t>(bucket.begin(), bucket.end()), ids);
-  EXPECT_TRUE(table.Overflowed(3));
-  EXPECT_FALSE(table.Overflowed(4));
-  EXPECT_EQ(table.NumOverflowed(), 1u);
-  EXPECT_EQ(table.NumDropped(), 0u);  // restore drops nothing
-  // Later inserts see the cap: both buckets are at or past it or below.
-  table.Insert(3, 9);
-  table.Insert(4, 10);
-  EXPECT_EQ(table.Get(3).size(), 3u);
-  EXPECT_EQ(table.Get(4).size(), 2u);
-  EXPECT_EQ(table.NumDropped(), 1u);
 }
 
 TEST(BlockingTableTest, ProbeBatchEmitsBucketsInAddOrder) {
@@ -396,15 +323,12 @@ TEST(BlockingTableTest, ProbeBatchEmitsBucketsInAddOrder) {
 }
 
 TEST(BlockingTableTest, ProbeBatchReportsOverflowedBuckets) {
-  // Flush reports whether a resolved bucket dropped entries at the cap,
-  // including a bucket restored empty for its overflow bit, which emits
-  // no span; the service's scan fallback relies on it.
+  // Flush reports whether a resolved bucket dropped entries at the cap;
+  // the service's scan fallback relies on it.
   BlockingTable capped(1);
   capped.Insert(1, 10);
   capped.Insert(1, 11);  // dropped: bucket 1 overflows
   capped.Insert(2, 20);
-  BlockingTable restored(1);
-  restored.RestoreBucket(3, std::vector<uint32_t>{}, true);
   size_t spans = 0;
   const auto count = [&](std::span<const uint32_t>) { ++spans; };
   ProbeBatch batch;
@@ -413,9 +337,7 @@ TEST(BlockingTableTest, ProbeBatchReportsOverflowedBuckets) {
   batch.Add(capped, 2);
   batch.Add(capped, 1);
   EXPECT_TRUE(batch.Flush(count));
-  batch.Add(restored, 3);
-  EXPECT_TRUE(batch.Flush(count));
-  batch.Add(restored, 4);  // absent key
+  batch.Add(capped, 4);  // absent key
   EXPECT_FALSE(batch.Flush(count));
   EXPECT_EQ(spans, 3u);
 }

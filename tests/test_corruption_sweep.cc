@@ -19,6 +19,7 @@
 #include "src/datagen/generators.h"
 #include "src/io/serialization.h"
 #include "src/service/linkage_service.h"
+#include "tests/legacy_snapshot.h"
 
 namespace cbvlink {
 namespace {
@@ -48,16 +49,13 @@ ServiceSnapshot ReferenceSnapshot() {
   snapshot.record_theta = 3;
   snapshot.delta = 0.05;
   snapshot.seed = 99;
-  snapshot.num_shards = 8;
   snapshot.max_bucket_size = 128;
   snapshot.overflow_policy = 1;
   for (RecordId id = 0; id < 10; ++id) {
     snapshot.records.push_back(MakeRecord(id, 70, id + 1));
   }
-  snapshot.buckets = {
-      {0, 0x1234, false, {1, 2, 3}},
-      {2, 0xffff, true, {7}},
-  };
+  snapshot.tombstones = {20, 21};
+  snapshot.last_sequence = 5;
   return snapshot;
 }
 
@@ -101,6 +99,27 @@ TEST(CorruptionSweepTest, SnapshotByteFlipAtEveryOffsetIsRejected) {
       EXPECT_FALSE(st.ok())
           << "flip ^" << int{delta} << " at offset " << i << " was accepted";
     }
+  }
+}
+
+TEST(CorruptionSweepTest, LegacyV3SnapshotSweep) {
+  // A version 3 file still passes its num_shards and bucket section
+  // through the caps and the checksum before the reader drops them.
+  const std::string full = LegacyV3SnapshotBytes(
+      ReferenceSnapshot(), 8,
+      {{0, 0x1234, false, {1, 2, 3}}, {2, 0xffff, true, {7}}});
+  std::istringstream in(full);
+  Result<ServiceSnapshot> read = ReadServiceSnapshot(in);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value().records.size(), 10u);
+  EXPECT_EQ(read.value().tombstones, (std::vector<RecordId>{20, 21}));
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    EXPECT_FALSE(ReadSnapshotBytes(full.substr(0, cut)).ok()) << cut;
+  }
+  for (size_t i = 0; i < full.size(); ++i) {
+    std::string corrupt = full;
+    corrupt[i] = static_cast<char>(corrupt[i] ^ 0xFF);
+    EXPECT_FALSE(ReadSnapshotBytes(corrupt).ok()) << i;
   }
 }
 

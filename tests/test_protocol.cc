@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/hashing.h"
 #include "src/datagen/dataset.h"
 #include "src/datagen/generators.h"
 #include "src/eval/measures.h"
@@ -22,6 +23,15 @@ LinkageUnit::Options CharlieOptions() {
                             Rule::Pred(2, 4), Rule::Pred(3, 4)});
   options.record_theta = 4;
   return options;
+}
+
+/// Order-sensitive hash of a pair list, for the pinned-pair test.
+uint64_t HashPairs(const std::vector<IdPair>& pairs) {
+  uint64_t hash = Mix64(pairs.size());
+  for (const IdPair& pair : pairs) {
+    hash = HashCombine(HashCombine(hash, pair.a_id), pair.b_id);
+  }
+  return hash;
 }
 
 TEST(ProtocolTest, CustodiansAgreeOnIdenticalParameters) {
@@ -203,6 +213,38 @@ TEST(ProtocolTest, RepeatedIdsInReceivedAKeepTheFirstVector) {
   for (const IdPair& p : must_not_match) {
     EXPECT_FALSE(pairs.contains(p)) << p.a_id << "," << p.b_id;
   }
+}
+
+TEST(ProtocolTest, PinnedPairsLinkageUnit) {
+  // Alice and Bob encode a fixed data set under the published
+  // parameters; Charlie's pair list (byte for byte, in order), its size
+  // and the comparisons behind it are pinned.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  LinkagePairOptions options;
+  options.num_records = 2000;
+  options.seed = 2016;
+  Result<LinkagePair> data =
+      BuildLinkagePair(gen.value(), PerturbationScheme::Light(), options);
+  ASSERT_TRUE(data.ok());
+  const LinkageParameters parameters =
+      PublishedParameters(gen.value().schema());
+  Result<DataCustodian> alice = DataCustodian::Create("alice", parameters);
+  Result<DataCustodian> bob = DataCustodian::Create("bob", parameters);
+  ASSERT_TRUE(alice.ok());
+  ASSERT_TRUE(bob.ok());
+  LinkageUnit::Options unit_options = CharlieOptions();
+  unit_options.execution = ExecutionOptions::WithThreads(3);
+  Result<LinkageUnit> charlie = LinkageUnit::Create(parameters, unit_options);
+  ASSERT_TRUE(charlie.ok());
+  Result<LinkageResultLite> result = charlie.value().LinkEncoded(
+      alice.value().EncodeRecords(data.value().a).value(),
+      bob.value().EncodeRecords(data.value().b).value());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().matches.size(), 1018u);
+  EXPECT_EQ(result.value().stats.comparisons, 2269u);
+  EXPECT_EQ(HashPairs(result.value().matches), 0x39ef7343246fb92dULL);
+  EXPECT_EQ(result.value().blocking_groups, 6u);
 }
 
 TEST(ProtocolTest, WidthMismatchRejected) {

@@ -127,16 +127,11 @@ TEST(SerializationTest, ServiceSnapshotRoundTrip) {
   snapshot.sizing_max_collisions = 2.0;
   snapshot.sizing_confidence_ratio = 0.25;
   snapshot.seed = 99;
-  snapshot.num_shards = 8;
   snapshot.max_bucket_size = 128;
   snapshot.overflow_policy = 1;
   for (RecordId id = 0; id < 10; ++id) {
     snapshot.records.push_back(MakeRecord(id, 40, id + 1));
   }
-  snapshot.buckets = {
-      {0, 0x1234, false, {1, 2, 3}},
-      {2, 0xffff, true, {7}},
-  };
 
   std::stringstream stream;
   ASSERT_TRUE(WriteServiceSnapshot(snapshot, stream).ok());
@@ -158,18 +153,12 @@ TEST(SerializationTest, ServiceSnapshotRoundTrip) {
   EXPECT_DOUBLE_EQ(got.sizing_max_collisions, 2.0);
   EXPECT_DOUBLE_EQ(got.sizing_confidence_ratio, 0.25);
   EXPECT_EQ(got.seed, 99u);
-  EXPECT_EQ(got.num_shards, 8u);
   EXPECT_EQ(got.max_bucket_size, 128u);
   EXPECT_EQ(got.overflow_policy, 1u);
   ASSERT_EQ(got.records.size(), 10u);
   for (size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(got.records[i].bits, snapshot.records[i].bits);
   }
-  ASSERT_EQ(got.buckets.size(), 2u);
-  EXPECT_EQ(got.buckets[1].group, 2u);
-  EXPECT_EQ(got.buckets[1].key, 0xffffu);
-  EXPECT_TRUE(got.buckets[1].overflowed);
-  EXPECT_EQ(got.buckets[1].ids, (std::vector<RecordId>{7}));
 }
 
 TEST(SerializationTest, ServiceSnapshotForeignMagicRejected) {

@@ -12,10 +12,13 @@
 
 #include "src/common/failpoint.h"
 #include "src/common/hamming_kernels.h"
+#include "src/common/hashing.h"
 #include "src/datagen/dataset.h"
 #include "src/datagen/generators.h"
 #include "src/linkage/cbv_hb_linker.h"
+#include "src/linkage/online_linker.h"
 #include "src/telemetry/metrics.h"
+#include "tests/legacy_snapshot.h"
 
 namespace cbvlink {
 namespace {
@@ -46,6 +49,33 @@ std::vector<Record> GenerateRecords(const NcvrGenerator& gen, size_t n,
 std::vector<IdPair> Sorted(std::vector<IdPair> pairs) {
   std::sort(pairs.begin(), pairs.end());
   return pairs;
+}
+
+/// Order-sensitive hash of a pair list, for the pinned-pair test.
+uint64_t HashPairs(const std::vector<IdPair>& pairs) {
+  uint64_t hash = Mix64(pairs.size());
+  for (const IdPair& pair : pairs) {
+    hash = HashCombine(HashCombine(hash, pair.a_id), pair.b_id);
+  }
+  return hash;
+}
+
+/// The replies of `service` to `queries`, one list per query.
+std::vector<std::vector<IdPair>> Replies(const LinkageService& service,
+                                         const std::vector<Record>& queries) {
+  std::vector<std::vector<IdPair>> replies(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(service.Match(queries[i], &replies[i]).ok());
+  }
+  return replies;
+}
+
+/// `records` as queries under fresh ids (offset + id).
+std::vector<Record> AsQueries(const std::vector<Record>& records,
+                              RecordId offset) {
+  std::vector<Record> queries = records;
+  for (Record& q : queries) q.id += offset;
+  return queries;
 }
 
 TEST(ServiceTest, RejectsAttributeLevelBlocking) {
@@ -497,12 +527,16 @@ TEST(ServiceTest, SnapshotRestoreRoundTripIdenticalMatches) {
 TEST(ServiceTest, InsertBatchTablesEqualSerialInserts) {
   // InsertBatch computes the key matrix before taking the index lock and
   // merges it under the lock.  Into empty and into non-empty tables, and
-  // with ids that repeat across and within batches, the buckets (ids in
-  // order, overflow bits) equal those of one Insert per record.
+  // with ids that repeat across and within batches, the tables equal
+  // those of one Insert per record.  HbIndexTest.PutAllEqualsPutLoop
+  // compares the tables bucket by bucket; here they are compared through
+  // all the service shows of them: per-table health, the capped buckets'
+  // contents through truncated matches, and the snapshot bytes.
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());
   LinkageServiceOptions options;
   options.max_bucket_size = 6;
+  options.overflow_policy = OverflowPolicy::kTruncate;
   options.execution = ExecutionOptions::WithThreads(3);
   Result<std::unique_ptr<LinkageService>> batched =
       LinkageService::Create(BaseConfig(gen.value().schema()), options);
@@ -522,22 +556,30 @@ TEST(ServiceTest, InsertBatchTablesEqualSerialInserts) {
     ASSERT_TRUE(batched.value()->InsertBatch(*batch).ok());
     for (const Record& r : *batch) ASSERT_TRUE(serial.value()->Insert(r).ok());
   }
-  const ServiceSnapshot x = batched.value()->ExportSnapshot();
-  const ServiceSnapshot y = serial.value()->ExportSnapshot();
-  size_t overflowed = 0;
-  ASSERT_EQ(x.buckets.size(), y.buckets.size());
-  for (size_t i = 0; i < x.buckets.size(); ++i) {
-    EXPECT_EQ(x.buckets[i].group, y.buckets[i].group);
-    EXPECT_EQ(x.buckets[i].key, y.buckets[i].key);
-    EXPECT_EQ(x.buckets[i].overflowed, y.buckets[i].overflowed);
-    EXPECT_EQ(x.buckets[i].ids, y.buckets[i].ids);
-    overflowed += x.buckets[i].overflowed ? 1 : 0;
+  telemetry::Registry x;
+  telemetry::Registry y;
+  batched.value()->FillTelemetry(&x);
+  serial.value()->FillTelemetry(&y);
+  for (size_t l = 0; l < batched.value()->blocking_groups(); ++l) {
+    for (const char* name : {"lsh_table_buckets", "lsh_table_entries",
+                             "lsh_table_max_bucket"}) {
+      EXPECT_EQ(Gauge(x, name, "table", l), Gauge(y, name, "table", l))
+          << name << " " << l;
+    }
   }
-  EXPECT_GT(overflowed, 0u);
+  EXPECT_GT(Gauge(x, "lsh_overflowed_buckets"), 0.0);
+  EXPECT_EQ(Gauge(x, "lsh_overflowed_buckets"),
+            Gauge(y, "lsh_overflowed_buckets"));
+  EXPECT_EQ(Gauge(x, "lsh_dropped_entries"), Gauge(y, "lsh_dropped_entries"));
+  for (const std::vector<Record>* batch : {&first, &second}) {
+    const std::vector<Record> queries = AsQueries(*batch, 90000);
+    EXPECT_EQ(Replies(*batched.value(), queries),
+              Replies(*serial.value(), queries));
+  }
   std::stringstream bx;
   std::stringstream by;
-  ASSERT_TRUE(WriteServiceSnapshot(x, bx).ok());
-  ASSERT_TRUE(WriteServiceSnapshot(y, by).ok());
+  ASSERT_TRUE(batched.value()->SaveSnapshot(bx).ok());
+  ASSERT_TRUE(serial.value()->SaveSnapshot(by).ok());
   EXPECT_EQ(bx.str(), by.str());
 }
 
@@ -590,9 +632,9 @@ TEST(ServiceTest, UpdateThenMatchEqualsFreshBuild) {
 
 TEST(ServiceTest, RestoreDropsDeletedBucketIdsAndMatchesAsBefore) {
   // Snapshots store only live records, while a deleted id lingers in
-  // its buckets until compaction.  Restore drops those entries (the id
-  // has no slot) and counts them; the restored service matches exactly
-  // as the original did before the snapshot.
+  // its buckets until compaction.  Restore rebuilds the tables from the
+  // live records, so those entries are gone; the restored service
+  // matches exactly as the original did before the snapshot.
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());
   Result<std::unique_ptr<LinkageService>> created =
@@ -625,8 +667,14 @@ TEST(ServiceTest, RestoreDropsDeletedBucketIdsAndMatchesAsBefore) {
   Result<std::unique_ptr<LinkageService>> restored =
       LinkageService::Restore(snapshot.value());
   ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored.value()->metrics().restore_dropped_bucket_ids,
-            deleted * service.blocking_groups());
+  telemetry::Registry telemetry;
+  restored.value()->FillTelemetry(&telemetry);
+  double entries = 0;
+  for (size_t l = 0; l < service.blocking_groups(); ++l) {
+    entries += Gauge(telemetry, "lsh_table_entries", "table", l);
+  }
+  EXPECT_EQ(entries, static_cast<double>((registry.size() - deleted) *
+                                         service.blocking_groups()));
   EXPECT_EQ(restored.value()->size(), registry.size() - deleted);
   size_t linked = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -638,72 +686,177 @@ TEST(ServiceTest, RestoreDropsDeletedBucketIdsAndMatchesAsBefore) {
   EXPECT_GE(linked, registry.size() - deleted);
 }
 
-TEST(ServiceTest, SnapshotRoundTripKeepsBucketsAndOverflowBits) {
-  // Export -> restore -> export again gives the same buckets (group, key,
-  // overflow bit, ids in order), records and tombstones, and the same
-  // bytes on disk.
+TEST(ServiceTest, RestoreEqualsCompaction) {
+  // Snapshots hold records only; Restore rebuilds the index the way
+  // Compact() does, from the live records in id order.  Two replies may
+  // differ from the live service's, exactly as after a compaction: a
+  // capped bucket keeps its lowest ids, and an updated record's old
+  // bits no longer make it a candidate.  The restored service answers
+  // as the saved one does after Compact(), and export -> restore ->
+  // export gives the same bytes.
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());
   LinkageServiceOptions options;
   options.max_bucket_size = 4;
+  options.overflow_policy = OverflowPolicy::kTruncate;
   Result<std::unique_ptr<LinkageService>> created =
       LinkageService::Create(BaseConfig(gen.value().schema()), options);
   ASSERT_TRUE(created.ok());
   LinkageService& service = *created.value();
   std::vector<Record> registry = GenerateRecords(gen.value(), 100, 3);
-  for (size_t i = 1; i < 8; ++i) {  // seven copies of record 0 overflow
+  for (size_t i = 1; i < 8; ++i) {
+    // Seven copies of record 0 overflow the cap.  Their ids fall as they
+    // arrive, so the live buckets keep other ids than a rebuild does.
     registry[i] = registry[0];
-    registry[i].id = i;
+    registry[i].id = 1000 - i;
   }
   ASSERT_TRUE(service.InsertBatch(registry).ok());
   ASSERT_TRUE(service.Delete(registry[50].id).ok());
+  ASSERT_TRUE(service.Delete(registry[3].id).ok());
+  Record updated = registry[60];
+  updated.fields = registry[61].fields;
+  ASSERT_TRUE(service.Update(updated).ok());
+  EXPECT_GT(service.metrics().dropped_entries, 0u);
 
-  const ServiceSnapshot snapshot = service.ExportSnapshot();
-  EXPECT_EQ(snapshot.num_shards, 16u);
-  EXPECT_EQ(snapshot.tombstones, std::vector<RecordId>{registry[50].id});
-  size_t overflowed = 0;
-  for (size_t i = 0; i < snapshot.buckets.size(); ++i) {
-    if (snapshot.buckets[i].overflowed) ++overflowed;
-    EXPECT_LE(snapshot.buckets[i].ids.size(), 4u);
-    if (i > 0) {
-      const IndexBucketSnapshot& prev = snapshot.buckets[i - 1];
-      EXPECT_TRUE(prev.group != snapshot.buckets[i].group
-                      ? prev.group < snapshot.buckets[i].group
-                      : prev.key < snapshot.buckets[i].key)
-          << "buckets sorted by (group, key)";
+  std::stringstream saved;
+  ASSERT_TRUE(service.SaveSnapshot(saved).ok());
+  Result<ServiceSnapshot> snapshot = ReadServiceSnapshot(saved);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  Result<std::unique_ptr<LinkageService>> restored =
+      LinkageService::Restore(snapshot.value());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+
+  ASSERT_TRUE(service.Compact().ok());
+  std::vector<Record> queries = AsQueries(registry, 60000);
+  queries.push_back(registry[60]);
+  queries.back().id = 70000;
+  EXPECT_EQ(Replies(*restored.value(), queries), Replies(service, queries));
+  EXPECT_EQ(restored.value()->metrics().dropped_entries,
+            service.metrics().dropped_entries);
+  std::stringstream again;
+  ASSERT_TRUE(restored.value()->SaveSnapshot(again).ok());
+  EXPECT_EQ(again.str(), saved.str());
+}
+
+/// The bucket section a version 3 writer saved for `records` inserted in
+/// order into a fresh service over `config` with `bucket_cap`: every
+/// table's buckets sorted by key, each bucket's ids in insertion order.
+std::vector<LegacyBucket> LegacyBuckets(const CbvHbConfig& config,
+                                        size_t bucket_cap,
+                                        const std::vector<Record>& records) {
+  Rng rng(config.seed);
+  Result<CbvHbParts> parts = MakeCbvHbParts(config, rng);
+  EXPECT_TRUE(parts.ok());
+  HbIndex index = parts.value().index.EmptyCopy(bucket_cap);
+  index.InsertAll(parts.value().encoder.EncodeAll(records).value());
+  const std::vector<BlockingTable>& tables =
+      std::get<RecordLevelBlocker>(index.blocker()).tables();
+  std::vector<LegacyBucket> buckets;
+  for (size_t group = 0; group < tables.size(); ++group) {
+    const size_t first = buckets.size();
+    tables[group].ForEachBucket([&](uint64_t key,
+                                    std::span<const uint32_t> slots,
+                                    bool overflowed) {
+      LegacyBucket bucket{group, key, overflowed, {}};
+      for (const uint32_t slot : slots) {
+        bucket.ids.push_back(index.store().IdAt(slot));
+      }
+      buckets.push_back(std::move(bucket));
+    });
+    std::sort(buckets.begin() + static_cast<ptrdiff_t>(first), buckets.end(),
+              [](const LegacyBucket& x, const LegacyBucket& y) {
+                return x.key < y.key;
+              });
+  }
+  return buckets;
+}
+
+TEST(ServiceTest, RestoresV3SnapshotsWithBuckets) {
+  // A version 3 file carries num_shards and the saved buckets.  Restore
+  // reads them and rebuilds the tables from the records instead.
+  // Uncapped and without updates, the rebuilt tables hold what the saved
+  // buckets held, so the restored service answers as the saved one did
+  // before the snapshot (and as a restore of the saved buckets did);
+  // capped, it answers as the saved one does after Compact().
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const CbvHbConfig config = BaseConfig(gen.value().schema());
+  std::vector<Record> registry = GenerateRecords(gen.value(), 80, 12);
+  for (size_t i = 1; i < 6; ++i) {
+    registry[i] = registry[0];
+    registry[i].id = 900 - i;
+  }
+  const std::vector<Record> queries = AsQueries(registry, 50000);
+  for (const size_t cap : {size_t{0}, size_t{3}}) {
+    LinkageServiceOptions options;
+    options.max_bucket_size = cap;
+    options.overflow_policy = OverflowPolicy::kTruncate;
+    Result<std::unique_ptr<LinkageService>> created =
+        LinkageService::Create(config, options);
+    ASSERT_TRUE(created.ok());
+    LinkageService& service = *created.value();
+    ASSERT_TRUE(service.InsertBatch(registry).ok());
+    ASSERT_TRUE(service.Delete(registry[40].id).ok());
+    const std::vector<std::vector<IdPair>> before = Replies(service, queries);
+
+    const std::vector<LegacyBucket> buckets =
+        LegacyBuckets(config, cap, registry);
+    ASSERT_FALSE(buckets.empty());
+    std::istringstream in(
+        LegacyV3SnapshotBytes(service.ExportSnapshot(), 16, buckets));
+    Result<ServiceSnapshot> snapshot = ReadServiceSnapshot(in);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    Result<std::unique_ptr<LinkageService>> restored =
+        LinkageService::Restore(snapshot.value());
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored.value()->size(), registry.size() - 1);
+    EXPECT_FALSE(restored.value()->Contains(registry[40].id));
+    if (cap == 0) {
+      EXPECT_EQ(Replies(*restored.value(), queries), before);
+    } else {
+      ASSERT_TRUE(service.Compact().ok());
+      EXPECT_EQ(Replies(*restored.value(), queries),
+                Replies(service, queries));
     }
   }
-  EXPECT_EQ(overflowed, service.blocking_groups());
+}
 
-  // The deleted record's id lingers in its buckets, but the snapshot
-  // stores no vector for it: Restore drops it from every bucket (and a
-  // bucket left empty with it, unless overflowed) and counts the drops.
-  ServiceSnapshot expected = snapshot;
-  size_t lingering = 0;
-  std::erase_if(expected.buckets, [&](IndexBucketSnapshot& bucket) {
-    lingering += std::erase(bucket.ids, registry[50].id);
-    return bucket.ids.empty() && !bucket.overflowed;
-  });
-  EXPECT_EQ(lingering, service.blocking_groups());
-
-  Result<std::unique_ptr<LinkageService>> restored =
-      LinkageService::Restore(snapshot);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored.value()->metrics().restore_dropped_bucket_ids,
-            lingering);
-  const ServiceSnapshot round = restored.value()->ExportSnapshot();
-  ASSERT_EQ(round.buckets.size(), expected.buckets.size());
-  for (size_t i = 0; i < expected.buckets.size(); ++i) {
-    EXPECT_EQ(round.buckets[i].group, expected.buckets[i].group);
-    EXPECT_EQ(round.buckets[i].key, expected.buckets[i].key);
-    EXPECT_EQ(round.buckets[i].overflowed, expected.buckets[i].overflowed);
-    EXPECT_EQ(round.buckets[i].ids, expected.buckets[i].ids);
+TEST(ServiceTest, PinnedServedPairs) {
+  // A fixed registry, a few deletes and updates, and a fixed query set:
+  // the served pairs (in reply order), their count and the comparisons
+  // behind them are pinned.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  LinkagePairOptions data_options;
+  data_options.num_records = 2000;
+  data_options.seed = 2016;
+  Result<LinkagePair> data = BuildLinkagePair(
+      gen.value(), PerturbationScheme::Light(), data_options);
+  ASSERT_TRUE(data.ok());
+  const std::vector<Record>& a = data.value().a;
+  LinkageServiceOptions options;
+  options.execution = ExecutionOptions::WithThreads(3);
+  Result<std::unique_ptr<LinkageService>> created =
+      LinkageService::Create(BaseConfig(gen.value().schema()), options);
+  ASSERT_TRUE(created.ok());
+  LinkageService& service = *created.value();
+  ASSERT_TRUE(service.InsertBatch(a).ok());
+  for (size_t i = 0; i < a.size(); i += 97) {
+    ASSERT_TRUE(service.Delete(a[i].id).ok());
   }
-  std::stringstream first;
-  std::stringstream second;
-  ASSERT_TRUE(WriteServiceSnapshot(expected, first).ok());
-  ASSERT_TRUE(restored.value()->SaveSnapshot(second).ok());
-  EXPECT_EQ(first.str(), second.str());
+  for (size_t i = 5; i + 1 < a.size(); i += 101) {
+    if (!service.Contains(a[i].id)) continue;
+    Record updated = a[i];
+    updated.fields = a[i + 1].fields;
+    ASSERT_TRUE(service.Update(updated).ok());
+  }
+  std::vector<IdPair> served;
+  for (const Record& query : data.value().b) {
+    ASSERT_TRUE(service.Match(query, &served).ok());
+  }
+  EXPECT_EQ(served.size(), 1007u);
+  EXPECT_EQ(service.metrics().comparisons, 1878u);
+  EXPECT_EQ(HashPairs(served), 0xe7f781348e586a71ULL);
 }
 
 // A decoded-but-inconsistent snapshot must be rejected by Restore's
@@ -732,22 +885,6 @@ class RestoreValidationTest : public ::testing::Test {
   ServiceSnapshot snapshot_;
 };
 
-TEST_F(RestoreValidationTest, DanglingBucketIdRejected) {
-  ASSERT_FALSE(snapshot_.buckets.empty());
-  snapshot_.buckets[0].ids.push_back(999999);
-  ExpectRejected("bucket id not in stored records");
-}
-
-TEST_F(RestoreValidationTest, ForeignBucketGroupRejected) {
-  ASSERT_FALSE(snapshot_.buckets.empty());
-  Result<std::unique_ptr<LinkageService>> baseline =
-      LinkageService::Restore(snapshot_);
-  ASSERT_TRUE(baseline.ok());
-  // Valid groups are 0 .. L-1.
-  snapshot_.buckets.back().group = baseline.value()->blocking_groups();
-  ExpectRejected("bucket group >= L");
-}
-
 TEST_F(RestoreValidationTest, DuplicateRecordIdsRejected) {
   ASSERT_GE(snapshot_.records.size(), 2u);
   snapshot_.records[1].id = snapshot_.records[0].id;
@@ -755,13 +892,19 @@ TEST_F(RestoreValidationTest, DuplicateRecordIdsRejected) {
 }
 
 TEST_F(RestoreValidationTest, ZeroShardsRejected) {
-  snapshot_.num_shards = 0;
-  ExpectRejected("num_shards == 0");
+  // Versions 1-3 carried num_shards; a value no writer produced still
+  // marks the file as corrupt.
+  std::istringstream in(LegacyV3SnapshotBytes(snapshot_, 0, {}));
+  EXPECT_EQ(ReadServiceSnapshot(in).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(RestoreValidationTest, NonPowerOfTwoShardsRejected) {
-  snapshot_.num_shards = 6;
-  ExpectRejected("num_shards not a power of two");
+  std::istringstream in(LegacyV3SnapshotBytes(snapshot_, 6, {}));
+  EXPECT_EQ(ReadServiceSnapshot(in).status().code(),
+            StatusCode::kInvalidArgument);
+  std::istringstream valid(LegacyV3SnapshotBytes(snapshot_, 8, {}));
+  EXPECT_TRUE(ReadServiceSnapshot(valid).ok());
 }
 
 TEST_F(RestoreValidationTest, NonFiniteDeltaRejected) {

@@ -328,11 +328,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->seed = std::strtoull(v, nullptr, 10);
     } else if (flag == "--num-threads") {
       if (!next_size(&args->threads)) return false;
-    } else if (flag == "--shards") {
-      // The index is no longer sharded; old command lines keep working.
-      size_t ignored = 0;
-      if (!next_size(&ignored)) return false;
-      std::fprintf(stderr, "cbvlink_serve: --shards is ignored\n");
     } else if (flag == "--max-bucket") {
       if (!next_size(&args->max_bucket)) return false;
     } else if (flag == "--overflow") {
