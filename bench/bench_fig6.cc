@@ -7,12 +7,17 @@
 // A x B on the embedded vectors, since the rules themselves define what
 // counts as a match (the NOT of C3 makes perturbation ground truth the
 // wrong reference).
+//
+// Each attribute-level cell also reports its query cost: the wall time of
+// the serial MatchAll over B per query, and the comparisons per query.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/blocking/hb_index.h"
+#include "src/common/stopwatch.h"
 #include "src/eval/measures.h"
 
 namespace cbvlink {
@@ -26,10 +31,13 @@ struct RuleCase {
 struct Outcome {
   double pc = 0.0;
   double pq = 0.0;
+  double us_per_query = 0.0;
+  double comparisons_per_query = 0.0;
 };
 
 /// Runs one (rule, blocking mode) cell and returns PC / PQ against the
-/// exhaustive rule-defined match set.
+/// exhaustive rule-defined match set, and the serial MatchAll's cost per
+/// B record.
 Outcome RunCell(const Rule& rule, bool attribute_level,
                 const CVectorRecordEncoder& encoder,
                 const std::vector<EncodedRecord>& enc_a,
@@ -56,9 +64,12 @@ Outcome RunCell(const Rule& rule, bool attribute_level,
                     "blocker");
   HbIndex index(std::move(blocker).value());
   index.InsertAll(enc_a);
+  const PairClassifier classifier = MakeRuleClassifier(rule, encoder.layout());
   MatchStats stats;
-  const std::vector<IdPair> found = index.matcher().MatchAll(
-      enc_b, MakeRuleClassifier(rule, encoder.layout()), &stats);
+  const Stopwatch watch;
+  const std::vector<IdPair> found =
+      index.matcher().MatchAll(enc_b, classifier, &stats);
+  const double match_s = watch.ElapsedSeconds();
 
   size_t hits = 0;
   PairSet unique_found;
@@ -73,6 +84,9 @@ Outcome RunCell(const Rule& rule, bool attribute_level,
   out.pq = stats.comparisons == 0
                ? 0.0
                : static_cast<double>(hits) / stats.comparisons;
+  const double queries = static_cast<double>(std::max<size_t>(1, enc_b.size()));
+  out.us_per_query = match_s * 1e6 / queries;
+  out.comparisons_per_query = static_cast<double>(stats.comparisons) / queries;
   return out;
 }
 
@@ -92,15 +106,16 @@ void Run() {
       {"C3", Rule::And({Rule::Pred(0, 4), Rule::Not(Rule::Pred(1, 4))})},
   };
 
-  std::printf("%-4s %14s %14s %14s %14s\n", "rule", "PC(attr)", "PC(std)",
-              "PQ(attr)", "PQ(std)");
+  std::printf("%-4s %14s %14s %14s %14s %14s %14s\n", "rule", "PC(attr)",
+              "PC(std)", "PQ(attr)", "PQ(std)", "us/q(attr)", "cmp/q(attr)");
 
   const std::string csv_dir = CsvDirFromEnv();
   std::optional<CsvWriter> csv;
   if (!csv_dir.empty()) {
     Result<CsvWriter> w = CsvWriter::Open(
         csv_dir + "/fig6.csv",
-        {"rule", "pc_attr", "pc_std", "pq_attr", "pq_std"});
+        {"rule", "pc_attr", "pc_std", "pq_attr", "pq_std", "us_per_query_attr",
+         "comparisons_per_query_attr"});
     if (w.ok()) csv.emplace(std::move(w).value());
   }
 
@@ -152,17 +167,21 @@ void Run() {
                   rule_matches, seed + 13);
       attr_sum.pc += attr.pc;
       attr_sum.pq += attr.pq;
+      attr_sum.us_per_query += attr.us_per_query;
+      attr_sum.comparisons_per_query += attr.comparisons_per_query;
       std_sum.pc += standard.pc;
       std_sum.pq += standard.pq;
     }
     const double r = static_cast<double>(reps);
-    std::printf("%-4s %14.3f %14.3f %14.5f %14.5f\n", rule_case.name,
-                attr_sum.pc / r, std_sum.pc / r, attr_sum.pq / r,
-                std_sum.pq / r);
+    std::printf("%-4s %14.3f %14.3f %14.5f %14.5f %14.1f %14.1f\n",
+                rule_case.name, attr_sum.pc / r, std_sum.pc / r,
+                attr_sum.pq / r, std_sum.pq / r, attr_sum.us_per_query / r,
+                attr_sum.comparisons_per_query / r);
     if (csv.has_value()) {
-      csv->WriteNumericRow(rule_case.name,
-                           {attr_sum.pc / r, std_sum.pc / r, attr_sum.pq / r,
-                            std_sum.pq / r});
+      csv->WriteNumericRow(
+          rule_case.name,
+          {attr_sum.pc / r, std_sum.pc / r, attr_sum.pq / r, std_sum.pq / r,
+           attr_sum.us_per_query / r, attr_sum.comparisons_per_query / r});
     }
   }
   std::printf(

@@ -91,10 +91,10 @@ void Run() {
   }
   bench::EmitBenchJson("BENCH_service.json", series);
   std::printf(
-      "\nReading: both phases parallelize over the pool; shard striping "
-      "keeps writer\ncontention low and queries take shared locks only, so "
-      "batch matching should\nscale near-linearly until probe work saturates "
-      "memory bandwidth.\n");
+      "\nReading: both phases parallelize over the pool. Inserts encode and "
+      "compute their\nblocking keys before taking the index's one writer "
+      "lock, and queries take it\nshared, so batch matching should scale "
+      "near-linearly until probe work\nsaturates memory bandwidth.\n");
 }
 
 }  // namespace

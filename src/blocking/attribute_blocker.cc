@@ -1,7 +1,6 @@
 #include "src/blocking/attribute_blocker.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/common/str.h"
 #include "src/common/thread_pool.h"
@@ -221,16 +220,11 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
 }
 
 void AttributeLevelBlocker::StructureKeys(const Structure& s,
-                                          const BitVector& bv,
+                                          const uint64_t* words,
                                           std::span<uint64_t> keys) {
   for (size_t i = 0; i < s.families.size(); ++i) {
-    s.families[i].Keys(bv, keys.subspan(i * s.L, s.L));
+    s.families[i].Keys(words, keys.subspan(i * s.L, s.L));
   }
-}
-
-void AttributeLevelBlocker::Retain(uint32_t slot, const BitVector& bits) {
-  if (slot >= indexed_.size()) indexed_.resize(size_t{slot} + 1);
-  if (indexed_[slot].size() == 0) indexed_[slot] = bits;
 }
 
 void AttributeLevelBlocker::Insert(const EncodedRecord& record,
@@ -238,12 +232,11 @@ void AttributeLevelBlocker::Insert(const EncodedRecord& record,
   AssignSlots({&record, 1}, {&slot, 1});
   for (Structure& s : structures_) {
     KeyBuffer keys(s.tables.size());
-    StructureKeys(s, record.bits, keys.span());
+    StructureKeys(s, record.bits.words().data(), keys.span());
     for (size_t t = 0; t < s.tables.size(); ++t) {
       s.tables[t].Insert(keys[t], slot);
     }
   }
-  if (!single_structure()) Retain(slot, record.bits);
 }
 
 void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
@@ -273,7 +266,7 @@ std::vector<uint64_t> AttributeLevelBlocker::KeyMatrix(
                                               size_t end) {
     KeyBuffer row(total_tables);
     for (size_t i = begin; i < end; ++i) {
-      AllKeys(records[i].bits, row.span());
+      AllKeys(records[i].bits.words().data(), row.span());
       for (size_t t = 0; t < total_tables; ++t) keys[t * n + i] = row[t];
     }
   });
@@ -300,13 +293,6 @@ void AttributeLevelBlocker::InsertKeys(std::span<const EncodedRecord> records,
                           tables[t]->BulkInsert(keys.subspan(t * n, n), slots);
                         }
                       });
-
-  // The retained vectors serve only the membership check of
-  // multi-structure rules; filled in record order, so the first vector
-  // of a repeated slot wins exactly as under Insert().
-  if (!single_structure()) {
-    for (size_t i = 0; i < n; ++i) Retain(slots[i], records[i].bits);
-  }
 }
 
 AttributeLevelBlocker AttributeLevelBlocker::EmptyCopy(
@@ -323,15 +309,15 @@ AttributeLevelBlocker AttributeLevelBlocker::EmptyCopy(
                                generating_);
 }
 
-void AttributeLevelBlocker::AllKeys(const BitVector& bv,
+void AttributeLevelBlocker::AllKeys(const uint64_t* words,
                                     std::span<uint64_t> keys) const {
   for (const Structure& s : structures_) {
-    StructureKeys(s, bv, keys.subspan(s.first_key, s.tables.size()));
+    StructureKeys(s, words, keys.subspan(s.first_key, s.tables.size()));
   }
 }
 
 bool AttributeLevelBlocker::CollidesInStructure(
-    const Structure& s, const BitVector& a, std::span<const uint64_t> keys) {
+    const Structure& s, const uint64_t* a, std::span<const uint64_t> keys) {
   KeyBuffer keys_a(s.tables.size());
   StructureKeys(s, a, keys_a.span());
   for (size_t t = 0; t < s.tables.size(); ++t) {
@@ -341,7 +327,7 @@ bool AttributeLevelBlocker::CollidesInStructure(
 }
 
 bool AttributeLevelBlocker::EvaluateExpr(
-    const Expr& expr, const BitVector& a,
+    const Expr& expr, const uint64_t* a,
     std::span<const uint64_t> b_keys) const {
   switch (expr.kind) {
     case Expr::Kind::kStructure:
@@ -365,13 +351,30 @@ bool AttributeLevelBlocker::EvaluateExpr(
 bool AttributeLevelBlocker::FormulatedByRule(const BitVector& a,
                                              const BitVector& b) const {
   KeyBuffer b_keys(TotalTables());
-  AllKeys(b, b_keys.span());
-  return EvaluateExpr(expr_, a, b_keys.span());
+  AllKeys(b.words().data(), b_keys.span());
+  return EvaluateExpr(expr_, a.words().data(), b_keys.span());
 }
 
-bool AttributeLevelBlocker::ForEachProbedBucket(
-    std::span<const uint64_t> keys,
+void AttributeLevelBlocker::FilterFormulated(const BitVector& probe,
+                                             const uint64_t* rows,
+                                             size_t stride,
+                                             std::span<const uint32_t> slots,
+                                             uint8_t* keep) const {
+  KeyBuffer probe_keys(TotalTables());
+  AllKeys(probe.words().data(), probe_keys.span());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    keep[i] = EvaluateExpr(expr_, rows + size_t{slots[i]} * stride,
+                           probe_keys.span())
+                  ? 1
+                  : 0;
+  }
+}
+
+bool AttributeLevelBlocker::ForEachSlotSpan(
+    const BitVector& probe,
     FunctionRef<void(std::span<const uint32_t>)> cb) const {
+  KeyBuffer keys(TotalTables());
+  AllKeys(probe.words().data(), keys.span());
   ProbeBatch batch;
   bool overflowed = false;
   for (size_t si : generating_) {
@@ -388,29 +391,6 @@ bool AttributeLevelBlocker::ForEachProbedBucket(
     }
   }
   return batch.Flush(cb) || overflowed;
-}
-
-bool AttributeLevelBlocker::ForEachSlotSpan(
-    const BitVector& probe,
-    FunctionRef<void(std::span<const uint32_t>)> cb) const {
-  // The probe's keys in every structure, computed once: the buckets are
-  // found by them, and each fresh candidate of a multi-structure rule is
-  // checked against them.
-  KeyBuffer keys(TotalTables());
-  AllKeys(probe, keys.span());
-  // A single structure formulates every pair it generates: emit the raw
-  // buckets and leave de-duplication to the caller.
-  if (single_structure()) return ForEachProbedBucket(keys.span(), cb);
-  std::unordered_set<uint32_t> seen;
-  return ForEachProbedBucket(
-      keys.span(), [&](std::span<const uint32_t> bucket) {
-        for (const uint32_t slot : bucket) {
-          if (!seen.insert(slot).second) continue;
-          if (EvaluateExpr(expr_, indexed_[slot], keys.span())) {
-            cb(std::span<const uint32_t>(&slot, 1));
-          }
-        }
-      });
 }
 
 size_t AttributeLevelBlocker::TotalTables() const {

@@ -14,9 +14,11 @@
 //
 // Each structure gets its own L from Equation 2 with the rule-composed
 // probability (Eqs. 10-11), so blocking adapts to how strict each part of
-// the rule is.  Candidate generation probes the positive structures and
-// discards pairs the rule-expression says were "never formulated" — the
-// behaviour that gives Figure 6 its C3 gap.
+// the rule is.  Candidate generation probes the positive structures; the
+// matcher then drops the fresh candidates whose pair the rule expression
+// says was "never formulated" (FilterFormulated, over the candidates'
+// arena rows) — the behaviour that gives Figure 6 its C3 gap.  The
+// blocker keeps no vectors of its own.
 
 #ifndef CBVLINK_BLOCKING_ATTRIBUTE_BLOCKER_H_
 #define CBVLINK_BLOCKING_ATTRIBUTE_BLOCKER_H_
@@ -65,14 +67,12 @@ class AttributeLevelBlocker : public SlotCandidateSource {
 
   /// Inserts data set A's records, record i at `slots[i]` (the slot
   /// VectorStore::Add / AddAll returned for it), into every structure's
-  /// tables and, for multi-structure rules, retains their vectors for
-  /// rule-membership evaluation.  Two-phase parallel build (see
+  /// tables.  Two-phase parallel build (see
   /// RecordLevelBlocker::BulkInsert): phase 1 computes every structure's
   /// keys into a key matrix, one column per table, over `pool`; phase 2
   /// merges each of the TotalTables() tables in record order (inline
-  /// when `pool` is null or has one worker).  Tables and the retained
-  /// vectors are identical in content to an Insert() loop at any thread
-  /// count.
+  /// when `pool` is null or has one worker).  The tables are identical
+  /// in content to an Insert() loop at any thread count.
   void BulkInsert(std::span<const EncodedRecord> records,
                   std::span<const uint32_t> slots, ThreadPool* pool = nullptr,
                   size_t min_chunk = 0);
@@ -83,8 +83,7 @@ class AttributeLevelBlocker : public SlotCandidateSource {
                   ThreadPool* pool = nullptr, size_t min_chunk = 0);
 
   /// The two phases of BulkInsert, as RecordLevelBlocker's: the key
-  /// matrix (one column per table, in AllKeys() order), then the merge,
-  /// which also retains the vectors multi-structure rules need.
+  /// matrix (one column per table, in AllKeys() order), then the merge.
   std::vector<uint64_t> KeyMatrix(std::span<const EncodedRecord> records,
                                   ThreadPool* pool = nullptr,
                                   size_t min_chunk = 0) const;
@@ -95,19 +94,28 @@ class AttributeLevelBlocker : public SlotCandidateSource {
   /// Inserts a single record (streaming ingestion) at `slot`.
   void Insert(const EncodedRecord& record, uint32_t slot);
 
-  /// Candidates of `probe`: slots colliding with it in the generating
-  /// structures and whose pair passes the structure-membership expression
-  /// (pairs ruled out by a NOT or a missing conjunct are never emitted).
-  /// When the rule lowers to a single structure (e.g. C1, or any flat
-  /// AND/OR of predicates) every collision is formulated, so each probed
-  /// bucket is emitted as one span over the table's own storage, repeats
-  /// across groups included, in group order (the matcher's stamps
-  /// de-duplicate).  Otherwise each slot is emitted at most once, as a
-  /// single-slot span.  Either way the probe runs key-first
-  /// (BlockingTable's ProbeBatch).
+  /// Candidates of `probe`: the slots colliding with it in the
+  /// generating structures.  Each probed bucket is emitted as one span
+  /// over the table's own storage, repeats across groups included, in
+  /// group order (the matcher's stamps de-duplicate); the probe runs
+  /// key-first (BlockingTable's ProbeBatch).  Under a rule that lowers
+  /// to several structures (C2, C3) a collision need not be formulated:
+  /// FilterFormulated decides that.
   bool ForEachSlotSpan(
       const BitVector& probe,
       FunctionRef<void(std::span<const uint32_t>)> cb) const override;
+
+  /// True when the rule lowered to one structure (e.g. C1, or any flat
+  /// AND/OR of predicates): every collision is then formulated.
+  bool FormulatesEveryPair() const override {
+    return expr_.kind == Expr::Kind::kStructure;
+  }
+
+  /// keep[i] = FormulatedByRule(row of slots[i], probe), with the
+  /// probe's keys computed once.
+  void FilterFormulated(const BitVector& probe, const uint64_t* rows,
+                        size_t stride, std::span<const uint32_t> slots,
+                        uint8_t* keep) const override;
 
   /// True iff the pair (a, b) is formulated according to the rule's
   /// blocking structures (Section 5.4 compound-rule semantics).
@@ -160,53 +168,33 @@ class AttributeLevelBlocker : public SlotCandidateSource {
         expr_(std::move(expr)),
         generating_(std::move(generating)) {}
 
-  /// The key of `bv` in every table of structure `s`: keys[t] for
-  /// s.tables[t].  AND: group l's key under the structure's one family.
-  /// OR: predicate i's key of group l at i * L + l.  One key pass per
-  /// family; `keys` holds s.tables.size() keys.
-  static void StructureKeys(const Structure& s, const BitVector& bv,
+  /// The key of the vector packed in `words` in every table of
+  /// structure `s`: keys[t] for s.tables[t].  AND: group l's key under
+  /// the structure's one family.  OR: predicate i's key of group l at
+  /// i * L + l.  One key pass per family; `keys` holds s.tables.size()
+  /// keys.
+  static void StructureKeys(const Structure& s, const uint64_t* words,
                             std::span<uint64_t> keys);
 
-  /// The keys of `bv` in every structure: structure s's StructureKeys
+  /// The keys of `words` in every structure: structure s's StructureKeys
   /// at keys[s.first_key, s.first_key + s.tables.size()).  `keys` holds
   /// TotalTables() keys.
-  void AllKeys(const BitVector& bv, std::span<uint64_t> keys) const;
+  void AllKeys(const uint64_t* words, std::span<uint64_t> keys) const;
 
   /// True iff `a` collides in structure `s`, in any group/table, with
   /// the vector whose AllKeys() are `keys`.
-  static bool CollidesInStructure(const Structure& s, const BitVector& a,
+  static bool CollidesInStructure(const Structure& s, const uint64_t* a,
                                   std::span<const uint64_t> keys);
 
   /// The rule's expression on (a, b), b given by its AllKeys().
-  bool EvaluateExpr(const Expr& expr, const BitVector& a,
+  bool EvaluateExpr(const Expr& expr, const uint64_t* a,
                     std::span<const uint64_t> b_keys) const;
-
-  /// True when the rule lowered to one structure: every generated pair
-  /// is formulated, so no membership check (and no indexed_) is needed.
-  bool single_structure() const {
-    return expr_.kind == Expr::Kind::kStructure;
-  }
-
-  /// Calls `cb` with every non-empty bucket the probe whose AllKeys()
-  /// are `keys` maps to in the generating structures, in group order,
-  /// key-first.  Returns true when one of them has dropped entries at
-  /// its cap.
-  bool ForEachProbedBucket(
-      std::span<const uint64_t> keys,
-      FunctionRef<void(std::span<const uint32_t>)> cb) const;
-
-  /// Retains `bits` as the vector at `slot` for multi-structure rules;
-  /// the first vector written to a slot wins, as in VectorStore.
-  void Retain(uint32_t slot, const BitVector& bits);
 
   Rule rule_;
   std::vector<Structure> structures_;
   Expr expr_;
   /// Structures probed for candidate generation.
   std::vector<size_t> generating_;
-  /// A-side vectors retained for membership evaluation, by slot (an
-  /// empty BitVector: none yet); left empty for single-structure rules.
-  std::vector<BitVector> indexed_;
 };
 
 }  // namespace cbvlink

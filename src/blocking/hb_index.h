@@ -24,8 +24,9 @@ class ThreadPool;
 
 /// Arena + HB blocker + matcher.  Keys a removed or overwritten vector
 /// was indexed under stay in the tables until a rebuild (EmptyCopy +
-/// InsertAll); they only yield candidates the matcher skips or
-/// classifies on the current bits.  Not thread-safe.
+/// InsertAll); they only yield candidates the matcher skips or checks,
+/// rule membership and classification alike, on the current bits.  Not
+/// thread-safe.
 class HbIndex {
  public:
   using Blocker = std::variant<RecordLevelBlocker, AttributeLevelBlocker>;

@@ -321,7 +321,7 @@ bool Matcher::Probe(const BitVector& probe, MatchStats* stats,
   // Stage every first-seen live candidate while walking the bucket
   // spans; Classify then takes the probe's whole fresh set in one call.
   std::vector<uint32_t>& fresh_dense = scratch->fresh_dense_;
-  return source_->ForEachSlotSpan(
+  const bool overflowed = source_->ForEachSlotSpan(
       probe, [&](std::span<const uint32_t> bucket) {
         stats->candidate_occurrences += bucket.size();
         for (const uint32_t slot : bucket) {
@@ -336,6 +336,25 @@ bool Matcher::Probe(const BitVector& probe, MatchStats* stats,
           fresh_dense.push_back(slot);
         }
       });
+  if (source_->FormulatesEveryPair() || fresh_dense.empty()) return overflowed;
+  // A compound rule: keep, in order, the staged slots whose arena rows
+  // form a formulated pair with the probe.  A dropped slot loses its
+  // stamp, so ClassifyUnstamped still compares it.
+  std::vector<uint8_t>& keep = scratch->verdicts_;
+  if (keep.size() < fresh_dense.size()) keep.resize(fresh_dense.size());
+  source_->FilterFormulated(probe, store_a_->arena().data(),
+                            store_a_->words_per_record(), fresh_dense,
+                            keep.data());
+  size_t kept = 0;
+  for (size_t i = 0; i < fresh_dense.size(); ++i) {
+    if (keep[i] != 0) {
+      fresh_dense[kept++] = fresh_dense[i];
+    } else {
+      stamps[fresh_dense[i]] = 0;
+    }
+  }
+  fresh_dense.resize(kept);
+  return overflowed;
 }
 
 void Matcher::Classify(const EncodedRecord& b,

@@ -53,8 +53,10 @@ class ThreadPool;
 
 /// Counters accumulated by the matcher.
 struct MatchStats {
-  /// Candidate occurrences delivered by the blocking mechanism, including
-  /// duplicates across blocking groups.
+  /// Candidate occurrences delivered by the blocking mechanism: every
+  /// slot of every probed bucket, duplicates across blocking groups
+  /// included, and under a compound rule (C2, C3) also the collisions
+  /// the rule does not formulate.
   uint64_t candidate_occurrences = 0;
   /// Distinct pairs actually compared — the |CR| of the PQ and RR
   /// measures.
@@ -288,12 +290,15 @@ class Matcher {
       fresh_dense_.clear();
     }
 
-    /// stamps_[slot] == epoch_  <=>  slot already seen this probe.
+    /// stamps_[slot] == epoch_  <=>  slot already seen this probe; after
+    /// Probe, under a compound rule, also formulated (no epoch is 0, so
+    /// 0 clears a stamp).
     std::vector<uint32_t> stamps_;
     uint32_t epoch_ = 0;
     /// Batch staging: the dense indices of the probe's fresh
-    /// (first-seen, live) candidates in arrival order, and their
-    /// verdicts.  Capacity persists across probes, so steady state never
+    /// (first-seen, live, formulated) candidates in arrival order, and
+    /// their verdicts (in Probe, the rule filter's keep flags).
+    /// Capacity persists across probes, so steady state never
     /// allocates.
     std::vector<uint32_t> fresh_dense_;
     std::vector<uint8_t> verdicts_;
@@ -320,6 +325,10 @@ class Matcher {
 
   /// MatchOne's candidates stage: walks `probe`'s bucket slots, stamps
   /// every candidate in `scratch` and stages the first-seen live ones.
+  /// When the source does not formulate every pair it collides
+  /// (SlotCandidateSource::FormulatesEveryPair), one FilterFormulated
+  /// call over the staged slots' arena rows then drops, in order, the
+  /// pairs the rule does not formulate, and clears their stamps.
   /// Adds candidate_occurrences and dedup_skipped to `*stats` (not null).
   /// Returns true when a probed bucket has dropped entries at its cap
   /// (SlotCandidateSource::ForEachSlotSpan).  Aborts when the source

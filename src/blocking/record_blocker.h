@@ -9,6 +9,8 @@
 #ifndef CBVLINK_BLOCKING_RECORD_BLOCKER_H_
 #define CBVLINK_BLOCKING_RECORD_BLOCKER_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -71,6 +73,23 @@ class SlotCandidateSource : public CandidateSource {
   virtual bool ForEachSlotSpan(
       const BitVector& probe,
       FunctionRef<void(std::span<const uint32_t>)> cb) const = 0;
+
+  /// False when a pair can collide in the probed tables without being
+  /// formulated by the source's rule (a compound rule's NOT, or an AND
+  /// of structures of which only one is probed).  The matcher then runs
+  /// FilterFormulated once per probe over its fresh candidates.
+  virtual bool FormulatesEveryPair() const { return true; }
+
+  /// For each i, sets keep[i] to 1 when the vector in row
+  /// rows + slots[i] * stride (`stride` words) forms a pair with `probe`
+  /// that the rule formulates, and to 0 otherwise.  Called only when
+  /// FormulatesEveryPair() is false.
+  virtual void FilterFormulated(const BitVector& /*probe*/,
+                                const uint64_t* /*rows*/, size_t /*stride*/,
+                                std::span<const uint32_t> slots,
+                                uint8_t* keep) const {
+    std::fill(keep, keep + slots.size(), uint8_t{1});
+  }
 
   /// ForEachSlotSpan with every slot mapped to its RecordId.
   void ForEachCandidate(

@@ -111,8 +111,13 @@ HammingLshFamily::HammingLshFamily(size_t K,
 
 void HammingLshFamily::Keys(const BitVector& bv,
                             std::span<uint64_t> keys) const {
-  assert(keys.size() == L() && bv.size() >= end_bit_);
-  const uint64_t* words = bv.words().data();
+  assert(bv.size() >= end_bit_);
+  Keys(bv.words().data(), keys);
+}
+
+void HammingLshFamily::Keys(const uint64_t* words,
+                            std::span<uint64_t> keys) const {
+  assert(keys.size() == L());
   switch (lane_bits_) {
     case 8:
       return KeysWithLanes<uint8_t>(words, keys);

@@ -115,6 +115,10 @@ class HammingLshFamily {
   /// in one pass.  `keys` holds L() keys; `bv` spans the family's range.
   void Keys(const BitVector& bv, std::span<uint64_t> keys) const;
 
+  /// Keys() of the vector packed in `words` (an arena row, say), which
+  /// must span every position the family samples.
+  void Keys(const uint64_t* words, std::span<uint64_t> keys) const;
+
   /// Blocking key of `bv` under h_l alone.  Runs the whole Keys pass;
   /// code that needs several groups' keys calls Keys once.
   uint64_t Key(const BitVector& bv, size_t l) const {

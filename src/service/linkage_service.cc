@@ -858,7 +858,7 @@ Status ValidateSnapshot(const ServiceSnapshot& snapshot) {
 }  // namespace
 
 Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
-    const ServiceSnapshot& snapshot) {
+    const ServiceSnapshot& snapshot, const ExecutionOptions& execution) {
   CBVLINK_RETURN_NOT_OK(ValidateSnapshot(snapshot));
   Result<Rule> rule = ParseRule(snapshot.rule_text);
   if (!rule.ok()) return rule.status();
@@ -887,6 +887,7 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
   options.overflow_policy =
       snapshot.overflow_policy == 0 ? OverflowPolicy::kTruncate
                                     : OverflowPolicy::kScanFallback;
+  options.execution = execution;
 
   Result<std::unique_ptr<LinkageService>> service =
       Create(std::move(config), options);
@@ -918,13 +919,13 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
 }
 
 Result<std::unique_ptr<LinkageService>> LinkageService::RestoreFromFile(
-    const std::string& path) {
+    const std::string& path, const ExecutionOptions& execution) {
   Status primary_error;
   {
     Result<ServiceSnapshot> snapshot = ReadServiceSnapshotFromFile(path);
     if (snapshot.ok()) {
       Result<std::unique_ptr<LinkageService>> service =
-          Restore(snapshot.value());
+          Restore(snapshot.value(), execution);
       if (service.ok()) return service;
       primary_error = service.status();
     } else {
@@ -939,7 +940,7 @@ Result<std::unique_ptr<LinkageService>> LinkageService::RestoreFromFile(
       ReadServiceSnapshotFromFile(SnapshotBackupPath(path));
   if (backup.ok()) {
     Result<std::unique_ptr<LinkageService>> service =
-        Restore(backup.value());
+        Restore(backup.value(), execution);
     if (service.ok()) {
       service.value()->restore_fallbacks_.fetch_add(
           1, std::memory_order_relaxed);

@@ -174,17 +174,22 @@ class LinkageService {
   /// validated first (finite parameters, known overflow policy, unique
   /// record ids, tombstones disjoint from the records, record widths
   /// matching the rebuilt encoder) — InvalidArgument on any violation.
+  /// The bucket cap and overflow policy come from the snapshot; the
+  /// batch APIs and the rebuild run under the caller's `execution`, as
+  /// LinkageServiceOptions::execution does for Create().
   static Result<std::unique_ptr<LinkageService>> Restore(
-      const ServiceSnapshot& snapshot);
+      const ServiceSnapshot& snapshot,
+      const ExecutionOptions& execution = ExecutionOptions::WithThreads(0));
 
   /// Restores the snapshotted records *and tombstones* from `path`; when
   /// the primary file is corrupt or invalid, falls back to the backup
   /// the atomic saver keeps at SnapshotBackupPath(path)
   /// (metrics().restore_fallbacks records the fallback).  `path.tmp` is
   /// never trusted — rename is the commit point.  Returns the primary's
-  /// error when both fail.
+  /// error when both fail.  `execution` as for Restore().
   static Result<std::unique_ptr<LinkageService>> RestoreFromFile(
-      const std::string& path);
+      const std::string& path,
+      const ExecutionOptions& execution = ExecutionOptions::WithThreads(0));
 
   /// Stops the background compactor, if running.
   ~LinkageService();

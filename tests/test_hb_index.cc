@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -30,7 +31,7 @@ HbIndex RecordLevelIndex(size_t bucket_cap = 0) {
 }
 
 HbIndex AttributeLevelIndex() {
-  // Rule C2: two structures, so the retained vectors are written too.
+  // Rule C2: two structures, so the matcher filters by rule membership.
   const Rule rule = Rule::Or(
       {Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4)}), Rule::Pred(2, 8)});
   AttributeBlockerOptions options;
@@ -183,6 +184,30 @@ TEST(HbIndexTest, RemovedRecordsMatchNothingUntilPutBack) {
   index.Put(records[7]);
   EXPECT_TRUE(index.IsLive(records[7].id));
   EXPECT_EQ(matches(), (std::vector<IdPair>{{records[7].id, 99999}}));
+}
+
+TEST(HbIndexTest, PutUnderRuleC2MatchesOnCurrentBits) {
+  // Rule membership is read from the arena, so an overwritten record is
+  // checked on the bits it holds now.  Its old bits, the complement of
+  // the new, share no blocking key with them in any structure.
+  const std::vector<EncodedRecord> records = Clustered(30, 8);
+  HbIndex index = AttributeLevelIndex();
+  const PairClassifier c2 = MakeRuleClassifier(
+      std::get<AttributeLevelBlocker>(index.blocker()).rule(), NcvrLayout());
+  for (const EncodedRecord& r : records) {
+    BitVector old_bits = r.bits;
+    for (size_t i = 0; i < kBits; ++i) old_bits.Assign(i, !r.bits.Test(i));
+    index.Insert(EncodedRecord{r.id, std::move(old_bits)});
+  }
+  for (const EncodedRecord& r : records) index.Put(r);
+  for (const EncodedRecord& r : records) {
+    std::vector<IdPair> pairs;
+    index.matcher().MatchOne(EncodedRecord{99999, r.bits}, c2, &pairs,
+                             nullptr);
+    EXPECT_NE(std::find(pairs.begin(), pairs.end(), IdPair{r.id, 99999}),
+              pairs.end())
+        << "record " << r.id;
+  }
 }
 
 TEST(HbIndexTest, EmptyCopyKeepsHashFunctionsAndSetsTheCap) {

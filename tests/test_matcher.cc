@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/blocking/hb_index.h"
+
 #include "src/common/random.h"
 #include "src/common/thread_pool.h"
 
@@ -426,6 +430,70 @@ TEST(MatcherTest, TableSlotsStayInsideStore) {
                         IdPair{store.IdAt(slot), 9999}),
               out.end())
         << "slot " << slot;
+  }
+}
+
+TEST(MatcherTest, ClassifyUnstampedCoversRuleRejectedSlots) {
+  // Rule C3 (f1 AND NOT f2) over an NCVR-shaped 15 + 15 + 68 + 22-bit
+  // layout.  A record equal to the probe collides in f1's structure but
+  // the NOT rules the pair out, so Probe does not keep it.  Probe +
+  // Classify + ClassifyUnstamped must still compare every live record
+  // exactly once and find what a scan over all of them finds.
+  RecordLayout layout;
+  for (const size_t size : {15, 15, 68, 22}) layout.Add(size);
+  const Rule c3 = Rule::And({Rule::Pred(0, 4), Rule::Not(Rule::Pred(1, 4))});
+  AttributeBlockerOptions options;
+  options.attribute_K = {5, 5, 10, 5};
+  Rng rng(19);
+  HbIndex index(
+      AttributeLevelBlocker::Create(c3, layout, options, rng).value());
+  const auto& blocker = std::get<AttributeLevelBlocker>(index.blocker());
+
+  // Records near a few centres, f1 a bit apart and f2 near or far.
+  const std::vector<EncodedRecord> centres = RandomRecords(4, 120, 0, rng);
+  const auto flip = [&](BitVector* bits, size_t offset, size_t size,
+                        size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t pos = offset + rng.Below(size);
+      bits->Assign(pos, !bits->Test(pos));
+    }
+  };
+  std::vector<EncodedRecord> records;
+  for (RecordId id = 0; id < 160; ++id) {
+    BitVector bits = centres[id % centres.size()].bits;
+    flip(&bits, 0, 15, id % 3);
+    flip(&bits, 15, 15, id % 2 == 0 ? 1 : 10);
+    records.push_back(EncodedRecord{id, std::move(bits)});
+  }
+  index.InsertAll(records);
+  for (RecordId id = 0; id < 160; id += 13) ASSERT_TRUE(index.Remove(id));
+
+  const VectorStore& store = index.store();
+  const std::vector<PairClassifier> classifiers = {
+      MakeRuleClassifier(c3, layout), MakeRecordThresholdClassifier(120)};
+  Matcher::Scratch scratch;
+  for (RecordId p = 1; p < 40; ++p) {
+    const EncodedRecord probe{1000 + p, records[p].bits};
+    EXPECT_FALSE(blocker.FormulatedByRule(records[p].bits, probe.bits));
+    for (const PairClassifier& classifier : classifiers) {
+      MatchStats stats;
+      std::vector<IdPair> pairs;
+      index.matcher().Probe(probe.bits, &stats, &scratch);
+      index.matcher().Classify(probe, classifier, &pairs, &stats, &scratch);
+      index.matcher().ClassifyUnstamped(probe, classifier, &pairs, &stats,
+                                        &scratch);
+      EXPECT_EQ(stats.comparisons, store.live_size()) << "probe " << p;
+
+      std::vector<IdPair> scan;
+      for (uint32_t slot = 0; slot < store.size(); ++slot) {
+        if (!store.IsDead(slot) &&
+            classifier(store.VectorAt(slot), probe.bits)) {
+          scan.push_back(IdPair{store.IdAt(slot), probe.id});
+        }
+      }
+      std::sort(pairs.begin(), pairs.end());
+      EXPECT_EQ(pairs, scan) << "probe " << p;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -522,6 +523,39 @@ TEST(ServiceTest, SnapshotRestoreRoundTripIdenticalMatches) {
   ASSERT_TRUE(restored.value()->Match(again, &out).ok());
   EXPECT_TRUE(std::find(out.begin(), out.end(),
                         IdPair{90000u, 90001u}) != out.end());
+}
+
+TEST(ServiceTest, RestoredServiceRunsBatchWorkOnTheCallersPool) {
+  // The caller's one-worker pool is held busy, so a MatchBatch on a
+  // service restored over it cannot finish until the pool is released.
+  // A service that built a pool of its own would answer at once.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  Result<std::unique_ptr<LinkageService>> created =
+      LinkageService::Create(BaseConfig(gen.value().schema()));
+  ASSERT_TRUE(created.ok());
+  const std::vector<Record> registry = GenerateRecords(gen.value(), 60, 5);
+  ASSERT_TRUE(created.value()->InsertBatch(registry).ok());
+  std::stringstream buffer;
+  ASSERT_TRUE(created.value()->SaveSnapshot(buffer).ok());
+  Result<ServiceSnapshot> snapshot = ReadServiceSnapshot(buffer);
+  ASSERT_TRUE(snapshot.ok());
+
+  ThreadPool pool(1);
+  Result<std::unique_ptr<LinkageService>> restored = LinkageService::Restore(
+      snapshot.value(), ExecutionOptions::WithPool(&pool));
+  ASSERT_TRUE(restored.ok());
+  std::promise<void> release;
+  pool.Submit([gate = release.get_future().share()] { gate.wait(); });
+  std::vector<IdPair> pairs;
+  std::future<Status> batch = std::async(std::launch::async, [&] {
+    return restored.value()->MatchBatch(registry, &pairs);
+  });
+  EXPECT_EQ(batch.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  release.set_value();
+  ASSERT_TRUE(batch.get().ok());
+  EXPECT_GE(pairs.size(), registry.size());
 }
 
 TEST(ServiceTest, InsertBatchTablesEqualSerialInserts) {

@@ -589,7 +589,7 @@ int RunMain(int argc, char** argv) {
   Stopwatch build_watch;
   if (!args.snapshot_in.empty()) {
     Result<std::unique_ptr<LinkageService>> restored =
-        LinkageService::RestoreFromFile(args.snapshot_in);
+        LinkageService::RestoreFromFile(args.snapshot_in, options.execution);
     if (!restored.ok()) {
       std::fprintf(stderr, "restore %s: %s\n", args.snapshot_in.c_str(),
                    restored.status().ToString().c_str());
