@@ -2,6 +2,19 @@
 
 namespace cbvlink {
 
+static_assert(kHashPrime <= uint64_t{1} << 32,
+              "g's values must fit the gram -> bit table's entries");
+
+CVectorEncoder::CVectorEncoder(QGramExtractor extractor, PairwiseHash hash)
+    : extractor_(std::move(extractor)), hash_(hash) {
+  const uint64_t space = extractor_.IndexSpaceSize();
+  if (space > kMaxTableEntries) return;
+  bit_of_gram_.resize(static_cast<size_t>(space));
+  for (uint64_t x = 0; x < space; ++x) {
+    bit_of_gram_[x] = static_cast<uint32_t>(hash_(x));
+  }
+}
+
 Result<CVectorEncoder> CVectorEncoder::Create(
     QGramExtractor extractor, double expected_qgrams, Rng& rng,
     const OptimalSizeOptions& options) {
@@ -26,6 +39,14 @@ BitVector CVectorEncoder::Encode(std::string_view value) const {
 
 void CVectorEncoder::EncodeInto(std::string_view value, size_t offset,
                                 BitVector* out) const {
+  if (!bit_of_gram_.empty()) {
+    // ForEachIndex emits indexes below |S|^q, the table's size.
+    const uint32_t* bit_of_gram = bit_of_gram_.data();
+    extractor_.ForEachIndex(value, [&](uint64_t ind) {
+      out->Set(offset + bit_of_gram[ind]);
+    });
+    return;
+  }
   extractor_.ForEachIndex(value, [&](uint64_t ind) {
     out->Set(offset + static_cast<size_t>(hash_(ind)));
   });

@@ -7,14 +7,22 @@
 // attribute share the same g so that their Hamming distances in the
 // compact space track the distances between full q-gram vectors.
 //
-// Encoding is one pass (QGramExtractor::ForEachIndex) that feeds each
-// q-gram index through g and sets the bit.  U_s is a set, but setting a
-// bit is idempotent, so repeated q-grams need no sort or de-duplication.
+// g is the same function for every value of the attribute, and its domain
+// is the index space |S|^q (676 to 1,444 for bigrams), so the encoder
+// tabulates it once, at construction: bit_of_gram_[x] = g(x).  Encoding is
+// then one pass (QGramExtractor::ForEachIndex) that looks each q-gram index
+// up in that table and sets the bit.  g stays the definition: it fills the
+// table, and it is evaluated per q-gram when |S|^q exceeds
+// kMaxTableEntries (q >= 4 on the built-in alphabets).  U_s is a set, but
+// setting a bit is idempotent, so repeated q-grams need no sort or
+// de-duplication.
 
 #ifndef CBVLINK_EMBEDDING_CVECTOR_H_
 #define CBVLINK_EMBEDDING_CVECTOR_H_
 
+#include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "src/common/bitvector.h"
 #include "src/common/hashing.h"
@@ -28,6 +36,10 @@ namespace cbvlink {
 /// Per-attribute encoder of strings into m-bit c-vectors.
 class CVectorEncoder {
  public:
+  /// The largest index space |S|^q whose gram -> bit table an encoder
+  /// keeps (256 KB of entries).  Above it, Encode() evaluates g per gram.
+  static constexpr uint64_t kMaxTableEntries = uint64_t{1} << 16;
+
   /// Creates an encoder whose size is derived from the expected q-gram
   /// count `b` via Theorem 1.  Propagates sizing errors.
   static Result<CVectorEncoder> Create(QGramExtractor extractor,
@@ -55,11 +67,13 @@ class CVectorEncoder {
   const PairwiseHash& hash() const { return hash_; }
 
  private:
-  CVectorEncoder(QGramExtractor extractor, PairwiseHash hash)
-      : extractor_(std::move(extractor)), hash_(hash) {}
+  CVectorEncoder(QGramExtractor extractor, PairwiseHash hash);
 
   QGramExtractor extractor_;
   PairwiseHash hash_;
+  /// g(x) for every index x < |S|^q; empty when |S|^q > kMaxTableEntries.
+  /// g < kHashPrime < 2^31, so every entry fits.
+  std::vector<uint32_t> bit_of_gram_;
 };
 
 }  // namespace cbvlink

@@ -150,7 +150,8 @@ Status Replica::SyncFromSnapshotImpl() {
     // Initial sync, before the follow thread or any serving NetServer
     // exists: building the service from scratch is safe here and only
     // here.
-    auto service = LinkageService::Restore(snapshot.value());
+    auto service =
+        LinkageService::Restore(snapshot.value(), options_.execution);
     CBVLINK_RETURN_NOT_OK(service.status());
     service_ = std::move(service).value();
   } else {

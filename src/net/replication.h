@@ -31,6 +31,7 @@
 #include <thread>
 
 #include "src/common/backoff.h"
+#include "src/common/execution.h"
 #include "src/common/status.h"
 #include "src/io/journal.h"
 #include "src/net/client.h"
@@ -60,6 +61,9 @@ struct ReplicaOptions {
   BackoffOptions failure_backoff{/*base_ms=*/100, /*max_ms=*/5000};
   /// Consecutive failures before the circuit breaker opens.
   int circuit_open_after_failures = 3;
+  /// Execution of the standby's service (its batch APIs and the index
+  /// rebuild of the initial sync), as LinkageService::Restore() takes it.
+  ExecutionOptions execution = ExecutionOptions::WithThreads(0);
   /// Request tracing sink.  When set, every follow cycle that made
   /// progress (frames applied or a re-sync) records a span tree —
   /// replica_fetch / replica_apply / replica_sync — under a

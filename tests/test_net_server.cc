@@ -846,6 +846,27 @@ TEST(NetServerTest, ReplicaStopReturnsPromptlyWhileBackingOff) {
   EXPECT_LT(elapsed, 2000) << "Stop took " << elapsed << "ms";
 }
 
+// A standby's service runs on the execution its options name, not on one
+// worker per hardware thread (`cbvlink_serve --follow --num-threads`).
+TEST(NetServerTest, ReplicaServiceHonoursExecutionOptions) {
+  ServingFixture f = ServingFixture::Start(6);
+  const std::string journal_path = TempPath("net_replica_threads.cbvj");
+  {
+    Result<std::unique_ptr<Journal>> journal = Journal::Open(journal_path);
+    ASSERT_TRUE(journal.ok());
+    f.service->AttachJournal(std::move(journal.value()));
+  }
+  ReplicaOptions options;
+  options.primary_port = f.server->port();
+  options.poll_interval_ms = 20;
+  options.execution = ExecutionOptions::WithThreads(1);
+  Result<std::unique_ptr<Replica>> replica = Replica::Start(options);
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  EXPECT_EQ(replica.value()->service()->size(), 6u);
+  EXPECT_EQ(replica.value()->service()->options().execution.num_threads, 1u);
+  replica.value()->Stop();
+}
+
 TEST(NetServerTest, IdleConnectionsAreSweptAfterTheTimeout) {
   NetServerOptions options;
   options.idle_timeout_ms = 100;

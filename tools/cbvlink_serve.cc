@@ -522,6 +522,7 @@ int RunStandby(const Args& args) {
   options.primary_host = host;
   options.primary_port = port;
   options.trace_sink = trace_sink.get();
+  options.execution = ExecutionOptions::WithThreads(args.threads);
   Result<std::unique_ptr<net::Replica>> replica =
       net::Replica::Start(options);
   if (!replica.ok()) {
