@@ -7,6 +7,7 @@
 #ifndef CBVLINK_TEXT_NORMALIZE_H_
 #define CBVLINK_TEXT_NORMALIZE_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -18,6 +19,9 @@ namespace cbvlink {
 /// `alphabet` (the padding character is never emitted by normalization —
 /// it is reserved for the extractor).
 std::string Normalize(std::string_view raw, const Alphabet& alphabet);
+
+/// Normalize(raw, alphabet).size(), without building the string.
+size_t NormalizedSize(std::string_view raw, const Alphabet& alphabet);
 
 }  // namespace cbvlink
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/text/normalize.h"
 
 namespace cbvlink {
@@ -71,6 +73,26 @@ TEST(NormalizeTest, PaddingCharIsNeverEmitted) {
 TEST(NormalizeTest, EmptyAndAllFiltered) {
   EXPECT_EQ(Normalize("", Alphabet::Uppercase()), "");
   EXPECT_EQ(Normalize("!!!", Alphabet::Uppercase()), "");
+}
+
+TEST(NormalizeTest, NormalizedSizeIsTheNormalizedLength) {
+  // Normalize() decides byte by byte, so every single byte plus one mixed
+  // string covers NormalizedSize() on each alphabet.
+  const Alphabet* alphabets[] = {&Alphabet::Uppercase(),
+                                 &Alphabet::UppercasePadded(),
+                                 &Alphabet::Alphanumeric()};
+  for (const Alphabet* alphabet : alphabets) {
+    for (int b = 0; b < 256; ++b) {
+      const std::string raw(1, static_cast<char>(b));
+      EXPECT_EQ(NormalizedSize(raw, *alphabet),
+                Normalize(raw, *alphabet).size())
+          << "alphabet=" << alphabet->symbols() << " byte=" << b;
+    }
+    const std::string mixed = "o'Neil_Smith 42\xc3\xa9";
+    EXPECT_EQ(NormalizedSize(mixed, *alphabet),
+              Normalize(mixed, *alphabet).size());
+  }
+  EXPECT_EQ(NormalizedSize("", Alphabet::Uppercase()), 0u);
 }
 
 }  // namespace
