@@ -56,9 +56,8 @@ void Run() {
               "dedup saved", "saved %");
   for (const size_t L : {2, 4, 6, 12, 24}) {
     Rng rng(100 + L);
-    Result<RecordLevelBlocker> blocker =
-        RecordLevelBlocker::CreateWithL(encoder.value().total_bits(), 30, L,
-                                        rng);
+    Result<HbBlocker> blocker =
+        HbBlocker::CreateWithL(encoder.value().total_bits(), 30, L, rng);
     bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                       "blocker");
     HbIndex index(std::move(blocker).value());

@@ -44,22 +44,14 @@ Outcome RunCell(const Rule& rule, bool attribute_level,
                 const std::vector<EncodedRecord>& enc_b,
                 const PairSet& rule_matches, uint64_t seed) {
   Rng rng(seed);
-  Result<HbIndex::Blocker> blocker = [&]() -> Result<HbIndex::Blocker> {
-    if (attribute_level) {
-      AttributeBlockerOptions options;
-      options.attribute_K = bench::AttributeK();
-      Result<AttributeLevelBlocker> b = AttributeLevelBlocker::Create(
-          rule, encoder.layout(), options, rng);
-      if (!b.ok()) return b.status();
-      return HbIndex::Blocker(std::move(b).value());
-    }
-    // The standard approach: uniform record-level sampling, K = 30,
-    // record threshold = sum of the rule's positive thresholds.
-    Result<RecordLevelBlocker> b =
-        RecordLevelBlocker::Create(encoder.total_bits(), 30, 16, 0.1, rng);
-    if (!b.ok()) return b.status();
-    return HbIndex::Blocker(std::move(b).value());
-  }();
+  // The standard approach is uniform record-level sampling, K = 30,
+  // record threshold = sum of the rule's positive thresholds.
+  Result<HbBlocker> blocker =
+      attribute_level
+          ? HbBlocker::Create(rule, encoder.layout(),
+                              AttributeBlockerOptions{bench::AttributeK(), 0.1},
+                              rng)
+          : HbBlocker::Create(encoder.total_bits(), 30, 16, 0.1, rng);
   bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                     "blocker");
   HbIndex index(std::move(blocker).value());

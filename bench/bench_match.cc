@@ -13,7 +13,7 @@
 
 #include "bench/bench_util.h"
 #include "src/blocking/matcher.h"
-#include "src/blocking/record_blocker.h"
+#include "src/blocking/hb_blocker.h"
 #include "src/common/hamming_kernels.h"
 #include "src/common/stopwatch.h"
 #include "src/common/thread_pool.h"
@@ -117,7 +117,7 @@ void Run() {
   }
 
   Rng blk_rng(100);
-  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
+  Result<HbBlocker> blocker = HbBlocker::Create(
       encoder.value().total_bits(), 30, 4, 0.1, blk_rng);
   bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                     "blocker");

@@ -11,7 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "src/blocking/matcher.h"
-#include "src/blocking/record_blocker.h"
+#include "src/blocking/hb_blocker.h"
 #include "src/common/hamming_kernels.h"
 #include "src/common/stopwatch.h"
 #include "src/common/thread_pool.h"
@@ -36,14 +36,6 @@ bool SameEncodings(const std::vector<EncodedRecord>& x,
   if (x.size() != y.size()) return false;
   for (size_t i = 0; i < x.size(); ++i) {
     if (x[i].id != y[i].id || !(x[i].bits == y[i].bits)) return false;
-  }
-  return true;
-}
-
-bool SameTables(const RecordLevelBlocker& x, const RecordLevelBlocker& y) {
-  if (x.L() != y.L()) return false;
-  for (size_t l = 0; l < x.L(); ++l) {
-    if (x.tables()[l] != y.tables()[l]) return false;
   }
   return true;
 }
@@ -96,7 +88,7 @@ void Run() {
       best.embed = std::min(best.embed, embed_watch.ElapsedSeconds());
 
       Rng blk_rng(100);
-      Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
+      Result<HbBlocker> blocker = HbBlocker::Create(
           encoder.value().total_bits(), 30, 4, 0.1, blk_rng);
       bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                         "blocker");
@@ -131,14 +123,14 @@ void Run() {
         std::exit(1);
       }
       Rng serial_rng(100);
-      RecordLevelBlocker serial_blocker =
-          RecordLevelBlocker::Create(encoder.value().total_bits(), 30, 4, 0.1,
-                                     serial_rng)
+      HbBlocker serial_blocker =
+          HbBlocker::Create(encoder.value().total_bits(), 30, 4, 0.1,
+                            serial_rng)
               .value();
       for (size_t i = 0; i < ref_a.size(); ++i) {
         serial_blocker.Insert(ref_a[i], slots_a[i]);
       }
-      if (!SameTables(blocker.value(), serial_blocker)) {
+      if (blocker.value().tables() != serial_blocker.tables()) {
         std::fprintf(stderr, "FATAL: %s index diverges from serial\n", label);
         std::exit(1);
       }

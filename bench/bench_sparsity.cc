@@ -110,8 +110,7 @@ void Run() {
     Rng rng(7);
     // Same K and L for both; theta scaled to the space so Eq. 2 would be
     // satisfied in either (one edit costs the same bit flips in both).
-    Result<RecordLevelBlocker> blocker =
-        RecordLevelBlocker::CreateWithL(bits, 30, 6, rng);
+    Result<HbBlocker> blocker = HbBlocker::CreateWithL(bits, 30, 6, rng);
     bench::DieOnError(blocker.ok() ? Status::OK() : blocker.status(),
                       "blocker");
     HbIndex index(std::move(blocker).value());
@@ -121,8 +120,7 @@ void Run() {
 
     rows.push_back(
         {use_full ? "full BV" : "c-vector", bits,
-         ComputeBucketStats(
-             std::get<RecordLevelBlocker>(index.blocker()).tables()),
+         ComputeBucketStats(index.blocker().tables()),
          stats.comparisons, watch.ElapsedSeconds()});
   }
 

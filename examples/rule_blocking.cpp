@@ -80,7 +80,7 @@ int main() {
     AttributeBlockerOptions blocker_options;
     blocker_options.attribute_K = K;
     Rng blocker_rng(17);
-    Result<AttributeLevelBlocker> blocker = AttributeLevelBlocker::Create(
+    Result<HbBlocker> blocker = HbBlocker::Create(
         rule.value(), encoder.value().layout(), blocker_options, blocker_rng);
     if (!blocker.ok()) {
       std::fprintf(stderr, "  blocker: %s\n",

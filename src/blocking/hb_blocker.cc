@@ -1,15 +1,32 @@
-#include "src/blocking/attribute_blocker.h"
+#include "src/blocking/hb_blocker.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <numeric>
 
 #include "src/common/str.h"
 #include "src/common/thread_pool.h"
 #include "src/lsh/params.h"
+#include "src/rules/probability.h"
 #include "src/telemetry/metrics.h"
 
 namespace cbvlink {
 
 namespace {
+
+/// Effective K for an m-bit space.  Distinct sampling cannot draw more
+/// positions than the range holds; a larger configured K never added
+/// selectivity anyway (the extra draws were guaranteed duplicates under
+/// the old with-replacement sampling), so it is clamped with a notice
+/// rather than rejected.
+size_t ClampK(size_t K, size_t num_bits, const char* what) {
+  if (K <= num_bits) return K;
+  std::fprintf(stderr,
+               "cbvlink: %s K = %zu exceeds the %zu-bit space; clamping "
+               "to %zu (distinct bit positions)\n",
+               what, K, num_bits, num_bits);
+  return num_bits;
+}
 
 /// True when every child of `rule` is a bare predicate.
 bool AllChildrenArePredicates(const Rule& rule) {
@@ -21,9 +38,90 @@ bool AllChildrenArePredicates(const Rule& rule) {
 
 }  // namespace
 
-Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
-    const Rule& rule, const RecordLayout& layout,
-    const AttributeBlockerOptions& options, Rng& rng) {
+void SlotCandidateSource::ForEachCandidate(
+    const BitVector& probe, const std::function<void(RecordId)>& cb) const {
+  ForEachSlotSpan(probe, [&](std::span<const uint32_t> bucket) {
+    for (const uint32_t slot : bucket) cb(slot_ids_[slot]);
+  });
+}
+
+void SlotCandidateSource::ForEachCandidateSpan(
+    const BitVector& probe,
+    FunctionRef<void(std::span<const RecordId>)> cb) const {
+  constexpr size_t kChunk = 64;
+  RecordId ids[kChunk];
+  ForEachSlotSpan(probe, [&](std::span<const uint32_t> bucket) {
+    for (size_t first = 0; first < bucket.size(); first += kChunk) {
+      const size_t n = std::min(kChunk, bucket.size() - first);
+      for (size_t i = 0; i < n; ++i) ids[i] = slot_ids_[bucket[first + i]];
+      cb(std::span<const RecordId>(ids, n));
+    }
+  });
+}
+
+void SlotCandidateSource::AssignSlots(std::span<const EncodedRecord> records,
+                                      std::span<const uint32_t> slots) {
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i] >= slot_ids_.size()) slot_ids_.resize(size_t{slots[i]} + 1);
+    slot_ids_[slots[i]] = records[i].id;
+  }
+}
+
+std::vector<uint32_t> SlotCandidateSource::NextSlots(size_t n) const {
+  std::vector<uint32_t> slots(n);
+  std::iota(slots.begin(), slots.end(),
+            static_cast<uint32_t>(slot_ids_.size()));
+  return slots;
+}
+
+HbBlocker::HbBlocker(std::vector<Structure> structures, Expr expr,
+                     std::vector<size_t> generating, size_t bucket_cap)
+    : structures_(std::move(structures)),
+      expr_(std::move(expr)),
+      generating_(std::move(generating)) {
+  size_t num_tables = 0;
+  for (Structure& s : structures_) {
+    s.first_key = num_tables;
+    num_tables += NumTables(s);
+  }
+  tables_.assign(num_tables, BlockingTable(bucket_cap));
+}
+
+HbBlocker::HbBlocker(HammingLshFamily family, size_t bucket_cap)
+    : HbBlocker(
+          [&] {
+            // Record-level blocking: one AND structure, generating and
+            // alone in the expression.
+            std::vector<Structure> structures(1);
+            structures[0].L = family.L();
+            structures[0].families.push_back(std::move(family));
+            return structures;
+          }(),
+          Expr{}, {0}, bucket_cap) {}
+
+Result<HbBlocker> HbBlocker::Create(size_t num_bits, size_t K, size_t theta,
+                                    double delta, Rng& rng) {
+  K = ClampK(K, num_bits, "record-level");
+  Result<double> p = HammingBaseProbability(theta, num_bits);
+  if (!p.ok()) return p.status();
+  Result<size_t> L = OptimalGroups(p.value(), K, delta);
+  if (!L.ok()) return L.status();
+  return CreateWithL(num_bits, K, L.value(), rng);
+}
+
+Result<HbBlocker> HbBlocker::CreateWithL(size_t num_bits, size_t K, size_t L,
+                                         Rng& rng) {
+  K = ClampK(K, num_bits, "record-level");
+  Result<HammingLshFamily> family =
+      HammingLshFamily::CreateFull(K, L, num_bits, rng);
+  if (!family.ok()) return family.status();
+  return HbBlocker(std::move(family).value());
+}
+
+Result<HbBlocker> HbBlocker::Create(const Rule& rule,
+                                    const RecordLayout& layout,
+                                    const AttributeBlockerOptions& options,
+                                    Rng& rng) {
   CBVLINK_RETURN_NOT_OK(rule.Validate(layout.num_attributes()));
   if (options.attribute_K.size() != layout.num_attributes()) {
     return Status::InvalidArgument(
@@ -35,11 +133,9 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
 
   // Builds a structure for an AND/OR of predicates (or one predicate) and
   // returns its index.
-  auto build_structure = [&](Structure::Kind kind,
+  auto build_structure = [&](bool is_and,
                              std::vector<Predicate> preds) -> Result<size_t> {
     Structure s;
-    s.kind = kind;
-    s.predicates = std::move(preds);
 
     // Per-structure L from the rule-composed probability (Eqs. 10-11 into
     // Eq. 2).
@@ -53,21 +149,20 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
           std::min(options.attribute_K[i], layout.segment(i).size);
     }
     std::vector<Rule> pred_rules;
-    pred_rules.reserve(s.predicates.size());
-    for (const Predicate& p : s.predicates) {
+    pred_rules.reserve(preds.size());
+    for (const Predicate& p : preds) {
       pred_rules.push_back(Rule::Pred(p.attribute, p.threshold));
     }
     const Rule effective =
         pred_rules.size() == 1 ? std::move(pred_rules[0])
-        : kind == Structure::Kind::kAnd ? Rule::And(std::move(pred_rules))
-                                        : Rule::Or(std::move(pred_rules));
-    Result<size_t> L = RuleOptimalGroups(effective, params, options.delta,
-                                         options.max_groups);
+        : is_and ? Rule::And(std::move(pred_rules))
+                 : Rule::Or(std::move(pred_rules));
+    Result<size_t> L = RuleOptimalGroups(effective, params, options.delta);
     if (!L.ok()) return L.status();
     s.L = L.value();
 
     // One family per predicate, sampled inside that attribute's segment.
-    for (const Predicate& p : s.predicates) {
+    for (const Predicate& p : preds) {
       const RecordLayout::Segment& seg = layout.segment(p.attribute);
       Result<HammingLshFamily> family = HammingLshFamily::Create(
           std::min(options.attribute_K[p.attribute], seg.size), s.L,
@@ -75,7 +170,7 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
       if (!family.ok()) return family.status();
       s.families.push_back(std::move(family).value());
     }
-    if (s.kind == Structure::Kind::kAnd && s.families.size() > 1) {
+    if (is_and && s.families.size() > 1) {
       // An AND keys on every predicate's sampled bits at once: function
       // l of the structure's one family concatenates function l of
       // each predicate's, so a key pass covers them all.
@@ -94,9 +189,6 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
       s.families.push_back(std::move(family).value());
     }
 
-    s.tables.resize(s.kind == Structure::Kind::kAnd
-                        ? s.L
-                        : s.L * s.predicates.size());
     structures.push_back(std::move(s));
     return structures.size() - 1;
   };
@@ -107,8 +199,7 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
     Expr expr;
     switch (node.kind()) {
       case Rule::Kind::kPredicate: {
-        Result<size_t> s = build_structure(Structure::Kind::kAnd,
-                                           {node.predicate()});
+        Result<size_t> s = build_structure(true, {node.predicate()});
         if (!s.ok()) return s.status();
         expr.kind = Expr::Kind::kStructure;
         expr.structure = s.value();
@@ -120,9 +211,7 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
         if (AllChildrenArePredicates(node)) {
           std::vector<Predicate> preds;
           node.CollectPredicates(&preds);
-          Result<size_t> s = build_structure(
-              is_and ? Structure::Kind::kAnd : Structure::Kind::kOr,
-              std::move(preds));
+          Result<size_t> s = build_structure(is_and, std::move(preds));
           if (!s.ok()) return s.status();
           expr.kind = Expr::Kind::kStructure;
           expr.structure = s.value();
@@ -209,44 +298,39 @@ Result<AttributeLevelBlocker> AttributeLevelBlocker::Create(
     return Status::OK();
   };
   CBVLINK_RETURN_NOT_OK(check_or_branches(expr.value()));
-  for (size_t s = 1; s < structures.size(); ++s) {
-    structures[s].first_key =
-        structures[s - 1].first_key + structures[s - 1].tables.size();
-  }
-
-  return AttributeLevelBlocker(rule, std::move(structures),
-                               std::move(expr).value(),
-                               std::move(generating));
+  return HbBlocker(std::move(structures), std::move(expr).value(),
+                   std::move(generating), 0);
 }
 
-void AttributeLevelBlocker::StructureKeys(const Structure& s,
-                                          const uint64_t* words,
-                                          std::span<uint64_t> keys) {
+void HbBlocker::StructureKeys(const Structure& s, const uint64_t* words,
+                              std::span<uint64_t> keys) {
   for (size_t i = 0; i < s.families.size(); ++i) {
     s.families[i].Keys(words, keys.subspan(i * s.L, s.L));
   }
 }
 
-void AttributeLevelBlocker::Insert(const EncodedRecord& record,
-                                   uint32_t slot) {
-  AssignSlots({&record, 1}, {&slot, 1});
-  for (Structure& s : structures_) {
-    KeyBuffer keys(s.tables.size());
-    StructureKeys(s, record.bits.words().data(), keys.span());
-    for (size_t t = 0; t < s.tables.size(); ++t) {
-      s.tables[t].Insert(keys[t], slot);
-    }
+void HbBlocker::AllKeys(const uint64_t* words,
+                        std::span<uint64_t> keys) const {
+  for (const Structure& s : structures_) {
+    StructureKeys(s, words, keys.subspan(s.first_key, NumTables(s)));
   }
 }
 
-void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
-                                       ThreadPool* pool, size_t min_chunk) {
+void HbBlocker::Insert(const EncodedRecord& record, uint32_t slot) {
+  AssignSlots({&record, 1}, {&slot, 1});
+  KeyBuffer keys(tables_.size());
+  AllKeys(record.bits.words().data(), keys.span());
+  for (size_t t = 0; t < tables_.size(); ++t) tables_[t].Insert(keys[t], slot);
+}
+
+void HbBlocker::BulkInsert(std::span<const EncodedRecord> records,
+                           ThreadPool* pool, size_t min_chunk) {
   BulkInsert(records, NextSlots(records.size()), pool, min_chunk);
 }
 
-void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
-                                       std::span<const uint32_t> slots,
-                                       ThreadPool* pool, size_t min_chunk) {
+void HbBlocker::BulkInsert(std::span<const EncodedRecord> records,
+                           std::span<const uint32_t> slots, ThreadPool* pool,
+                           size_t min_chunk) {
   telemetry::Registry& reg = telemetry::Registry::Global();
   telemetry::ScopedTimer timer(
       reg.GetHistogram("index_build_batch_latency_us"));
@@ -254,81 +338,54 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
   reg.GetCounter("index_build_records_total")->Add(records.size());
 }
 
-std::vector<uint64_t> AttributeLevelBlocker::KeyMatrix(
+std::vector<uint64_t> HbBlocker::KeyMatrix(
     std::span<const EncodedRecord> records, ThreadPool* pool,
     size_t min_chunk) const {
-  // One contiguous column per table (keys[t * n + i], table t being
-  // AllKeys()'s key t), sharded over records.
-  const size_t total_tables = TotalTables();
+  // One contiguous column per table (keys[t * n + i]), sharded over
+  // records.  Every cell is written by exactly one chunk, so the matrix
+  // is independent of the chunking.
+  const size_t num_tables = tables_.size();
   const size_t n = records.size();
-  std::vector<uint64_t> keys(n * total_tables);
+  std::vector<uint64_t> keys(n * num_tables);
   ParallelForOrInline(pool, n, min_chunk, [&](size_t, size_t begin,
                                               size_t end) {
-    KeyBuffer row(total_tables);
+    KeyBuffer row(num_tables);
     for (size_t i = begin; i < end; ++i) {
       AllKeys(records[i].bits.words().data(), row.span());
-      for (size_t t = 0; t < total_tables; ++t) keys[t * n + i] = row[t];
+      for (size_t t = 0; t < num_tables; ++t) keys[t * n + i] = row[t];
     }
   });
   return keys;
 }
 
-void AttributeLevelBlocker::InsertKeys(std::span<const EncodedRecord> records,
-                                       std::span<const uint64_t> keys,
-                                       std::span<const uint32_t> slots,
-                                       ThreadPool* pool) {
-  // Every structure's tables in AllKeys() order, so the merge can shard
-  // them uniformly.
-  std::vector<BlockingTable*> tables;
-  for (Structure& s : structures_) {
-    for (BlockingTable& table : s.tables) tables.push_back(&table);
-  }
+void HbBlocker::InsertKeys(std::span<const EncodedRecord> records,
+                           std::span<const uint64_t> keys,
+                           std::span<const uint32_t> slots, ThreadPool* pool) {
   AssignSlots(records, slots);
-
-  // Per-table merge in record order.
+  // Per-table merge in record order — each table is owned by one chunk,
+  // and the column walk reproduces the serial insertion sequence
+  // exactly.
   const size_t n = slots.size();
-  ParallelForOrInline(n <= 1 ? nullptr : pool, tables.size(), 0,
+  ParallelForOrInline(n <= 1 ? nullptr : pool, tables_.size(), 0,
                       [&](size_t, size_t begin, size_t end) {
                         for (size_t t = begin; t < end; ++t) {
-                          tables[t]->BulkInsert(keys.subspan(t * n, n), slots);
+                          tables_[t].BulkInsert(keys.subspan(t * n, n), slots);
                         }
                       });
 }
 
-AttributeLevelBlocker AttributeLevelBlocker::EmptyCopy(
-    size_t bucket_cap) const {
-  std::vector<Structure> structures;
-  structures.reserve(structures_.size());
-  for (const Structure& s : structures_) {
-    structures.push_back(Structure{
-        s.kind, s.predicates, s.L, s.families,
-        std::vector<BlockingTable>(s.tables.size(), BlockingTable(bucket_cap)),
-        s.first_key});
-  }
-  return AttributeLevelBlocker(rule_, std::move(structures), expr_,
-                               generating_);
-}
-
-void AttributeLevelBlocker::AllKeys(const uint64_t* words,
-                                    std::span<uint64_t> keys) const {
-  for (const Structure& s : structures_) {
-    StructureKeys(s, words, keys.subspan(s.first_key, s.tables.size()));
-  }
-}
-
-bool AttributeLevelBlocker::CollidesInStructure(
-    const Structure& s, const uint64_t* a, std::span<const uint64_t> keys) {
-  KeyBuffer keys_a(s.tables.size());
+bool HbBlocker::CollidesInStructure(const Structure& s, const uint64_t* a,
+                                    std::span<const uint64_t> keys) {
+  KeyBuffer keys_a(NumTables(s));
   StructureKeys(s, a, keys_a.span());
-  for (size_t t = 0; t < s.tables.size(); ++t) {
+  for (size_t t = 0; t < NumTables(s); ++t) {
     if (keys_a[t] == keys[s.first_key + t]) return true;
   }
   return false;
 }
 
-bool AttributeLevelBlocker::EvaluateExpr(
-    const Expr& expr, const uint64_t* a,
-    std::span<const uint64_t> b_keys) const {
+bool HbBlocker::EvaluateExpr(const Expr& expr, const uint64_t* a,
+                             std::span<const uint64_t> b_keys) const {
   switch (expr.kind) {
     case Expr::Kind::kStructure:
       return CollidesInStructure(structures_[expr.structure], a, b_keys);
@@ -348,19 +405,18 @@ bool AttributeLevelBlocker::EvaluateExpr(
   return false;
 }
 
-bool AttributeLevelBlocker::FormulatedByRule(const BitVector& a,
-                                             const BitVector& b) const {
-  KeyBuffer b_keys(TotalTables());
+bool HbBlocker::FormulatedByRule(const BitVector& a,
+                                 const BitVector& b) const {
+  KeyBuffer b_keys(tables_.size());
   AllKeys(b.words().data(), b_keys.span());
   return EvaluateExpr(expr_, a.words().data(), b_keys.span());
 }
 
-void AttributeLevelBlocker::FilterFormulated(const BitVector& probe,
-                                             const uint64_t* rows,
-                                             size_t stride,
-                                             std::span<const uint32_t> slots,
-                                             uint8_t* keep) const {
-  KeyBuffer probe_keys(TotalTables());
+void HbBlocker::FilterFormulated(const BitVector& probe, const uint64_t* rows,
+                                 size_t stride,
+                                 std::span<const uint32_t> slots,
+                                 uint8_t* keep) const {
+  KeyBuffer probe_keys(tables_.size());
   AllKeys(probe.words().data(), probe_keys.span());
   for (size_t i = 0; i < slots.size(); ++i) {
     keep[i] = EvaluateExpr(expr_, rows + size_t{slots[i]} * stride,
@@ -370,10 +426,10 @@ void AttributeLevelBlocker::FilterFormulated(const BitVector& probe,
   }
 }
 
-bool AttributeLevelBlocker::ForEachSlotSpan(
+bool HbBlocker::ForEachSlotSpan(
     const BitVector& probe,
     FunctionRef<void(std::span<const uint32_t>)> cb) const {
-  KeyBuffer keys(TotalTables());
+  KeyBuffer keys(tables_.size());
   AllKeys(probe.words().data(), keys.span());
   ProbeBatch batch;
   bool overflowed = false;
@@ -381,11 +437,10 @@ bool AttributeLevelBlocker::ForEachSlotSpan(
     const Structure& s = structures_[si];
     // Group order: an OR structure probes every predicate's table of
     // group l before group l + 1.
-    const size_t per_group = s.tables.size() / s.L;
     for (size_t l = 0; l < s.L; ++l) {
-      for (size_t i = 0; i < per_group; ++i) {
-        const size_t t = i * s.L + l;
-        batch.Add(s.tables[t], keys[s.first_key + t]);
+      for (size_t i = 0; i < s.families.size(); ++i) {
+        const size_t t = s.first_key + i * s.L + l;
+        batch.Add(tables_[t], keys[t]);
         if (batch.full()) overflowed |= batch.Flush(cb);
       }
     }
@@ -393,10 +448,13 @@ bool AttributeLevelBlocker::ForEachSlotSpan(
   return batch.Flush(cb) || overflowed;
 }
 
-size_t AttributeLevelBlocker::TotalTables() const {
-  size_t total = 0;
-  for (const Structure& s : structures_) total += s.tables.size();
-  return total;
+size_t HbBlocker::table_K(size_t t) const {
+  for (const Structure& s : structures_) {
+    if (t < s.first_key + NumTables(s)) {
+      return s.families[(t - s.first_key) / s.L].K();
+    }
+  }
+  return 0;
 }
 
 }  // namespace cbvlink

@@ -2,7 +2,7 @@
 
 namespace cbvlink {
 
-HbIndex::HbIndex(Blocker blocker)
+HbIndex::HbIndex(HbBlocker blocker)
     : blocker_(std::move(blocker)), matcher_(MakeMatcher()) {}
 
 HbIndex::HbIndex(HbIndex&& other) noexcept
@@ -18,41 +18,34 @@ HbIndex& HbIndex::operator=(HbIndex&& other) noexcept {
 }
 
 Matcher HbIndex::MakeMatcher() const {
-  return Matcher(
-      std::visit([](const auto& b) -> const CandidateSource* { return &b; },
-                 blocker_),
-      &store_);
+  return Matcher(&blocker_, &store_);
 }
 
 HbIndex HbIndex::EmptyCopy(size_t bucket_cap) const {
-  return HbIndex(std::visit(
-      [&](const auto& b) -> Blocker { return b.EmptyCopy(bucket_cap); },
-      blocker_));
+  return HbIndex(blocker_.EmptyCopy(bucket_cap));
 }
 
 void HbIndex::Insert(const EncodedRecord& record) {
   const uint32_t slot = store_.Add(record);
-  std::visit([&](auto& b) { b.Insert(record, slot); }, blocker_);
+  blocker_.Insert(record, slot);
 }
 
 void HbIndex::InsertAll(const std::vector<EncodedRecord>& records,
                         ThreadPool* pool, size_t min_chunk) {
   std::vector<uint32_t> slots;
   store_.AddAll(records, &slots);
-  std::visit([&](auto& b) { b.BulkInsert(records, slots, pool, min_chunk); },
-             blocker_);
+  blocker_.BulkInsert(records, slots, pool, min_chunk);
 }
 
 void HbIndex::Put(const EncodedRecord& record) {
   store_.Remove(record.id);
   const uint32_t slot = store_.Add(record);
-  std::visit([&](auto& b) { b.Insert(record, slot); }, blocker_);
+  blocker_.Insert(record, slot);
 }
 
 std::vector<uint64_t> HbIndex::KeyMatrix(
     std::span<const EncodedRecord> records, ThreadPool* pool) const {
-  return std::visit([&](const auto& b) { return b.KeyMatrix(records, pool); },
-                    blocker_);
+  return blocker_.KeyMatrix(records, pool);
 }
 
 void HbIndex::PutAll(std::span<const EncodedRecord> records,
@@ -62,16 +55,14 @@ void HbIndex::PutAll(std::span<const EncodedRecord> records,
     store_.Remove(records[i].id);
     slots[i] = store_.Add(records[i]);
   }
-  std::visit([&](auto& b) { b.InsertKeys(records, keys, slots); }, blocker_);
+  blocker_.InsertKeys(records, keys, slots);
 }
 
 size_t HbIndex::blocking_groups() const {
-  if (const auto* b = std::get_if<RecordLevelBlocker>(&blocker_)) {
-    return b->L();
-  }
-  const auto& b = std::get<AttributeLevelBlocker>(blocker_);
   size_t groups = 0;
-  for (size_t s = 0; s < b.num_structures(); ++s) groups += b.structure_L(s);
+  for (size_t s = 0; s < blocker_.num_structures(); ++s) {
+    groups += blocker_.structure_L(s);
+  }
   return groups;
 }
 

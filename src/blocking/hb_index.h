@@ -1,5 +1,5 @@
-// The HB index of cBV-HB: the VectorStore arena of c-vectors, an HB
-// blocker whose tables hold arena slots — record-level (Section 4.2) or
+// The HB index of cBV-HB: the VectorStore arena of c-vectors, an
+// HbBlocker whose tables hold arena slots — record-level (Section 4.2) or
 // rule-aware attribute-level (Section 5.4) — and Algorithm 2's matcher
 // over the two.  It is the only code that gives records slots: a write
 // stores the vector first, then indexes its blocking keys at the slot
@@ -11,12 +11,10 @@
 #define CBVLINK_BLOCKING_HB_INDEX_H_
 
 #include <span>
-#include <variant>
 #include <vector>
 
-#include "src/blocking/attribute_blocker.h"
+#include "src/blocking/hb_blocker.h"
 #include "src/blocking/matcher.h"
-#include "src/blocking/record_blocker.h"
 
 namespace cbvlink {
 
@@ -29,10 +27,8 @@ class ThreadPool;
 /// thread-safe.
 class HbIndex {
  public:
-  using Blocker = std::variant<RecordLevelBlocker, AttributeLevelBlocker>;
-
   /// An index over `blocker`, which must hold no records.
-  explicit HbIndex(Blocker blocker);
+  explicit HbIndex(HbBlocker blocker);
 
   HbIndex(HbIndex&& other) noexcept;
   HbIndex& operator=(HbIndex&& other) noexcept;
@@ -79,16 +75,16 @@ class HbIndex {
   const Matcher& matcher() const { return matcher_; }
 
   const VectorStore& store() const { return store_; }
-  const Blocker& blocker() const { return blocker_; }
+  const HbBlocker& blocker() const { return blocker_; }
 
-  /// L, or the sum of the structures' L for attribute-level blocking.
+  /// The sum of the blocker's structures' L (record-level: L).
   size_t blocking_groups() const;
 
  private:
   Matcher MakeMatcher() const;
 
   VectorStore store_;
-  Blocker blocker_;
+  HbBlocker blocker_;
   /// Over store_ and blocker_; rebuilt when the index moves.
   Matcher matcher_;
 };

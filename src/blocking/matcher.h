@@ -40,7 +40,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/blocking/record_blocker.h"
+#include "src/blocking/hb_blocker.h"
 #include "src/common/bitvector.h"
 #include "src/common/hamming_kernels.h"
 #include "src/common/record.h"

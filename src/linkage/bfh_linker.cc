@@ -42,9 +42,9 @@ Result<LinkageResult> BfhLinker::Link(const std::vector<Record>& a,
   // --- Blocking: standard record-level HB ---------------------------------
   // A repeated id keeps its first vector and slot (HbIndex::InsertAll).
   watch.Restart();
-  Result<RecordLevelBlocker> blocker =
-      RecordLevelBlocker::Create(encoder.value().total_bits(), config_.K,
-                                 config_.record_theta, config_.delta, rng);
+  Result<HbBlocker> blocker =
+      HbBlocker::Create(encoder.value().total_bits(), config_.K,
+                        config_.record_theta, config_.delta, rng);
   if (!blocker.ok()) return blocker.status();
   HbIndex index(std::move(blocker).value());
   index.InsertAll(encoded_a, ctx.pool(), ctx.chunk_size_hint());

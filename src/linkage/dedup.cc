@@ -1,5 +1,6 @@
 #include "src/linkage/dedup.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "src/common/union_find.h"
@@ -17,8 +18,13 @@ Result<DedupResult> FindDuplicates(const std::vector<Record>& records,
                                    const ExecutionOptions& options) {
   // The online linker's match-then-insert loop visits each unordered
   // pair at most once (a record only probes those inserted before it).
-  Result<OnlineCbvHbLinker> linker =
-      OnlineCbvHbLinker::Create(config, records);
+  // The first estimation_sample records size its encoders.
+  std::vector<Record> sample;
+  if (config.expected_qgrams.empty()) {
+    const size_t n = std::min(config.estimation_sample, records.size());
+    sample.assign(records.begin(), records.begin() + n);
+  }
+  Result<OnlineCbvHbLinker> linker = OnlineCbvHbLinker::Create(config, sample);
   if (!linker.ok()) return linker.status();
 
   DedupResult result;

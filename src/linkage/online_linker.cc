@@ -31,20 +31,13 @@ Result<CbvHbParts> MakeCbvHbParts(const CbvHbConfig& config, Rng& rng) {
   const RecordLayout& layout = encoder.value().layout();
   PairClassifier classifier = MakeRuleClassifier(config.rule, layout);
 
-  if (config.attribute_level_blocking) {
-    AttributeBlockerOptions options;
-    options.attribute_K = config.attribute_K;
-    options.delta = config.delta;
-    Result<AttributeLevelBlocker> blocker =
-        AttributeLevelBlocker::Create(config.rule, layout, options, rng);
-    if (!blocker.ok()) return blocker.status();
-    return CbvHbParts{std::move(encoder).value(),
-                      HbIndex(std::move(blocker).value()),
-                      std::move(classifier)};
-  }
-  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
-      encoder.value().total_bits(), config.record_K, config.record_theta,
-      config.delta, rng);
+  Result<HbBlocker> blocker =
+      config.attribute_level_blocking
+          ? HbBlocker::Create(
+                config.rule, layout,
+                AttributeBlockerOptions{config.attribute_K, config.delta}, rng)
+          : HbBlocker::Create(encoder.value().total_bits(), config.record_K,
+                              config.record_theta, config.delta, rng);
   if (!blocker.ok()) return blocker.status();
   return CbvHbParts{std::move(encoder).value(),
                     HbIndex(std::move(blocker).value()),

@@ -69,7 +69,7 @@ Result<LinkageResultLite> LinkageUnit::LinkEncoded(
 
   Rng rng(options_.seed);
   ExecutionContext ctx(options_.execution);
-  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
+  Result<HbBlocker> blocker = HbBlocker::Create(
       layout_.total_bits(), options_.record_K, options_.record_theta,
       options_.delta, rng);
   if (!blocker.ok()) return blocker.status();

@@ -102,9 +102,8 @@ struct LinkageService::Core {
     return true;
   }
 
-  /// The blocking tables: the service indexes record-level HB only.
   const std::vector<BlockingTable>& tables() const {
-    return std::get<RecordLevelBlocker>(index.blocker()).tables();
+    return index.blocker().tables();
   }
 
   size_t NumEntries() const {
@@ -1037,8 +1036,8 @@ void LinkageService::FillTelemetry(telemetry::Registry* registry) const {
   std::shared_lock lock(core->mu);
   const std::vector<BlockingTable>& tables = core->tables();
   reg.GetGauge("lsh_tables")->Set(static_cast<double>(tables.size()));
-  reg.GetGauge("lsh_k")->Set(static_cast<double>(
-      std::get<RecordLevelBlocker>(core->index.blocker()).K()));
+  reg.GetGauge("lsh_k")->Set(
+      static_cast<double>(core->index.blocker().table_K(0)));
   for (size_t l = 0; l < tables.size(); ++l) {
     const BlockingTable& table = tables[l];
     dropped += table.NumDropped();

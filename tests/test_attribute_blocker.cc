@@ -1,4 +1,4 @@
-#include "src/blocking/attribute_blocker.h"
+#include "src/blocking/hb_blocker.h"
 
 #include <gtest/gtest.h>
 
@@ -64,7 +64,7 @@ BitVector FlipInSegment(BitVector bv, size_t offset, size_t size, size_t n,
   return bv;
 }
 
-std::set<RecordId> Candidates(const AttributeLevelBlocker& blocker,
+std::set<RecordId> Candidates(const HbBlocker& blocker,
                               const BitVector& probe) {
   std::set<RecordId> out;
   blocker.ForEachCandidate(probe, [&](RecordId id) { out.insert(id); });
@@ -88,19 +88,15 @@ TEST(AttributeLevelBlockerTest, CreateValidatesInputs) {
   const RecordLayout layout = NcvrLayout();
   AttributeBlockerOptions options = DefaultOptions();
   // Rule referencing attribute 9 of 4.
-  EXPECT_FALSE(
-      AttributeLevelBlocker::Create(Rule::Pred(9, 4), layout, options, rng)
-          .ok());
+  EXPECT_FALSE(HbBlocker::Create(Rule::Pred(9, 4), layout, options, rng).ok());
   // K vector of wrong length.
   options.attribute_K = {5, 5};
-  EXPECT_FALSE(
-      AttributeLevelBlocker::Create(Rule::Pred(0, 4), layout, options, rng)
-          .ok());
+  EXPECT_FALSE(HbBlocker::Create(Rule::Pred(0, 4), layout, options, rng).ok());
   // Bare NOT has no positive component.
   options = DefaultOptions();
-  EXPECT_FALSE(AttributeLevelBlocker::Create(Rule::Not(Rule::Pred(0, 4)),
-                                             layout, options, rng)
-                   .ok());
+  EXPECT_FALSE(
+      HbBlocker::Create(Rule::Not(Rule::Pred(0, 4)), layout, options, rng)
+          .ok());
 }
 
 TEST(AttributeLevelBlockerTest, PurelyNegativeOrBranchRejected) {
@@ -108,7 +104,7 @@ TEST(AttributeLevelBlockerTest, PurelyNegativeOrBranchRejected) {
   // can never be generated.
   Rng rng(20);
   const Rule rule = Rule::Or({Rule::Pred(0, 4), Rule::Not(Rule::Pred(1, 4))});
-  Result<AttributeLevelBlocker> blocker = AttributeLevelBlocker::Create(
+  Result<HbBlocker> blocker = HbBlocker::Create(
       rule, NcvrLayout(), DefaultOptions(), rng);
   EXPECT_FALSE(blocker.ok());
   EXPECT_EQ(blocker.status().code(), StatusCode::kInvalidArgument);
@@ -117,26 +113,24 @@ TEST(AttributeLevelBlockerTest, PurelyNegativeOrBranchRejected) {
   const Rule nested = Rule::And(
       {Rule::Pred(2, 8),
        Rule::Or({Rule::Pred(0, 4), Rule::Not(Rule::Pred(1, 4))})});
-  EXPECT_FALSE(AttributeLevelBlocker::Create(nested, NcvrLayout(),
-                                             DefaultOptions(), rng)
-                   .ok());
+  EXPECT_FALSE(
+      HbBlocker::Create(nested, NcvrLayout(), DefaultOptions(), rng).ok());
 
   // An OR branch that is an AND containing a NOT plus a positive
   // predicate IS blockable (the positive conjunct generates).
   const Rule fine = Rule::Or(
       {Rule::Pred(2, 8),
        Rule::And({Rule::Pred(0, 4), Rule::Not(Rule::Pred(1, 4))})});
-  EXPECT_TRUE(AttributeLevelBlocker::Create(fine, NcvrLayout(),
-                                            DefaultOptions(), rng)
-                  .ok());
+  EXPECT_TRUE(
+      HbBlocker::Create(fine, NcvrLayout(), DefaultOptions(), rng).ok());
 }
 
 TEST(AttributeLevelBlockerTest, AndRuleBuildsOneStructure) {
   Rng rng(2);
   const Rule c1 =
       Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4), Rule::Pred(2, 8)});
-  Result<AttributeLevelBlocker> blocker =
-      AttributeLevelBlocker::Create(c1, NcvrLayout(), DefaultOptions(), rng);
+  Result<HbBlocker> blocker =
+      HbBlocker::Create(c1, NcvrLayout(), DefaultOptions(), rng);
   ASSERT_TRUE(blocker.ok()) << blocker.status().ToString();
   EXPECT_EQ(blocker.value().num_structures(), 1u);
   // Paper PH on NCVR: L ~ 178.
@@ -147,7 +141,7 @@ TEST(AttributeLevelBlockerTest, AndRuleBuildsOneStructure) {
 TEST(AttributeLevelBlockerTest, OrOfPredicatesBuildsOneOrStructure) {
   Rng rng(3);
   const Rule rule = Rule::Or({Rule::Pred(0, 4), Rule::Pred(1, 4)});
-  Result<AttributeLevelBlocker> blocker = AttributeLevelBlocker::Create(
+  Result<HbBlocker> blocker = HbBlocker::Create(
       rule, NcvrLayout(), DefaultOptions(), rng);
   ASSERT_TRUE(blocker.ok());
   EXPECT_EQ(blocker.value().num_structures(), 1u);
@@ -161,7 +155,7 @@ TEST(AttributeLevelBlockerTest, CompoundRuleBuildsMultipleStructures) {
   // C2 of Section 6.2: (f1 AND f2) OR f3.
   const Rule c2 = Rule::Or(
       {Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4)}), Rule::Pred(2, 8)});
-  Result<AttributeLevelBlocker> blocker = AttributeLevelBlocker::Create(
+  Result<HbBlocker> blocker = HbBlocker::Create(
       c2, NcvrLayout(), DefaultOptions(), rng);
   ASSERT_TRUE(blocker.ok());
   EXPECT_EQ(blocker.value().num_structures(), 2u);
@@ -170,8 +164,8 @@ TEST(AttributeLevelBlockerTest, CompoundRuleBuildsMultipleStructures) {
 TEST(AttributeLevelBlockerTest, IdenticalVectorsAlwaysFormulated) {
   Rng rng(5);
   const Rule c1 = Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4)});
-  AttributeLevelBlocker blocker =
-      AttributeLevelBlocker::Create(c1, NcvrLayout(), DefaultOptions(), rng)
+  HbBlocker blocker =
+      HbBlocker::Create(c1, NcvrLayout(), DefaultOptions(), rng)
           .value();
   const BitVector base = BaseVector();
   blocker.Insert(MakeRecord(7, base), 0);
@@ -188,8 +182,8 @@ TEST(AttributeLevelBlockerTest, WithinThresholdPairsFoundReliably) {
   for (size_t round = 0; round < kRounds; ++round) {
     Rng rng(100 + round);
     const Rule c1 = Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4)});
-    AttributeLevelBlocker blocker =
-        AttributeLevelBlocker::Create(c1, NcvrLayout(), DefaultOptions(), rng)
+    HbBlocker blocker =
+        HbBlocker::Create(c1, NcvrLayout(), DefaultOptions(), rng)
             .value();
     const BitVector a = BaseVector();
     BitVector b = FlipInSegment(a, 0, 15, 2, data_rng);     // u^(f1) = 2
@@ -207,9 +201,9 @@ TEST(AttributeLevelBlockerTest, NotRulePrunesMatchingSecondAttribute) {
   Rng rng(7);
   const Rule c3 = Rule::And({Rule::Pred(0, 4), Rule::Not(Rule::Pred(1, 4))});
   HbIndex index(
-      AttributeLevelBlocker::Create(c3, NcvrLayout(), DefaultOptions(), rng)
+      HbBlocker::Create(c3, NcvrLayout(), DefaultOptions(), rng)
           .value());
-  const auto& blocker = std::get<AttributeLevelBlocker>(index.blocker());
+  const auto& blocker = index.blocker();
   const BitVector a = BaseVector();
   index.Insert(MakeRecord(1, a));
   // Probe identical in f2 (and f1): excluded by the NOT.
@@ -226,8 +220,8 @@ TEST(AttributeLevelBlockerTest, NotRulePrunesMatchingSecondAttribute) {
 TEST(AttributeLevelBlockerTest, OrRuleFindsPairsMatchingEitherSide) {
   Rng rng(9);
   const Rule rule = Rule::Or({Rule::Pred(0, 2), Rule::Pred(2, 4)});
-  AttributeLevelBlocker blocker =
-      AttributeLevelBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
+  HbBlocker blocker =
+      HbBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
           .value();
   const BitVector a = BaseVector();
   blocker.Insert(MakeRecord(1, a), 0);
@@ -245,9 +239,9 @@ TEST(AttributeLevelBlockerTest, CompoundAndOfStructuresRequiresBoth) {
       {Rule::Or({Rule::Pred(0, 2), Rule::Pred(1, 2)}),
        Rule::Or({Rule::Pred(2, 4), Rule::Pred(3, 2)})});
   HbIndex index(
-      AttributeLevelBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
+      HbBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
           .value());
-  const auto& blocker = std::get<AttributeLevelBlocker>(index.blocker());
+  const auto& blocker = index.blocker();
   EXPECT_EQ(blocker.num_structures(), 2u);
   const BitVector a = BaseVector();
   index.Insert(MakeRecord(1, a));
@@ -268,9 +262,8 @@ TEST(AttributeLevelBlockerTest, CompoundAndOfStructuresRequiresBoth) {
 }
 
 // --- BulkInsert determinism: tables identical to an Insert() loop at
-// any thread count.  The structures' tables are private, so equivalence
-// is asserted through the full candidate-emission sequence (which
-// exposes bucket contents *and* per-bucket id order).
+// any thread count: every table compares equal (content, per-bucket
+// order, counters), and so does the full candidate-emission sequence.
 
 TEST(AttributeLevelBlockerBulkInsertTest, IdenticalToIndexAtAnyThreadCount) {
   // C2 shape: one AND structure and one plain predicate structure, so
@@ -279,8 +272,7 @@ TEST(AttributeLevelBlockerBulkInsertTest, IdenticalToIndexAtAnyThreadCount) {
       {Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4)}), Rule::Pred(2, 8)});
   const auto make_blocker = [&] {
     Rng rng(41);
-    return AttributeLevelBlocker::Create(rule, NcvrLayout(), DefaultOptions(),
-                                         rng)
+    return HbBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
         .value();
   };
 
@@ -300,11 +292,11 @@ TEST(AttributeLevelBlockerBulkInsertTest, IdenticalToIndexAtAnyThreadCount) {
   }
 
   const std::vector<uint32_t> slots = DenseSlots(records.size());
-  AttributeLevelBlocker serial = make_blocker();
+  HbBlocker serial = make_blocker();
   for (size_t i = 0; i < records.size(); ++i) {
     serial.Insert(records[i], slots[i]);
   }
-  const auto emission = [&](const AttributeLevelBlocker& blocker) {
+  const auto emission = [&](const HbBlocker& blocker) {
     std::vector<RecordId> out;
     for (const BitVector& probe : probes) {
       blocker.ForEachCandidate(probe, [&](RecordId id) { out.push_back(id); });
@@ -316,8 +308,10 @@ TEST(AttributeLevelBlockerBulkInsertTest, IdenticalToIndexAtAnyThreadCount) {
 
   for (size_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
-    AttributeLevelBlocker parallel = make_blocker();
+    HbBlocker parallel = make_blocker();
     parallel.BulkInsert(records, slots, &pool);
+    EXPECT_EQ(parallel.tables(), serial.tables())
+        << "tables differ at " << threads << " threads";
     EXPECT_EQ(emission(parallel), serial_emission)
         << "candidate stream diverges at " << threads << " threads";
   }
@@ -327,13 +321,12 @@ TEST(AttributeLevelBlockerBulkInsertTest, EmptyAndAppendInputs) {
   const Rule rule = Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4)});
   const auto make_blocker = [&] {
     Rng rng(43);
-    return AttributeLevelBlocker::Create(rule, NcvrLayout(), DefaultOptions(),
-                                         rng)
+    return HbBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
         .value();
   };
   ThreadPool pool(4);
 
-  AttributeLevelBlocker empty = make_blocker();
+  HbBlocker empty = make_blocker();
   empty.BulkInsert(std::span<const EncodedRecord>{},
                    std::span<const uint32_t>{}, &pool);
   EXPECT_TRUE(Candidates(empty, BaseVector()).empty());
@@ -347,10 +340,10 @@ TEST(AttributeLevelBlockerBulkInsertTest, EmptyAndAppendInputs) {
         MakeRecord(id, FlipInSegment(BaseVector(), 0, 120, id % 3, data_rng)));
   }
   const std::vector<uint32_t> slots = DenseSlots(all.size());
-  AttributeLevelBlocker serial = make_blocker();
+  HbBlocker serial = make_blocker();
   for (size_t i = 0; i < all.size(); ++i) serial.Insert(all[i], slots[i]);
 
-  AttributeLevelBlocker parallel = make_blocker();
+  HbBlocker parallel = make_blocker();
   const std::span<const EncodedRecord> span(all);
   const std::span<const uint32_t> slot_span(slots);
   parallel.BulkInsert(span.subspan(0, 25), slot_span.subspan(0, 25), &pool);
@@ -389,8 +382,8 @@ TEST(AttributeLevelBlockerSpanTest, C1SpansMatchDedupedCandidates) {
   const Rule rule =
       Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4), Rule::Pred(2, 8)});
   Rng rng(61);
-  AttributeLevelBlocker blocker =
-      AttributeLevelBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
+  HbBlocker blocker =
+      HbBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
           .value();
   ASSERT_EQ(blocker.num_structures(), 1u);
 

@@ -134,25 +134,52 @@ TEST(DedupTest, PropagatesConfigErrors) {
   EXPECT_FALSE(FindDuplicates(records, config).ok());
 }
 
+/// 400 NCVR records at seed 29, then typo-variants of every fifth one
+/// under fresh ids: 480 records.
+std::vector<Record> RecordsWithVariants(const NcvrGenerator& gen) {
+  Rng rng(29);
+  std::vector<Record> records;
+  for (size_t i = 0; i < 400; ++i) records.push_back(gen.Generate(i, rng));
+  for (size_t i = 0; i < 400; i += 5) {
+    Result<Record> dup = Perturbator::Apply(
+        records[i], PerturbationScheme::Light(), rng, nullptr);
+    EXPECT_TRUE(dup.ok());
+    records.push_back(std::move(dup).value());
+    records.back().id = 1000 + i;
+  }
+  return records;
+}
+
+TEST(DedupTest, EstimatesFromTheFirstEstimationSampleRecords) {
+  // The encoders are sized from the first estimation_sample records
+  // only: the run equals one whose expected q-gram counts were estimated
+  // from those records up front.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const std::vector<Record> records = RecordsWithVariants(gen.value());
+  CbvHbConfig config = DedupConfig(gen.value().schema());
+  config.estimation_sample = 100;
+  CbvHbConfig preset = config;
+  const std::vector<Record> first(records.begin(), records.begin() + 100);
+  preset.expected_qgrams = EstimateExpectedQGrams(config.schema, first);
+  Result<DedupResult> sampled = FindDuplicates(records, config);
+  Result<DedupResult> expected = FindDuplicates(records, preset);
+  ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(sampled.value().duplicate_pairs, expected.value().duplicate_pairs);
+  EXPECT_EQ(sampled.value().clusters, expected.value().clusters);
+  EXPECT_EQ(sampled.value().stats.comparisons,
+            expected.value().stats.comparisons);
+  EXPECT_FALSE(expected.value().duplicate_pairs.empty());
+}
+
 TEST(DedupTest, PinnedPairs) {
   // The exact duplicate-pair list at a fixed seed: its length, the
   // comparison count, the cluster count and a hash of the ordered list,
   // identical at any thread count.
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());
-  Rng rng(29);
-  std::vector<Record> records;
-  for (size_t i = 0; i < 400; ++i) {
-    records.push_back(gen.value().Generate(i, rng));
-  }
-  // Typo-variants of every fifth record, under fresh ids.
-  for (size_t i = 0; i < 400; i += 5) {
-    Result<Record> dup = Perturbator::Apply(
-        records[i], PerturbationScheme::Light(), rng, nullptr);
-    ASSERT_TRUE(dup.ok());
-    records.push_back(std::move(dup).value());
-    records.back().id = 1000 + i;
-  }
+  const std::vector<Record> records = RecordsWithVariants(gen.value());
   CbvHbConfig config = DedupConfig(gen.value().schema());
   config.seed = 2016;
   for (const size_t threads : {1u, 4u}) {

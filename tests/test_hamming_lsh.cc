@@ -6,7 +6,7 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "src/blocking/record_blocker.h"
+#include "src/blocking/hb_blocker.h"
 #include "src/common/hashing.h"
 #include "src/lsh/params.h"
 
@@ -268,7 +268,7 @@ TEST(HammingLshFamilyTest, PinnedKeysPlShape) {
        0x44a8b501fd35c4b1ULL, 0xf311a304e90653d5ULL, 0x121636309c5853aeULL},
   };
   const std::vector<BitVector> vectors = PinnedVectors(120);
-  RecordLevelBlocker blocker(family.value());
+  HbBlocker blocker(family.value());
   for (size_t v = 0; v < vectors.size(); ++v) {
     blocker.Insert(EncodedRecord{v, vectors[v]}, static_cast<uint32_t>(v));
   }
@@ -289,7 +289,7 @@ TEST(HammingLshFamilyTest, PinnedKeysC1Compound) {
   // Rule C1 (f1 <= 4 AND f2 <= 4 AND f3 <= 8) over the NCVR c-vector
   // layout: f1 = [0, 15), f2 = [15, 30), f3 = [30, 98) with K = 5, 5, 10.
   // The compound key of group l folds the attribute keys the way
-  // AttributeLevelBlocker's conjunction structures do.
+  // HbBlocker's conjunction structures do.
   Rng rng(2016);
   Result<HammingLshFamily> f1 = HammingLshFamily::Create(5, 4, 0, 15, rng);
   Result<HammingLshFamily> f2 = HammingLshFamily::Create(5, 4, 15, 15, rng);

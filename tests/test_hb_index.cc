@@ -26,19 +26,21 @@ RecordLayout NcvrLayout() {
 
 HbIndex RecordLevelIndex(size_t bucket_cap = 0) {
   Rng rng(7);
-  return HbIndex(RecordLevelBlocker::CreateWithL(kBits, 12, 8, rng).value())
+  return HbIndex(HbBlocker::CreateWithL(kBits, 12, 8, rng).value())
       .EmptyCopy(bucket_cap);
 }
 
-HbIndex AttributeLevelIndex() {
-  // Rule C2: two structures, so the matcher filters by rule membership.
-  const Rule rule = Rule::Or(
+/// Rule C2: two structures, so the matcher filters by rule membership.
+Rule C2() {
+  return Rule::Or(
       {Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4)}), Rule::Pred(2, 8)});
+}
+
+HbIndex AttributeLevelIndex(const Rule& rule = C2()) {
   AttributeBlockerOptions options;
   options.attribute_K = {5, 5, 10, 5};
   Rng rng(8);
-  return HbIndex(
-      AttributeLevelBlocker::Create(rule, NcvrLayout(), options, rng).value());
+  return HbIndex(HbBlocker::Create(rule, NcvrLayout(), options, rng).value());
 }
 
 /// Perturbations of a few base vectors, so buckets hold several slots and
@@ -75,18 +77,14 @@ std::vector<EncodedRecord> Clustered(size_t n, uint64_t seed,
 std::vector<std::vector<uint32_t>> Spans(const HbIndex& index,
                                          const BitVector& probe) {
   std::vector<std::vector<uint32_t>> spans;
-  std::visit(
-      [&](const auto& blocker) {
-        blocker.ForEachSlotSpan(probe, [&](std::span<const uint32_t> span) {
-          spans.emplace_back(span.begin(), span.end());
-        });
-      },
-      index.blocker());
+  index.blocker().ForEachSlotSpan(probe, [&](std::span<const uint32_t> span) {
+    spans.emplace_back(span.begin(), span.end());
+  });
   return spans;
 }
 
 const std::vector<BlockingTable>& Tables(const HbIndex& index) {
-  return std::get<RecordLevelBlocker>(index.blocker()).tables();
+  return index.blocker().tables();
 }
 
 /// Same arena (slots, ids, vectors, dead bits) and same probe spans.
@@ -114,9 +112,7 @@ TEST(HbIndexTest, InsertAllEqualsInsertLoopAtAnyThreadCount) {
       HbIndex bulk = serial.EmptyCopy(attribute_level ? 0 : 5);
       bulk.InsertAll(records, &pool, 8);
       ExpectSameIndex(bulk, serial, records);
-      if (!attribute_level) {
-        EXPECT_EQ(Tables(bulk), Tables(serial));
-      }
+      EXPECT_EQ(Tables(bulk), Tables(serial));
     }
   }
 }
@@ -156,9 +152,7 @@ TEST(HbIndexTest, PutAllEqualsPutLoop) {
       EXPECT_TRUE(batched.Remove(removed));
     }
     ExpectSameIndex(batched, serial, second);
-    if (!attribute_level) {
-      EXPECT_EQ(Tables(batched), Tables(serial));
-    }
+    EXPECT_EQ(Tables(batched), Tables(serial));
     const uint32_t slot = serial.store().DenseIndex(first[30].id);
     EXPECT_EQ(serial.store().VectorAt(slot), second[0].bits);
     EXPECT_FALSE(serial.IsLive(first[50].id));
@@ -192,8 +186,7 @@ TEST(HbIndexTest, PutUnderRuleC2MatchesOnCurrentBits) {
   // the new, share no blocking key with them in any structure.
   const std::vector<EncodedRecord> records = Clustered(30, 8);
   HbIndex index = AttributeLevelIndex();
-  const PairClassifier c2 = MakeRuleClassifier(
-      std::get<AttributeLevelBlocker>(index.blocker()).rule(), NcvrLayout());
+  const PairClassifier c2 = MakeRuleClassifier(C2(), NcvrLayout());
   for (const EncodedRecord& r : records) {
     BitVector old_bits = r.bits;
     for (size_t i = 0; i < kBits; ++i) old_bits.Assign(i, !r.bits.Test(i));
@@ -250,13 +243,59 @@ TEST(HbIndexTest, MovedIndexMatchesOverItsOwnStructures) {
 TEST(HbIndexTest, BlockingGroupsCountEveryStructure) {
   EXPECT_EQ(RecordLevelIndex().blocking_groups(), 8u);
   const HbIndex index = AttributeLevelIndex();
-  const auto& blocker = std::get<AttributeLevelBlocker>(index.blocker());
+  const HbBlocker& blocker = index.blocker();
   size_t groups = 0;
   for (size_t s = 0; s < blocker.num_structures(); ++s) {
     groups += blocker.structure_L(s);
   }
   EXPECT_EQ(index.blocking_groups(), groups);
   EXPECT_EQ(blocker.num_structures(), 2u);
+}
+
+TEST(HbIndexTest, TablesCopiesAndGroupsAgreeAcrossBlockingModes) {
+  // Record-level blocking is the one-structure case, so the tables, the
+  // empty copy and the group count read the same way under it, rule C1
+  // (one AND structure) and rule C2 (two structures).
+  const std::vector<EncodedRecord> records = Clustered(60, 9);
+  std::vector<EncodedRecord> copies(5, records[0]);
+  for (size_t i = 0; i < copies.size(); ++i) copies[i].id = 1000 + i;
+  const Rule c1 =
+      Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4), Rule::Pred(2, 8)});
+  std::vector<HbIndex> indexes;
+  indexes.push_back(RecordLevelIndex());
+  indexes.push_back(AttributeLevelIndex(c1));
+  indexes.push_back(AttributeLevelIndex());
+  for (HbIndex& index : indexes) {
+    index.InsertAll(records);
+    const HbBlocker& blocker = index.blocker();
+    ASSERT_EQ(blocker.tables().size(), blocker.TotalTables());
+    for (const BlockingTable& table : blocker.tables()) {
+      EXPECT_EQ(table.NumEntries(), records.size());
+    }
+    size_t groups = 0;
+    for (size_t s = 0; s < blocker.num_structures(); ++s) {
+      groups += blocker.structure_L(s);
+    }
+    EXPECT_EQ(index.blocking_groups(), groups);
+
+    // The copy's tables are empty and hold at most 2 slots a bucket: 5
+    // identical vectors keep 2 entries and drop 3 in every table.
+    HbIndex capped = index.EmptyCopy(2);
+    ASSERT_EQ(Tables(capped).size(), blocker.TotalTables());
+    for (const BlockingTable& table : Tables(capped)) {
+      EXPECT_EQ(table.NumBuckets(), 0u);
+      EXPECT_EQ(table.NumEntries(), 0u);
+    }
+    EXPECT_EQ(capped.blocking_groups(), groups);
+    capped.InsertAll(copies);
+    for (const BlockingTable& table : Tables(capped)) {
+      EXPECT_EQ(table.NumEntries(), 2u);
+      EXPECT_EQ(table.NumDropped(), 3u);
+    }
+  }
+  EXPECT_EQ(indexes[1].blocker().num_structures(), 1u);
+  EXPECT_EQ(indexes[1].blocker().TotalTables(),
+            indexes[1].blocker().structure_L(0));
 }
 
 }  // namespace

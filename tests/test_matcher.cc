@@ -384,8 +384,7 @@ TEST(MatcherTest, TableSlotsStayInsideStore) {
   // (the slot comes back) all keep every slot inside the store, naming
   // the record the store keeps there.
   Rng rng(17);
-  RecordLevelBlocker blocker =
-      RecordLevelBlocker::CreateWithL(64, 6, 20, rng).value();
+  HbBlocker blocker = HbBlocker::CreateWithL(64, 6, 20, rng).value();
   VectorStore store;
   std::vector<EncodedRecord> records = RandomRecords(40, 64, 0, rng);
   EncodedRecord repeat = RandomRecords(1, 64, 0, rng)[0];
@@ -445,9 +444,8 @@ TEST(MatcherTest, ClassifyUnstampedCoversRuleRejectedSlots) {
   AttributeBlockerOptions options;
   options.attribute_K = {5, 5, 10, 5};
   Rng rng(19);
-  HbIndex index(
-      AttributeLevelBlocker::Create(c3, layout, options, rng).value());
-  const auto& blocker = std::get<AttributeLevelBlocker>(index.blocker());
+  HbIndex index(HbBlocker::Create(c3, layout, options, rng).value());
+  const HbBlocker& blocker = index.blocker();
 
   // Records near a few centres, f1 a bit apart and f2 near or far.
   const std::vector<EncodedRecord> centres = RandomRecords(4, 120, 0, rng);
@@ -502,8 +500,7 @@ TEST(MatcherDeathTest, TableSlotPastStoreAborts) {
   // the stamps and the arena; the matcher refuses before reading.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Rng rng(18);
-  RecordLevelBlocker blocker =
-      RecordLevelBlocker::CreateWithL(64, 6, 4, rng).value();
+  HbBlocker blocker = HbBlocker::CreateWithL(64, 6, 4, rng).value();
   const std::vector<EncodedRecord> records = RandomRecords(3, 64, 0, rng);
   blocker.BulkInsert(records, std::vector<uint32_t>{0, 1, 2});
   VectorStore store;

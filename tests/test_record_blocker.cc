@@ -1,7 +1,8 @@
-#include "src/blocking/record_blocker.h"
+#include "src/blocking/hb_blocker.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <span>
 #include <vector>
@@ -29,50 +30,64 @@ std::vector<uint32_t> DenseSlots(size_t n, uint32_t first = 0) {
 }
 
 /// The serial reference build: one Insert per record at its dense slot.
-void InsertAll(RecordLevelBlocker& blocker,
-               const std::vector<EncodedRecord>& records,
+void InsertAll(HbBlocker& blocker, const std::vector<EncodedRecord>& records,
                uint32_t first = 0) {
   for (size_t i = 0; i < records.size(); ++i) {
     blocker.Insert(records[i], first + static_cast<uint32_t>(i));
   }
 }
 
-std::set<RecordId> Candidates(const RecordLevelBlocker& blocker,
+std::set<RecordId> Candidates(const HbBlocker& blocker,
                               const BitVector& probe) {
   std::set<RecordId> out;
   blocker.ForEachCandidate(probe, [&](RecordId id) { out.insert(id); });
   return out;
 }
 
+size_t TotalBuckets(const HbBlocker& blocker) {
+  size_t total = 0;
+  for (const BlockingTable& table : blocker.tables()) {
+    total += table.NumBuckets();
+  }
+  return total;
+}
+
+size_t MaxBucketSize(const HbBlocker& blocker) {
+  size_t best = 0;
+  for (const BlockingTable& table : blocker.tables()) {
+    best = std::max(best, table.MaxBucketSize());
+  }
+  return best;
+}
+
 TEST(RecordLevelBlockerTest, CreateComputesLFromEquation2) {
   Rng rng(1);
   // Paper PL: m = 120, K = 30, theta = 4, delta = 0.1 -> L = 6.
-  Result<RecordLevelBlocker> blocker =
-      RecordLevelBlocker::Create(120, 30, 4, 0.1, rng);
+  Result<HbBlocker> blocker = HbBlocker::Create(120, 30, 4, 0.1, rng);
   ASSERT_TRUE(blocker.ok());
-  EXPECT_EQ(blocker.value().L(), 6u);
-  EXPECT_EQ(blocker.value().K(), 30u);
+  ASSERT_EQ(blocker.value().num_structures(), 1u);
+  EXPECT_EQ(blocker.value().structure_L(0), 6u);
+  EXPECT_EQ(blocker.value().TotalTables(), 6u);
+  EXPECT_EQ(blocker.value().table_K(0), 30u);
 }
 
 TEST(RecordLevelBlockerTest, CreateWithLRespectsExplicitValue) {
   Rng rng(2);
-  Result<RecordLevelBlocker> blocker =
-      RecordLevelBlocker::CreateWithL(120, 30, 9, rng);
+  Result<HbBlocker> blocker = HbBlocker::CreateWithL(120, 30, 9, rng);
   ASSERT_TRUE(blocker.ok());
-  EXPECT_EQ(blocker.value().L(), 9u);
+  EXPECT_EQ(blocker.value().structure_L(0), 9u);
 }
 
 TEST(RecordLevelBlockerTest, CreateErrorsPropagate) {
   Rng rng(3);
-  EXPECT_FALSE(RecordLevelBlocker::Create(120, 30, 200, 0.1, rng).ok());
-  EXPECT_FALSE(RecordLevelBlocker::CreateWithL(0, 30, 4, rng).ok());
-  EXPECT_FALSE(RecordLevelBlocker::CreateWithL(120, 0, 4, rng).ok());
+  EXPECT_FALSE(HbBlocker::Create(120, 30, 200, 0.1, rng).ok());
+  EXPECT_FALSE(HbBlocker::CreateWithL(0, 30, 4, rng).ok());
+  EXPECT_FALSE(HbBlocker::CreateWithL(120, 0, 4, rng).ok());
 }
 
 TEST(RecordLevelBlockerTest, IdenticalVectorsAlwaysCandidates) {
   Rng rng(4);
-  RecordLevelBlocker blocker =
-      RecordLevelBlocker::CreateWithL(120, 30, 6, rng).value();
+  HbBlocker blocker = HbBlocker::CreateWithL(120, 30, 6, rng).value();
   const EncodedRecord a = MakeRecord(1, 120, {0, 5, 50, 100});
   blocker.Insert(a, 0);
   const std::set<RecordId> cands = Candidates(blocker, a.bits);
@@ -81,8 +96,7 @@ TEST(RecordLevelBlockerTest, IdenticalVectorsAlwaysCandidates) {
 
 TEST(RecordLevelBlockerTest, EmptyBlockerYieldsNoCandidates) {
   Rng rng(5);
-  RecordLevelBlocker blocker =
-      RecordLevelBlocker::CreateWithL(120, 30, 6, rng).value();
+  HbBlocker blocker = HbBlocker::CreateWithL(120, 30, 6, rng).value();
   const EncodedRecord probe = MakeRecord(9, 120, {1, 2, 3});
   EXPECT_TRUE(Candidates(blocker, probe.bits).empty());
 }
@@ -93,8 +107,7 @@ TEST(RecordLevelBlockerTest, NearDuplicatesFoundWithHighProbability) {
   size_t found = 0;
   Rng perturb(7);
   for (size_t round = 0; round < kRounds; ++round) {
-    RecordLevelBlocker blocker =
-        RecordLevelBlocker::Create(120, 30, 4, 0.1, rng).value();
+    HbBlocker blocker = HbBlocker::Create(120, 30, 4, 0.1, rng).value();
     EncodedRecord a = MakeRecord(1, 120, {});
     for (size_t i = 0; i < 120; i += 4) a.bits.Set(i);
     EncodedRecord b = a;
@@ -116,8 +129,7 @@ TEST(RecordLevelBlockerTest, NearDuplicatesFoundWithHighProbability) {
 
 TEST(RecordLevelBlockerTest, DistantVectorsRarelyCandidates) {
   Rng rng(8);
-  RecordLevelBlocker blocker =
-      RecordLevelBlocker::CreateWithL(120, 30, 6, rng).value();
+  HbBlocker blocker = HbBlocker::CreateWithL(120, 30, 6, rng).value();
   EncodedRecord a = MakeRecord(1, 120, {});
   for (size_t i = 0; i < 60; ++i) a.bits.Set(i);
   EncodedRecord far = MakeRecord(2, 120, {});
@@ -128,8 +140,7 @@ TEST(RecordLevelBlockerTest, DistantVectorsRarelyCandidates) {
 
 TEST(RecordLevelBlockerTest, CandidateOccurrencesRepeatAcrossGroups) {
   Rng rng(9);
-  RecordLevelBlocker blocker =
-      RecordLevelBlocker::CreateWithL(120, 5, 8, rng).value();
+  HbBlocker blocker = HbBlocker::CreateWithL(120, 5, 8, rng).value();
   const EncodedRecord a = MakeRecord(1, 120, {0, 1, 2});
   blocker.Insert(a, 0);
   size_t occurrences = 0;
@@ -145,8 +156,7 @@ TEST(RecordLevelBlockerTest, IdViewsMapSlotsToIds) {
   // bits under 150 ids, written at slots assigned by a store-like
   // caller, put 150 entries in every bucket.
   Rng rng(10);
-  RecordLevelBlocker blocker =
-      RecordLevelBlocker::CreateWithL(120, 5, 3, rng).value();
+  HbBlocker blocker = HbBlocker::CreateWithL(120, 5, 3, rng).value();
   std::vector<EncodedRecord> records;
   std::vector<uint32_t> slots;
   for (uint32_t i = 0; i < 150; ++i) {
@@ -183,8 +193,7 @@ TEST(RecordLevelBlockerTest, IdViewsMapSlotsToIds) {
 
 TEST(RecordLevelBlockerTest, StatsReflectIndexedRecords) {
   Rng rng(10);
-  RecordLevelBlocker blocker =
-      RecordLevelBlocker::CreateWithL(64, 8, 4, rng).value();
+  HbBlocker blocker = HbBlocker::CreateWithL(64, 8, 4, rng).value();
   std::vector<EncodedRecord> records;
   Rng data(11);
   for (RecordId id = 0; id < 50; ++id) {
@@ -193,9 +202,9 @@ TEST(RecordLevelBlockerTest, StatsReflectIndexedRecords) {
     records.push_back(std::move(r));
   }
   blocker.BulkInsert(records, DenseSlots(records.size()));
-  EXPECT_GT(blocker.TotalBuckets(), 0u);
-  EXPECT_GE(blocker.MaxBucketSize(), 1u);
-  EXPECT_LE(blocker.MaxBucketSize(), 50u);
+  EXPECT_GT(TotalBuckets(blocker), 0u);
+  EXPECT_GE(MaxBucketSize(blocker), 1u);
+  EXPECT_LE(MaxBucketSize(blocker), 50u);
 }
 
 // --- BulkInsert determinism: identical tables to an Insert() loop at any
@@ -213,10 +222,10 @@ std::vector<EncodedRecord> RandomRecords(size_t n, size_t bits,
   return records;
 }
 
-void ExpectSameTables(const RecordLevelBlocker& actual,
-                      const RecordLevelBlocker& expected, size_t threads) {
-  ASSERT_EQ(actual.L(), expected.L());
-  for (size_t l = 0; l < expected.L(); ++l) {
+void ExpectSameTables(const HbBlocker& actual,
+                      const HbBlocker& expected, size_t threads) {
+  ASSERT_EQ(actual.TotalTables(), expected.TotalTables());
+  for (size_t l = 0; l < expected.TotalTables(); ++l) {
     const BlockingTable& a = actual.tables()[l];
     const BlockingTable& e = expected.tables()[l];
     EXPECT_EQ(a.NumEntries(), e.NumEntries())
@@ -232,23 +241,23 @@ void ExpectSameTables(const RecordLevelBlocker& actual,
 TEST(RecordLevelBlockerBulkInsertTest, IdenticalToIndexAtAnyThreadCount) {
   const auto make_blocker = [] {
     Rng rng(99);
-    return RecordLevelBlocker::CreateWithL(120, 30, 6, rng).value();
+    return HbBlocker::CreateWithL(120, 30, 6, rng).value();
   };
   const std::vector<EncodedRecord> records = RandomRecords(400, 120, 12345);
 
   const std::vector<uint32_t> slots = DenseSlots(records.size());
 
-  RecordLevelBlocker serial = make_blocker();
+  HbBlocker serial = make_blocker();
   InsertAll(serial, records);
 
   // Null pool takes the plain serial path.
-  RecordLevelBlocker no_pool = make_blocker();
+  HbBlocker no_pool = make_blocker();
   no_pool.BulkInsert(records, slots);
   ExpectSameTables(no_pool, serial, 0);
 
   for (size_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
-    RecordLevelBlocker parallel = make_blocker();
+    HbBlocker parallel = make_blocker();
     parallel.BulkInsert(records, slots, &pool);
     ExpectSameTables(parallel, serial, threads);
   }
@@ -257,14 +266,14 @@ TEST(RecordLevelBlockerBulkInsertTest, IdenticalToIndexAtAnyThreadCount) {
 TEST(RecordLevelBlockerBulkInsertTest, MinChunkDoesNotChangeTables) {
   const auto make_blocker = [] {
     Rng rng(17);
-    return RecordLevelBlocker::CreateWithL(64, 8, 4, rng).value();
+    return HbBlocker::CreateWithL(64, 8, 4, rng).value();
   };
   const std::vector<EncodedRecord> records = RandomRecords(100, 64, 5);
-  RecordLevelBlocker serial = make_blocker();
+  HbBlocker serial = make_blocker();
   InsertAll(serial, records);
   ThreadPool pool(4);
   for (size_t min_chunk : {1u, 9u, 1000u}) {
-    RecordLevelBlocker parallel = make_blocker();
+    HbBlocker parallel = make_blocker();
     parallel.BulkInsert(records, DenseSlots(records.size()), &pool,
                         min_chunk);
     ExpectSameTables(parallel, serial, min_chunk);
@@ -274,19 +283,19 @@ TEST(RecordLevelBlockerBulkInsertTest, MinChunkDoesNotChangeTables) {
 TEST(RecordLevelBlockerBulkInsertTest, EmptyAndSingleRecordInputs) {
   const auto make_blocker = [] {
     Rng rng(21);
-    return RecordLevelBlocker::CreateWithL(64, 8, 4, rng).value();
+    return HbBlocker::CreateWithL(64, 8, 4, rng).value();
   };
   ThreadPool pool(4);
 
-  RecordLevelBlocker empty = make_blocker();
+  HbBlocker empty = make_blocker();
   empty.BulkInsert(std::span<const EncodedRecord>{},
                    std::span<const uint32_t>{}, &pool);
-  EXPECT_EQ(empty.TotalBuckets(), 0u);
+  EXPECT_EQ(TotalBuckets(empty), 0u);
 
   const std::vector<EncodedRecord> one = RandomRecords(1, 64, 6);
-  RecordLevelBlocker serial = make_blocker();
+  HbBlocker serial = make_blocker();
   InsertAll(serial, one);
-  RecordLevelBlocker parallel = make_blocker();
+  HbBlocker parallel = make_blocker();
   parallel.BulkInsert(one, DenseSlots(1), &pool);
   ExpectSameTables(parallel, serial, 1);
 }
@@ -296,18 +305,18 @@ TEST(RecordLevelBlockerBulkInsertTest, AppendsAfterPriorInserts) {
   // calls, not a rebuild.
   const auto make_blocker = [] {
     Rng rng(23);
-    return RecordLevelBlocker::CreateWithL(64, 8, 4, rng).value();
+    return HbBlocker::CreateWithL(64, 8, 4, rng).value();
   };
   const std::vector<EncodedRecord> first = RandomRecords(30, 64, 7);
   std::vector<EncodedRecord> second = RandomRecords(40, 64, 8);
   for (EncodedRecord& r : second) r.id += 1000;
 
-  RecordLevelBlocker serial = make_blocker();
+  HbBlocker serial = make_blocker();
   InsertAll(serial, first);
   InsertAll(serial, second, 30);
 
   ThreadPool pool(3);
-  RecordLevelBlocker parallel = make_blocker();
+  HbBlocker parallel = make_blocker();
   parallel.BulkInsert(first, DenseSlots(30), &pool);
   parallel.BulkInsert(second, DenseSlots(40, 30), &pool);
   ExpectSameTables(parallel, serial, 3);
@@ -318,18 +327,18 @@ TEST(RecordLevelBlockerBulkInsertTest, IdOnlyShimContinuesDenseSlots) {
   // VectorStore::AddAll's order over distinct ids, across calls too.
   const auto make_blocker = [] {
     Rng rng(23);
-    return RecordLevelBlocker::CreateWithL(64, 8, 4, rng).value();
+    return HbBlocker::CreateWithL(64, 8, 4, rng).value();
   };
   const std::vector<EncodedRecord> first = RandomRecords(30, 64, 7);
   std::vector<EncodedRecord> second = RandomRecords(40, 64, 8);
   for (EncodedRecord& r : second) r.id += 1000;
 
-  RecordLevelBlocker with_slots = make_blocker();
+  HbBlocker with_slots = make_blocker();
   with_slots.BulkInsert(first, DenseSlots(30));
   with_slots.BulkInsert(second, DenseSlots(40, 30));
 
   ThreadPool pool(3);
-  RecordLevelBlocker shim = make_blocker();
+  HbBlocker shim = make_blocker();
   shim.BulkInsert(first, &pool);
   shim.BulkInsert(second, &pool);
   ExpectSameTables(shim, with_slots, 3);
@@ -346,12 +355,12 @@ HammingLshFamily MakeFamily(size_t K, size_t L, size_t bits, uint64_t seed) {
 }
 
 /// True when the probe of `bits` reaches a bucket that dropped entries.
-bool ProbeOverflowed(const RecordLevelBlocker& blocker, const BitVector& bits) {
+bool ProbeOverflowed(const HbBlocker& blocker, const BitVector& bits) {
   return blocker.ForEachSlotSpan(bits, [](std::span<const uint32_t>) {});
 }
 
 TEST(RecordLevelBlockerTest, BucketCapDropsAndFlagsOverflow) {
-  RecordLevelBlocker blocker(MakeFamily(4, 3, 32, 42), /*bucket_cap=*/2);
+  HbBlocker blocker(MakeFamily(4, 3, 32, 42), /*bucket_cap=*/2);
   // Identical vectors share every bucket; the third insert overflows all
   // three groups' buckets.
   const EncodedRecord base = MakeRecord(0, 32, {1, 7});
@@ -362,7 +371,7 @@ TEST(RecordLevelBlockerTest, BucketCapDropsAndFlagsOverflow) {
     r.id = id;
     blocker.Insert(r, static_cast<uint32_t>(id));
   }
-  EXPECT_EQ(blocker.MaxBucketSize(), 2u);
+  EXPECT_EQ(MaxBucketSize(blocker), 2u);
   size_t dropped = 0;
   for (const BlockingTable& table : blocker.tables()) {
     dropped += table.NumDropped();
@@ -398,7 +407,7 @@ TEST(RecordLevelBlockerBulkInsertTest,
        {std::pair<size_t, const std::vector<EncodedRecord>*>{32, &records},
         std::pair<size_t, const std::vector<EncodedRecord>*>{64, &mixed}}) {
     const std::vector<uint32_t> slots = DenseSlots(input->size());
-    RecordLevelBlocker serial(MakeFamily(4, 6, bits, 19), /*bucket_cap=*/3);
+    HbBlocker serial(MakeFamily(4, 6, bits, 19), /*bucket_cap=*/3);
     InsertAll(serial, *input);
     size_t dropped = 0;
     for (const BlockingTable& table : serial.tables()) {
@@ -406,12 +415,12 @@ TEST(RecordLevelBlockerBulkInsertTest,
     }
     EXPECT_GT(dropped, 0u);
 
-    RecordLevelBlocker no_pool(MakeFamily(4, 6, bits, 19), 3);
+    HbBlocker no_pool(MakeFamily(4, 6, bits, 19), 3);
     no_pool.BulkInsert(*input, slots);
     ExpectSameTables(no_pool, serial, 0);
     for (size_t threads : {1u, 2u, 8u}) {
       ThreadPool pool(threads);
-      RecordLevelBlocker parallel(MakeFamily(4, 6, bits, 19), 3);
+      HbBlocker parallel(MakeFamily(4, 6, bits, 19), 3);
       parallel.BulkInsert(*input, slots, &pool);
       ExpectSameTables(parallel, serial, threads);
     }

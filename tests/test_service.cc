@@ -796,8 +796,7 @@ std::vector<LegacyBucket> LegacyBuckets(const CbvHbConfig& config,
   EXPECT_TRUE(parts.ok());
   HbIndex index = parts.value().index.EmptyCopy(bucket_cap);
   index.InsertAll(parts.value().encoder.EncodeAll(records).value());
-  const std::vector<BlockingTable>& tables =
-      std::get<RecordLevelBlocker>(index.blocker()).tables();
+  const std::vector<BlockingTable>& tables = index.blocker().tables();
   std::vector<LegacyBucket> buckets;
   for (size_t group = 0; group < tables.size(); ++group) {
     const size_t first = buckets.size();
