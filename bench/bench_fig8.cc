@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "bench/bench_util.h"
+#include "src/common/stopwatch.h"
 #include "src/common/str.h"
 
 namespace cbvlink {
@@ -75,10 +76,20 @@ void RunPartB(const NcvrGenerator& gen, size_t n, std::optional<CsvWriter>& csv)
     Result<LinkageResult> result =
         linker.value()->Link(data.value().a, data.value().b);
     bench::DieOnError(result.ok() ? Status::OK() : result.status(), method);
-    std::printf("%-8s %16.3f\n", method, result.value().embed_seconds);
+    double embed_seconds = result.value().embed_seconds;
+    const auto* cbv = dynamic_cast<const CbvHbLinker*>(linker.value().get());
+    if (cbv != nullptr) {
+      // cBV-HB's Link encodes B inside its match stage, streaming it
+      // through the matcher; encode B on its own so that the figure
+      // covers both data sets, as for the other methods.
+      Stopwatch watch;
+      bench::DieOnError(
+          cbv->encoder().value()->EncodeAll(data.value().b).status(), method);
+      embed_seconds += watch.ElapsedSeconds();
+    }
+    std::printf("%-8s %16.3f\n", method, embed_seconds);
     if (csv.has_value()) {
-      csv->WriteNumericRow(std::string("embed_") + method,
-                           {result.value().embed_seconds});
+      csv->WriteNumericRow(std::string("embed_") + method, {embed_seconds});
     }
   }
   std::printf(

@@ -28,6 +28,15 @@ size_t ClampK(size_t K, size_t num_bits, const char* what) {
   return num_bits;
 }
 
+/// The packed words of each record, in order.
+std::vector<const uint64_t*> RowsOf(std::span<const EncodedRecord> records) {
+  std::vector<const uint64_t*> rows(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    rows[i] = records[i].bits.words().data();
+  }
+  return rows;
+}
+
 /// True when every child of `rule` is a bare predicate.
 bool AllChildrenArePredicates(const Rule& rule) {
   for (const Rule& child : rule.children()) {
@@ -40,7 +49,7 @@ bool AllChildrenArePredicates(const Rule& rule) {
 
 void SlotCandidateSource::ForEachCandidate(
     const BitVector& probe, const std::function<void(RecordId)>& cb) const {
-  ForEachSlotSpan(probe, [&](std::span<const uint32_t> bucket) {
+  ForEachSlotSpan(probe.words().data(), [&](std::span<const uint32_t> bucket) {
     for (const uint32_t slot : bucket) cb(slot_ids_[slot]);
   });
 }
@@ -50,7 +59,7 @@ void SlotCandidateSource::ForEachCandidateSpan(
     FunctionRef<void(std::span<const RecordId>)> cb) const {
   constexpr size_t kChunk = 64;
   RecordId ids[kChunk];
-  ForEachSlotSpan(probe, [&](std::span<const uint32_t> bucket) {
+  ForEachSlotSpan(probe.words().data(), [&](std::span<const uint32_t> bucket) {
     for (size_t first = 0; first < bucket.size(); first += kChunk) {
       const size_t n = std::min(kChunk, bucket.size() - first);
       for (size_t i = 0; i < n; ++i) ids[i] = slot_ids_[bucket[first + i]];
@@ -59,11 +68,11 @@ void SlotCandidateSource::ForEachCandidateSpan(
   });
 }
 
-void SlotCandidateSource::AssignSlots(std::span<const EncodedRecord> records,
+void SlotCandidateSource::AssignSlots(std::span<const RecordId> ids,
                                       std::span<const uint32_t> slots) {
   for (size_t i = 0; i < slots.size(); ++i) {
     if (slots[i] >= slot_ids_.size()) slot_ids_.resize(size_t{slots[i]} + 1);
-    slot_ids_[slots[i]] = records[i].id;
+    slot_ids_[slots[i]] = ids[i];
   }
 }
 
@@ -317,7 +326,7 @@ void HbBlocker::AllKeys(const uint64_t* words,
 }
 
 void HbBlocker::Insert(const EncodedRecord& record, uint32_t slot) {
-  AssignSlots({&record, 1}, {&slot, 1});
+  AssignSlots({&record.id, 1}, {&slot, 1});
   KeyBuffer keys(tables_.size());
   AllKeys(record.bits.words().data(), keys.span());
   for (size_t t = 0; t < tables_.size(); ++t) tables_[t].Insert(keys[t], slot);
@@ -331,37 +340,52 @@ void HbBlocker::BulkInsert(std::span<const EncodedRecord> records,
 void HbBlocker::BulkInsert(std::span<const EncodedRecord> records,
                            std::span<const uint32_t> slots, ThreadPool* pool,
                            size_t min_chunk) {
+  std::vector<RecordId> ids(records.size());
+  for (size_t i = 0; i < records.size(); ++i) ids[i] = records[i].id;
+  BulkInsert(ids, RowsOf(records), slots, pool, min_chunk);
+}
+
+void HbBlocker::BulkInsert(std::span<const RecordId> ids,
+                           std::span<const uint64_t* const> rows,
+                           std::span<const uint32_t> slots, ThreadPool* pool,
+                           size_t min_chunk) {
   telemetry::Registry& reg = telemetry::Registry::Global();
   telemetry::ScopedTimer timer(
       reg.GetHistogram("index_build_batch_latency_us"));
-  InsertKeys(records, KeyMatrix(records, pool, min_chunk), slots, pool);
-  reg.GetCounter("index_build_records_total")->Add(records.size());
+  InsertKeys(ids, KeyMatrix(rows, pool, min_chunk), slots, pool);
+  reg.GetCounter("index_build_records_total")->Add(ids.size());
 }
 
 std::vector<uint64_t> HbBlocker::KeyMatrix(
     std::span<const EncodedRecord> records, ThreadPool* pool,
     size_t min_chunk) const {
+  return KeyMatrix(RowsOf(records), pool, min_chunk);
+}
+
+std::vector<uint64_t> HbBlocker::KeyMatrix(
+    std::span<const uint64_t* const> rows, ThreadPool* pool,
+    size_t min_chunk) const {
   // One contiguous column per table (keys[t * n + i]), sharded over
   // records.  Every cell is written by exactly one chunk, so the matrix
   // is independent of the chunking.
   const size_t num_tables = tables_.size();
-  const size_t n = records.size();
+  const size_t n = rows.size();
   std::vector<uint64_t> keys(n * num_tables);
   ParallelForOrInline(pool, n, min_chunk, [&](size_t, size_t begin,
                                               size_t end) {
     KeyBuffer row(num_tables);
     for (size_t i = begin; i < end; ++i) {
-      AllKeys(records[i].bits.words().data(), row.span());
+      AllKeys(rows[i], row.span());
       for (size_t t = 0; t < num_tables; ++t) keys[t * n + i] = row[t];
     }
   });
   return keys;
 }
 
-void HbBlocker::InsertKeys(std::span<const EncodedRecord> records,
+void HbBlocker::InsertKeys(std::span<const RecordId> ids,
                            std::span<const uint64_t> keys,
                            std::span<const uint32_t> slots, ThreadPool* pool) {
-  AssignSlots(records, slots);
+  AssignSlots(ids, slots);
   // Per-table merge in record order — each table is owned by one chunk,
   // and the column walk reproduces the serial insertion sequence
   // exactly.
@@ -412,12 +436,12 @@ bool HbBlocker::FormulatedByRule(const BitVector& a,
   return EvaluateExpr(expr_, a.words().data(), b_keys.span());
 }
 
-void HbBlocker::FilterFormulated(const BitVector& probe, const uint64_t* rows,
+void HbBlocker::FilterFormulated(const uint64_t* probe, const uint64_t* rows,
                                  size_t stride,
                                  std::span<const uint32_t> slots,
                                  uint8_t* keep) const {
   KeyBuffer probe_keys(tables_.size());
-  AllKeys(probe.words().data(), probe_keys.span());
+  AllKeys(probe, probe_keys.span());
   for (size_t i = 0; i < slots.size(); ++i) {
     keep[i] = EvaluateExpr(expr_, rows + size_t{slots[i]} * stride,
                            probe_keys.span())
@@ -427,10 +451,10 @@ void HbBlocker::FilterFormulated(const BitVector& probe, const uint64_t* rows,
 }
 
 bool HbBlocker::ForEachSlotSpan(
-    const BitVector& probe,
+    const uint64_t* probe,
     FunctionRef<void(std::span<const uint32_t>)> cb) const {
   KeyBuffer keys(tables_.size());
-  AllKeys(probe.words().data(), keys.span());
+  AllKeys(probe, keys.span());
   ProbeBatch batch;
   bool overflowed = false;
   for (size_t si : generating_) {

@@ -78,18 +78,19 @@ class CandidateSource {
 /// A candidate source whose tables hold arena slots (HbBlocker): the
 /// slot of a record is its VectorStore dense index, so the matcher stamps
 /// and gathers by the value it reads from a bucket.  Every writer passes
-/// the slot VectorStore::Add / AddAll gave its record, so the store alone
-/// decides slots (a repeated id keeps its first slot).  A slot -> id
-/// column keeps the Id-addressed CandidateSource interface callable as a
-/// thin view.
+/// the slot VectorStore::Add / AddAll / AddRows gave its record, so the
+/// store alone decides slots (a repeated id keeps its first slot).  A
+/// slot -> id column keeps the Id-addressed CandidateSource interface
+/// callable as a thin view.
 class SlotCandidateSource : public CandidateSource {
  public:
   /// Invokes `cb` once per non-empty probed bucket with that bucket's
   /// slots, in blocking-group order (repeats across groups included).
-  /// Returns true when a probed bucket has dropped entries at its cap,
-  /// so the candidates are incomplete.
+  /// `probe` is a record row: the packed words of a vector as wide as
+  /// the indexed ones.  Returns true when a probed bucket has dropped
+  /// entries at its cap, so the candidates are incomplete.
   virtual bool ForEachSlotSpan(
-      const BitVector& probe,
+      const uint64_t* probe,
       FunctionRef<void(std::span<const uint32_t>)> cb) const = 0;
 
   /// False when a pair can collide in the probed tables without being
@@ -99,10 +100,10 @@ class SlotCandidateSource : public CandidateSource {
   virtual bool FormulatesEveryPair() const { return true; }
 
   /// For each i, sets keep[i] to 1 when the vector in row
-  /// rows + slots[i] * stride (`stride` words) forms a pair with `probe`
-  /// that the rule formulates, and to 0 otherwise.  Called only when
-  /// FormulatesEveryPair() is false.
-  virtual void FilterFormulated(const BitVector& /*probe*/,
+  /// rows + slots[i] * stride (`stride` words) forms a pair with the
+  /// `probe` row that the rule formulates, and to 0 otherwise.  Called
+  /// only when FormulatesEveryPair() is false.
+  virtual void FilterFormulated(const uint64_t* /*probe*/,
                                 const uint64_t* /*rows*/, size_t /*stride*/,
                                 std::span<const uint32_t> slots,
                                 uint8_t* keep) const {
@@ -128,9 +129,9 @@ class SlotCandidateSource : public CandidateSource {
   RecordId SlotId(uint32_t slot) const { return slot_ids_[slot]; }
 
  protected:
-  /// Records that `slots[i]` holds `records[i]`'s id, growing the column
-  /// as needed.  Every writer calls it.
-  void AssignSlots(std::span<const EncodedRecord> records,
+  /// Records that `slots[i]` holds `ids[i]`, growing the column as
+  /// needed.  Every writer calls it.
+  void AssignSlots(std::span<const RecordId> ids,
                    std::span<const uint32_t> slots);
 
   /// The slots [num_slots(), num_slots() + n), for the id-taking
@@ -185,20 +186,27 @@ class HbBlocker : public SlotCandidateSource {
   }
 
   /// Inserts data set A's records, record i at `slots[i]` (the slot
-  /// VectorStore::Add / AddAll returned for it), with a two-phase
-  /// parallel build: phase 1 (KeyMatrix) computes every table's key of
-  /// every record sharded over `pool` (per-cell writes, so chunking
-  /// cannot reorder anything); phase 2 (InsertKeys) merges each table's
-  /// key column in record order.  The resulting tables are identical to
-  /// an Insert() loop at any thread count — same buckets, same
-  /// per-bucket order, same counters.  Null `pool` (or a single worker)
-  /// runs both phases inline; `min_chunk` only bounds phase-1 scheduling
-  /// overhead.  Into empty tables the merge sizes every bucket exactly
-  /// (BlockingTable::BulkInsert).  May be called repeatedly to add more
-  /// records.
+  /// VectorStore::Add / AddAll / AddRows returned for it), with a
+  /// two-phase parallel build: phase 1 (KeyMatrix) computes every
+  /// table's key of every record sharded over `pool` (per-cell writes,
+  /// so chunking cannot reorder anything); phase 2 (InsertKeys) merges
+  /// each table's key column in record order.  The resulting tables are
+  /// identical to an Insert() loop at any thread count — same buckets,
+  /// same per-bucket order, same counters.  Null `pool` (or a single
+  /// worker) runs both phases inline; `min_chunk` only bounds phase-1
+  /// scheduling overhead.  Into empty tables the merge sizes every
+  /// bucket exactly (BlockingTable::BulkInsert).  May be called
+  /// repeatedly to add more records.
   void BulkInsert(std::span<const EncodedRecord> records,
                   std::span<const uint32_t> slots, ThreadPool* pool = nullptr,
                   size_t min_chunk = 0);
+
+  /// BulkInsert of records given as rows: record i has id `ids[i]` and
+  /// the vector packed in `rows[i]`, and goes to `slots[i]`.
+  void BulkInsert(std::span<const RecordId> ids,
+                  std::span<const uint64_t* const> rows,
+                  std::span<const uint32_t> slots, ThreadPool* pool,
+                  size_t min_chunk);
 
   /// Id-only shim for callers that fill the store on their own: record
   /// i goes to slot num_slots() + i.  That equals VectorStore::AddAll's
@@ -217,10 +225,15 @@ class HbBlocker : public SlotCandidateSource {
                                   ThreadPool* pool = nullptr,
                                   size_t min_chunk = 0) const;
 
-  /// Phase 2 of BulkInsert: merges `keys`, the KeyMatrix of `records`,
-  /// with record i at `slots[i]`, one table per pool chunk (inline when
-  /// `pool` is null).
-  void InsertKeys(std::span<const EncodedRecord> records,
+  /// KeyMatrix of the vectors packed in `rows` (row i is record i).
+  std::vector<uint64_t> KeyMatrix(std::span<const uint64_t* const> rows,
+                                  ThreadPool* pool = nullptr,
+                                  size_t min_chunk = 0) const;
+
+  /// Phase 2 of BulkInsert: merges `keys`, the KeyMatrix of the records
+  /// with ids `ids`, with record i at `slots[i]`, one table per pool
+  /// chunk (inline when `pool` is null).
+  void InsertKeys(std::span<const RecordId> ids,
                   std::span<const uint64_t> keys,
                   std::span<const uint32_t> slots, ThreadPool* pool = nullptr);
 
@@ -236,7 +249,7 @@ class HbBlocker : public SlotCandidateSource {
   /// several structures (C2, C3) a collision need not be formulated:
   /// FilterFormulated decides that.
   bool ForEachSlotSpan(
-      const BitVector& probe,
+      const uint64_t* probe,
       FunctionRef<void(std::span<const uint32_t>)> cb) const override;
 
   /// True for one structure (record-level, C1, or any flat AND/OR of
@@ -247,7 +260,7 @@ class HbBlocker : public SlotCandidateSource {
 
   /// keep[i] = FormulatedByRule(row of slots[i], probe), with the
   /// probe's keys computed once.
-  void FilterFormulated(const BitVector& probe, const uint64_t* rows,
+  void FilterFormulated(const uint64_t* probe, const uint64_t* rows,
                         size_t stride, std::span<const uint32_t> slots,
                         uint8_t* keep) const override;
 

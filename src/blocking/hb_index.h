@@ -41,11 +41,28 @@ class HbIndex {
   /// first vector and slot) and indexes its blocking keys at its slot.
   void Insert(const EncodedRecord& record);
 
-  /// Insert for every record in order, with the blocker's two-phase
-  /// BulkInsert over `pool` (null = inline): the tables are identical to
-  /// an Insert loop at any thread count.
+  /// Insert for every record in order: InsertRows with each row copied
+  /// from its record, so the blocker's two-phase BulkInsert runs over
+  /// `pool` (null = inline) and the tables are identical to an Insert
+  /// loop at any thread count.
   void InsertAll(const std::vector<EncodedRecord>& records,
                  ThreadPool* pool = nullptr, size_t min_chunk = 0);
+
+  /// Rows for InsertRows' writer: rows[i] is the zeroed row record i's
+  /// vector goes in.
+  using RowsWriter = FunctionRef<void(std::span<uint64_t* const> rows)>;
+
+  /// InsertAll for `num_bits`-wide records whose vectors the caller
+  /// writes in place: record i has id `ids[i]`.  One serial pass gives
+  /// every id its slot (first wins, as in Insert) and grows the arena
+  /// once; `write` is then called once to write every row — the arena
+  /// row of a record the store keeps, a spare row for one whose id
+  /// already holds a row (its keys still point at that row, as Insert's
+  /// do) — and the rows are keyed and indexed over `pool`.  The store
+  /// and tables equal InsertAll over the written records.
+  void InsertRows(std::span<const RecordId> ids, size_t num_bits,
+                  RowsWriter write, ThreadPool* pool = nullptr,
+                  size_t min_chunk = 0);
 
   /// Overwrite: stores `record` in its id's slot with the new bits (a
   /// new id gets a fresh slot, a removed id is brought back) and indexes

@@ -1,8 +1,10 @@
 #include "src/blocking/matcher.h"
 
+#include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <utility>
 
 #include "src/common/thread_pool.h"
@@ -44,40 +46,40 @@ struct MatcherMetrics {
 
 }  // namespace
 
-uint32_t VectorStore::Add(const EncodedRecord& record) {
+void VectorStore::CheckWidth(size_t num_bits, RecordId id) {
   if (ids_.empty()) {
-    num_bits_ = record.bits.size();
-    stride_ = record.bits.words().size();
+    num_bits_ = num_bits;
+    stride_ = (num_bits + 63) / 64;
   }
-  // The arena has one stride for every record (the first Add fixes it);
+  // The arena has one stride for every record (the first add fixes it);
   // admitting a different width would silently corrupt the layout — every
   // later record lands at the wrong offset and the kernels read garbage.
   // Enforced unconditionally: an abort here is a caller bug surfaced at
   // the boundary, not data-dependent misbehaviour three stages later.
-  if (record.bits.size() != num_bits_) {
+  if (num_bits != num_bits_) {
     std::fprintf(stderr,
                  "cbvlink: VectorStore::Add id=%llu bit width %zu != store "
                  "width %zu (all vectors must share one encoder layout)\n",
-                 static_cast<unsigned long long>(record.id),
-                 record.bits.size(), num_bits_);
+                 static_cast<unsigned long long>(id), num_bits, num_bits_);
     std::abort();
   }
+}
+
+uint32_t VectorStore::Claim(RecordId id, bool* write) {
   if (ids_.size() + 1 > (slots_.size() * 3) / 4) {
     Rehash(slots_.empty() ? 16 : slots_.size() * 2);
   }
-  // First Add wins for a live slot, matching the emplace semantics of the
+  // First add wins for a live slot, matching the emplace semantics of the
   // map-based store.  A tombstoned slot is resurrected in place with the
   // new vector (an update may have changed the bits), so the dense index
   // stays stable.
-  size_t pos = Hash(record.id) & slot_mask_;
+  size_t pos = Hash(id) & slot_mask_;
   while (true) {
     const uint32_t dense = slots_[pos];
     if (dense == kNotFound) break;
-    if (ids_[dense] == record.id) {
-      if (IsDead(dense)) {
-        const std::vector<uint64_t>& words = record.bits.words();
-        std::copy(words.begin(), words.end(),
-                  words_.begin() + static_cast<size_t>(dense) * stride_);
+    if (ids_[dense] == id) {
+      *write = IsDead(dense);
+      if (*write) {
         dead_words_[dense >> 6] &= ~(uint64_t{1} << (dense & 63));
         --dead_count_;
       }
@@ -87,25 +89,78 @@ uint32_t VectorStore::Add(const EncodedRecord& record) {
   }
   const uint32_t dense = static_cast<uint32_t>(ids_.size());
   slots_[pos] = dense;
-  ids_.push_back(record.id);
-  const std::vector<uint64_t>& words = record.bits.words();
-  words_.insert(words_.end(), words.begin(), words.end());
+  ids_.push_back(id);
+  *write = true;
+  return dense;
+}
+
+uint32_t VectorStore::Add(const EncodedRecord& record) {
+  CheckWidth(record.bits.size(), record.id);
+  bool write = false;
+  const uint32_t dense = Claim(record.id, &write);
+  if (!write) return dense;
   // BitVector zero-pads past size(); the arena inherits the invariant, so
   // whole-word kernels are exact.
+  const std::vector<uint64_t>& words = record.bits.words();
+  const size_t offset = static_cast<size_t>(dense) * stride_;
+  if (offset == words_.size()) {
+    words_.insert(words_.end(), words.begin(), words.end());
+  } else {
+    std::copy(words.begin(), words.end(), words_.begin() + offset);
+  }
   return dense;
 }
 
 void VectorStore::AddAll(const std::vector<EncodedRecord>& records,
                          std::vector<uint32_t>* slots) {
-  if (!records.empty() && ids_.empty()) {
-    words_.reserve(records.size() * records.front().bits.words().size());
-    ids_.reserve(records.size());
-  }
   if (slots != nullptr) slots->resize(records.size());
+  if (records.empty()) return;
+  CheckWidth(records.front().bits.size(), records.front().id);
+  Reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
     const uint32_t slot = Add(records[i]);
     if (slots != nullptr) (*slots)[i] = slot;
   }
+}
+
+std::vector<uint64_t*> VectorStore::AddRows(std::span<const RecordId> ids,
+                                            size_t num_bits,
+                                            std::vector<uint32_t>* slots) {
+  slots->resize(ids.size());
+  std::vector<uint64_t*> rows(ids.size(), nullptr);
+  if (ids.empty()) return rows;
+  CheckWidth(num_bits, ids.front());
+  Reserve(ids.size());
+  const size_t old_size = ids_.size();
+  std::vector<uint8_t> writes(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    bool write = false;
+    (*slots)[i] = Claim(ids[i], &write);
+    writes[i] = write ? 1 : 0;
+  }
+  // One resize zeroes every new row; a resurrected row is cleared here.
+  words_.resize(ids_.size() * stride_, 0);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (writes[i] == 0) continue;
+    uint64_t* row = words_.data() + size_t{(*slots)[i]} * stride_;
+    if ((*slots)[i] < old_size) std::fill_n(row, stride_, uint64_t{0});
+    rows[i] = row;
+  }
+  return rows;
+}
+
+void VectorStore::Reserve(size_t more) {
+  const size_t total = ids_.size() + more;
+  // Doubling at least, so that many small bulk adds stay linear overall;
+  // the first bulk add into an empty store reserves exactly.
+  const auto grow = [](auto& column, size_t n) {
+    if (n > column.capacity()) {
+      column.reserve(std::max(n, 2 * column.capacity()));
+    }
+  };
+  grow(ids_, total);
+  grow(words_, total * stride_);
+  if (total > (slots_.size() * 3) / 4) Rehash((total * 4 + 2) / 3);
 }
 
 bool VectorStore::Remove(RecordId id) {
@@ -299,11 +354,12 @@ void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
   // local so the hot loop never branches on stats.
   MatchStats local;
   MatchStats* const s = stats != nullptr ? stats : &local;
-  Probe(b.bits, s, scratch);
-  Classify(b, classifier, out, s, scratch);
+  const uint64_t* const row = b.bits.words().data();
+  Probe(row, s, scratch);
+  Classify(b.id, row, classifier, out, s, scratch);
 }
 
-bool Matcher::Probe(const BitVector& probe, MatchStats* stats,
+bool Matcher::Probe(const uint64_t* probe, MatchStats* stats,
                     Scratch* scratch) const {
   scratch->Prepare(store_a_->size());
   // Slots index the stamps and the arena directly; one check per probe
@@ -357,7 +413,7 @@ bool Matcher::Probe(const BitVector& probe, MatchStats* stats,
   return overflowed;
 }
 
-void Matcher::Classify(const EncodedRecord& b,
+void Matcher::Classify(RecordId b_id, const uint64_t* b_row,
                        const PairClassifier& classifier,
                        std::vector<IdPair>* out, MatchStats* stats,
                        Scratch* scratch) const {
@@ -368,18 +424,18 @@ void Matcher::Classify(const EncodedRecord& b,
   stats->comparisons += n;
   if (n == 0) return;
   if (scratch->verdicts_.size() < n) scratch->verdicts_.resize(n);
-  classifier.ClassifyBatch(b.bits.words().data(), store_a_->arena().data(),
+  classifier.ClassifyBatch(b_row, store_a_->arena().data(),
                            store_a_->words_per_record(), fresh_dense.data(),
                            n, scratch->verdicts_.data());
   for (size_t i = 0; i < n; ++i) {
     if (scratch->verdicts_[i] != 0) {
       ++stats->matches;
-      out->push_back(IdPair{store_a_->IdAt(fresh_dense[i]), b.id});
+      out->push_back(IdPair{store_a_->IdAt(fresh_dense[i]), b_id});
     }
   }
 }
 
-void Matcher::ClassifyUnstamped(const EncodedRecord& b,
+void Matcher::ClassifyUnstamped(RecordId b_id, const uint64_t* b_row,
                                 const PairClassifier& classifier,
                                 std::vector<IdPair>* out, MatchStats* stats,
                                 Scratch* scratch) const {
@@ -391,7 +447,7 @@ void Matcher::ClassifyUnstamped(const EncodedRecord& b,
   if (n == 0) return;
   if (scratch->verdicts_.size() < n) scratch->verdicts_.resize(n);
   const uint8_t* const verdicts = scratch->verdicts_.data();
-  classifier.ClassifyBatch(b.bits.words().data(), store_a_->arena().data(),
+  classifier.ClassifyBatch(b_row, store_a_->arena().data(),
                            store_a_->words_per_record(), /*dense=*/nullptr, n,
                            scratch->verdicts_.data());
   const uint32_t* const stamps = scratch->stamps_.data();
@@ -401,7 +457,7 @@ void Matcher::ClassifyUnstamped(const EncodedRecord& b,
     ++stats->comparisons;
     if (verdicts[dense] != 0) {
       ++stats->matches;
-      out->push_back(IdPair{store_a_->IdAt(dense), b.id});
+      out->push_back(IdPair{store_a_->IdAt(dense), b_id});
     }
   }
 }
@@ -416,39 +472,92 @@ std::vector<IdPair> Matcher::MatchAll(
     const std::vector<EncodedRecord>& b_records,
     const PairClassifier& classifier, MatchStats* stats,
     ThreadPool* pool) const {
+  const size_t num_bits =
+      b_records.empty() ? store_a_->num_bits() : b_records.front().bits.size();
+  const size_t stride = (num_bits + 63) / 64;
+  Result<std::vector<IdPair>> pairs = MatchStream(
+      b_records.size(), num_bits,
+      [&](size_t i, uint64_t* row, RecordId* id) {
+        const std::vector<uint64_t>& words = b_records[i].bits.words();
+        std::copy_n(words.begin(), std::min(words.size(), stride), row);
+        *id = b_records[i].id;
+        return Status::OK();
+      },
+      classifier, stats, pool);
+  return std::move(pairs).value();
+}
+
+Result<std::vector<IdPair>> Matcher::MatchStream(
+    size_t n, size_t num_bits, RowWriter write,
+    const PairClassifier& classifier, MatchStats* stats,
+    ThreadPool* pool) const {
+  // The kernels read whole rows of the store's stride; a narrower probe
+  // row would have them read past it.
+  if (store_a_->size() != 0 && num_bits != store_a_->num_bits()) {
+    std::fprintf(stderr,
+                 "cbvlink: Matcher: probe rows of %zu bits against a store "
+                 "of %zu-bit vectors\n",
+                 num_bits, store_a_->num_bits());
+    std::abort();
+  }
   const MatcherMetrics& metrics = MatcherMetrics::Get();
   telemetry::ScopedTimer timer(metrics.batch_latency);
-  MatchStats batch;
-  std::vector<IdPair> out;
-  if (pool == nullptr || pool->num_threads() <= 1 || b_records.size() <= 1) {
+  const size_t stride = (num_bits + 63) / 64;
+  const size_t num_chunks = (n + kStreamChunk - 1) / kStreamChunk;
+  std::vector<std::vector<IdPair>> chunk_pairs(num_chunks);
+  std::vector<MatchStats> chunk_stats(num_chunks);
+  std::atomic<size_t> next_chunk{0};
+  // The lowest failing chunk and its error.  Chunks are claimed in
+  // order, so every chunk below it runs, and its error is that of the
+  // first failing record whatever the scheduling.
+  std::atomic<size_t> error_chunk{SIZE_MAX};
+  std::mutex error_mu;
+  Status first_error;
+  const auto worker = [&](size_t, size_t, size_t) {
     Scratch scratch;
-    for (const EncodedRecord& b : b_records) {
-      MatchOne(b, classifier, &out, &batch, &scratch);
+    std::vector<uint64_t> rows(kStreamChunk * stride);
+    RecordId ids[kStreamChunk] = {};
+    for (size_t c = next_chunk++; c < num_chunks && c < error_chunk;
+         c = next_chunk++) {
+      const size_t begin = c * kStreamChunk;
+      const size_t count = std::min(kStreamChunk, n - begin);
+      std::fill_n(rows.begin(), count * stride, uint64_t{0});
+      Status status;
+      for (size_t i = 0; i < count && status.ok(); ++i) {
+        status = write(begin + i, rows.data() + i * stride, &ids[i]);
+      }
+      if (!status.ok()) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (c < error_chunk) {
+          error_chunk = c;
+          first_error = std::move(status);
+        }
+        return;
+      }
+      for (size_t i = 0; i < count; ++i) {
+        const uint64_t* const row = rows.data() + i * stride;
+        Probe(row, &chunk_stats[c], &scratch);
+        Classify(ids[i], row, classifier, &chunk_pairs[c], &chunk_stats[c],
+                 &scratch);
+      }
     }
-  } else {
-    // One shard per ParallelFor chunk.  Chunk boundaries depend only on
-    // the record count and the pool size (thread_pool.h), so buffers
-    // concatenated in chunk order reproduce the serial output exactly.
-    const size_t max_chunks = std::min(b_records.size(), pool->num_threads());
-    std::vector<std::vector<IdPair>> shard_pairs(max_chunks);
-    std::vector<MatchStats> shard_stats(max_chunks);
-    pool->ParallelFor(
-        b_records.size(), [&](size_t chunk, size_t begin, size_t end) {
-          Scratch scratch;
-          for (size_t i = begin; i < end; ++i) {
-            MatchOne(b_records[i], classifier, &shard_pairs[chunk],
-                     &shard_stats[chunk], &scratch);
-          }
-        });
-    size_t total_pairs = 0;
-    for (const std::vector<IdPair>& shard : shard_pairs) {
-      total_pairs += shard.size();
-    }
-    out.reserve(total_pairs);
-    for (size_t c = 0; c < max_chunks; ++c) {
-      out.insert(out.end(), shard_pairs[c].begin(), shard_pairs[c].end());
-      batch += shard_stats[c];
-    }
+  };
+  const size_t workers =
+      pool == nullptr ? 1 : std::min(pool->num_threads(), num_chunks);
+  ParallelForOrInline(pool, workers, 1, worker);
+  if (!first_error.ok()) return first_error;
+
+  MatchStats batch;
+  size_t total_pairs = 0;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    total_pairs += chunk_pairs[c].size();
+    batch += chunk_stats[c];
+  }
+  std::vector<IdPair> out;
+  out.reserve(total_pairs);
+  for (std::vector<IdPair>& pairs : chunk_pairs) {
+    out.insert(out.end(), pairs.begin(), pairs.end());
+    std::vector<IdPair>().swap(pairs);
   }
   metrics.Record(batch);
   if (stats != nullptr) *stats += batch;

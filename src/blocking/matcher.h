@@ -29,21 +29,29 @@
 //    SIMD kernel call applies it to every staged candidate row in the
 //    arena.  Verdicts come back in staging order, which is bucket
 //    arrival order, so the emit order is that of a per-pair loop.
-//  * MatchAll shards the B records over a ThreadPool with per-thread
-//    stats and match buffers, merged in shard order — the output is
-//    byte-identical to the serial engine at any thread count.
+//  * MatchStream streams the B records through the pool in one pass:
+//    each worker claims the next fixed-size chunk, writes its records'
+//    rows into a per-worker row block (a batch encoder writes them there
+//    straight from the raw records), then probes and classifies each
+//    row.  Every chunk keeps its own stats and match buffer, merged in
+//    chunk order — the output is byte-identical to the serial engine at
+//    any thread count, and a slow worker claims fewer chunks instead of
+//    holding the stage up.  MatchAll is MatchStream over EncodedRecords.
 
 #ifndef CBVLINK_BLOCKING_MATCHER_H_
 #define CBVLINK_BLOCKING_MATCHER_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/blocking/hb_blocker.h"
 #include "src/common/bitvector.h"
+#include "src/common/function_ref.h"
 #include "src/common/hamming_kernels.h"
 #include "src/common/record.h"
+#include "src/common/status.h"
 #include "src/embedding/record_encoder.h"
 #include "src/rules/rule.h"
 
@@ -105,6 +113,28 @@ class VectorStore {
   /// (*slots)[i] to the slot of records[i].
   void AddAll(const std::vector<EncodedRecord>& records,
               std::vector<uint32_t>* slots = nullptr);
+
+  /// The slot pass of a bulk add whose vectors the caller writes in
+  /// place: gives ids[i] the slot an Add loop over `num_bits`-wide
+  /// records would, sets (*slots)[i] to it and grows the arena once.
+  /// Returns, for each i, the zeroed arena row record i's vector goes in
+  /// when the Add loop would store it (a new id, or a tombstoned one,
+  /// which comes back; the first of an id in `ids`), and null when its
+  /// id already holds a row.  The rows stay valid until the next add;
+  /// the caller must write every one before the store is read.
+  std::vector<uint64_t*> AddRows(std::span<const RecordId> ids,
+                                 size_t num_bits,
+                                 std::vector<uint32_t>* slots);
+
+  /// Fixes the width on the first add; aborts when `num_bits` differs
+  /// from it (`id` names the offending record).  Every add checks.
+  void CheckWidth(size_t num_bits, RecordId id);
+
+  /// Makes room for `more` records past size() at once: the arena, the
+  /// id column and an id -> slot table that those adds never rehash.
+  /// The bulk adds call it; the tables and slots they build are those
+  /// of an unreserved Add loop.
+  void Reserve(size_t more);
 
   /// Tombstones `id`.  Returns true when the id was present and live
   /// (false = unknown or already dead).  O(1): one hash probe + one bit.
@@ -176,6 +206,11 @@ class VectorStore {
   }
 
   void Rehash(size_t min_slots);
+
+  /// The slot of `id`, appended (without words) when new.  Sets `*write`
+  /// when the caller must write the slot's row: a new id, or a
+  /// tombstoned one, which this brings back.
+  uint32_t Claim(RecordId id, bool* write);
 
   size_t num_bits_ = 0;
   size_t stride_ = 0;
@@ -310,6 +345,14 @@ class Matcher {
   /// constructor aborts on any other source.
   Matcher(const CandidateSource* source, const VectorStore* store_a);
 
+  /// Records per chunk of MatchStream, the unit a worker claims.
+  static constexpr size_t kStreamChunk = 256;
+
+  /// Writes B record i's vector into `row` (zeroed, as wide as the
+  /// stream's rows) and its id into `*id`.  An error stops the stream.
+  using RowWriter =
+      FunctionRef<Status(size_t i, uint64_t* row, RecordId* id)>;
+
   /// Matches one B record; appends matched pairs to `out`.  `stats` may
   /// be null when the caller does not need counters.  Uses the matcher's
   /// internal scratch — not thread-safe across concurrent MatchOne calls
@@ -323,9 +366,10 @@ class Matcher {
                 std::vector<IdPair>* out, MatchStats* stats,
                 Scratch* scratch) const;
 
-  /// MatchOne's candidates stage: walks `probe`'s bucket slots, stamps
-  /// every candidate in `scratch` and stages the first-seen live ones.
-  /// When the source does not formulate every pair it collides
+  /// MatchOne's candidates stage: walks the bucket slots of the `probe`
+  /// row (store_a's words_per_record() words), stamps every candidate in
+  /// `scratch` and stages the first-seen live ones.  When the source
+  /// does not formulate every pair it collides
   /// (SlotCandidateSource::FormulatesEveryPair), one FilterFormulated
   /// call over the staged slots' arena rows then drops, in order, the
   /// pairs the rule does not formulate, and clears their stamps.
@@ -333,21 +377,22 @@ class Matcher {
   /// Returns true when a probed bucket has dropped entries at its cap
   /// (SlotCandidateSource::ForEachSlotSpan).  Aborts when the source
   /// holds a slot outside the store.
-  bool Probe(const BitVector& probe, MatchStats* stats,
+  bool Probe(const uint64_t* probe, MatchStats* stats,
              Scratch* scratch) const;
 
   /// MatchOne's compare stage: classifies the candidates the last Probe
-  /// staged in `scratch` with one ClassifyBatch call and appends matched
-  /// pairs in staging order.  Adds comparisons and matches to `*stats`.
-  void Classify(const EncodedRecord& b, const PairClassifier& classifier,
-                std::vector<IdPair>* out, MatchStats* stats,
-                Scratch* scratch) const;
+  /// of `b_row` staged in `scratch` with one ClassifyBatch call and
+  /// appends matched (a, b_id) pairs in staging order.  Adds comparisons
+  /// and matches to `*stats`.
+  void Classify(RecordId b_id, const uint64_t* b_row,
+                const PairClassifier& classifier, std::vector<IdPair>* out,
+                MatchStats* stats, Scratch* scratch) const;
 
-  /// Exact fallback after Probe(b.bits): classifies every live record
-  /// the probe did not stamp, with one ClassifyBatch call over the
+  /// Exact fallback after Probe(b_row): classifies every live record the
+  /// probe did not stamp, with one ClassifyBatch call over the
   /// contiguous arena, and appends matched pairs in arena order.  With
   /// Classify, every live record is compared exactly once.
-  void ClassifyUnstamped(const EncodedRecord& b,
+  void ClassifyUnstamped(RecordId b_id, const uint64_t* b_row,
                          const PairClassifier& classifier,
                          std::vector<IdPair>* out, MatchStats* stats,
                          Scratch* scratch) const;
@@ -357,14 +402,28 @@ class Matcher {
                                const PairClassifier& classifier,
                                MatchStats* stats) const;
 
-  /// Parallel MatchAll: shards the B records over `pool` (null or a
-  /// single-worker pool falls back to the serial path).  Each shard keeps
-  /// private stats and match buffers; buffers are concatenated in shard
-  /// order, so pairs and stats totals are identical to the serial engine
-  /// at any thread count.
+  /// MatchStream over `b_records`, whose rows are copies of their
+  /// vectors: pairs and stats totals are identical to a MatchOne loop at
+  /// any thread count.
   std::vector<IdPair> MatchAll(const std::vector<EncodedRecord>& b_records,
                                const PairClassifier& classifier,
                                MatchStats* stats, ThreadPool* pool) const;
+
+  /// Matches `n` B records of `num_bits` bits (store_a's width), record
+  /// i given by write(i, ...), in one pass over `pool` (null or a single
+  /// worker runs inline).  Workers claim chunks of kStreamChunk
+  /// consecutive records in order, write a chunk's rows into a
+  /// per-worker block, then probe and classify each row.  Each chunk's
+  /// pairs and stats go to a slot of their own, merged in chunk order,
+  /// so the pairs, their order and the stats equal a MatchOne loop over
+  /// the records at any thread count.  When `write` fails, returns the
+  /// error of the first failing record, with no pairs and `*stats`
+  /// untouched.  `stats` may be null.
+  Result<std::vector<IdPair>> MatchStream(size_t n, size_t num_bits,
+                                          RowWriter write,
+                                          const PairClassifier& classifier,
+                                          MatchStats* stats,
+                                          ThreadPool* pool) const;
 
  private:
   const SlotCandidateSource* source_;

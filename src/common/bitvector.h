@@ -21,6 +21,12 @@
 
 namespace cbvlink {
 
+/// Sets bit `i` of the word-packed sequence at `words` (bit i lives in
+/// word i / 64), which must hold it.
+inline void SetWordBit(uint64_t* words, size_t i) noexcept {
+  words[i >> 6] |= uint64_t{1} << (i & 63);
+}
+
 /// Hamming distance between two word-packed bit sequences of `num_words`
 /// 64-bit words.  Padding bits past the logical length must be zero in
 /// both operands (the BitVector invariant), so whole-word XOR+popcount is
@@ -80,7 +86,7 @@ class BitVector {
   /// Sets bit `i` to 1.  Requires i < size().
   void Set(size_t i) noexcept {
     assert(i < num_bits_);
-    words_[i >> 6] |= (uint64_t{1} << (i & 63));
+    SetWordBit(words_.data(), i);
   }
 
   /// Clears bit `i`.  Requires i < size().

@@ -4,6 +4,7 @@
 #define CBVLINK_COMMON_RECORD_H_
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,12 @@ struct IdPair {
   bool operator==(const IdPair&) const = default;
   auto operator<=>(const IdPair&) const = default;
 };
+
+/// Prints `pair` as "(a_id, b_id)" — how gtest shows pair lists in a
+/// failed expectation, instead of a raw byte dump.
+inline void PrintTo(const IdPair& pair, std::ostream* os) {
+  *os << '(' << pair.a_id << ", " << pair.b_id << ')';
+}
 
 }  // namespace cbvlink
 

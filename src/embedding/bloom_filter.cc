@@ -16,15 +16,16 @@ Result<BloomFilterEncoder> BloomFilterEncoder::Create(
 }
 
 BitVector BloomFilterEncoder::Encode(std::string_view value) const {
-  BitVector bv(family_.num_bits());
-  EncodeInto(value, 0, &bv);
-  return bv;
+  std::vector<uint64_t> words((vector_size() + 63) / 64, 0);
+  EncodeInto(value, 0, words.data());
+  return BitVector::FromWords(vector_size(), std::move(words));
 }
 
 void BloomFilterEncoder::EncodeInto(std::string_view value, size_t offset,
-                                    BitVector* out) const {
+                                    uint64_t* words) const {
   extractor_.ForEachIndex(value, [&](uint64_t ind) {
-    family_.ForEachPosition(ind, [&](size_t pos) { out->Set(offset + pos); });
+    family_.ForEachPosition(
+        ind, [&](size_t pos) { SetWordBit(words, offset + pos); });
   });
 }
 

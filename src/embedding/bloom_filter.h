@@ -49,9 +49,10 @@ class BloomFilterEncoder {
   /// Encodes one attribute value, normalized on the fly.
   BitVector Encode(std::string_view value) const;
 
-  /// Encode() into bits [offset, offset + vector_size()) of `out`, which
-  /// must be that large and have those bits clear.
-  void EncodeInto(std::string_view value, size_t offset, BitVector* out) const;
+  /// Encode() into bits [offset, offset + vector_size()) of the packed
+  /// words at `words`, which must hold those bits and have them clear.
+  void EncodeInto(std::string_view value, size_t offset,
+                  uint64_t* words) const;
 
   const QGramExtractor& extractor() const { return extractor_; }
 

@@ -32,23 +32,23 @@ Result<CVectorEncoder> CVectorEncoder::CreateWithSize(QGramExtractor extractor,
 }
 
 BitVector CVectorEncoder::Encode(std::string_view value) const {
-  BitVector bv(vector_size());
-  EncodeInto(value, 0, &bv);
-  return bv;
+  std::vector<uint64_t> words((vector_size() + 63) / 64, 0);
+  EncodeInto(value, 0, words.data());
+  return BitVector::FromWords(vector_size(), std::move(words));
 }
 
 void CVectorEncoder::EncodeInto(std::string_view value, size_t offset,
-                                BitVector* out) const {
+                                uint64_t* words) const {
   if (!bit_of_gram_.empty()) {
     // ForEachIndex emits indexes below |S|^q, the table's size.
     const uint32_t* bit_of_gram = bit_of_gram_.data();
     extractor_.ForEachIndex(value, [&](uint64_t ind) {
-      out->Set(offset + bit_of_gram[ind]);
+      SetWordBit(words, offset + bit_of_gram[ind]);
     });
     return;
   }
   extractor_.ForEachIndex(value, [&](uint64_t ind) {
-    out->Set(offset + static_cast<size_t>(hash_(ind)));
+    SetWordBit(words, offset + static_cast<size_t>(hash_(ind)));
   });
 }
 

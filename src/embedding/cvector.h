@@ -58,10 +58,12 @@ class CVectorEncoder {
   /// form encode identically.
   BitVector Encode(std::string_view value) const;
 
-  /// Encode() into bits [offset, offset + vector_size()) of `out`, which
-  /// must be that large and have those bits clear.  Record encoders call
-  /// this at each attribute's RecordLayout offset.
-  void EncodeInto(std::string_view value, size_t offset, BitVector* out) const;
+  /// Encode() into bits [offset, offset + vector_size()) of the packed
+  /// words at `words` (bit i in word i / 64), which must hold those bits
+  /// and have them clear.  Record encoders call this at each attribute's
+  /// RecordLayout offset, straight into a record row.
+  void EncodeInto(std::string_view value, size_t offset,
+                  uint64_t* words) const;
 
   const QGramExtractor& extractor() const { return extractor_; }
   const PairwiseHash& hash() const { return hash_; }

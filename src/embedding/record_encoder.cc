@@ -53,24 +53,38 @@ Result<std::vector<EncodedRecord>> EncodeAllImpl(
   return out;
 }
 
-/// Shared single-record Encode(): allocates the record vector once and lets
-/// each attribute encoder set its bits at the attribute's layout offset.
+/// InvalidArgument unless `record` has `num_attributes` fields.
+Status CheckFieldCount(const Record& record, size_t num_attributes) {
+  if (record.fields.size() == num_attributes) return Status::OK();
+  return Status::InvalidArgument(
+      StrFormat("record %llu has %zu fields, schema expects %zu",
+                static_cast<unsigned long long>(record.id),
+                record.fields.size(), num_attributes));
+}
+
+/// Shared row encode: each attribute encoder sets its bits at the
+/// attribute's layout offset in the zeroed `row`.
+template <typename AttributeEncoder>
+Status EncodeRowImpl(const std::vector<AttributeEncoder>& encoders,
+                     const RecordLayout& layout, const Record& record,
+                     uint64_t* row) {
+  CBVLINK_RETURN_NOT_OK(CheckFieldCount(record, encoders.size()));
+  for (size_t i = 0; i < encoders.size(); ++i) {
+    encoders[i].EncodeInto(record.fields[i], layout.segment(i).offset, row);
+  }
+  return Status::OK();
+}
+
+/// Shared single-record Encode(): one row, allocated once and handed to
+/// the BitVector.
 template <typename AttributeEncoder>
 Result<EncodedRecord> EncodeRecordImpl(
     const std::vector<AttributeEncoder>& encoders, const RecordLayout& layout,
     const Record& record) {
-  if (record.fields.size() != encoders.size()) {
-    return Status::InvalidArgument(
-        StrFormat("record %llu has %zu fields, schema expects %zu",
-                  static_cast<unsigned long long>(record.id),
-                  record.fields.size(), encoders.size()));
-  }
-  EncodedRecord out{record.id, BitVector(layout.total_bits())};
-  for (size_t i = 0; i < encoders.size(); ++i) {
-    encoders[i].EncodeInto(record.fields[i], layout.segment(i).offset,
-                           &out.bits);
-  }
-  return out;
+  std::vector<uint64_t> words((layout.total_bits() + 63) / 64, 0);
+  CBVLINK_RETURN_NOT_OK(EncodeRowImpl(encoders, layout, record, words.data()));
+  return EncodedRecord{
+      record.id, BitVector::FromWords(layout.total_bits(), std::move(words))};
 }
 
 }  // namespace
@@ -132,6 +146,15 @@ Result<CVectorRecordEncoder> CVectorRecordEncoder::Create(
 Result<EncodedRecord> CVectorRecordEncoder::Encode(
     const Record& record) const {
   return EncodeRecordImpl(encoders_, layout_, record);
+}
+
+Status CVectorRecordEncoder::CheckRecord(const Record& record) const {
+  return CheckFieldCount(record, encoders_.size());
+}
+
+Status CVectorRecordEncoder::EncodeRow(const Record& record,
+                                       uint64_t* row) const {
+  return EncodeRowImpl(encoders_, layout_, record, row);
 }
 
 Result<std::vector<EncodedRecord>> CVectorRecordEncoder::EncodeAll(

@@ -6,12 +6,14 @@
 // blocking layer can sample attribute-specific positions and the matcher
 // can evaluate attribute-level distances in place.
 //
-// Encode() allocates the record vector once, at total_bits(), and each
-// attribute encoder sets its bits straight into its segment from the raw
-// field (see QGramExtractor::ForEachIndex); no per-attribute vector or
-// normalized copy of the field is built.  The segments are not word
-// aligned (15/15/68/22 bits for NCVR), which is why the bits are set in
-// place rather than copied.
+// A record is encoded into a row: words_per_record() packed words, in
+// which each attribute encoder sets its bits straight into its segment
+// from the raw field (see QGramExtractor::ForEachIndex); no
+// per-attribute vector or normalized copy of the field is built.  The
+// segments are not word aligned (15/15/68/22 bits for NCVR), which is why
+// the bits are set in place rather than copied.  EncodeRow writes a row
+// the caller owns — a VectorStore arena row, or a batch matcher's
+// per-thread row block — and Encode() wraps one row in a BitVector.
 
 #ifndef CBVLINK_EMBEDDING_RECORD_ENCODER_H_
 #define CBVLINK_EMBEDDING_RECORD_ENCODER_H_
@@ -105,6 +107,16 @@ class CVectorRecordEncoder {
   /// different field count than the schema.
   Result<EncodedRecord> Encode(const Record& record) const;
 
+  /// InvalidArgument when `record` has a different field count than the
+  /// schema: the one reason Encode and EncodeRow fail.
+  Status CheckRecord(const Record& record) const;
+
+  /// Encode() into `row`, words_per_record() words that must be zero.
+  /// Sets only bits below total_bits(), so the padding past them stays
+  /// zero, as the whole-word Hamming kernels require.  Fails as Encode
+  /// does, leaving `row` untouched.
+  Status EncodeRow(const Record& record, uint64_t* row) const;
+
   /// Batch Encode: out[i] = Encode(records[i]), sharded over `pool` when
   /// one is supplied (null = serial).  Chunk boundaries depend only on
   /// the input size and the pool size, and each output slot is written
@@ -139,6 +151,9 @@ class CVectorRecordEncoder {
   /// The total record-vector size (the paper's m-bar_opt; 120 bits for the
   /// NCVR schema of Table 3).
   size_t total_bits() const { return layout_.total_bits(); }
+
+  /// Words of one encoded row: ceil(total_bits() / 64), 2 for NCVR.
+  size_t words_per_record() const { return (total_bits() + 63) / 64; }
 
  private:
   CVectorRecordEncoder(Schema schema, std::vector<CVectorEncoder> encoders,

@@ -74,31 +74,26 @@ Result<LinkageResult> CbvHbLinker::Link(const std::vector<Record>& a,
   OnlineCbvHbLinker& engine = engine_result.value();
   encoder_.emplace(engine.encoder());
 
-  // Embedding is embarrassingly parallel over records; EncodeAll shards
-  // both data sets over the context's pool (byte-identical to serial).
-  Result<std::vector<EncodedRecord>> encoded_a =
-      engine.encoder().EncodeAll(a, ctx.pool(), ctx.chunk_size_hint());
-  if (!encoded_a.ok()) return encoded_a.status();
-  Result<std::vector<EncodedRecord>> encoded_b =
-      engine.encoder().EncodeAll(b, ctx.pool(), ctx.chunk_size_hint());
-  if (!encoded_b.ok()) return encoded_b.status();
-  result.embed_seconds = watch.ElapsedSeconds();
-
-  // --- Blocking ----------------------------------------------------------
-  // A repeated id keeps its first vector and slot, so every record
-  // carrying that id blocks onto the first one's row.
+  // --- Embedding A, then blocking ----------------------------------------
+  // A's records are encoded straight into the engine's arena rows, over
+  // the context's pool (byte-identical to serial).  A repeated id keeps
+  // its first vector and slot, so every record carrying that id blocks
+  // onto the first one's row.
+  const double setup_seconds = watch.ElapsedSeconds();
   watch.Restart();
-  CBVLINK_RETURN_NOT_OK(engine.InsertEncoded(encoded_a.value(), ctx.pool(),
-                                             ctx.chunk_size_hint()));
-  // The arena holds A's vectors now.
-  std::vector<EncodedRecord>().swap(encoded_a.value());
+  double encode_a_seconds = 0.0;
+  CBVLINK_RETURN_NOT_OK(engine.InsertRecords(a, ctx.pool(),
+                                             ctx.chunk_size_hint(),
+                                             &encode_a_seconds));
+  result.embed_seconds = setup_seconds + encode_a_seconds;
+  result.index_seconds = watch.ElapsedSeconds() - encode_a_seconds;
   result.blocking_groups = engine.blocking_groups();
-  result.index_seconds = watch.ElapsedSeconds();
 
   // --- Matching (Algorithm 2) --------------------------------------------
+  // B streams through the pool in claimed chunks, each encoded into a
+  // worker's row block and matched there; B is never held encoded.
   watch.Restart();
-  Result<std::vector<IdPair>> matches =
-      engine.MatchAll(encoded_b.value(), ctx.pool());
+  Result<std::vector<IdPair>> matches = engine.MatchRecords(b, ctx.pool());
   if (!matches.ok()) return matches.status();
   result.matches = std::move(matches).value();
   result.stats = engine.stats();

@@ -22,7 +22,11 @@ struct LinkageResult {
   /// Matcher counters (|CR| = stats.comparisons).
   MatchStats stats;
   /// Wall-clock split: embedding the records, building the blocking
-  /// structures + inserting A, and probing/matching B.
+  /// structures + inserting A, and probing/matching B.  cBV-HB encodes
+  /// A into its arena rows in embed_seconds (beside sizing and set-up),
+  /// and B chunk by chunk inside match_seconds, as it streams B through
+  /// the matcher; the other embedding linkers encode both sets in
+  /// embed_seconds.
   double embed_seconds = 0.0;
   double index_seconds = 0.0;
   double match_seconds = 0.0;

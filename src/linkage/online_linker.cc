@@ -1,8 +1,22 @@
 #include "src/linkage/online_linker.h"
 
+#include "src/common/stopwatch.h"
 #include "src/common/str.h"
+#include "src/common/thread_pool.h"
+#include "src/telemetry/metrics.h"
 
 namespace cbvlink {
+namespace {
+
+/// The encoder's record counter; the row paths count what they encode,
+/// as EncodeAll does.
+telemetry::Counter* EmbedRecordsCounter() {
+  static telemetry::Counter* const counter =
+      telemetry::Registry::Global().GetCounter("embed_records_total");
+  return counter;
+}
+
+}  // namespace
 
 Status ResolveExpectedQGrams(CbvHbConfig* config,
                              const std::vector<Record>& calibration_sample) {
@@ -76,10 +90,38 @@ Status OnlineCbvHbLinker::Insert(const Record& record) {
 Status OnlineCbvHbLinker::InsertBatch(const std::vector<Record>& records,
                                       const ExecutionOptions& options) {
   ExecutionContext ctx(options);
-  Result<std::vector<EncodedRecord>> encoded =
-      encoder_.EncodeAll(records, ctx.pool(), ctx.chunk_size_hint());
-  if (!encoded.ok()) return encoded.status();
-  return InsertEncoded(encoded.value(), ctx.pool(), ctx.chunk_size_hint());
+  return InsertRecords(records, ctx.pool(), ctx.chunk_size_hint());
+}
+
+Status OnlineCbvHbLinker::InsertRecords(std::span<const Record> records,
+                                        ThreadPool* pool, size_t min_chunk,
+                                        double* encode_seconds) {
+  Stopwatch watch;
+  // Every record is checked before the store hands out a slot, so a
+  // malformed one leaves the index as it was.
+  std::vector<RecordId> ids(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    CBVLINK_RETURN_NOT_OK(encoder_.CheckRecord(records[i]));
+    ids[i] = records[i].id;
+  }
+  index_.InsertRows(
+      ids, encoder_.total_bits(),
+      [&](std::span<uint64_t* const> rows) {
+        // Each row is written by exactly one chunk, and EncodeRow cannot
+        // fail on a checked record.
+        ParallelForOrInline(pool, rows.size(), min_chunk,
+                            [&](size_t, size_t begin, size_t end) {
+                              for (size_t i = begin; i < end; ++i) {
+                                encoder_.EncodeRow(records[i], rows[i]);
+                              }
+                            });
+        if (encode_seconds != nullptr) {
+          *encode_seconds = watch.ElapsedSeconds();
+        }
+      },
+      pool, min_chunk);
+  EmbedRecordsCounter()->Add(records.size());
+  return Status::OK();
 }
 
 Status OnlineCbvHbLinker::InsertEncoded(
@@ -112,6 +154,19 @@ Result<std::vector<IdPair>> OnlineCbvHbLinker::MatchAll(
     CBVLINK_RETURN_NOT_OK(CheckWidth(record));
   }
   return index_.matcher().MatchAll(records, classifier_, &stats_, pool);
+}
+
+Result<std::vector<IdPair>> OnlineCbvHbLinker::MatchRecords(
+    std::span<const Record> records, ThreadPool* pool) {
+  Result<std::vector<IdPair>> pairs = index_.matcher().MatchStream(
+      records.size(), encoder_.total_bits(),
+      [&](size_t i, uint64_t* row, RecordId* id) {
+        *id = records[i].id;
+        return encoder_.EncodeRow(records[i], row);
+      },
+      classifier_, &stats_, pool);
+  if (pairs.ok()) EmbedRecordsCounter()->Add(records.size());
+  return pairs;
 }
 
 Status OnlineCbvHbLinker::MatchAndInsert(const Record& record,

@@ -9,7 +9,9 @@
 //    the blocking groups, classified by the rule, and optionally inserted
 //    so later arrivals can match it — the introduction's "nearly
 //    real-time analysis ... involving streaming data" scenario;
-//  * batch (CbvHbLinker::Link): insert data set A, then MatchAll B;
+//  * batch (CbvHbLinker::Link): InsertRecords A, then MatchRecords B —
+//    both encode straight into flat rows (the arena's for A, a
+//    per-worker block for B), so no EncodedRecord is built;
 //  * multi-party (MultiPartyLinker::Link, Section 5.3): each party probes
 //    the parties indexed before it, then is indexed itself;
 //  * deduplication (FindDuplicates): MatchAndInsert over one data set.
@@ -17,6 +19,7 @@
 #ifndef CBVLINK_LINKAGE_ONLINE_LINKER_H_
 #define CBVLINK_LINKAGE_ONLINE_LINKER_H_
 
+#include <span>
 #include <vector>
 
 #include "src/blocking/hb_index.h"
@@ -65,10 +68,23 @@ class OnlineCbvHbLinker {
   /// Encodes and indexes a registry record.
   Status Insert(const Record& record);
 
-  /// Encodes and indexes a batch of registry records: EncodeAll over the
-  /// execution policy's pool, then InsertEncoded.
+  /// Encodes and indexes a batch of registry records: InsertRecords over
+  /// the execution policy's pool.
   Status InsertBatch(const std::vector<Record>& records,
                      const ExecutionOptions& options = {});
+
+  /// Encodes every record straight into its arena row and indexes the
+  /// rows (HbIndex::InsertRows over `pool`, null = inline); no
+  /// EncodedRecord is built.  The index is byte-identical to
+  /// InsertEncoded(EncodeAll(records)) at any thread count, and a
+  /// repeated id keeps its first vector and slot.  When a record has the
+  /// wrong field count, returns EncodeAll's error (the first such
+  /// record's) and leaves the index untouched.  A non-null
+  /// `encode_seconds` receives the time until every row is written; the
+  /// rest of the call keys and indexes them.
+  Status InsertRecords(std::span<const Record> records, ThreadPool* pool,
+                       size_t min_chunk = 0,
+                       double* encode_seconds = nullptr);
 
   /// Indexes records encoded by encoder() with HbIndex::InsertAll over
   /// `pool` (null = inline) — the index is byte-identical to a serial
@@ -87,10 +103,20 @@ class OnlineCbvHbLinker {
   Status MatchEncoded(const EncodedRecord& encoded, std::vector<IdPair>* out);
 
   /// Matches every record of `records` (encoded by encoder()) against
-  /// the index, sharded over `pool` (Matcher::MatchAll): pairs and stats
-  /// are identical to a MatchEncoded loop at any thread count.
+  /// the index in claimed chunks over `pool` (Matcher::MatchAll): pairs
+  /// and stats are identical to a MatchEncoded loop at any thread count.
   Result<std::vector<IdPair>> MatchAll(
       const std::vector<EncodedRecord>& records, ThreadPool* pool = nullptr);
+
+  /// Encodes and matches every record of `records` in one
+  /// Matcher::MatchStream pass over `pool`: each worker encodes a chunk
+  /// of records into its own row block, then probes and classifies the
+  /// rows, so no record of `records` is stored.  Pairs and stats are
+  /// identical to MatchAll(EncodeAll(records)) at any thread count.  A
+  /// record with the wrong field count yields EncodeAll's error (the
+  /// first such record's), no pairs and no stats.
+  Result<std::vector<IdPair>> MatchRecords(std::span<const Record> records,
+                                           ThreadPool* pool = nullptr);
 
   /// Match, then insert the query so future arrivals can link to it.
   Status MatchAndInsert(const Record& record, std::vector<IdPair>* out);
@@ -112,6 +138,9 @@ class OnlineCbvHbLinker {
 
   /// The record encoder (layout introspection).
   const CVectorRecordEncoder& encoder() const { return encoder_; }
+
+  /// The HB index: the arena and the blocking tables (introspection).
+  const HbIndex& index() const { return index_; }
 
  private:
   explicit OnlineCbvHbLinker(CbvHbParts parts)

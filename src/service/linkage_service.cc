@@ -572,7 +572,8 @@ void LinkageService::MatchEncoded(const EncodedRecord& b,
     const std::shared_ptr<Core> core = PinCore();
     std::shared_lock lock(core->mu);
     const Matcher& matcher = core->index.matcher();
-    const bool saw_overflow = matcher.Probe(b.bits, &stats, &scratch);
+    const uint64_t* const row = b.bits.words().data();
+    const bool saw_overflow = matcher.Probe(row, &stats, &scratch);
     candidates_span.Annotate("occurrences", stats.candidate_occurrences);
     candidates_span.Annotate(
         "candidates", stats.candidate_occurrences - stats.dedup_skipped);
@@ -580,14 +581,15 @@ void LinkageService::MatchEncoded(const EncodedRecord& b,
     candidates_span.End();
 
     telemetry::TraceSpan compare_span("compare");
-    matcher.Classify(b, classifier_, out, &stats, &scratch);
+    matcher.Classify(b.id, row, classifier_, out, &stats, &scratch);
     if (saw_overflow &&
         options_.overflow_policy == OverflowPolicy::kScanFallback) {
       // A probed bucket dropped entries: preserve recall by classifying
       // every live record the probe did not reach, in one arena pass.
       scan_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       t_scan_fallbacks_->Add(1);
-      matcher.ClassifyUnstamped(b, classifier_, out, &stats, &scratch);
+      matcher.ClassifyUnstamped(b.id, row, classifier_, out, &stats,
+                                &scratch);
     }
     compare_span.Annotate("compared", stats.comparisons);
     compare_span.Annotate("matched", stats.matches);

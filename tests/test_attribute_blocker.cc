@@ -363,7 +363,7 @@ class DedupedCandidates : public SlotCandidateSource {
       : inner_(inner) {}
 
   bool ForEachSlotSpan(
-      const BitVector& probe,
+      const uint64_t* probe,
       FunctionRef<void(std::span<const uint32_t>)> cb) const override {
     std::unordered_set<uint32_t> seen;
     return inner_.ForEachSlotSpan(probe, [&](std::span<const uint32_t> bucket) {

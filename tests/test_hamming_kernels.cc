@@ -435,7 +435,9 @@ class SpanSource : public SlotCandidateSource {
              size_t num_buckets) {
     std::vector<uint32_t> slots;
     store->AddAll(a, &slots);
-    AssignSlots(a, slots);
+    std::vector<RecordId> ids;
+    for (const EncodedRecord& r : a) ids.push_back(r.id);
+    AssignSlots(ids, slots);
     buckets_.resize(num_buckets);
     for (size_t b = 0; b < num_buckets; ++b) {
       const size_t len = 1 + (b * 7) % 13;
@@ -446,9 +448,9 @@ class SpanSource : public SlotCandidateSource {
   }
 
   bool ForEachSlotSpan(
-      const BitVector& probe,
+      const uint64_t* probe,
       FunctionRef<void(std::span<const uint32_t>)> cb) const override {
-    const uint64_t h = probe.words().empty() ? 0 : probe.words()[0];
+    const uint64_t h = probe[0];
     const size_t groups = 1 + h % 5;
     for (size_t g = 0; g < groups; ++g) {
       cb(buckets_[(h + g * 13) % buckets_.size()]);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -77,7 +78,8 @@ std::vector<EncodedRecord> Clustered(size_t n, uint64_t seed,
 std::vector<std::vector<uint32_t>> Spans(const HbIndex& index,
                                          const BitVector& probe) {
   std::vector<std::vector<uint32_t>> spans;
-  index.blocker().ForEachSlotSpan(probe, [&](std::span<const uint32_t> span) {
+  index.blocker().ForEachSlotSpan(probe.words().data(),
+                                  [&](std::span<const uint32_t> span) {
     spans.emplace_back(span.begin(), span.end());
   });
   return spans;
@@ -130,6 +132,58 @@ TEST(HbIndexTest, RepeatedIdKeepsItsFirstVectorAndSlot) {
   for (const EncodedRecord& r : records) {
     for (const std::vector<uint32_t>& span : Spans(index, r.bits)) {
       for (const uint32_t s : span) EXPECT_LT(s, index.store().size());
+    }
+  }
+}
+
+/// InsertRows over `records`, each row written as a copy of its vector.
+void InsertRowsOf(HbIndex& index, const std::vector<EncodedRecord>& records,
+                  ThreadPool* pool) {
+  std::vector<RecordId> ids;
+  for (const EncodedRecord& r : records) ids.push_back(r.id);
+  index.InsertRows(
+      ids, kBits,
+      [&](std::span<uint64_t* const> rows) {
+        ASSERT_EQ(rows.size(), records.size());
+        for (size_t i = 0; i < rows.size(); ++i) {
+          const std::vector<uint64_t>& words = records[i].bits.words();
+          std::copy(words.begin(), words.end(), rows[i]);
+        }
+      },
+      pool, 8);
+}
+
+TEST(HbIndexTest, InsertRowsEqualsAnInsertLoopAtAnyThreadCount) {
+  // The row path builds an Insert loop's store and tables: a repeated id
+  // keeps its first row and slot while its own keys point there, and a
+  // removed id comes back in its slot with its new row.  Into empty and
+  // non-empty tables; an empty batch changes nothing.
+  const std::vector<EncodedRecord> first = Clustered(120, 3, 7);
+  std::vector<EncodedRecord> second = Clustered(90, 4, 5);
+  for (size_t i = 0; i < 12; ++i) second[i * 7].id = first[i * 9].id;
+  for (const bool attribute_level : {false, true}) {
+    SCOPED_TRACE(attribute_level ? "attribute-level" : "record-level");
+    const size_t cap = attribute_level ? 0 : 5;
+    HbIndex reference =
+        attribute_level ? AttributeLevelIndex() : RecordLevelIndex(cap);
+    for (const EncodedRecord& r : first) reference.Insert(r);
+    ASSERT_TRUE(reference.Remove(first[18].id));
+    ASSERT_TRUE(reference.Remove(first[50].id));
+    for (const EncodedRecord& r : second) reference.Insert(r);
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      ThreadPool pool(threads);
+      HbIndex rows = reference.EmptyCopy(cap);
+      InsertRowsOf(rows, {}, &pool);
+      EXPECT_EQ(rows.store().size(), 0u);
+      InsertRowsOf(rows, first, &pool);
+      ASSERT_TRUE(rows.Remove(first[18].id));
+      ASSERT_TRUE(rows.Remove(first[50].id));
+      InsertRowsOf(rows, second, &pool);
+      ExpectSameIndex(rows, reference, second);
+      ExpectSameIndex(rows, reference, first);
+      EXPECT_EQ(Tables(rows), Tables(reference));
+      EXPECT_TRUE(rows.IsLive(first[18].id));
+      EXPECT_FALSE(rows.IsLive(first[50].id));
     }
   }
 }

@@ -15,6 +15,7 @@
 #include "src/linkage/bfh_linker.h"
 #include "src/linkage/cbv_hb_linker.h"
 #include "src/linkage/harra_linker.h"
+#include "src/linkage/online_linker.h"
 #include "src/linkage/smeb_linker.h"
 
 namespace cbvlink {
@@ -701,6 +702,105 @@ TEST_F(LinkersTest, PinnedPairsSmEb) {
   EXPECT_EQ(result.value().stats.comparisons, 1206u);
   EXPECT_EQ(HashPairs(result.value().matches), 0x8963140c55b4412cULL);
   EXPECT_EQ(result.value().blocking_groups, 27u);
+}
+
+// --- Streamed Link ------------------------------------------------------
+//
+// Link encodes A straight into the arena and streams B through claimed
+// chunks; the EncodedRecord path (InsertEncoded(EncodeAll(A)), then one
+// MatchEncoded per record of EncodeAll(B)) is the reference it must
+// equal.
+
+TEST_F(LinkersTest, StreamedLinkEqualsEncodedPathAtAnyThreadCount) {
+  // Pairs, their order and every counter, for |B| of 0, 1, a whole
+  // number of chunks and the full set (a ragged last chunk), record-level
+  // PL and the compound rule C2 (whose probes filter by membership).
+  ASSERT_NE(data_->b.size() % Matcher::kStreamChunk, 0u);
+  ASSERT_GT(data_->b.size(), 2 * Matcher::kStreamChunk);
+  for (const bool attribute_level : {false, true}) {
+    SCOPED_TRACE(attribute_level ? "attribute-level C2" : "record-level PL");
+    CbvHbConfig config;
+    config.schema = generator_->schema();
+    config.rule = PlRule();
+    if (attribute_level) {
+      config.rule = Rule::Or({Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4)}),
+                              Rule::Pred(2, 8)});
+      config.attribute_level_blocking = true;
+      config.attribute_K = {5, 5, 10, 5};
+    }
+    // Set, so Link's engine and the reference draw from one fresh Rng.
+    config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+    config.seed = 77;
+    Result<CbvHbLinker> linker = CbvHbLinker::Create(config);
+    ASSERT_TRUE(linker.ok());
+    for (const size_t size : {size_t{0}, size_t{1}, 2 * Matcher::kStreamChunk,
+                              data_->b.size()}) {
+      const std::vector<Record> b(data_->b.begin(),
+                                  data_->b.begin() +
+                                      static_cast<ptrdiff_t>(size));
+      OnlineCbvHbLinker reference =
+          OnlineCbvHbLinker::Create(config).value();
+      ASSERT_TRUE(reference
+                      .InsertEncoded(
+                          reference.encoder().EncodeAll(data_->a).value())
+                      .ok());
+      const std::vector<EncodedRecord> encoded_b =
+          reference.encoder().EncodeAll(b).value();
+      std::vector<IdPair> expected;
+      for (const EncodedRecord& r : encoded_b) {
+        ASSERT_TRUE(reference.MatchEncoded(r, &expected).ok());
+      }
+      const MatchStats& stats = reference.stats();
+      if (size == data_->b.size()) {
+        ASSERT_FALSE(expected.empty());
+      }
+      for (const size_t threads : {1u, 2u, 4u, 8u}) {
+        Result<LinkageResult> result = linker.value().Link(
+            data_->a, b, ExecutionOptions::WithThreads(threads));
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result.value().matches, expected)
+            << "|B| = " << size << ", " << threads << " threads";
+        const MatchStats& got = result.value().stats;
+        EXPECT_EQ(got.candidate_occurrences, stats.candidate_occurrences);
+        EXPECT_EQ(got.comparisons, stats.comparisons);
+        EXPECT_EQ(got.matches, stats.matches);
+        EXPECT_EQ(got.dedup_skipped, stats.dedup_skipped);
+      }
+    }
+  }
+}
+
+TEST_F(LinkersTest, StreamedLinkReportsTheFirstMalformedRecordOfB) {
+  // Two malformed records of B, in different chunks: Link fails with the
+  // error EncodeAll gives for B — the first one's — at every thread count.
+  std::vector<Record> b = data_->b;
+  b[Matcher::kStreamChunk + 40].fields.pop_back();
+  b[3 * Matcher::kStreamChunk + 2].fields.pop_back();
+  CbvHbConfig config;
+  config.schema = generator_->schema();
+  config.rule = PlRule();
+  config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+  const Status expected = OnlineCbvHbLinker::Create(config)
+                              .value()
+                              .encoder()
+                              .EncodeAll(b)
+                              .status();
+  ASSERT_FALSE(expected.ok());
+  Result<CbvHbLinker> linker = CbvHbLinker::Create(config);
+  ASSERT_TRUE(linker.ok());
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    Result<LinkageResult> result = linker.value().Link(
+        data_->a, b, ExecutionOptions::WithThreads(threads));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().ToString(), expected.ToString())
+        << threads << " threads";
+  }
+}
+
+TEST(IdPairTest, PrintsAsIdTuple) {
+  EXPECT_EQ(testing::PrintToString(IdPair{3, 17}), "(3, 17)");
+  EXPECT_EQ(testing::PrintToString(std::vector<IdPair>{{1, 2}, {4, 5}}),
+            "{ (1, 2), (4, 5) }");
 }
 
 }  // namespace

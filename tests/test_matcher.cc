@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "src/blocking/hb_index.h"
 
@@ -31,7 +32,9 @@ class FixedSource : public SlotCandidateSource {
               std::initializer_list<RecordId> ids) {
     std::vector<uint32_t> slots;
     store->AddAll(records, &slots);
-    AssignSlots(records, slots);
+    std::vector<RecordId> record_ids;
+    for (const EncodedRecord& r : records) record_ids.push_back(r.id);
+    AssignSlots(record_ids, slots);
     for (const RecordId id : ids) {
       slots_.push_back(store->DenseIndex(id));
       EXPECT_NE(slots_.back(), VectorStore::kNotFound) << "id " << id;
@@ -39,7 +42,7 @@ class FixedSource : public SlotCandidateSource {
   }
 
   bool ForEachSlotSpan(
-      const BitVector&,
+      const uint64_t*,
       FunctionRef<void(std::span<const uint32_t>)> cb) const override {
     for (const uint32_t& slot : slots_) cb(std::span<const uint32_t>(&slot, 1));
     return false;
@@ -256,7 +259,9 @@ class HashedSpanSource : public SlotCandidateSource {
                    size_t num_buckets) {
     std::vector<uint32_t> slots;
     store->AddAll(a, &slots);
-    AssignSlots(a, slots);
+    std::vector<RecordId> ids;
+    for (const EncodedRecord& r : a) ids.push_back(r.id);
+    AssignSlots(ids, slots);
     buckets_.resize(num_buckets);
     for (size_t b = 0; b < num_buckets; ++b) {
       const size_t len = 1 + (b * 7) % 13;
@@ -267,9 +272,9 @@ class HashedSpanSource : public SlotCandidateSource {
   }
 
   bool ForEachSlotSpan(
-      const BitVector& probe,
+      const uint64_t* probe,
       FunctionRef<void(std::span<const uint32_t>)> cb) const override {
-    const uint64_t h = probe.words().empty() ? 0 : probe.words()[0];
+    const uint64_t h = probe[0];
     const size_t groups = 1 + h % 5;
     for (size_t g = 0; g < groups; ++g) {
       cb(buckets_[(h + g * 13) % buckets_.size()]);
@@ -374,6 +379,148 @@ TEST(MatcherParallelTest, RuleClassifierIdenticalAcrossThreadCounts) {
   EXPECT_EQ(stats.comparisons, serial_stats.comparisons);
 }
 
+/// MatchStream over `b`, each row a copy of the record's vector; a
+/// record whose id is in `failing` makes the writer fail.
+Result<std::vector<IdPair>> StreamOf(const Matcher& matcher,
+                                     const std::vector<EncodedRecord>& b,
+                                     size_t bits,
+                                     const PairClassifier& classifier,
+                                     MatchStats* stats, ThreadPool* pool,
+                                     std::initializer_list<RecordId> failing =
+                                         {}) {
+  return matcher.MatchStream(
+      b.size(), bits,
+      [&](size_t i, uint64_t* row, RecordId* id) {
+        if (std::find(failing.begin(), failing.end(), b[i].id) !=
+            failing.end()) {
+          return Status::InvalidArgument("record " + std::to_string(b[i].id));
+        }
+        const std::vector<uint64_t>& words = b[i].bits.words();
+        std::copy(words.begin(), words.end(), row);
+        *id = b[i].id;
+        return Status::OK();
+      },
+      classifier, stats, pool);
+}
+
+TEST(MatcherParallelTest, StreamEqualsMatchOneLoopAtAnyThreadCount) {
+  // Workers claim chunks in order and each chunk's pairs and stats are
+  // merged in chunk order, so the stream returns a MatchOne loop's pairs,
+  // in its order, with its stats: for no record, one, a whole number of
+  // chunks and a ragged last chunk, at every thread count.
+  Rng rng(19);
+  std::vector<EncodedRecord> a = RandomRecords(64, 96, 0, rng);
+  VectorStore store;
+  HashedSpanSource source(&store, a, 23);
+  Matcher matcher(&source, &store);
+  const PairClassifier classifier = MakeRecordThresholdClassifier(40);
+  for (const size_t n : {size_t{0}, size_t{1}, 2 * Matcher::kStreamChunk,
+                         3 * Matcher::kStreamChunk + 7}) {
+    const std::vector<EncodedRecord> b = RandomRecords(n, 96, 1000, rng);
+    std::vector<IdPair> expected;
+    MatchStats expected_stats;
+    Matcher::Scratch scratch;
+    for (const EncodedRecord& r : b) {
+      matcher.MatchOne(r, classifier, &expected, &expected_stats, &scratch);
+    }
+    if (n > Matcher::kStreamChunk) {
+      ASSERT_GT(expected_stats.matches, 0u);
+    }
+    for (const size_t threads : {1u, 2u, 4u, 8u}) {
+      ThreadPool pool(threads);
+      MatchStats stats;
+      Result<std::vector<IdPair>> pairs =
+          StreamOf(matcher, b, 96, classifier, &stats, &pool);
+      ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+      EXPECT_EQ(pairs.value(), expected) << n << " records, " << threads
+                                         << " threads";
+      EXPECT_EQ(stats.candidate_occurrences,
+                expected_stats.candidate_occurrences);
+      EXPECT_EQ(stats.comparisons, expected_stats.comparisons);
+      EXPECT_EQ(stats.matches, expected_stats.matches);
+      EXPECT_EQ(stats.dedup_skipped, expected_stats.dedup_skipped);
+    }
+  }
+}
+
+TEST(MatcherParallelTest, StreamReturnsFirstWriterErrorAndNoStats) {
+  // Two records fail, in different chunks: every thread count reports
+  // the first one, returns no pairs and leaves the stats alone.
+  Rng rng(23);
+  std::vector<EncodedRecord> a = RandomRecords(32, 96, 0, rng);
+  VectorStore store;
+  HashedSpanSource source(&store, a, 11);
+  Matcher matcher(&source, &store);
+  const std::vector<EncodedRecord> b =
+      RandomRecords(4 * Matcher::kStreamChunk + 3, 96, 1000, rng);
+  const RecordId first = b[Matcher::kStreamChunk + 5].id;
+  const RecordId later = b[3 * Matcher::kStreamChunk + 1].id;
+  for (const size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    MatchStats stats;
+    Result<std::vector<IdPair>> pairs =
+        StreamOf(matcher, b, 96, MakeRecordThresholdClassifier(40), &stats,
+                 &pool, {later, first});
+    ASSERT_FALSE(pairs.ok());
+    EXPECT_EQ(pairs.status().message(), "record " + std::to_string(first))
+        << threads << " threads";
+    EXPECT_EQ(stats.candidate_occurrences, 0u);
+    EXPECT_EQ(stats.comparisons, 0u);
+  }
+}
+
+TEST(VectorStoreTest, AddRowsGivesAnAddLoopsSlotsAndRows) {
+  // The slot pass hands out an Add loop's slots.  A live id keeps its
+  // slot and gets no row, a repeat within the batch too; a tombstoned id
+  // comes back in its old slot with a cleared row.  Once the rows are
+  // written the store is the Add loop's.
+  Rng rng(5);
+  const std::vector<EncodedRecord> first = RandomRecords(40, 70, 0, rng);
+  std::vector<EncodedRecord> second = RandomRecords(60, 70, 20, rng);
+  second[50].id = second[30].id;  // a new id, repeated
+  second[55].id = 25;             // a tombstoned id, repeated
+  VectorStore loop;
+  VectorStore rows_store;
+  loop.AddAll(first);
+  rows_store.AddAll(first);
+  for (const RecordId id : {2u, 25u, 31u}) {
+    ASSERT_TRUE(loop.Remove(id));
+    ASSERT_TRUE(rows_store.Remove(id));
+  }
+  std::vector<uint32_t> loop_slots;
+  for (const EncodedRecord& r : second) loop_slots.push_back(loop.Add(r));
+
+  std::vector<RecordId> ids;
+  for (const EncodedRecord& r : second) ids.push_back(r.id);
+  std::vector<uint32_t> slots;
+  const std::vector<uint64_t*> rows = rows_store.AddRows(ids, 70, &slots);
+  EXPECT_EQ(slots, loop_slots);
+  ASSERT_EQ(rows.size(), second.size());
+  for (size_t i = 0; i < second.size(); ++i) {
+    const RecordId id = second[i].id;
+    const bool earlier_in_batch =
+        std::find(ids.begin(), ids.begin() + static_cast<ptrdiff_t>(i), id) !=
+        ids.begin() + static_cast<ptrdiff_t>(i);
+    const bool stored = !earlier_in_batch && (id >= 40 || id == 25 || id == 31);
+    ASSERT_EQ(rows[i] != nullptr, stored) << "record " << i << " id " << id;
+    if (!stored) continue;
+    EXPECT_EQ(rows[i], rows_store.WordsAt(slots[i]));
+    for (size_t w = 0; w < rows_store.words_per_record(); ++w) {
+      EXPECT_EQ(rows[i][w], 0u) << "id " << id;
+    }
+    const std::vector<uint64_t>& words = second[i].bits.words();
+    std::copy(words.begin(), words.end(), rows[i]);
+  }
+  EXPECT_EQ(rows_store.arena(), loop.arena());
+  ASSERT_EQ(rows_store.size(), loop.size());
+  EXPECT_EQ(rows_store.live_size(), loop.live_size());
+  for (uint32_t slot = 0; slot < loop.size(); ++slot) {
+    EXPECT_EQ(rows_store.IdAt(slot), loop.IdAt(slot));
+    EXPECT_EQ(rows_store.IsDead(slot), loop.IsDead(slot));
+    EXPECT_EQ(rows_store.DenseIndex(loop.IdAt(slot)), slot);
+  }
+}
+
 // --- Slot-addressed tables ---------------------------------------------
 
 TEST(MatcherTest, TableSlotsStayInsideStore) {
@@ -476,10 +623,12 @@ TEST(MatcherTest, ClassifyUnstampedCoversRuleRejectedSlots) {
     for (const PairClassifier& classifier : classifiers) {
       MatchStats stats;
       std::vector<IdPair> pairs;
-      index.matcher().Probe(probe.bits, &stats, &scratch);
-      index.matcher().Classify(probe, classifier, &pairs, &stats, &scratch);
-      index.matcher().ClassifyUnstamped(probe, classifier, &pairs, &stats,
-                                        &scratch);
+      const uint64_t* const row = probe.bits.words().data();
+      index.matcher().Probe(row, &stats, &scratch);
+      index.matcher().Classify(probe.id, row, classifier, &pairs, &stats,
+                               &scratch);
+      index.matcher().ClassifyUnstamped(probe.id, row, classifier, &pairs,
+                                        &stats, &scratch);
       EXPECT_EQ(stats.comparisons, store.live_size()) << "probe " << p;
 
       std::vector<IdPair> scan;

@@ -224,6 +224,85 @@ TEST(OnlineLinkerTest, BatchOpsEqualPerRecordOps) {
   }
 }
 
+TEST(OnlineLinkerTest, InsertBatchRowsEqualInsertEncodedOfEncodeAll) {
+  // InsertBatch encodes straight into arena rows; it must build the
+  // store and the tables InsertEncoded(EncodeAll(...)) builds, at any
+  // thread count and in both blocking modes.  A repeated id keeps its
+  // first row and slot.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  LinkagePairOptions options;
+  options.num_records = 300;
+  options.seed = 31;
+  Result<LinkagePair> data =
+      BuildLinkagePair(gen.value(), PerturbationScheme::Light(), options);
+  ASSERT_TRUE(data.ok());
+  std::vector<Record> a = data.value().a;
+  for (size_t i = 0; i < 15; ++i) {
+    Record repeat = data.value().b[i];
+    repeat.id = a[i * 17].id;
+    a.push_back(std::move(repeat));
+  }
+
+  for (const bool attribute_level : {false, true}) {
+    SCOPED_TRACE(attribute_level ? "attribute-level" : "record-level");
+    CbvHbConfig config = BaseConfig(gen.value().schema());
+    config.attribute_level_blocking = attribute_level;
+    config.attribute_K = {5, 5, 10, 5};
+    config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+    OnlineCbvHbLinker encoded = OnlineCbvHbLinker::Create(config).value();
+    ASSERT_TRUE(
+        encoded.InsertEncoded(encoded.encoder().EncodeAll(a).value()).ok());
+    const VectorStore& expected = encoded.index().store();
+    ASSERT_EQ(expected.size(), a.size() - 15);
+
+    for (const size_t threads : {1u, 4u}) {
+      OnlineCbvHbLinker rows = OnlineCbvHbLinker::Create(config).value();
+      ASSERT_TRUE(
+          rows.InsertBatch(a, ExecutionOptions::WithThreads(threads)).ok());
+      const VectorStore& store = rows.index().store();
+      ASSERT_EQ(store.size(), expected.size()) << threads << " threads";
+      EXPECT_EQ(store.arena(), expected.arena());
+      for (uint32_t slot = 0; slot < store.size(); ++slot) {
+        EXPECT_EQ(store.IdAt(slot), expected.IdAt(slot));
+      }
+      EXPECT_EQ(rows.index().blocker().tables(),
+                encoded.index().blocker().tables());
+      const uint32_t slot = store.DenseIndex(a[17].id);
+      EXPECT_EQ(slot, 17u);
+      EXPECT_EQ(store.VectorAt(slot),
+                rows.encoder().Encode(a[17]).value().bits);
+    }
+  }
+}
+
+TEST(OnlineLinkerTest, InsertBatchRejectsAMalformedRecordAndKeepsTheIndex) {
+  // The records are checked before any slot is handed out: the batch's
+  // error is EncodeAll's, and the index stays as it was.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  CbvHbConfig config = BaseConfig(gen.value().schema());
+  config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+  OnlineCbvHbLinker linker = OnlineCbvHbLinker::Create(config).value();
+  Rng rng(3);
+  std::vector<Record> records;
+  for (RecordId id = 0; id < 40; ++id) {
+    records.push_back(gen.value().Generate(id, rng));
+  }
+  ASSERT_TRUE(linker.InsertBatch({records.begin(), records.begin() + 10}).ok());
+  records[25].fields.pop_back();
+  records[33].fields.pop_back();
+  const Status expected = linker.encoder().EncodeAll(records).status();
+  ASSERT_FALSE(expected.ok());
+  for (const size_t threads : {1u, 4u}) {
+    const Status status =
+        linker.InsertBatch(records, ExecutionOptions::WithThreads(threads));
+    EXPECT_EQ(status.ToString(), expected.ToString());
+    EXPECT_EQ(linker.size(), 10u);
+    EXPECT_EQ(linker.index().blocker().num_slots(), 10u);
+  }
+}
+
 TEST(OnlineLinkerTest, EncodedOpsRejectOtherWidths) {
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());

@@ -166,7 +166,7 @@ TEST(RecordLevelBlockerTest, IdViewsMapSlotsToIds) {
   blocker.BulkInsert(records, slots);
   EXPECT_EQ(blocker.num_slots(), 150u);
   std::vector<RecordId> expected;
-  blocker.ForEachSlotSpan(records[0].bits,
+  blocker.ForEachSlotSpan(records[0].bits.words().data(),
                           [&](std::span<const uint32_t> bucket) {
                             for (const uint32_t slot : bucket) {
                               EXPECT_EQ(blocker.SlotId(slot),
@@ -356,7 +356,8 @@ HammingLshFamily MakeFamily(size_t K, size_t L, size_t bits, uint64_t seed) {
 
 /// True when the probe of `bits` reaches a bucket that dropped entries.
 bool ProbeOverflowed(const HbBlocker& blocker, const BitVector& bits) {
-  return blocker.ForEachSlotSpan(bits, [](std::span<const uint32_t>) {});
+  return blocker.ForEachSlotSpan(bits.words().data(),
+                                 [](std::span<const uint32_t>) {});
 }
 
 TEST(RecordLevelBlockerTest, BucketCapDropsAndFlagsOverflow) {

@@ -323,6 +323,42 @@ TEST(EncodeAllParallelTest, EmptyAndSingleRecordInputs) {
   EXPECT_EQ(single.value()[0].bits, encoder.value().Encode(one[0]).value().bits);
 }
 
+TEST(CVectorRecordEncoderTest, EncodeRowWritesEncodeBitsAndZeroPadding) {
+  // A row is exactly Encode()'s words; no bit at or past total_bits() is
+  // set (the whole-word kernels rely on it), and nothing past the row's
+  // words_per_record() words is touched.  A malformed record fails as
+  // Encode does and leaves the row as it was.
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
+        NcvrLikeSchema(), {5.1, 5.0, 20.0 + static_cast<double>(seed), 7.2},
+        rng);
+    ASSERT_TRUE(encoder.ok());
+    const size_t bits = encoder.value().total_bits();
+    const size_t words = encoder.value().words_per_record();
+    ASSERT_EQ(words, (bits + 63) / 64);
+    for (const Record& record : SyntheticRecords(60)) {
+      std::vector<uint64_t> row(words + 1, 0);
+      ASSERT_TRUE(encoder.value().EncodeRow(record, row.data()).ok());
+      EXPECT_EQ(std::vector<uint64_t>(row.begin(), row.begin() + words),
+                encoder.value().Encode(record).value().bits.words());
+      if (bits % 64 != 0) {
+        EXPECT_EQ(row[words - 1] >> (bits % 64), 0u) << "record " << record.id;
+      }
+      EXPECT_EQ(row[words], 0u) << "record " << record.id;
+    }
+    std::vector<uint64_t> row(words, 0);
+    const Record bad{9, {"TOO", "FEW"}};
+    const Status status = encoder.value().EncodeRow(bad, row.data());
+    EXPECT_EQ(status.ToString(),
+              encoder.value().Encode(bad).status().ToString());
+    EXPECT_EQ(status.ToString(),
+              encoder.value().CheckRecord(bad).ToString());
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(row, std::vector<uint64_t>(words, 0));
+  }
+}
+
 TEST(EncodeAllParallelTest, ParallelErrorMatchesSerialError) {
   // A malformed record must yield the same (first-in-order) error at any
   // thread count.
