@@ -24,6 +24,7 @@
 
 #include "src/common/deadline.h"
 #include "src/common/str.h"
+#include "src/common/thread_pool.h"
 #include "src/io/journal.h"
 #include "src/io/serialization.h"
 #include "src/net/protocol.h"
@@ -363,14 +364,11 @@ struct NetServer::Impl {
   void WorkerLoop();
   void ProcessConnection(const std::shared_ptr<Connection>& conn);
   /// Answers a batch of requests taken off a connection in order,
-  /// appending the reply bytes to `*out`.
+  /// appending the reply bytes to `*out`.  Each request is decoded and
+  /// executed on its own; a run of consecutive matches runs on the
+  /// service pool.
   void ExecuteBatch(const std::vector<PendingRequest>& batch,
                     std::string* out, bool* close_after);
-  /// Answers the run of consecutive kMatch requests starting at `begin`
-  /// — as one MatchBatch when they decode and their ids are distinct —
-  /// and returns the number answered (>= 1).
-  size_t ExecuteMatchRun(const std::vector<PendingRequest>& batch,
-                         size_t begin, std::string* out, bool* close_after);
   /// The worker-side decode of a request's payload.  The read-only gate
   /// comes first, and a malformed record counts one skipped row.
   Request Decode(const PendingRequest& req);
@@ -1093,102 +1091,42 @@ void NetServer::Impl::FinishRequest(const PendingRequest& req) {
 
 void NetServer::Impl::ExecuteBatch(const std::vector<PendingRequest>& batch,
                                    std::string* out, bool* close_after) {
-  size_t i = 0;
-  while (i < batch.size()) {
-    const PendingRequest& req = batch[i];
-    size_t answered = 1;
-    if (req.deadline.Expired()) {
-      // Dequeue-time deadline check: the budget may have lapsed while
-      // the request sat behind others in the queue.  Answering is
-      // cheap; executing would burn worker time on an answer nobody is
-      // waiting for.
-      t_deadline_shed->Add(1);
-      Render(req,
-             {.status = Status::DeadlineExceeded("deadline expired in queue")},
-             out, close_after);
-    } else if (req.op == Op::kMatch) {
-      answered = ExecuteMatchRun(batch, i, out, close_after);
-    } else {
-      StartRequestTrace(req);
-      Render(req, Execute(Decode(req), req.trace.get()), out, close_after);
+  std::vector<Response> responses(batch.size());
+  size_t begin = 0;
+  while (begin < batch.size()) {
+    // A run of consecutive matches shares the service pool: a match
+    // writes nothing, so its neighbours cannot observe its order.  Any
+    // other request is a run of one, answered inline in request order.
+    size_t end = begin + 1;
+    while (end < batch.size() && batch[begin].op == Op::kMatch &&
+           batch[end].op == Op::kMatch) {
+      ++end;
     }
-    for (size_t k = 0; k < answered; ++k) FinishRequest(batch[i + k]);
-    i += answered;
-  }
-}
-
-size_t NetServer::Impl::ExecuteMatchRun(
-    const std::vector<PendingRequest>& batch, size_t begin, std::string* out,
-    bool* close_after) {
-  size_t end = begin;
-  while (end < batch.size() && batch[end].op == Op::kMatch &&
-         (end == begin || !batch[end].deadline.Expired())) {
-    // An expired request ends the run; the dequeue-time check in
-    // ExecuteBatch answers it before the next run starts.
-    ++end;
-  }
-  const size_t run = end - begin;
-  for (size_t k = 0; k < run; ++k) StartRequestTrace(batch[begin + k]);
-  std::vector<Request> requests;
-  requests.reserve(run);
-  bool foldable = run >= 2;
-  std::unordered_map<RecordId, size_t> by_id;
-  if (foldable) by_id.reserve(run);
-  for (size_t k = 0; k < run; ++k) {
-    requests.push_back(Decode(batch[begin + k]));
-    if (foldable && (!requests[k].status.ok() ||
-                     !by_id.emplace(requests[k].record.id, k).second)) {
-      foldable = false;
+    ParallelForOrInline(
+        service->pool(), end - begin, 1,
+        [&](size_t /*chunk*/, size_t first, size_t last) {
+          for (size_t k = begin + first; k < begin + last; ++k) {
+            const PendingRequest& req = batch[k];
+            if (req.deadline.Expired()) {
+              // Dequeue-time deadline check: the budget may have lapsed
+              // while the request sat behind others in the queue.
+              // Answering is cheap; executing would burn worker time on
+              // an answer nobody is waiting for.
+              t_deadline_shed->Add(1);
+              responses[k].status =
+                  Status::DeadlineExceeded("deadline expired in queue");
+            } else {
+              StartRequestTrace(req);
+              responses[k] = Execute(Decode(req), req.trace.get());
+            }
+          }
+        });
+    for (size_t k = begin; k < end; ++k) {
+      Render(batch[k], responses[k], out, close_after);
+      FinishRequest(batch[k]);
     }
+    begin = end;
   }
-  if (foldable) {
-    // One MatchBatch over the service pool; demux by query id (pairs
-    // are (registry_id, query_id)).
-    std::vector<Record> records(run);
-    for (size_t k = 0; k < run; ++k) records[k] = std::move(requests[k].record);
-    std::vector<IdPair> pairs;
-    const uint64_t batch_start_us = telemetry::TraceNowMicros();
-    Status st = service->MatchBatch(records, &pairs);
-    if (st.ok()) {
-      const uint64_t batch_end_us = telemetry::TraceNowMicros();
-      std::vector<Response> responses(run);
-      for (const IdPair& p : pairs) {
-        auto it = by_id.find(p.b_id);
-        if (it != by_id.end()) responses[it->second].pairs.push_back(p);
-      }
-      for (size_t k = 0; k < run; ++k) {
-        const PendingRequest& r = batch[begin + k];
-        if (r.trace != nullptr) {
-          // The fold shares one MatchBatch across the run, so each
-          // request gets the shared span (with the batch size) rather
-          // than per-stage attribution — the sequential path has that.
-          telemetry::Span shared;
-          shared.name = "match_batch";
-          shared.span_id = r.trace->NextSpanId();
-          shared.parent_span_id = r.trace->root_span_id();
-          shared.start_us = batch_start_us;
-          shared.dur_us = batch_end_us > batch_start_us
-                              ? batch_end_us - batch_start_us
-                              : 0;
-          shared.thread = telemetry::TraceThreadSlot();
-          shared.n_annotations = 1;
-          shared.annotations[0] =
-              telemetry::SpanAnnotation{"batch", static_cast<uint64_t>(run)};
-          r.trace->Record(shared);
-        }
-        Render(r, responses[k], out, close_after);
-      }
-      return run;
-    }
-    // Answer each request individually so one bad record doesn't fail
-    // the whole run.
-    for (size_t k = 0; k < run; ++k) requests[k].record = std::move(records[k]);
-  }
-  for (size_t k = 0; k < run; ++k) {
-    const PendingRequest& r = batch[begin + k];
-    Render(r, Execute(requests[k], r.trace.get()), out, close_after);
-  }
-  return run;
 }
 
 Request NetServer::Impl::Decode(const PendingRequest& req) {

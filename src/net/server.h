@@ -27,12 +27,13 @@
 // to a binary or an HTTP renderer; shed, deadline and error replies take
 // the same two renderers.
 //
-// Per-connection batching: a run of consecutive match requests (binary
-// kMatch frames or pipelined HTTP POST /match) with distinct query ids
-// is executed as one LinkageService::MatchBatch over the service thread
-// pool, then demultiplexed back into one response per request (pairs
-// carry the query id), each byte-identical to a sequential Match.  A
-// pipelining client therefore gets batch throughput without a batch API.
+// Pipelined matches: a run of consecutive match requests on one
+// connection (binary kMatch frames or pipelined HTTP POST /match) is
+// answered on the service thread pool, each request through the same
+// decode -> execute -> render path as any other, so each reply equals a
+// sequential Match's and each traced request records its own stage
+// spans.  Replies leave in request order; a run of one stays on the
+// worker.
 
 #ifndef CBVLINK_NET_SERVER_H_
 #define CBVLINK_NET_SERVER_H_

@@ -282,7 +282,7 @@ bool LinkageService::Kill(RecordId id) {
   return true;
 }
 
-Status LinkageService::DeleteUnjournaled(RecordId id, uint64_t* sequence) {
+Status LinkageService::Delete(RecordId id) {
   CBVLINK_FAILPOINT("service.delete");
   if (!Kill(id)) {
     return Status::NotFound(
@@ -291,12 +291,12 @@ Status LinkageService::DeleteUnjournaled(RecordId id, uint64_t* sequence) {
   // Stamp the acknowledgement sequence AFTER the state change: a
   // snapshot reads the floor before exporting, so floor >= seq implies
   // the removal is already in the export.
-  *sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return Status::OK();
+  const uint64_t sequence =
+      sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
+  return JournalAppend(MutationOp::Delete(id, sequence));
 }
 
-Status LinkageService::UpdateUnjournaled(const Record& record,
-                                         uint64_t* sequence) {
+Status LinkageService::Update(const Record& record) {
   CBVLINK_FAILPOINT("service.update");
   telemetry::TraceSpan encode_span("encode");
   Result<EncodedRecord> encoded = encoder_.Encode(record);
@@ -309,53 +309,11 @@ Status LinkageService::UpdateUnjournaled(const Record& record,
     return Status::NotFound(StrFormat(
         "record %llu is not live", static_cast<unsigned long long>(record.id)));
   }
-  *sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const uint64_t sequence =
+      sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
   updates_.fetch_add(1, std::memory_order_relaxed);
   t_updates_->Add(1);
-  return Status::OK();
-}
-
-Status LinkageService::Delete(RecordId id) {
-  uint64_t sequence = 0;
-  CBVLINK_RETURN_NOT_OK(DeleteUnjournaled(id, &sequence));
-  return JournalAppend(MutationOp::Delete(id, sequence));
-}
-
-Status LinkageService::Update(const Record& record) {
-  uint64_t sequence = 0;
-  CBVLINK_RETURN_NOT_OK(UpdateUnjournaled(record, &sequence));
   return JournalAppend(MutationOp::Update(record, sequence));
-}
-
-Status LinkageService::DeleteBatch(const std::vector<RecordId>& ids) {
-  std::shared_ptr<Journal> journal = this->journal();
-  for (RecordId id : ids) {
-    uint64_t sequence = 0;
-    CBVLINK_RETURN_NOT_OK(DeleteUnjournaled(id, &sequence));
-    if (journal != nullptr) {
-      CBVLINK_RETURN_NOT_OK(journal->Append(MutationOp::Delete(id, sequence)));
-    }
-  }
-  if (journal != nullptr && journal->options().fsync_every != 0) {
-    CBVLINK_RETURN_NOT_OK(journal->Sync());
-  }
-  return Status::OK();
-}
-
-Status LinkageService::UpdateBatch(const std::vector<Record>& records) {
-  std::shared_ptr<Journal> journal = this->journal();
-  for (const Record& record : records) {
-    uint64_t sequence = 0;
-    CBVLINK_RETURN_NOT_OK(UpdateUnjournaled(record, &sequence));
-    if (journal != nullptr) {
-      CBVLINK_RETURN_NOT_OK(
-          journal->Append(MutationOp::Update(record, sequence)));
-    }
-  }
-  if (journal != nullptr && journal->options().fsync_every != 0) {
-    CBVLINK_RETURN_NOT_OK(journal->Sync());
-  }
-  return Status::OK();
 }
 
 Result<bool> LinkageService::ApplyMutation(const MutationOp& op) {
@@ -712,30 +670,31 @@ Status LinkageService::InsertBatch(const std::vector<Record>& records) {
 
 Status LinkageService::MatchBatch(const std::vector<Record>& records,
                                   std::vector<IdPair>* out) {
-  std::mutex mu;
-  Status first_error;
   telemetry::ScopedTimer batch_timer(t_batch_latency_);
   const telemetry::TraceContext parent_ctx = telemetry::CurrentTraceContext();
+  // ParallelFor's chunks are contiguous and in record order, so merging
+  // their pairs in chunk order gives a Match loop's output, and the
+  // first failing chunk holds the first failing record.
+  std::vector<std::vector<IdPair>> chunk_pairs(pool_->num_threads());
+  std::vector<Status> chunk_status(pool_->num_threads());
   pool_->ParallelFor(records.size(),
-                     [&](size_t /*chunk*/, size_t begin, size_t end) {
+                     [&](size_t chunk, size_t begin, size_t end) {
                        telemetry::ScopedTraceContext scope(
                            parent_ctx.collector, parent_ctx.parent_span_id);
                        telemetry::TraceSpan chunk_span("match_chunk");
                        chunk_span.Annotate("begin", begin);
                        chunk_span.Annotate("count", end - begin);
-                       std::vector<IdPair> local;
                        for (size_t i = begin; i < end; ++i) {
-                         Status st = Match(records[i], &local);
-                         if (!st.ok()) {
-                           std::scoped_lock lock(mu);
-                           if (first_error.ok()) first_error = st;
-                           return;
-                         }
+                         chunk_status[chunk] =
+                             Match(records[i], &chunk_pairs[chunk]);
+                         if (!chunk_status[chunk].ok()) return;
                        }
-                       std::scoped_lock lock(mu);
-                       out->insert(out->end(), local.begin(), local.end());
                      });
-  return first_error;
+  for (const Status& st : chunk_status) CBVLINK_RETURN_NOT_OK(st);
+  for (const std::vector<IdPair>& pairs : chunk_pairs) {
+    out->insert(out->end(), pairs.begin(), pairs.end());
+  }
+  return Status::OK();
 }
 
 ServiceSnapshot LinkageService::ExportSnapshot() const {

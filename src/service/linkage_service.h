@@ -219,14 +219,6 @@ class LinkageService {
   /// when `record.id` is not live.
   Status Update(const Record& record);
 
-  /// Sequential Delete per id, journaled and fsynced once at the batch
-  /// boundary.  Stops at the first error.
-  Status DeleteBatch(const std::vector<RecordId>& ids);
-
-  /// Sequential Update per record, journaled and fsynced once at the
-  /// batch boundary.  Stops at the first error.
-  Status UpdateBatch(const std::vector<Record>& records);
-
   /// Applies one replayed/replicated mutation WITHOUT journaling it — the
   /// shared apply path of journal replay, replication, and snapshot
   /// reconcile.  Semantics differ from the live calls where idempotency
@@ -258,14 +250,16 @@ class LinkageService {
   /// (a repeated id ends with its last record's bits, as with Insert).
   Status InsertBatch(const std::vector<Record>& records);
 
-  /// Parallel bulk match; appends every matched pair to `out` (order
-  /// unspecified across queries).
+  /// Parallel bulk match over the service pool: appends to `out` the
+  /// pairs a Match loop over `records` would, in the same order, at any
+  /// thread count.  On error returns the first failing record's error
+  /// (in record order) and leaves `out` untouched.
   Status MatchBatch(const std::vector<Record>& records,
                     std::vector<IdPair>* out);
 
   /// Attaches the mutation journal: every subsequent acknowledged
-  /// mutation (Insert/MatchAndInsert/Delete/Update and the batch forms)
-  /// is appended (and fsynced per the journal's policy) BEFORE the call
+  /// mutation (Insert/MatchAndInsert/Delete/Update and InsertBatch) is
+  /// appended (and fsynced per the journal's policy) BEFORE the call
   /// returns, so an acknowledged mutation survives a crash as snapshot +
   /// journal tail.  SaveSnapshotToFile drops the journal prefix the
   /// snapshot covers.  Attach AFTER ReplayJournalFile, or replayed
@@ -338,6 +332,10 @@ class LinkageService {
   }
   size_t blocking_groups() const;
   const CVectorRecordEncoder& encoder() const { return encoder_; }
+  /// The thread pool behind the batch calls (owned, or borrowed from the
+  /// execution options; never null).  Callers may run their own
+  /// ParallelFor on it, e.g. the network server's pipelined matches.
+  ThreadPool* pool() const { return pool_; }
   const LinkageServiceOptions& options() const { return options_; }
 
  private:
@@ -379,12 +377,6 @@ class LinkageService {
   /// Tombstones `id` in the current core and counts the delete; false
   /// when `id` is not live.
   bool Kill(RecordId id);
-
-  /// Delete/Update without the journal append (the batch paths journal
-  /// themselves).  Each stamps and returns the acknowledgement sequence
-  /// through `*sequence`.
-  Status DeleteUnjournaled(RecordId id, uint64_t* sequence);
-  Status UpdateUnjournaled(const Record& record, uint64_t* sequence);
 
   /// Appends `record` as an insert frame to the attached journal, if any.
   Status JournalAppend(const Record& record);

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +35,7 @@
 #include "src/net/status_map.h"
 #include "src/service/linkage_service.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/trace_sink.h"
 
 namespace cbvlink {
 namespace net {
@@ -1246,26 +1248,50 @@ TEST(NetServerTest, EveryOpOnBothProtocolsPinsReplyStateAndSkippedRows) {
   }
 }
 
-// The fold: a pipelined run of matches with distinct ids executes as one
-// MatchBatch, and every reply is byte-identical to a sequential Match.  A
-// repeated id or an undecodable record falls back to one Match per
-// request (the bad record is answered with an error).
+/// Sends `wire` on a fresh connection while the fixture's single worker
+/// is pinned inside another connection's match, so the whole pipelined
+/// run is admitted before any of it executes, and reads `n` replies.
+std::vector<std::string> SendPipelinedRun(const ServingFixture& f,
+                                          const std::string& wire, size_t n,
+                                          bool http) {
+  Failpoints::Activate("index.collect", FailpointAction::kDelay, 400);
+  std::thread pinner([&] {
+    Result<std::unique_ptr<NetClient>> client =
+        NetClient::Connect("127.0.0.1", f.server->port());
+    ASSERT_TRUE(client.ok());
+    std::vector<IdPair> pairs;
+    EXPECT_TRUE(
+        client.value()->Match(WithId(f.records[0], 3999), &pairs).ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  const int fd = RawConnect(f.server->port());
+  EXPECT_GE(fd, 0);
+  EXPECT_TRUE(RawSendAll(fd, wire));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Failpoints::DeactivateAll();
+  pinner.join();
+  std::vector<std::string> replies = ReadReplies(fd, n, http);
+  ::close(fd);
+  return replies;
+}
+
+// A pipelined run of matches shares the service pool, and every reply is
+// byte-identical to a sequential Match, whether the ids are distinct or
+// repeated, and with an undecodable record (answered with an error and
+// counted as a skipped row) in the run.
 void ExpectPipelinedMatchesReplyAsSequentialMatch(bool http) {
   NetServerOptions options;
   options.num_workers = 1;
   ServingFixture f = ServingFixture::Start(12, options);
-  telemetry::Histogram* batches =
-      telemetry::Registry::Global().GetHistogram("batch_latency_us");
 
   struct Run {
     const char* name;
     size_t repeat = SIZE_MAX;  // query index that reuses query 1's id
     size_t broken = SIZE_MAX;  // query index sent undecodable
-    bool folded = false;
   };
-  const Run runs[] = {{"distinct ids", SIZE_MAX, SIZE_MAX, true},
-                      {"a repeated id", 3, SIZE_MAX, false},
-                      {"an undecodable record", SIZE_MAX, 2, false}};
+  const Run runs[] = {{"distinct ids", SIZE_MAX, SIZE_MAX},
+                      {"a repeated id", 3, SIZE_MAX},
+                      {"an undecodable record", SIZE_MAX, 2}};
   constexpr size_t kRun = 6;
   for (const Run& run : runs) {
     SCOPED_TRACE(run.name);
@@ -1301,32 +1327,11 @@ void ExpectPipelinedMatchesReplyAsSequentialMatch(bool http) {
       }
     }
 
-    // Pin the single worker inside another connection's match so the
-    // whole run is admitted before any of it executes.
-    const uint64_t batches_before = batches->Snap().count;
     const uint64_t skipped_before = f.service->metrics().skipped_rows;
-    Failpoints::Activate("index.collect", FailpointAction::kDelay, 400);
-    std::thread pinner([&] {
-      Result<std::unique_ptr<NetClient>> client =
-          NetClient::Connect("127.0.0.1", f.server->port());
-      ASSERT_TRUE(client.ok());
-      std::vector<IdPair> pairs;
-      EXPECT_TRUE(
-          client.value()->Match(WithId(f.records[0], 3999), &pairs).ok());
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    const int fd = RawConnect(f.server->port());
-    ASSERT_GE(fd, 0);
-    ASSERT_TRUE(RawSendAll(fd, wire));
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    Failpoints::DeactivateAll();
-    pinner.join();
-
-    const std::vector<std::string> replies = ReadReplies(fd, kRun, http);
-    ::close(fd);
+    const std::vector<std::string> replies =
+        SendPipelinedRun(f, wire, kRun, http);
     ASSERT_EQ(replies.size(), kRun);
     for (size_t k = 0; k < kRun; ++k) EXPECT_EQ(replies[k], expected[k]) << k;
-    EXPECT_EQ(batches->Snap().count - batches_before, run.folded ? 1u : 0u);
     EXPECT_EQ(f.service->metrics().skipped_rows - skipped_before,
               run.broken == SIZE_MAX ? 0u : 1u);
   }
@@ -1338,6 +1343,41 @@ TEST(NetServerTest, PipelinedBinaryMatchesReplyAsSequentialMatch) {
 
 TEST(NetServerTest, PipelinedHttpMatchesReplyAsSequentialMatch) {
   ExpectPipelinedMatchesReplyAsSequentialMatch(/*http=*/true);
+}
+
+// Each request of a pipelined run goes through the ordinary request path
+// on its own, so each captured trace carries its own stage spans.
+TEST(NetServerTest, PipelinedMatchesRecordTheirOwnStageSpans) {
+  telemetry::TraceSinkOptions sink_options;
+  sink_options.sample_every = 1;
+  sink_options.slow_threshold_us = 0;
+  telemetry::TraceSink sink(sink_options);
+  NetServerOptions options;
+  options.num_workers = 1;
+  options.trace_sink = &sink;
+  ServingFixture f = ServingFixture::Start(12, options);
+
+  constexpr size_t kRun = 8;
+  std::string wire(kBinaryPreamble, sizeof(kBinaryPreamble));
+  for (size_t k = 0; k < kRun; ++k) {
+    EncodeFrame(MsgType::kMatch, RecordPayload(WithId(f.records[k], 3000 + k)),
+                &wire);
+  }
+  ASSERT_EQ(SendPipelinedRun(f, wire, kRun, /*http=*/false).size(), kRun);
+
+  // A trace is captured before its reply is buffered, so the run's
+  // traces and the pinning match's are all in the sink by now.
+  const std::vector<telemetry::CapturedTrace> traces = sink.Snapshot();
+  ASSERT_EQ(traces.size(), kRun + 1);
+  for (const telemetry::CapturedTrace& trace : traces) {
+    SCOPED_TRACE(trace.trace_id);
+    std::map<std::string, size_t> spans;
+    for (const telemetry::Span& span : trace.spans) ++spans[span.name];
+    for (const char* stage : {"queue", "encode", "candidates", "compare"}) {
+      EXPECT_GE(spans[stage], 1u) << stage;
+    }
+    EXPECT_EQ(spans.count("match_batch"), 0u);
+  }
 }
 
 }  // namespace

@@ -300,32 +300,57 @@ TEST(ServiceTest, FillTelemetryReportsPerTableHealthUnderBucketCap) {
   }
 }
 
-TEST(ServiceTest, BatchMatchEqualsSerialMatch) {
+TEST(ServiceTest, MatchBatchEqualsAMatchLoopAtAnyThreadCount) {
+  // MatchBatch merges its chunks in record order, so its output is a
+  // Match loop's, pair for pair, whatever the pool size; a malformed
+  // record fails the call with its own error and leaves `out` as it was.
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());
-  LinkageServiceOptions options;
-  options.execution = ExecutionOptions::WithThreads(4);
-  Result<std::unique_ptr<LinkageService>> service =
-      LinkageService::Create(BaseConfig(gen.value().schema()), options);
-  ASSERT_TRUE(service.ok());
+  LinkagePairOptions data_options;
+  data_options.num_records = 2000;
+  data_options.seed = 4;
+  Result<LinkagePair> data = BuildLinkagePair(
+      gen.value(), PerturbationScheme::Light(), data_options);
+  ASSERT_TRUE(data.ok());
+  const std::vector<Record>& queries = data.value().b;
 
-  const std::vector<Record> registry = GenerateRecords(gen.value(), 200, 2);
-  ASSERT_TRUE(service.value()->InsertBatch(registry).ok());
-  EXPECT_EQ(service.value()->size(), registry.size());
+  // Two malformed queries; the earlier one's error must win at any
+  // thread count, even when a later chunk fails first.
+  std::vector<Record> broken = queries;
+  broken[1000].fields.pop_back();
+  broken[1900].fields.push_back("X");
 
-  std::vector<Record> queries;
-  for (size_t i = 0; i < 50; ++i) {
-    Record q = registry[i];
-    q.id = 1000 + i;
-    queries.push_back(std::move(q));
+  // Both calls append, so `out` starts with a pair of its own.
+  const IdPair sentinel{1, 2};
+  std::vector<IdPair> loop = {sentinel};
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(threads);
+    LinkageServiceOptions options;
+    options.execution = ExecutionOptions::WithThreads(threads);
+    Result<std::unique_ptr<LinkageService>> service =
+        LinkageService::Create(BaseConfig(gen.value().schema()), options);
+    ASSERT_TRUE(service.ok());
+    ASSERT_TRUE(service.value()->InsertBatch(data.value().a).ok());
+
+    if (loop.size() == 1) {
+      for (const Record& q : queries) {
+        ASSERT_TRUE(service.value()->Match(q, &loop).ok());
+      }
+      ASSERT_GT(loop.size(), queries.size() / 4)
+          << "test needs a non-trivial workload";
+    }
+    std::vector<IdPair> batch = {sentinel};
+    ASSERT_TRUE(service.value()->MatchBatch(queries, &batch).ok());
+    EXPECT_EQ(batch, loop);
+
+    std::vector<IdPair> scratch;
+    const Status expected = service.value()->Match(broken[1000], &scratch);
+    ASSERT_FALSE(expected.ok());
+    std::vector<IdPair> untouched = {sentinel};
+    const Status st = service.value()->MatchBatch(broken, &untouched);
+    EXPECT_EQ(st.ToString(), expected.ToString());
+    EXPECT_EQ(untouched, std::vector<IdPair>{sentinel});
   }
-  std::vector<IdPair> serial;
-  for (const Record& q : queries) {
-    ASSERT_TRUE(service.value()->Match(q, &serial).ok());
-  }
-  std::vector<IdPair> batch;
-  ASSERT_TRUE(service.value()->MatchBatch(queries, &batch).ok());
-  EXPECT_EQ(Sorted(std::move(batch)), Sorted(std::move(serial)));
 }
 
 TEST(ServiceTest, MatchEqualsBatchLinkUnderEveryKernelSet) {
