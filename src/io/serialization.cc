@@ -535,29 +535,17 @@ Result<std::vector<EncodedRecord>> ReadEncodedRecordsFromFile(
 }
 
 Status WriteServiceSnapshot(const ServiceSnapshot& snapshot,
-                            std::ostream& out, uint32_t version) {
+                            std::ostream& out) {
   CBVLINK_FAILPOINT("io.write_snapshot");
-  if (version == 0) version = kSnapshotVersion;
-  if (version < kVersion || version > kSnapshotVersion) {
-    return Status::InvalidArgument(
-        StrFormat("cannot write snapshot version %u", version));
-  }
-  const bool legacy = version < 4;
-  if (version < 3 && (!snapshot.tombstones.empty() ||
-                      snapshot.last_sequence != 0)) {
-    return Status::InvalidArgument(
-        "snapshot version 2 cannot carry tombstones or a sequence floor");
-  }
   CrcWriter w(out);
   w.U32(kSnapshotMagic);
-  w.U32(version);
+  w.U32(kSnapshotVersion);
   w.U64(snapshot.seed);
   w.U64(snapshot.record_K);
   w.U64(snapshot.record_theta);
   w.F64(snapshot.delta);
   w.F64(snapshot.sizing_max_collisions);
   w.F64(snapshot.sizing_confidence_ratio);
-  if (legacy) w.U64(16);  // num_shards
   w.U64(snapshot.max_bucket_size);
   w.U32(snapshot.overflow_policy);
   w.Str(snapshot.rule_text);
@@ -574,14 +562,11 @@ Status WriteServiceSnapshot(const ServiceSnapshot& snapshot,
   // nested header included, so tooling can share the reader.  The
   // snapshot's single trailing CRC covers the nested block too.
   CBVLINK_RETURN_NOT_OK(WriteEncodedRecordsBody(w, snapshot.records));
-  if (legacy) w.U64(0);  // an empty bucket section
-  if (version >= 3) {
-    // Mutation block: the highest acknowledged delete/update sequence
-    // (the replay dedupe floor) and every live tombstone.
-    w.U64(snapshot.last_sequence);
-    w.U64(snapshot.tombstones.size());
-    for (RecordId id : snapshot.tombstones) w.U64(id);
-  }
+  // Mutation block: the highest acknowledged delete/update sequence
+  // (the replay dedupe floor) and every live tombstone.
+  w.U64(snapshot.last_sequence);
+  w.U64(snapshot.tombstones.size());
+  for (RecordId id : snapshot.tombstones) w.U64(id);
   w.CrcTrailer();
   if (!out) return Status::IOError("stream write failed");
   return Status::OK();

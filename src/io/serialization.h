@@ -115,6 +115,8 @@ struct SnapshotAttribute {
   std::string alphabet_symbols;
   uint64_t qgram_q = 2;
   bool qgram_pad = false;
+
+  bool operator==(const SnapshotAttribute&) const = default;
 };
 
 /// Everything a linkage service persists: configuration + data.  The
@@ -154,14 +156,10 @@ struct ServiceSnapshot {
   uint64_t last_sequence = 0;
 };
 
-/// Writes a service snapshot, ending in a CRC32C trailer.  Returns
-/// IOError on stream failure.  `version` selects the format for
-/// compatibility testing: 0 (the default) writes the current version 4;
-/// 3 writes num_shards 16 and an empty bucket section; 2 additionally
-/// drops the mutation block and requires `tombstones` empty and
-/// `last_sequence` zero.
+/// Writes a service snapshot (version 4), ending in a CRC32C trailer.
+/// Returns IOError on stream failure.
 Status WriteServiceSnapshot(const ServiceSnapshot& snapshot,
-                            std::ostream& out, uint32_t version = 0);
+                            std::ostream& out);
 
 /// Writes to a file path atomically: the snapshot is staged in
 /// AtomicTempPath(path), fsynced, the previous snapshot (if any) is

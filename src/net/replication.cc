@@ -145,7 +145,6 @@ Status Replica::SyncFromSnapshotImpl() {
   std::istringstream in(bytes);
   auto snapshot = ReadServiceSnapshot(in);
   CBVLINK_RETURN_NOT_OK(snapshot.status());
-  uint64_t merged_records = 0;
   if (service_ == nullptr) {
     // Initial sync, before the follow thread or any serving NetServer
     // exists: building the service from scratch is safe here and only
@@ -157,16 +156,12 @@ Status Replica::SyncFromSnapshotImpl() {
   } else {
     // Re-sync (journal rotated under the cursor, or the tail went
     // corrupt).  service_ must stay pointer-stable — a read-only
-    // NetServer and Promote() hold it — so reconcile the snapshot into
-    // the live service instead of swapping it: absent records are
-    // inserted, snapshot tombstones (and local records the snapshot no
-    // longer mentions at all — deleted then compacted away on the
-    // primary) are deleted, and the sequence floor is raised, making
-    // the merge equivalent to a fresh restore.
-    auto merged = service_->MergeSnapshotRecords(snapshot.value());
-    CBVLINK_RETURN_NOT_OK(merged.status());
-    merged_records = merged.value();
-    if (merged_records > 0) AppliedCounter()->Add(merged_records);
+    // NetServer and Promote() hold it — so the snapshot is installed
+    // inside it, by the core swap Restore and Compact use: the follower
+    // then answers exactly as a fresh restore would.  Like the initial
+    // sync, this applies no journal frame, so applied_records and
+    // replication_applied_total do not move; syncs counts it.
+    CBVLINK_RETURN_NOT_OK(service_->InstallSnapshot(snapshot.value()));
   }
 
   // Ask the primary where its journal stands right now; the snapshot we
@@ -192,7 +187,6 @@ Status Replica::SyncFromSnapshotImpl() {
     progress_.applied_offset = fetch_offset_;
     progress_.end_offset = end;
     progress_.lag_bytes = end > fetch_offset_ ? end - fetch_offset_ : 0;
-    progress_.applied_records += merged_records;
     ++progress_.syncs;
   }
   SyncsCounter()->Add(1);

@@ -93,7 +93,8 @@ struct ReplicaProgress {
   uint64_t end_offset = 0;
   /// end_offset - applied_offset.
   uint64_t lag_bytes = 0;
-  /// Journal records applied since Start (dedupe-skipped ones excluded).
+  /// Journal records applied since Start (dedupe-skipped ones excluded;
+  /// a snapshot sync, first or re-sync, applies none).
   uint64_t applied_records = 0;
   /// Snapshot (re-)syncs completed.
   uint64_t syncs = 0;
@@ -119,8 +120,8 @@ class Replica {
 
   /// The replica's service (owned by the Replica until Promote()).
   /// Serve it read-only; mutations race the follow thread.  The pointer
-  /// is stable for the Replica's lifetime: re-syncs merge into this
-  /// object rather than replacing it.
+  /// is stable for the Replica's lifetime: a re-sync installs the
+  /// snapshot inside this object (InstallSnapshot).
   LinkageService* service() const;
 
   ReplicaProgress progress() const;
@@ -145,7 +146,7 @@ class Replica {
   void NoteFailure(const Status& error);
   /// open -> half_open, once the backoff before a probe has elapsed.
   void MaybeHalfOpen();
-  /// One snapshot sync: fetch, restore (first time) or merge into the
+  /// One snapshot sync: fetch, restore (first time) or install into the
   /// existing service (re-sync — keeps service() pointer-stable), reset
   /// the cursor.  Maintains progress().syncing around the Impl body.
   Status SyncFromSnapshot();

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <mutex>
 #include <span>
+#include <tuple>
 #include <unordered_set>
 
 #include "src/common/failpoint.h"
@@ -184,6 +185,15 @@ std::shared_ptr<LinkageService::Core> LinkageService::BuildCore(
       PinCore()->index.EmptyCopy(options_.max_bucket_size));
   core->index.InsertAll(records, pool_);
   return core;
+}
+
+void LinkageService::Publish(std::shared_ptr<Core> core) {
+  tombstone_count_.store(core->tombstones.size(), std::memory_order_relaxed);
+  // In-flight Matches pinned the old core and drain on it; the last pin
+  // retires it.  `old` is that pin here, dropped after the swap lock.
+  const std::shared_ptr<Core> old = PinCore();
+  std::unique_lock swap_lock(core_mu_);
+  core_ = std::move(core);
 }
 
 size_t LinkageService::blocking_groups() const {
@@ -388,57 +398,6 @@ Result<JournalReplayStats> LinkageService::ReplayJournalFile(
   return stats;
 }
 
-Status LinkageService::CheckWidths(const ServiceSnapshot& snapshot) const {
-  for (const EncodedRecord& record : snapshot.records) {
-    if (record.bits.size() != encoder_.total_bits()) {
-      return Status::InvalidArgument(
-          "snapshot record width does not match this service's encoder");
-    }
-  }
-  return Status::OK();
-}
-
-Result<uint64_t> LinkageService::MergeSnapshotRecords(
-    const ServiceSnapshot& snapshot) {
-  CBVLINK_RETURN_NOT_OK(CheckWidths(snapshot));
-  uint64_t applied = 0;
-  std::unordered_set<RecordId> snapshot_live;
-  snapshot_live.reserve(snapshot.records.size());
-  for (const EncodedRecord& record : snapshot.records) {
-    snapshot_live.insert(record.id);
-    if (Contains(record.id)) continue;
-    Put(record);
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-    t_inserts_->Add(1);
-    ++applied;
-  }
-  // Reconcile deletions.  The snapshot is newer than every local frame
-  // (it is fetched precisely because the local cursor fell behind), so
-  // its verdict on each id is authoritative: tombstoned there -> dead
-  // here; live neither there nor in its tombstones -> the primary
-  // deleted it and compaction already cleared the tombstone -> dead here
-  // too.
-  const std::unordered_set<RecordId> snapshot_tombstones(
-      snapshot.tombstones.begin(), snapshot.tombstones.end());
-  std::vector<RecordId> to_delete(snapshot.tombstones.begin(),
-                                  snapshot.tombstones.end());
-  {
-    const std::shared_ptr<Core> core = PinCore();
-    std::shared_lock lock(core->mu);
-    const VectorStore& store = core->index.store();
-    for (uint32_t slot = 0; slot < store.size(); ++slot) {
-      const RecordId id = store.IdAt(slot);
-      if (!store.IsDead(slot) && !snapshot_live.contains(id) &&
-          !snapshot_tombstones.contains(id)) {
-        to_delete.push_back(id);
-      }
-    }
-  }
-  AtomicMaxRelaxed(&sequence_, snapshot.last_sequence);
-  for (RecordId id : to_delete) applied += Kill(id) ? 1 : 0;
-  return applied;
-}
-
 Status LinkageService::Compact() {
   // Exclusive against mutators (they hold compaction_mu_ shared): from
   // here to the epoch swap the live set is frozen, so the rebuilt core
@@ -461,13 +420,7 @@ Status LinkageService::Compact() {
   std::shared_ptr<Core> fresh = BuildCore(survivors);
   const size_t after = fresh->NumEntries();
   const uint64_t reclaimed = before > after ? before - after : 0;
-  {
-    // Publish the new epoch.  In-flight Matches pinned the old core and
-    // drain on it; it is retired when the last pin drops.
-    std::unique_lock swap_lock(core_mu_);
-    core_ = std::move(fresh);
-  }
-  tombstone_count_.store(0, std::memory_order_relaxed);
+  Publish(std::move(fresh));
   compactions_.fetch_add(1, std::memory_order_relaxed);
   compaction_reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
   t_compactions_->Add(1);
@@ -697,18 +650,8 @@ Status LinkageService::MatchBatch(const std::vector<Record>& records,
   return Status::OK();
 }
 
-ServiceSnapshot LinkageService::ExportSnapshot() const {
+ServiceSnapshot LinkageService::ExportConfiguration() const {
   ServiceSnapshot snapshot;
-  // Shared against the compactor only: an epoch swap mid-export would
-  // tear the records/tombstones pair apart.  Mutators also
-  // hold this lock shared, so they are unaffected.
-  std::shared_lock compaction_guard(compaction_mu_);
-  // Read the sequence floor FIRST: any delete/update stamped at or below
-  // it completed before this point (the sequence is assigned after the
-  // state change), so its effect is in the export below and replay may
-  // skip the frame.  Later-stamped mutations may or may not be captured;
-  // their frames stay above the floor and replay re-applies them.
-  snapshot.last_sequence = sequence_.load(std::memory_order_relaxed);
   for (const AttributeSpec& attr : config_.schema.attributes) {
     snapshot.attributes.push_back(SnapshotAttribute{
         attr.name, attr.alphabet->symbols(), attr.qgram.q, attr.qgram.pad});
@@ -723,6 +666,21 @@ ServiceSnapshot LinkageService::ExportSnapshot() const {
   snapshot.seed = config_.seed;
   snapshot.max_bucket_size = options_.max_bucket_size;
   snapshot.overflow_policy = static_cast<uint32_t>(options_.overflow_policy);
+  return snapshot;
+}
+
+ServiceSnapshot LinkageService::ExportSnapshot() const {
+  ServiceSnapshot snapshot = ExportConfiguration();
+  // Shared against the compactor only: an epoch swap mid-export would
+  // tear the records/tombstones pair apart.  Mutators also
+  // hold this lock shared, so they are unaffected.
+  std::shared_lock compaction_guard(compaction_mu_);
+  // Read the sequence floor FIRST: any delete/update stamped at or below
+  // it completed before this point (the sequence is assigned after the
+  // state change), so its effect is in the export below and replay may
+  // skip the frame.  Later-stamped mutations may or may not be captured;
+  // their frames stay above the floor and replay re-applies them.
+  snapshot.last_sequence = sequence_.load(std::memory_order_relaxed);
   // Copy the flat arena under the shared lock (a few vector copies), then
   // build the records from the copy, so a writer — and, behind it, new
   // Matches — waits for the copy only.  One lock makes the records and
@@ -854,8 +812,39 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
   if (!service.ok()) return service.status();
   service.value()->owned_alphabets_ = std::move(alphabets);
 
-  LinkageService& restored = *service.value();
-  CBVLINK_RETURN_NOT_OK(restored.CheckWidths(snapshot));
+  CBVLINK_RETURN_NOT_OK(service.value()->InstallSnapshot(snapshot));
+  return service;
+}
+
+Status LinkageService::CheckConfiguration(
+    const ServiceSnapshot& snapshot) const {
+  const ServiceSnapshot own = ExportConfiguration();
+  // Rules compare in the form Restore()'s parse gives them, so a restored
+  // service accepts its own snapshots.
+  Result<Rule> rule = ParseRule(snapshot.rule_text);
+  const auto fields = [](const ServiceSnapshot& s) {
+    return std::tie(s.attributes, s.expected_qgrams, s.record_K,
+                    s.record_theta, s.delta, s.sizing_max_collisions,
+                    s.sizing_confidence_ratio, s.seed, s.max_bucket_size,
+                    s.overflow_policy);
+  };
+  if (!rule.ok() || rule.value().ToString() != own.rule_text ||
+      fields(snapshot) != fields(own)) {
+    return Status::InvalidArgument(
+        "snapshot was saved under another service configuration");
+  }
+  for (const EncodedRecord& record : snapshot.records) {
+    if (record.bits.size() != encoder_.total_bits()) {
+      return Status::InvalidArgument(
+          "snapshot record width does not match this service's encoder");
+    }
+  }
+  return Status::OK();
+}
+
+Status LinkageService::InstallSnapshot(const ServiceSnapshot& snapshot) {
+  CBVLINK_RETURN_NOT_OK(ValidateSnapshot(snapshot));
+  CBVLINK_RETURN_NOT_OK(CheckConfiguration(snapshot));
   // Records only: the index is rebuilt as Compact() rebuilds the live
   // set, in id order.
   std::vector<EncodedRecord> records = snapshot.records;
@@ -863,19 +852,19 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
             [](const EncodedRecord& x, const EncodedRecord& y) {
               return x.id < y.id;
             });
-  restored.core_ = restored.BuildCore(records);
-  restored.inserts_.store(snapshot.records.size(),
-                          std::memory_order_relaxed);
-  // Mutation state (version 3+; defaults for older snapshots): restored
-  // tombstones keep deleted records dead across the restart, and the
-  // sequence floor lets journal replay skip delete/update frames the
-  // snapshot already reflects.
-  restored.core_->tombstones.insert(snapshot.tombstones.begin(),
-                                    snapshot.tombstones.end());
-  restored.tombstone_count_.store(restored.core_->tombstones.size(),
-                                  std::memory_order_relaxed);
-  restored.sequence_.store(snapshot.last_sequence, std::memory_order_relaxed);
-  return service;
+  // Exclusive against mutators, as in Compact(): a write landing during
+  // the build would vanish with the old core.
+  std::unique_lock compaction_guard(compaction_mu_);
+  std::shared_ptr<Core> fresh = BuildCore(records);
+  // Mutation state (version 3+; defaults for older snapshots): the
+  // tombstones keep deleted records dead, and the sequence floor lets
+  // journal replay skip delete/update frames the snapshot reflects.
+  fresh->tombstones.insert(snapshot.tombstones.begin(),
+                           snapshot.tombstones.end());
+  Publish(std::move(fresh));
+  AtomicMaxRelaxed(&sequence_, snapshot.last_sequence);
+  inserts_.fetch_add(records.size(), std::memory_order_relaxed);
+  return Status::OK();
 }
 
 Result<std::unique_ptr<LinkageService>> LinkageService::RestoreFromFile(

@@ -166,11 +166,8 @@ class LinkageService {
 
   /// Rebuilds a service from a snapshot: Create() over the persisted
   /// configuration and seed (which reproduce the encoder and the LSH
-  /// family), then the id-sorted index build Compact() runs over the
-  /// persisted records, so the restored service answers as the saved one
-  /// would after Compact().  The mutation state (version 3+) — tombstoned
-  /// ids and the delete/update sequence floor — is loaded too, so a
-  /// restore keeps deleted records dead.  The snapshot is semantically
+  /// family), then InstallSnapshot(), so the restored service answers as
+  /// the saved one would after Compact().  The snapshot is semantically
   /// validated first (finite parameters, known overflow policy, unique
   /// record ids, tombstones disjoint from the records, record widths
   /// matching the rebuilt encoder) — InvalidArgument on any violation.
@@ -220,10 +217,10 @@ class LinkageService {
   Status Update(const Record& record);
 
   /// Applies one replayed/replicated mutation WITHOUT journaling it — the
-  /// shared apply path of journal replay, replication, and snapshot
-  /// reconcile.  Semantics differ from the live calls where idempotency
-  /// requires it: insert is skipped when the id is already stored, delete
-  /// of an unknown id is a no-op, update upserts.  Sequenced ops at or
+  /// shared apply path of journal replay and replication.  Semantics
+  /// differ from the live calls where idempotency requires it: insert is
+  /// skipped when the id is already stored, delete of an unknown id is a
+  /// no-op, update upserts.  Sequenced ops at or
   /// below the service's sequence floor are skipped (the snapshot already
   /// reflects them).  Returns true when state changed.
   Result<bool> ApplyMutation(const MutationOp& op);
@@ -275,18 +272,17 @@ class LinkageService {
   /// actually applied.
   Result<JournalReplayStats> ReplayJournalFile(const std::string& path);
 
-  /// Reconciles this live service with `snapshot`: records absent here
-  /// are indexed as-is (no re-encoding), ids the snapshot tombstones are
-  /// deleted here, and local live ids the snapshot carries neither live
-  /// nor tombstoned are deleted too (the primary may have compacted its
-  /// tombstones away — absence from a newer snapshot means deleted).
-  /// This is the replication follower's re-sync path — the service
-  /// object (and every pointer a serving NetServer holds to it) stays
-  /// stable while the state catches up past a journal rotation.  All
-  /// record widths are validated against this service's encoder before
-  /// anything is applied; InvalidArgument leaves the service unchanged.
-  /// Returns the number of mutations actually applied.
-  Result<uint64_t> MergeSnapshotRecords(const ServiceSnapshot& snapshot);
+  /// Replaces the whole index with `snapshot`'s (a replica's re-sync):
+  /// Compact()'s id-ordered build over its records, plus its tombstones,
+  /// published by Compact()'s epoch swap; the sequence floor rises to the
+  /// snapshot's, and metrics().inserts counts its records.  The service
+  /// then answers as Restore(snapshot) does, and pointers to it stay
+  /// valid.  Blocks mutators for the build, never
+  /// Match.  InvalidArgument, with the service unchanged, when the
+  /// snapshot fails Restore()'s validation or was saved under another
+  /// configuration (any field ExportSnapshot() writes but the records and
+  /// the mutation state).
+  Status InstallSnapshot(const ServiceSnapshot& snapshot);
 
   /// True when a record with `id` is stored and live (tombstoned ids
   /// report false).
@@ -347,9 +343,13 @@ class LinkageService {
                  CbvHbParts parts);
 
   /// A core over `records`, sorted by id, with the service's bucket cap:
-  /// what Compact() and Restore() publish.
+  /// what Compact() and InstallSnapshot() publish.
   std::shared_ptr<Core> BuildCore(
       const std::vector<EncodedRecord>& records) const;
+
+  /// Makes `core` the current epoch (the one place `core_` is replaced).
+  /// The caller holds compaction_mu_ unique.
+  void Publish(std::shared_ptr<Core> core);
 
   /// Pins the current index epoch: the returned shared_ptr keeps that
   /// core alive even if the compactor publishes a successor mid-call; the
@@ -371,8 +371,12 @@ class LinkageService {
   /// Insert without the journal append.
   Status InsertUnjournaled(const Record& record);
 
-  /// InvalidArgument unless the snapshot's records fit the encoder.
-  Status CheckWidths(const ServiceSnapshot& snapshot) const;
+  /// Every snapshot field but the records and the mutation state.
+  ServiceSnapshot ExportConfiguration() const;
+
+  /// InvalidArgument unless `snapshot` was saved under this service's
+  /// configuration and its records fit the encoder.
+  Status CheckConfiguration(const ServiceSnapshot& snapshot) const;
 
   /// Tombstones `id` in the current core and counts the delete; false
   /// when `id` is not live.
@@ -392,23 +396,23 @@ class LinkageService {
   /// the caller's alphabets instead).
   std::vector<std::unique_ptr<Alphabet>> owned_alphabets_;
   CVectorRecordEncoder encoder_;
-  /// The current index epoch.  Readers pin it via PinCore(); Compact()
-  /// publishes a successor under the unique lock.  Never null.
+  /// The current index epoch.  Readers pin it via PinCore(); Publish()
+  /// swaps in a successor under the unique lock.  Never null.
   mutable std::shared_mutex core_mu_;
   std::shared_ptr<Core> core_;
   PairClassifier classifier_;
 
   /// Mutation/compaction exclusion: every mutator (insert/delete/update,
-  /// live or replayed) holds it shared; Compact()'s rebuild+swap holds it
-  /// unique so no mutation lands between the survivor export and the
-  /// epoch swap (it would vanish from the new core).  Match never
-  /// touches this lock.
+  /// live or replayed) holds it shared; the rebuild+swap of Compact() and
+  /// InstallSnapshot() holds it unique so no mutation lands between the
+  /// build and the epoch swap (it would vanish from the new core).  Match
+  /// never touches this lock.
   mutable std::shared_mutex compaction_mu_;
 
   /// The current core's tombstone count, readable without its lock.
   mutable std::atomic<uint64_t> tombstone_count_{0};
   /// Monotonic delete/update acknowledgement sequence; doubles as the
-  /// replay dedupe floor (Restore seeds it from the snapshot).
+  /// replay dedupe floor (InstallSnapshot raises it to the snapshot's).
   std::atomic<uint64_t> sequence_{0};
 
   /// Background compactor state.

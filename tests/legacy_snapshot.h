@@ -1,7 +1,9 @@
-// Version 3 service snapshots, byte for byte, for the tests that check
-// that such files still read and restore.  Version 3 is the records-only
-// version 4 layout plus a u64 num_shards after sizing_confidence_ratio
-// and a bucket section between the records and the mutation block.
+// Version 2 and 3 service snapshots, byte for byte, for the tests that
+// check that such files still read and restore.  They are built from the
+// version 4 writer's output: version 3 is the records-only version 4
+// layout plus a u64 num_shards after sizing_confidence_ratio and a bucket
+// section between the records and the mutation block; version 2 is
+// version 3 without the mutation block.
 
 #ifndef CBVLINK_TESTS_LEGACY_SNAPSHOT_H_
 #define CBVLINK_TESTS_LEGACY_SNAPSHOT_H_
@@ -32,17 +34,16 @@ inline std::string LittleEndian(uint64_t v, size_t bytes) {
   return s;
 }
 
-/// The version 3 file of `snapshot` with `num_shards` and `buckets`.
-inline std::string LegacyV3SnapshotBytes(
-    const ServiceSnapshot& snapshot, uint64_t num_shards,
-    const std::vector<LegacyBucket>& buckets) {
-  // The writer's version 3 carries num_shards 16 and an empty bucket
-  // section; splice in the requested ones and re-seal the checksum.
+/// The version `version` (2 or 3) file of `snapshot` with `num_shards`
+/// and `buckets`.  Version 2 drops the tombstones and the sequence floor.
+inline std::string LegacySnapshotBytes(
+    const ServiceSnapshot& snapshot, uint32_t version,
+    uint64_t num_shards = 16, const std::vector<LegacyBucket>& buckets = {}) {
   std::ostringstream out;
-  EXPECT_TRUE(WriteServiceSnapshot(snapshot, out, /*version=*/3).ok());
+  EXPECT_TRUE(WriteServiceSnapshot(snapshot, out).ok());
   std::string bytes = out.str();
-  constexpr size_t kNumShardsOffset = 4 + 4 + 3 * 8 + 3 * 8;
-  bytes.replace(kNumShardsOffset, 8, LittleEndian(num_shards, 8));
+  bytes.resize(bytes.size() - 4);  // the CRC, re-sealed below
+  bytes.replace(4, 4, LittleEndian(version, 4));
   std::string section = LittleEndian(buckets.size(), 8);
   for (const LegacyBucket& bucket : buckets) {
     section += LittleEndian(bucket.group, 8) + LittleEndian(bucket.key, 8) +
@@ -51,9 +52,14 @@ inline std::string LegacyV3SnapshotBytes(
     for (const RecordId id : bucket.ids) section += LittleEndian(id, 8);
   }
   const size_t mutation_block = 8 + 8 + 8 * snapshot.tombstones.size();
-  const size_t section_offset = bytes.size() - 4 - mutation_block - 8;
-  bytes.replace(section_offset, 8, section);
-  bytes.resize(bytes.size() - 4);
+  const size_t mutation_offset = bytes.size() - mutation_block;
+  if (version < 3) {
+    bytes.replace(mutation_offset, mutation_block, section);
+  } else {
+    bytes.insert(mutation_offset, section);
+  }
+  constexpr size_t kNumShardsOffset = 4 + 4 + 3 * 8 + 3 * 8;
+  bytes.insert(kNumShardsOffset, LittleEndian(num_shards, 8));
   return bytes + LittleEndian(Crc32c(bytes.data(), bytes.size()), 4);
 }
 

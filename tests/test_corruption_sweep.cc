@@ -105,8 +105,8 @@ TEST(CorruptionSweepTest, SnapshotByteFlipAtEveryOffsetIsRejected) {
 TEST(CorruptionSweepTest, LegacyV3SnapshotSweep) {
   // A version 3 file still passes its num_shards and bucket section
   // through the caps and the checksum before the reader drops them.
-  const std::string full = LegacyV3SnapshotBytes(
-      ReferenceSnapshot(), 8,
+  const std::string full = LegacySnapshotBytes(
+      ReferenceSnapshot(), 3, 8,
       {{0, 0x1234, false, {1, 2, 3}}, {2, 0xffff, true, {7}}});
   std::istringstream in(full);
   Result<ServiceSnapshot> read = ReadServiceSnapshot(in);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "src/io/journal.h"
 #include "src/io/serialization.h"
 #include "src/service/linkage_service.h"
+#include "tests/legacy_snapshot.h"
 
 namespace cbvlink {
 namespace {
@@ -185,20 +187,14 @@ TEST(MutationTest, V2SnapshotFormatStillRoundTrips) {
   const std::vector<Record> records = GenerateRecords(gen.value(), 4, 1);
   for (const Record& r : records) ASSERT_TRUE(service->Insert(r).ok());
 
-  // A mutation-free snapshot still writes (and reads back) as version 2.
-  ServiceSnapshot snapshot = service->ExportSnapshot();
-  std::stringstream v2;
-  ASSERT_TRUE(WriteServiceSnapshot(snapshot, v2, /*version=*/2).ok());
+  // A mutation-free snapshot in the version 2 layout still reads back
+  // and restores.
+  std::istringstream v2(LegacySnapshotBytes(service->ExportSnapshot(), 2));
   Result<ServiceSnapshot> reread = ReadServiceSnapshot(v2);
   ASSERT_TRUE(reread.ok()) << reread.status().ToString();
   EXPECT_TRUE(reread.value().tombstones.empty());
   EXPECT_EQ(reread.value().last_sequence, 0u);
   EXPECT_TRUE(LinkageService::Restore(reread.value()).ok());
-
-  // Mutation state cannot be smuggled into the old layout.
-  snapshot.tombstones = {99};
-  std::stringstream rejected;
-  EXPECT_FALSE(WriteServiceSnapshot(snapshot, rejected, /*version=*/2).ok());
 }
 
 TEST(MutationTest, DeleteAndUpdateSurviveCrashAndReplay) {
@@ -408,7 +404,14 @@ TEST(MutationTest, ApplyMutationHonorsSequenceFloorAndDedupes) {
   EXPECT_EQ(service->last_sequence(), 7u);
 }
 
-TEST(MutationTest, MergeSnapshotRecordsReconcilesDeletes) {
+/// The bytes WriteServiceSnapshot gives for `service`'s snapshot.
+std::string SnapshotBytes(const LinkageService& service) {
+  std::ostringstream out;
+  EXPECT_TRUE(WriteServiceSnapshot(service.ExportSnapshot(), out).ok());
+  return out.str();
+}
+
+TEST(MutationTest, InstallSnapshotReconcilesDeletes) {
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());
   const std::vector<Record> records = GenerateRecords(gen.value(), 5, 1);
@@ -426,9 +429,8 @@ TEST(MutationTest, MergeSnapshotRecordsReconcilesDeletes) {
   ASSERT_TRUE(follower->Insert(records[1]).ok());
   ASSERT_TRUE(follower->Insert(records[4]).ok());
 
-  Result<uint64_t> merged = follower->MergeSnapshotRecords(snapshot);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_GT(merged.value(), 0u);
+  const Status installed = follower->InstallSnapshot(snapshot);
+  ASSERT_TRUE(installed.ok()) << installed.ToString();
 
   EXPECT_TRUE(follower->Contains(records[0].id));
   EXPECT_FALSE(follower->Contains(records[1].id));  // snapshot tombstone
@@ -441,6 +443,220 @@ TEST(MutationTest, MergeSnapshotRecordsReconcilesDeletes) {
     EXPECT_EQ(MatchOne(*follower, q), MatchOne(*primary, q))
         << "query " << q.id;
   }
+}
+
+TEST(MutationTest, InstallSnapshotAppliesUpdatedBits) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const std::vector<Record> records = GenerateRecords(gen.value(), 6, 1);
+
+  // Primary and follower both hold records 0..3.
+  std::unique_ptr<LinkageService> primary = MakeService(gen.value());
+  std::unique_ptr<LinkageService> follower = MakeService(gen.value());
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(primary->Insert(records[i]).ok());
+    ASSERT_TRUE(follower->Insert(records[i]).ok());
+  }
+  // The primary rewrites record 0, and deletes, compacts away and
+  // inserts again record 1 under other values.
+  Record updated = records[4];
+  updated.id = records[0].id;
+  ASSERT_TRUE(primary->Update(updated).ok());
+  Record reinserted = records[5];
+  reinserted.id = records[1].id;
+  ASSERT_TRUE(primary->Delete(records[1].id).ok());
+  ASSERT_TRUE(primary->Compact().ok());
+  ASSERT_TRUE(primary->Insert(reinserted).ok());
+
+  const ServiceSnapshot snapshot = primary->ExportSnapshot();
+  ASSERT_TRUE(follower->InstallSnapshot(snapshot).ok());
+
+  // The old values link nowhere, the new values link to the kept ids.
+  for (const Record* old_values : {&records[0], &records[1]}) {
+    EXPECT_TRUE(MatchOne(*follower, *old_values).empty())
+        << "old values of " << old_values->id;
+  }
+  ASSERT_EQ(MatchOne(*follower, updated).size(), 1u);
+  EXPECT_EQ(MatchOne(*follower, updated)[0].a_id, records[0].id);
+  ASSERT_EQ(MatchOne(*follower, reinserted).size(), 1u);
+  EXPECT_EQ(MatchOne(*follower, reinserted)[0].a_id, records[1].id);
+  for (const Record& q : records) {
+    EXPECT_EQ(MatchOne(*follower, q), MatchOne(*primary, q))
+        << "query " << q.id;
+  }
+  EXPECT_EQ(SnapshotBytes(*follower), SnapshotBytes(*primary));
+}
+
+TEST(MutationTest, InstallSnapshotEqualsRestore) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const std::vector<Record> records = GenerateRecords(gen.value(), 40, 1);
+  const std::vector<Record> rewrites = GenerateRecords(gen.value(), 4, 2);
+
+  // Primary: records 0..29, three rewritten, three deleted.
+  std::unique_ptr<LinkageService> primary = MakeService(gen.value());
+  for (size_t i = 0; i < 30; ++i) {
+    ASSERT_TRUE(primary->Insert(records[i]).ok());
+  }
+  for (size_t i = 0; i < 3; ++i) {
+    Record updated = rewrites[i];
+    updated.id = records[i].id;
+    ASSERT_TRUE(primary->Update(updated).ok());
+    ASSERT_TRUE(primary->Delete(records[10 + i].id).ok());
+  }
+  const ServiceSnapshot snapshot = primary->ExportSnapshot();
+
+  // Follower: record 29 missing, records 30..34 extra, records 0..2 with
+  // their old bits, and its own tombstones (one of them also dead on the
+  // primary).
+  std::unique_ptr<LinkageService> follower = MakeService(gen.value());
+  for (size_t i = 0; i < 35; ++i) {
+    if (i != 29) {
+      ASSERT_TRUE(follower->Insert(records[i]).ok());
+    }
+  }
+  ASSERT_TRUE(follower->Delete(records[10].id).ok());
+  ASSERT_TRUE(follower->Delete(records[20].id).ok());
+  ASSERT_GT(follower->tombstone_count(), 0u);
+  ASSERT_LE(follower->last_sequence(), snapshot.last_sequence);
+
+  ASSERT_TRUE(follower->InstallSnapshot(snapshot).ok());
+  Result<std::unique_ptr<LinkageService>> restored =
+      LinkageService::Restore(snapshot);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+
+  EXPECT_EQ(SnapshotBytes(*follower), SnapshotBytes(*restored.value()));
+  EXPECT_EQ(follower->tombstone_count(), restored.value()->tombstone_count());
+  std::vector<Record> queries = records;
+  queries.insert(queries.end(), rewrites.begin(), rewrites.end());
+  for (const Record& q : queries) {
+    EXPECT_EQ(MatchOne(*follower, q), MatchOne(*restored.value(), q))
+        << "query " << q.id;
+  }
+}
+
+// Matches racing installs: every answer comes from one whole epoch, the
+// one before an install or the one after it.  The TSan job runs this.
+TEST(MutationTest, MatchDuringInstallSeesOneEpoch) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const std::vector<Record> records = GenerateRecords(gen.value(), 120, 1);
+  LinkageServiceOptions options;
+  options.execution = ExecutionOptions::WithThreads(2);
+
+  // "Before": the first 90 records.  "After": the last 90, half of the
+  // shared ones rewritten, so most queries answer differently.
+  std::unique_ptr<LinkageService> service = MakeService(gen.value(), options);
+  ASSERT_TRUE(service->InsertBatch(std::vector<Record>(
+                  records.begin(), records.begin() + 90)).ok());
+  const ServiceSnapshot before_state = service->ExportSnapshot();
+  std::unique_ptr<LinkageService> other = MakeService(gen.value(), options);
+  ASSERT_TRUE(other->InsertBatch(std::vector<Record>(
+                  records.begin() + 30, records.end())).ok());
+  for (size_t i = 30; i < 90; i += 2) {
+    Record updated = records[(i + 57) % records.size()];
+    updated.id = records[i].id;
+    ASSERT_TRUE(other->Update(updated).ok());
+  }
+  const ServiceSnapshot after_state = other->ExportSnapshot();
+
+  std::vector<std::vector<IdPair>> before(records.size());
+  std::vector<std::vector<IdPair>> after(records.size());
+  size_t differing = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    before[i] = MatchOne(*service, records[i]);
+    after[i] = MatchOne(*other, records[i]);
+    differing += before[i] != after[i] ? 1 : 0;
+  }
+  ASSERT_GT(differing, records.size() / 2);
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> answered{0};
+  std::vector<std::thread> matchers;
+  for (size_t t = 0; t < 3; ++t) {
+    matchers.emplace_back([&, t] {
+      for (size_t i = t; !stop.load(std::memory_order_relaxed); ++i) {
+        const size_t q = i % records.size();
+        const std::vector<IdPair> got = MatchOne(*service, records[q]);
+        EXPECT_TRUE(got == before[q] || got == after[q]) << "query " << q;
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (answered.load() < 3) std::this_thread::yield();
+  for (int round = 0; round < 10; ++round) {
+    ASSERT_TRUE(service->InstallSnapshot(after_state).ok());
+    ASSERT_TRUE(service->InstallSnapshot(before_state).ok());
+  }
+  ASSERT_TRUE(service->InstallSnapshot(after_state).ok());
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : matchers) t.join();
+  EXPECT_GT(answered.load(), 0u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(MatchOne(*service, records[i]), after[i]) << "query " << i;
+  }
+}
+
+TEST(MutationTest, InstallSnapshotRefusesAnotherConfiguration) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const std::vector<Record> records = GenerateRecords(gen.value(), 8, 1);
+  std::unique_ptr<LinkageService> service = MakeService(gen.value());
+  ASSERT_TRUE(service->InsertBatch(records).ok());
+  const std::string unchanged = SnapshotBytes(*service);
+
+  // Seed 6 with the same expected q-gram counts: the record widths are
+  // equal, but the vectors come from other hash functions.
+  CbvHbConfig seed6 = BaseConfig(gen.value().schema());
+  seed6.seed = 6;
+  Result<std::unique_ptr<LinkageService>> other =
+      LinkageService::Create(seed6);
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(other.value()->InsertBatch(records).ok());
+  const ServiceSnapshot foreign = other.value()->ExportSnapshot();
+  ASSERT_EQ(foreign.records[0].bits.size(),
+            service->encoder().total_bits());
+  EXPECT_EQ(service->InstallSnapshot(foreign).code(),
+            StatusCode::kInvalidArgument);
+
+  // Every configuration field the snapshot carries is compared.
+  const ServiceSnapshot own = service->ExportSnapshot();
+  const std::vector<std::function<void(ServiceSnapshot*)>> edits = {
+      [](ServiceSnapshot* s) { s->attributes[0].name += "X"; },
+      [](ServiceSnapshot* s) { s->attributes[1].alphabet_symbols += "#"; },
+      [](ServiceSnapshot* s) { s->attributes[2].qgram_q = 3; },
+      [](ServiceSnapshot* s) {
+        s->attributes[3].qgram_pad = !s->attributes[3].qgram_pad;
+      },
+      [](ServiceSnapshot* s) { s->expected_qgrams[0] += 1; },
+      [](ServiceSnapshot* s) { s->rule_text = "(f1 <= 4)"; },
+      [](ServiceSnapshot* s) { s->record_K += 1; },
+      [](ServiceSnapshot* s) { s->record_theta += 1; },
+      [](ServiceSnapshot* s) { s->delta = 0.2; },
+      [](ServiceSnapshot* s) { s->sizing_max_collisions = 2; },
+      [](ServiceSnapshot* s) { s->sizing_confidence_ratio = 0.5; },
+      [](ServiceSnapshot* s) { s->seed += 1; },
+      [](ServiceSnapshot* s) { s->max_bucket_size = 7; },
+      [](ServiceSnapshot* s) { s->overflow_policy = 1 - s->overflow_policy; },
+  };
+  for (size_t i = 0; i < edits.size(); ++i) {
+    ServiceSnapshot edited = own;
+    edits[i](&edited);
+    EXPECT_EQ(service->InstallSnapshot(edited).code(),
+              StatusCode::kInvalidArgument)
+        << "edit " << i;
+  }
+  EXPECT_EQ(SnapshotBytes(*service), unchanged);
+  EXPECT_TRUE(service->InstallSnapshot(own).ok());
+
+  // A restored service accepts its own snapshot.
+  Result<std::unique_ptr<LinkageService>> restored =
+      LinkageService::Restore(own);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(
+      restored.value()->InstallSnapshot(restored.value()->ExportSnapshot())
+          .ok());
+  EXPECT_EQ(SnapshotBytes(*restored.value()), unchanged);
 }
 
 }  // namespace

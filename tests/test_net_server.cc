@@ -545,6 +545,62 @@ TEST(NetServerTest, ReplicaFollowsPrimaryAndPromotes) {
   EXPECT_TRUE(promoted->Contains(801));
 }
 
+// A re-sync must carry an update the follower never saw as a journal
+// frame: the primary updates a record and saves a snapshot (rotating the
+// journal, which drops the update's frame) between two follower polls.
+TEST(NetServerTest, ReplicaResyncAppliesAMissedUpdate) {
+  const std::string journal_path = TempPath("net_resync.cbvj");
+  const std::string snapshot_path = TempPath("net_resync.cbvs");
+  ServingFixture f = ServingFixture::Start(20);
+  {
+    Result<std::unique_ptr<Journal>> journal = Journal::Open(journal_path);
+    ASSERT_TRUE(journal.ok());
+    f.service->AttachJournal(std::move(journal.value()));
+  }
+
+  ReplicaOptions options;
+  options.primary_port = f.server->port();
+  options.poll_interval_ms = 1000;
+  Result<std::unique_ptr<Replica>> replica = Replica::Start(options);
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  LinkageService* follower = replica.value()->service();
+
+  // Let the follower catch up on one insert, so its next poll is a full
+  // interval away.
+  Record marker = f.records[2];
+  marker.id = 900;
+  ASSERT_TRUE(f.service->Insert(marker).ok());
+  ASSERT_TRUE(WaitUntil([&]() { return follower->Contains(900); }))
+      << "last error: " << replica.value()->progress().last_error;
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const Record old_values = f.records[0];
+  Record updated = GenerateRecords(*f.gen, 1, 99)[0];
+  updated.id = old_values.id;
+  ASSERT_TRUE(f.service->Update(updated).ok());
+  ASSERT_TRUE(f.service->SaveSnapshotToFile(snapshot_path).ok());
+  ASSERT_TRUE(WaitUntil([&]() {
+    return replica.value()->progress().syncs >= 2;
+  })) << "syncs " << replica.value()->progress().syncs;
+
+  for (const Record& values : {old_values, updated}) {
+    Record query = values;
+    query.id = 5000;
+    std::vector<IdPair> on_primary;
+    std::vector<IdPair> on_follower;
+    ASSERT_TRUE(f.service->Match(query, &on_primary).ok());
+    ASSERT_TRUE(follower->Match(query, &on_follower).ok());
+    EXPECT_EQ(on_follower, on_primary) << "query " << values.fields[0];
+  }
+  std::vector<IdPair> hits;
+  Record query = updated;
+  query.id = 5000;
+  ASSERT_TRUE(follower->Match(query, &hits).ok());
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].a_id, old_values.id);
+  replica.value()->Stop();
+}
+
 /// Connects a raw TCP socket to 127.0.0.1:`port`; returns the fd or -1.
 int RawConnect(uint16_t port) {
   addrinfo hints{};

@@ -874,7 +874,7 @@ TEST(ServiceTest, RestoresV3SnapshotsWithBuckets) {
         LegacyBuckets(config, cap, registry);
     ASSERT_FALSE(buckets.empty());
     std::istringstream in(
-        LegacyV3SnapshotBytes(service.ExportSnapshot(), 16, buckets));
+        LegacySnapshotBytes(service.ExportSnapshot(), 3, 16, buckets));
     Result<ServiceSnapshot> snapshot = ReadServiceSnapshot(in);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
     Result<std::unique_ptr<LinkageService>> restored =
@@ -965,16 +965,16 @@ TEST_F(RestoreValidationTest, DuplicateRecordIdsRejected) {
 TEST_F(RestoreValidationTest, ZeroShardsRejected) {
   // Versions 1-3 carried num_shards; a value no writer produced still
   // marks the file as corrupt.
-  std::istringstream in(LegacyV3SnapshotBytes(snapshot_, 0, {}));
+  std::istringstream in(LegacySnapshotBytes(snapshot_, 3, 0));
   EXPECT_EQ(ReadServiceSnapshot(in).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST_F(RestoreValidationTest, NonPowerOfTwoShardsRejected) {
-  std::istringstream in(LegacyV3SnapshotBytes(snapshot_, 6, {}));
+  std::istringstream in(LegacySnapshotBytes(snapshot_, 3, 6));
   EXPECT_EQ(ReadServiceSnapshot(in).status().code(),
             StatusCode::kInvalidArgument);
-  std::istringstream valid(LegacyV3SnapshotBytes(snapshot_, 8, {}));
+  std::istringstream valid(LegacySnapshotBytes(snapshot_, 3, 8));
   EXPECT_TRUE(ReadServiceSnapshot(valid).ok());
 }
 
